@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/memory"
 	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -24,7 +22,7 @@ import (
 // way (partial on failure).
 type chaosResult struct {
 	x     []float64
-	stats memory.ExecStats
+	stats parmf.WorkStats
 	err   error
 }
 
@@ -58,9 +56,9 @@ func runChaos(t *testing.T, a *sparse.CSC, in *faults.Injector, ctx context.Cont
 	}
 	x, err := pf.Solver(0).SolveOriginalMultiCtx(ctx, b, 1)
 	if err != nil {
-		return chaosResult{stats: pf.Stats.ExecStats, err: err}
+		return chaosResult{stats: pf.Stats.WorkStats, err: err}
 	}
-	return chaosResult{x: x, stats: pf.Stats.ExecStats}
+	return chaosResult{x: x, stats: pf.Stats.WorkStats}
 }
 
 // assertBitwise asserts a completed chaos run reproduced the clean run's
@@ -267,8 +265,11 @@ func TestChaosRandomSchedules(t *testing.T) {
 
 // TestUnarmedRunUnchanged extends the TestUntracedRunUnchanged pattern
 // to the fault layer: a nil injector plus a Background context must
-// leave the executor stats bitwise identical to a build that never heard
-// of fault tolerance — the robustness plane costs nothing when unarmed.
+// leave the factors bitwise identical and the executor's work stats equal
+// to a build that never heard of fault tolerance — the robustness plane
+// costs nothing when unarmed. The schedule-dependent stats differ from
+// run to run (which worker claimed which task), so only their invariants
+// are asserted.
 func TestUnarmedRunUnchanged(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	an, err := core.Analyze(a, core.DefaultConfig(order.AMF, 2))
@@ -283,11 +284,12 @@ func TestUnarmedRunUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, cs := plain.Stats, ctxRun.Stats
-	ps.RootFrontNs, cs.RootFrontNs = 0, 0 // wall-clock, varies run to run
-	if !reflect.DeepEqual(ps, cs) {
-		t.Errorf("Background-context run changed stats:\n%+v\nvs\n%+v", plain.Stats, ctxRun.Stats)
+	if !plain.Stats.WorkStats.Equal(ctxRun.Stats.WorkStats) {
+		t.Errorf("Background-context run changed work stats:\n%+v\nvs\n%+v",
+			plain.Stats.WorkStats, ctxRun.Stats.WorkStats)
 	}
+	checkScheduleInvariants(t, plain.Stats)
+	checkScheduleInvariants(t, ctxRun.Stats)
 	// The factors themselves must match bit for bit too.
 	for ni := 0; ni < an.Tree.Len(); ni++ {
 		na, nb := plain.Front().Node(ni), ctxRun.Front().Node(ni)
@@ -311,7 +313,44 @@ func TestUnarmedRunUnchanged(t *testing.T) {
 		t.Fatal(idle.err)
 	}
 	assertBitwise(t, ref.x, idle.x)
-	if ref.stats != idle.stats {
-		t.Errorf("idle injector changed stats:\n%+v\nvs\n%+v", ref.stats, idle.stats)
+	if !ref.stats.Equal(idle.stats) {
+		t.Errorf("idle injector changed work stats:\n%+v\nvs\n%+v", ref.stats, idle.stats)
+	}
+}
+
+// checkScheduleInvariants asserts what the executor guarantees about the
+// schedule-dependent stats of an in-core run, whatever the schedule: one
+// peak per worker, PeakStack their maximum, each worker's stack peak under
+// its active peak, every worker under the bound unless an activation was
+// forced over it, and the resident peak covering all factors and the
+// largest worker peak. The multiset of worker peaks itself is not
+// invariant: when one worker claims every tree task the other reports 0.
+func checkScheduleInvariants(t *testing.T, st parmf.Stats) {
+	t.Helper()
+	if len(st.WorkerPeaks) != st.Workers || len(st.WorkerStackPeaks) != st.Workers {
+		t.Fatalf("%d worker peaks, %d stack peaks for %d workers",
+			len(st.WorkerPeaks), len(st.WorkerStackPeaks), st.Workers)
+	}
+	var max int64
+	for w, p := range st.WorkerPeaks {
+		if p > max {
+			max = p
+		}
+		if st.WorkerStackPeaks[w] > p {
+			t.Errorf("worker %d: stack peak %d > active peak %d", w, st.WorkerStackPeaks[w], p)
+		}
+		if st.Forced == 0 && p > st.PeakBound {
+			t.Errorf("worker %d: peak %d > bound %d with no forced activation", w, p, st.PeakBound)
+		}
+	}
+	if max != st.PeakStack {
+		t.Errorf("PeakStack %d, max worker peak %d", st.PeakStack, max)
+	}
+	if st.ResidentPeak < st.FactorEntries || st.ResidentPeak < st.PeakStack {
+		t.Errorf("resident peak %d below factors %d or worker peak %d",
+			st.ResidentPeak, st.FactorEntries, st.PeakStack)
+	}
+	if st.SlaveSteals > st.SlaveTasks {
+		t.Errorf("%d slave steals of %d slave tasks", st.SlaveSteals, st.SlaveTasks)
 	}
 }

@@ -108,3 +108,54 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestPropertyHeapPopsInTimeSeqOrder checks the typed heap against a
+// sorted reference: events fire exactly in (time, scheduling sequence)
+// order, both for a batch scheduled up front and for events that schedule
+// more events (at the current instant or later) while the heap is live.
+func TestPropertyHeapPopsInTimeSeqOrder(t *testing.T) {
+	type key struct {
+		t   Time
+		seq int
+	}
+	prop := func(raw []uint16, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		var scheduled, fired []key
+		var schedule func(at Time, depth int)
+		schedule = func(at Time, depth int) {
+			k := key{at, len(scheduled)}
+			scheduled = append(scheduled, k)
+			e.Schedule(at, Func(func() {
+				fired = append(fired, k)
+				for c := 0; depth > 0 && c < rng.Intn(3); c++ {
+					schedule(e.Now()+Time(rng.Intn(3)), depth-1)
+				}
+			}))
+		}
+		for _, o := range raw {
+			schedule(Time(o%16), int(o>>14))
+		}
+		e.Run()
+		want := append([]key(nil), scheduled...)
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].t != want[b].t {
+				return want[a].t < want[b].t
+			}
+			return want[a].seq < want[b].seq
+		})
+		if len(fired) != len(want) || e.Processed() != int64(len(want)) {
+			return false
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(14))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -186,28 +186,52 @@ func DefaultConfig(workers int) Config {
 }
 
 // Stats records memory and work, in the units of the assembly cost model.
-// The embedded ExecStats matches seqmf.Stats (see Seq) so a one-worker run
-// can be compared field-by-field with the sequential executor; PeakStack
-// is the max over workers of the (CB stack + active front) peak, and
-// ResidentPeak is the whole-process resident peak (all workers' fronts
-// and CBs plus store-owned factor blocks, under one shared meter).
+// It has two parts: WorkStats is fixed by the tree, the inputs and the
+// configuration, and ScheduleStats records what one particular goroutine
+// schedule did (which worker claimed which task). Tests compare the first
+// exactly and assert only invariants on the second.
 type Stats struct {
+	WorkStats
+	ScheduleStats
+}
+
+// WorkStats is the schedule-independent part of Stats. The embedded
+// ExecStats matches seqmf.Stats (see Seq) so a one-worker run can be
+// compared field-by-field with the sequential executor. Its two measured
+// peaks are the exception to schedule independence: PeakStack is the max
+// over workers of the (CB stack + active front) peak, and ResidentPeak is
+// the whole-process resident peak (all workers' fronts and CBs plus
+// store-owned factor blocks, under one shared meter); with more than one
+// worker both depend on which worker ran what and when, so Equal skips
+// them.
+type WorkStats struct {
 	memory.ExecStats
 
-	Workers          int
-	Tasks            int     // scheduled tasks (subtrees + upper nodes)
-	PeakBound        int64   // bound the memory-aware policy scheduled under
+	Workers      int
+	Tasks        int   // scheduled tasks (subtrees + upper nodes)
+	PeakBound    int64 // bound the memory-aware policy scheduled under
+	SplitFronts  int   // fronts factored through the within-front master/slave path
+	SlaveTasks   int64 // slave tile tasks executed (all panels and phases)
+	Root2DFronts int   // root fronts factored through the 2D (type-3) tile path
+}
+
+// Equal reports whether two runs did the same work: every field but the
+// two measured peaks of ExecStats.
+func (w WorkStats) Equal(o WorkStats) bool {
+	w.PeakStack, w.ResidentPeak = o.PeakStack, o.ResidentPeak
+	return w == o
+}
+
+// ScheduleStats is the part of Stats that depends on the goroutine
+// schedule.
+type ScheduleStats struct {
 	WorkerPeaks      []int64 // per-worker (stack + front) peaks
 	WorkerStackPeaks []int64 // per-worker CB-stack-only peaks
 	Deviations       int64   // off-top pool selections (Algorithm 2 deviations)
 	Waits            int64   // idle episodes where nothing fit the bound
 	Forced           int64   // peak-raising activations over the worker's effective bound
-
-	SplitFronts  int   // fronts factored through the within-front master/slave path
-	SlaveTasks   int64 // slave tile tasks executed (all panels and phases)
-	SlaveSteals  int64 // slave tile tasks run by a worker other than the preferred one
-	Root2DFronts int   // root fronts factored through the 2D (type-3) tile path
-	RootFrontNs  int64 // max wall-clock ns spent factoring one split root front
+	SlaveSteals      int64   // slave tile tasks run by a worker other than the preferred one
+	RootFrontNs      int64   // max wall-clock ns spent factoring one split root front
 }
 
 // Seq returns the seqmf-comparable subset of the stats.
@@ -763,7 +787,7 @@ func (w worker) selectLocked() (int, bool) {
 	cost := func(task int) int64 { return w.pl.taskCost(task, tree) }
 
 	// Fast path: Algorithm 2 returns the top task when it is subtree work
-	// or fits the bound; skip the pool scan (and its copy) in that case.
+	// or fits the bound; skip the pool scan in that case.
 	top := st.pool.Peek()
 	k := 0
 	if !inSubtree(top) && myStack+cost(top) > bound {

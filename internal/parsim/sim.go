@@ -47,6 +47,8 @@ type sim struct {
 	masterFl   []int64 // type-2: master-segment flops
 	childCBSum []int64 // sum of children CB entries (popped after assembly)
 
+	taskInfo sched.TaskInfo // Algorithm 2's view of the nodes, built once
+
 	booting         bool
 	done            int
 	slaveSelections int64
@@ -55,14 +57,20 @@ type sim struct {
 
 // Run simulates one factorization and returns the result.
 func Run(cfg Config) (*Result, error) {
+	res, _, err := simulate(cfg)
+	return res, err
+}
+
+// simulate is Run, also returning the number of engine events processed.
+func simulate(cfg Config) (*Result, int64, error) {
 	if cfg.Tree == nil || cfg.Map == nil {
-		return nil, fmt.Errorf("parsim: nil tree or mapping")
+		return nil, 0, fmt.Errorf("parsim: nil tree or mapping")
 	}
 	if err := cfg.Map.Validate(cfg.Tree); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if cfg.Params.FlopRate <= 0 || cfg.Params.AsmRate <= 0 {
-		return nil, fmt.Errorf("parsim: non-positive rates")
+		return nil, 0, fmt.Errorf("parsim: non-positive rates")
 	}
 	s := &sim{
 		cfg:  cfg,
@@ -115,6 +123,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
+	s.taskInfo = sched.TaskInfo{
+		InSubtree: func(n int) bool { return s.mp.Subtree[n] >= 0 },
+		MemCost:   s.memCostOnOwner,
+	}
 	for q := 0; q < p; q++ {
 		s.procs[q] = procState{rank: q, view: sched.NewView(p), curSubtree: -1,
 			open: map[int]int64{}}
@@ -155,7 +167,7 @@ func Run(cfg Config) (*Result, error) {
 	s.eng.Run()
 
 	if s.done != n {
-		return nil, fmt.Errorf("parsim: deadlock — %d of %d nodes completed", s.done, n)
+		return nil, 0, fmt.Errorf("parsim: deadlock — %d of %d nodes completed", s.done, n)
 	}
 	res := &Result{
 		MaxActivePeak:   s.mem.MaxActivePeak(),
@@ -186,10 +198,10 @@ func Run(cfg Config) (*Result, error) {
 	// Invariants: all transient memory released.
 	for q := 0; q < p; q++ {
 		if a := s.mem.Procs[q].Active(); a != 0 {
-			return nil, fmt.Errorf("parsim: proc %d still holds %d entries", q, a)
+			return nil, 0, fmt.Errorf("parsim: proc %d still holds %d entries", q, a)
 		}
 	}
-	return res, nil
+	return res, s.eng.Processed(), nil
 }
 
 // initialLeafOrder returns the tree's leaves in global treatment order:
@@ -305,10 +317,6 @@ func (s *sim) tryStart(q int) {
 	}
 	var node int
 	if s.cfg.Strategy.MemoryTaskSelection {
-		info := sched.TaskInfo{
-			InSubtree: func(n int) bool { return s.mp.Subtree[n] >= 0 },
-			MemCost:   func(n int) int64 { return s.memCostOnOwner(n) },
-		}
 		// Current memory "including peak of subtree" (Algorithm 2): while
 		// inside a subtree the memory will still rise to the subtree's
 		// peak above its entry level, so use whichever is higher.
@@ -325,7 +333,7 @@ func (s *sim) tryStart(q int) {
 		// pool constantly deviates from depth-first order, which the
 		// paper warns "could tend to increase the number of branches of
 		// the tree active simultaneously".)
-		k := sched.SelectMemoryAware(&ps.pool, info, cur, s.mem.MaxActivePeak())
+		k := sched.SelectMemoryAware(&ps.pool, s.taskInfo, cur, s.mem.MaxActivePeak())
 		if k != 0 {
 			s.alg2Deviations++
 		}
@@ -368,8 +376,9 @@ func (s *sim) updateIncoming(q int) {
 		return
 	}
 	var max int64
-	for _, n := range s.procs[q].pool.Items() {
-		if c := s.memCostOnOwner(n); c > max {
+	pool := &s.procs[q].pool
+	for k := 0; k < pool.Len(); k++ {
+		if c := s.memCostOnOwner(pool.At(k)); c > max {
 			max = c
 		}
 	}

@@ -93,11 +93,13 @@ func SelectMemoryAware(p *Pool, info TaskInfo, currentMem, observedPeak int64) i
 	if p.Empty() {
 		return -1
 	}
-	items := p.Items() // top to bottom
-	if info.InSubtree(items[0]) {
+	if info.InSubtree(p.Peek()) {
 		return 0
 	}
-	for k, node := range items {
+	// Scan top to bottom in place: this runs on every activation (under
+	// the executor's pool lock in parmf), so it must not copy the pool.
+	for k := range len(p.items) {
+		node := p.items[len(p.items)-1-k]
 		if info.MemCost(node)+currentMem <= observedPeak {
 			return k
 		}

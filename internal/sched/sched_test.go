@@ -430,3 +430,27 @@ func TestPoolAt(t *testing.T) {
 		t.Error("out-of-range At not -1")
 	}
 }
+
+// TestSelectMemoryAwareZeroAllocs pins Algorithm 2 at zero allocations:
+// it scans the pool in place on every activation (under the executor's
+// pool lock in parmf), so it must never copy the pool.
+func TestSelectMemoryAwareZeroAllocs(t *testing.T) {
+	var p Pool
+	for n := 0; n < 64; n++ {
+		p.Push(n)
+	}
+	info := TaskInfo{
+		InSubtree: func(n int) bool { return n == 3 },
+		MemCost:   func(n int) int64 { return int64(1000 - n) },
+	}
+	var k int
+	allocs := testing.AllocsPerRun(100, func() {
+		k = SelectMemoryAware(&p, info, 10, 100) // scans down to node 3
+	})
+	if allocs != 0 {
+		t.Errorf("SelectMemoryAware allocates %.1f times per call", allocs)
+	}
+	if k != 60 {
+		t.Errorf("selected depth %d, want 60 (node 3, the first subtree task)", k)
+	}
+}

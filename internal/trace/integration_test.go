@@ -135,7 +135,7 @@ func TestTracedSequentialRun(t *testing.T) {
 }
 
 // TestUntracedRunUnchanged cross-checks that attaching a tracer changes
-// no numbers: stats (and thus factors) are identical with and without.
+// no numbers: the work stats are identical with and without.
 func TestUntracedRunUnchanged(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	an, err := core.Analyze(a, core.DefaultConfig(order.AMF, 2))
@@ -152,10 +152,11 @@ func TestUntracedRunUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Stats.FactorEntries != traced.Stats.FactorEntries ||
-		plain.Stats.Fronts != traced.Stats.Fronts ||
-		plain.Stats.ResidentPeak != traced.Stats.ResidentPeak {
-		t.Errorf("tracing changed the run: %+v vs %+v", plain.Stats.ExecStats, traced.Stats.ExecStats)
+	// The work stats are schedule-independent and must match exactly; the
+	// resident peak is measured across concurrently running workers, so
+	// it varies with the schedule and is not compared.
+	if !plain.Stats.WorkStats.Equal(traced.Stats.WorkStats) {
+		t.Errorf("tracing changed the run: %+v vs %+v", plain.Stats.WorkStats, traced.Stats.WorkStats)
 	}
 }
 

@@ -109,3 +109,23 @@ func TestBadRankPanics(t *testing.T) {
 	}()
 	w.Send(0, 5, 0, nil)
 }
+
+// TestSteadyStateZeroAllocs: once the recycled deliveries exist, neither
+// Broadcast nor Send allocates per message — no closure, no heap boxing.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	e, w := newWorld(32, DefaultConfig())
+	for r := 0; r < 32; r++ {
+		w.Register(r, func(int, any) {})
+	}
+	round := func() {
+		w.Broadcast(0, 0, nil)
+		w.Broadcast(0, 10, nil) // same instant: busy channels, a second time
+		w.Send(1, 2, 0, nil)
+		w.Send(3, 3, 0, nil)
+		e.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("%.1f allocations per round of 2 broadcasts + 2 sends", allocs)
+	}
+}
