@@ -50,14 +50,13 @@
 // are pure functions of the front and the register-blocked kernels are
 // bitwise identical to the element-wise ones — only wall-clock time and
 // the per-worker memory shape do. -kernel selects the update kernel
-// family: fast reorders accumulation for full register tiling, simd runs
-// the fused-multiply-add family (AVX2/FMA assembly with a bitwise
-// identical portable fallback), and auto picks simd when the hardware
-// path is available, fast otherwise. Both non-default families keep the
-// factors deterministic for a fixed -block-rows (any worker count or
-// grid shape) but are validated by residual rather than bit equality.
-// -fast-kernels is a deprecated alias of -kernel=fast. Set -front-split
-// larger than the largest front to disable splitting.
+// family: default (the bitwise one above), simd (the fused-multiply-add
+// family: AVX2/FMA assembly with a bitwise identical portable fallback),
+// or auto, which picks simd when the hardware path is available and
+// default otherwise. simd keeps the factors deterministic for a fixed
+// -block-rows (any worker count or grid shape) but is validated by
+// residual rather than bit equality. Set -front-split larger than the
+// largest front to disable splitting.
 //
 // The solve phase runs tree-parallel over the same workers and handles
 // -nrhs right-hand sides as one blocked pass (one forward and one

@@ -27,19 +27,18 @@ import (
 
 // Common is the flag set shared by the factorization CLIs.
 type Common struct {
-	Matrix      string
-	MM          string
-	Ordering    string
-	Workers     int
-	Split       int64
-	FrontSplit  int
-	BlockRows   int
-	RootGrid    int
-	Slaves      string
-	Kernel      string
-	FastKernels bool
-	Small       bool
-	NRHS        int
+	Matrix     string
+	MM         string
+	Ordering   string
+	Workers    int
+	Split      int64
+	FrontSplit int
+	BlockRows  int
+	RootGrid   int
+	Slaves     string
+	Kernel     string
+	Small      bool
+	NRHS       int
 
 	// Observability outputs (see Observability): empty = disabled.
 	Trace   string // Chrome trace_event JSON path
@@ -94,8 +93,7 @@ func (c *Common) Register(fs *flag.FlagSet, defaultWorkers int) {
 	fs.IntVar(&c.BlockRows, "block-rows", dense.DefaultBlockRows, "panel width / tile edge of the blocked kernels and within-front partitions")
 	fs.IntVar(&c.RootGrid, "root-grid", 0, "2D (type-3) root-front worker grid rows: 0 = auto (floor(sqrt(workers))), -1 = 1D roots, N > 0 = N grid rows")
 	fs.StringVar(&c.Slaves, "slaves", "memory", "slave selection for split fronts: memory (Algorithm 1) or workload")
-	fs.StringVar(&c.Kernel, "kernel", "", "dense kernel family: default|fast|simd|auto (auto picks simd when AVX2/FMA is available, fast otherwise)")
-	fs.BoolVar(&c.FastKernels, "fast-kernels", false, "deprecated alias of -kernel=fast; cannot be combined with -kernel")
+	fs.StringVar(&c.Kernel, "kernel", "", "dense kernel family: default|simd|auto (auto picks simd when AVX2/FMA is available, default otherwise)")
 	fs.BoolVar(&c.Small, "small", false, "use the reduced (test-scale) suite")
 	fs.IntVar(&c.NRHS, "nrhs", 1, "number of right-hand sides solved as one blocked multi-RHS pass")
 	fs.StringVar(&c.Trace, "trace", "", "write Chrome trace_event JSON of the run to this file (chrome://tracing / Perfetto)")
@@ -132,9 +130,6 @@ func (c *Common) Validate() error {
 	}
 	if _, err := c.SlavePolicy(); err != nil {
 		return err
-	}
-	if c.Kernel != "" && c.FastKernels {
-		return fmt.Errorf("-kernel and -fast-kernels are mutually exclusive (-fast-kernels is a deprecated alias of -kernel=fast)")
 	}
 	if _, err := c.KernelFamily(); err != nil {
 		return err
@@ -238,23 +233,15 @@ func (c *Common) Method() (order.Method, error) {
 	return 0, fmt.Errorf("unknown ordering %q", c.Ordering)
 }
 
-// KernelFamily resolves the kernel-family flags: -kernel when given
-// (default|fast|simd|auto), else the deprecated -fast-kernels boolean,
-// else the default family. The returned Kernel may be dense.KernelAuto —
-// the executors resolve it to the concrete family and report that in
-// their stats.
+// KernelFamily parses -kernel (default|simd|auto; empty means default).
+// The returned Kernel may be dense.KernelAuto — the executors resolve it
+// to the concrete family and report that in their stats.
 func (c *Common) KernelFamily() (dense.Kernel, error) {
-	if c.Kernel != "" {
-		k, err := dense.ParseKernel(c.Kernel)
-		if err != nil {
-			return dense.KernelDefault, fmt.Errorf("-kernel: %v", err)
-		}
-		return k, nil
+	k, err := dense.ParseKernel(c.Kernel)
+	if err != nil {
+		return dense.KernelDefault, fmt.Errorf("-kernel: %v", err)
 	}
-	if c.FastKernels {
-		return dense.KernelFast, nil
-	}
-	return dense.KernelDefault, nil
+	return k, nil
 }
 
 // SlavePolicy parses -slaves.

@@ -36,7 +36,7 @@ func TestDefaultsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Workers != 4 || c.BlockRows < 1 || c.FastKernels || c.NRHS != 1 {
+	if c.Workers != 4 || c.BlockRows < 1 || c.Kernel != "" || c.NRHS != 1 {
 		t.Fatalf("unexpected defaults %+v", c)
 	}
 	m, err := c.Method()
@@ -138,7 +138,7 @@ func TestRootGridAccepts(t *testing.T) {
 }
 
 func TestLoadSuiteProblem(t *testing.T) {
-	c, err := parse(t, "-matrix", "GUPTA3", "-small", "-fast-kernels")
+	c, err := parse(t, "-matrix", "GUPTA3", "-small", "-kernel", "simd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,15 @@ func TestLoadSuiteProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Kernel != dense.KernelFast || cfg.FrontSplit != 128 {
+	if cfg.Kernel != dense.KernelSIMD || cfg.FrontSplit != 128 {
 		t.Fatalf("core config %+v", cfg)
 	}
 }
 
-// TestKernelFlagGrammar pins the -kernel grammar, the deprecated
-// -fast-kernels alias, and their mutual exclusion.
+// TestKernelFlagGrammar pins the -kernel grammar: default, simd and auto
+// are accepted; anything else — the removed fast family included — is
+// rejected with an error naming the accepted values, and -kernel is the
+// only flag that selects a kernel family.
 func TestKernelFlagGrammar(t *testing.T) {
 	accept := []struct {
 		args []string
@@ -167,11 +169,9 @@ func TestKernelFlagGrammar(t *testing.T) {
 	}{
 		{[]string{"-matrix", "PRE2"}, dense.KernelDefault},
 		{[]string{"-matrix", "PRE2", "-kernel", "default"}, dense.KernelDefault},
-		{[]string{"-matrix", "PRE2", "-kernel", "fast"}, dense.KernelFast},
-		{[]string{"-matrix", "PRE2", "-kernel", "FAST"}, dense.KernelFast},
 		{[]string{"-matrix", "PRE2", "-kernel", "simd"}, dense.KernelSIMD},
 		{[]string{"-matrix", "PRE2", "-kernel", "auto"}, dense.KernelAuto},
-		{[]string{"-matrix", "PRE2", "-fast-kernels"}, dense.KernelFast},
+		{[]string{"-matrix", "PRE2", "-kernel", "SIMD"}, dense.KernelSIMD},
 	}
 	for _, c := range accept {
 		fl, err := parse(t, c.args...)
@@ -191,19 +191,24 @@ func TestKernelFlagGrammar(t *testing.T) {
 	reject := [][]string{
 		{"-matrix", "PRE2", "-kernel", "turbo"},
 		{"-matrix", "PRE2", "-kernel", "fastest"},
-		{"-matrix", "PRE2", "-kernel", "fast", "-fast-kernels"},
-		{"-matrix", "PRE2", "-kernel", "simd", "-fast-kernels"},
-		{"-matrix", "PRE2", "-kernel", "default", "-fast-kernels"},
+		{"-matrix", "PRE2", "-kernel", "fast"},
+		{"-matrix", "PRE2", "-kernel", "FAST"},
 	}
 	for _, args := range reject {
 		if _, err := parse(t, args...); err == nil {
 			t.Errorf("args %v accepted", args)
+		} else if !strings.Contains(err.Error(), "default, simd, auto") {
+			t.Errorf("args %v: error does not name the accepted values: %v", args, err)
 		}
 	}
-	if _, err := parse(t, "-matrix", "PRE2", "-kernel", "fast", "-fast-kernels"); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("conflict error not descriptive: %v", err)
-	}
+
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	new(Common).Register(fs, 4)
+	fs.VisitAll(func(f *flag.Flag) {
+		if strings.Contains(f.Name, "kernel") && f.Name != "kernel" {
+			t.Errorf("flag -%s selects a kernel family besides -kernel", f.Name)
+		}
+	})
 }
 
 func TestLoadUnknown(t *testing.T) {

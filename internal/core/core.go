@@ -63,15 +63,12 @@ type Config struct {
 	// (type-2) row partition. The factors never depend on it.
 	RootGrid int
 	// Kernel selects the dense kernel family of every numeric
-	// factorization (dense.KernelDefault, KernelFast, KernelSIMD, or
-	// KernelAuto, which resolves to SIMD when the vector path is
-	// available and fast otherwise). The non-default families are
-	// validated by residual instead of bit equality; factors stay
-	// deterministic for a fixed BlockRows, at any worker count.
+	// factorization (dense.KernelDefault, KernelSIMD, or KernelAuto,
+	// which resolves to SIMD when the vector path is available and to
+	// the default family otherwise). KernelSIMD is validated by residual
+	// instead of bit equality; factors stay deterministic for a fixed
+	// BlockRows, at any worker count.
 	Kernel dense.Kernel
-	// FastKernels is the deprecated boolean form of Kernel=KernelFast; it
-	// is honored only when Kernel is left at the default.
-	FastKernels bool
 	// MapOptions overrides the static mapping (zero value = defaults).
 	MapOptions assembly.MapOptions
 	// Params is the simulated machine model (zero value = defaults).
@@ -216,7 +213,6 @@ func (an *Analysis) seqOptions() seqmf.Options {
 	opt := seqmf.DefaultOptions()
 	opt.BlockRows = an.blockRows()
 	opt.Kernel = an.Config.Kernel
-	opt.FastKernels = an.Config.FastKernels
 	opt.Tracer = an.Config.Tracer
 	opt.Faults = an.Config.Faults
 	return opt
@@ -292,9 +288,6 @@ func (an *Analysis) FactorizeParallelCtx(ctx context.Context, cfg parmf.Config) 
 	}
 	if cfg.Kernel == dense.KernelDefault {
 		cfg.Kernel = an.Config.Kernel
-	}
-	if an.Config.FastKernels {
-		cfg.FastKernels = true
 	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = an.Config.Tracer

@@ -1,32 +1,29 @@
-// Blocked (panel + row-block) variants of the partial factorization
-// kernels. They perform the *same floating-point operations in the same
-// per-element order* as the element-wise PartialLU/PartialCholesky —
-// including the zero-skip short-circuits — so their results are bitwise
-// identical to the reference kernels. What changes is the loop structure:
-// pivots are processed in panels and the trailing rows in row blocks, so a
-// panel of pivot rows is reused across a whole block of trailing rows
-// instead of the reference kernels' one full sweep of the trailing matrix
-// per pivot. That reuse is what makes them cache-friendly, and the row
-// blocks are exactly the unit of work the within-front parallel executor
-// (internal/nodepar) hands to slave tasks: because every row block computes
-// the same bits regardless of who runs it or how rows are grouped, the
-// factors do not depend on the block partition or the worker count.
+// Panel kernels of the blocked partial factorizations, shared by every
+// kernel family (see kernels.go). Pivots are processed in panels and the
+// trailing rows in row blocks, so a panel of pivot rows is reused across a
+// whole block of trailing rows instead of the element-wise kernels' one
+// full sweep of the trailing matrix per pivot. The row blocks are exactly
+// the unit of work the within-front parallel executor (internal/nodepar)
+// hands to slave tasks.
 //
 // Kernel split, mirroring the paper's type-2 master/slave structure:
 //
 //	PanelLU / PanelCholesky        master: eliminate a panel of pivots
 //	                               within the panel's own rows
-//	LUApplyRows                    slave: apply a panel to a row block
+//	Kernel.LUApplyRows             slave: apply a panel to a row block
 //	                               (scale + full trailing sweep, one phase)
 //	CholeskyScaleRows              slave phase 1: scaled panel columns of a
 //	                               row block (needs only the master panel)
-//	CholeskyUpdateRows             slave phase 2: trailing update of a row
+//	Kernel.CholeskyUpdateRows      slave phase 2: trailing update of a row
 //	                               block (needs phase 1 of *all* blocks)
 //
 // The symmetric kernel needs two slave phases because the trailing update
 // of row i reads the scaled panel columns of every row j <= i, which may
 // live in another slave's block; the unsymmetric update only reads the
-// master's pivot rows.
+// master's pivot rows. The functions in this file perform the same
+// floating-point operations in the same per-element order as the
+// element-wise PartialLU/PartialCholesky — including the zero-skip
+// short-circuits — so they compute identical bits under every family.
 package dense
 
 import "math"
@@ -37,10 +34,15 @@ const DefaultBlockRows = 64
 
 // PanelLU eliminates pivots [k0,k1) of f within rows [k0,k1) only — the
 // master part of a panel step. Rows >= k1 are untouched; apply the panel
-// to them with LUApplyRows. Requires 0 <= k0 <= k1 <= f.R and that all
-// earlier panels have been applied to rows [k0,k1).
+// to them with Kernel.LUApplyRows. Requires 0 <= k0 <= k1 <= f.R and that
+// all earlier panels have been applied to rows [k0,k1).
 func PanelLU(f *Matrix, k0, k1 int, tol float64) error {
-	n := f.C
+	return panelLU(f, k0, k1, f.C, tol)
+}
+
+// panelLU eliminates pivots [k0,k1) within rows [k0,k1), updating columns
+// up to (not including) n: f.C for PanelLU, k1 for PanelLUTile.
+func panelLU(f *Matrix, k0, k1, n int, tol float64) error {
 	for k := k0; k < k1; k++ {
 		pk := f.At(k, k)
 		if math.Abs(pk) <= tol {
@@ -61,44 +63,6 @@ func PanelLU(f *Matrix, k0, k1 int, tol float64) error {
 		}
 	}
 	return nil
-}
-
-// LUApplyRows applies the eliminated panel [k0,k1) to rows [r0,r1) of f
-// (r0 >= k1): for each row, the multiplier scaling and the trailing-row
-// update of every panel pivot, in pivot order — exactly the operations
-// PartialLU performs on that row at steps k0..k1-1. Rows are independent:
-// disjoint row ranges may run concurrently once the panel is final.
-func LUApplyRows(f *Matrix, k0, k1, r0, r1 int) {
-	if r1 <= r0 || k1 <= k0 {
-		return
-	}
-	n := f.C
-	// One reciprocal per pivot, as in PartialLU (bitwise the same value).
-	// Stack scratch for every panel up to kernStackPanel wide, so the
-	// steady state (DefaultBlockRows panels) never allocates.
-	var ib [kernStackPanel]float64
-	invs := ib[:]
-	if kw := k1 - k0; kw > kernStackPanel {
-		invs = make([]float64, kw)
-	}
-	for k := k0; k < k1; k++ {
-		invs[k-k0] = 1 / f.At(k, k)
-	}
-	for i := r0; i < r1; i++ {
-		rowI := f.Row(i)
-		for k := k0; k < k1; k++ {
-			l := rowI[k] * invs[k-k0]
-			if l == 0 {
-				continue
-			}
-			rowI[k] = l
-			rk := f.Row(k)[k+1 : n]
-			ri := rowI[k+1 : n]
-			for j, v := range rk {
-				ri[j] -= l * v
-			}
-		}
-	}
 }
 
 // PanelCholesky factors the diagonal block [k0,k1) of the symmetric front
@@ -128,163 +92,62 @@ func PanelCholesky(f *Matrix, k0, k1 int) error {
 	return nil
 }
 
+// scaleStackPanel bounds the panel width for which CholeskyScaleRows
+// keeps its hoisted zero pattern in stack arrays of
+// scaleStackPanel*(scaleStackPanel-1)/2 entries (~24 KiB). They are
+// declared — and therefore zeroed — per call, which only pays while they
+// stay small; wider panels take heap scratch. DefaultBlockRows panels
+// always fit, so the steady state never allocates.
+const scaleStackPanel = 64
+
 // CholeskyScaleRows computes the scaled panel columns [k0,k1) of rows
 // [r0,r1) (r0 >= k1): each entry accumulates its within-panel updates
 // against the master's L rows, then scales by the panel diagonal — the
 // operations PartialCholesky performs on those entries at steps k0..k1-1,
 // per element in the same order and with the same L(k,m)==0 skips. Rows
 // are independent given the master panel. The panel's nonzero pattern
-// (what the reference kernel's skips depend on) is hoisted out of the row
-// loop, so the inner loop is branch-free while computing identical bits.
+// (what the element-wise kernel's skips depend on) is hoisted out of the
+// row loop, so the inner loop is branch-free while computing identical
+// bits. Every kernel family runs this one function.
 func CholeskyScaleRows(f *Matrix, k0, k1, r0, r1 int) {
 	if r1 <= r0 || k1 <= k0 {
 		return
 	}
+	const maxEnt = scaleStackPanel * (scaleStackPanel - 1) / 2
+	n := f.C
 	kw := k1 - k0
-	if kw <= scaleStackPanel {
-		// Identical bits with the hoisted pattern in stack arrays — the
-		// steady state (DefaultBlockRows panels) never allocates.
-		choleskyScaleRowsRB(f, k0, k1, r0, r1)
-		return
+	var ivb [scaleStackPanel]float64
+	var msb [maxEnt]int32
+	var vsb [maxEnt]float64
+	var stb [scaleStackPanel + 1]int32
+	invs, msAll, vsAll, st := ivb[:], msb[:], vsb[:], stb[:]
+	if kw > scaleStackPanel {
+		ent := kw * (kw - 1) / 2
+		invs, st = make([]float64, kw), make([]int32, kw+1)
+		msAll, vsAll = make([]int32, ent), make([]float64, ent)
 	}
-	invs := make([]float64, kw)
-	type lent struct {
-		m int32
-		v float64
-	}
-	nz := make([][]lent, kw)
-	buf := make([]lent, 0, kw*(kw-1)/2)
+	pos := 0
 	for k := k0; k < k1; k++ {
-		invs[k-k0] = 1 / f.At(k, k)
-		rowK := f.Row(k)
-		start := len(buf)
-		for m := k0; m < k; m++ {
-			if v := rowK[m]; v != 0 {
-				buf = append(buf, lent{int32(m - k0), v})
+		invs[k-k0] = 1 / f.A[k*n+k]
+		rowK := f.A[k*n+k0 : k*n+k : k*n+k]
+		st[k-k0] = int32(pos)
+		for m, v := range rowK {
+			if v != 0 {
+				msAll[pos], vsAll[pos] = int32(m), v
+				pos++
 			}
 		}
-		nz[k-k0] = buf[start:len(buf):len(buf)]
 	}
+	st[kw] = int32(pos)
+	ms, vs := msAll[:pos:pos], vsAll[:pos:pos]
 	for i := r0; i < r1; i++ {
-		ri := f.Row(i)[k0:k1]
+		ri := f.A[i*n+k0 : i*n+k1 : i*n+k1]
 		for k := 0; k < kw; k++ {
 			s := ri[k]
-			for _, e := range nz[k] {
-				s -= ri[e.m] * e.v
+			for p := st[k]; p < st[k+1]; p++ {
+				s -= ri[ms[p]] * vs[p]
 			}
 			ri[k] = s * invs[k]
 		}
 	}
-}
-
-// CholeskyUpdateRows applies the panel's trailing update to rows [r0,r1)
-// (r0 >= k1), columns (k1, i] of the lower triangle: A(i,j) -=
-// sum_k L(i,k)*L(j,k) over the panel, subtracted pivot by pivot in the
-// reference kernel's order (per element: ascending k, skipping k where
-// L(j,k) == 0 exactly as PartialCholesky does). It reads the scaled panel
-// columns of every row j <= i, so CholeskyScaleRows must have completed
-// for all rows up to r1 before this runs.
-//
-// Two loop nests compute those identical bits; the faster one depends on
-// the panel width, so narrow panels take the row-oriented nest and wide
-// ones the reference-style pivot-outer nest.
-func CholeskyUpdateRows(f *Matrix, k0, k1, r0, r1 int) {
-	if r1 <= r0 || k1 <= k0 {
-		return
-	}
-	if k1-k0 < 32 {
-		// Row-oriented: row i stays hot while the rows j stream through.
-		for i := r0; i < r1; i++ {
-			rowI := f.Row(i)
-			ri := rowI[k0:k1]
-			for j := k1; j <= i; j++ {
-				rj := f.Row(j)[k0:k1]
-				s := rowI[j]
-				for ki, ljk := range rj {
-					if ljk == 0 {
-						continue
-					}
-					s -= ri[ki] * ljk
-				}
-				rowI[j] = s
-			}
-		}
-		return
-	}
-	// Pivot-outer (the reference nest restricted to rows [r0,r1)): one
-	// zero test per (pivot, column) instead of one per entry.
-	n := f.C
-	for k := k0; k < k1; k++ {
-		for j := k1; j < r1; j++ {
-			ljk := f.A[j*n+k]
-			if ljk == 0 {
-				continue
-			}
-			lo := r0
-			if j > lo {
-				lo = j
-			}
-			for i := lo; i < r1; i++ {
-				f.A[i*n+j] -= f.A[i*n+k] * ljk
-			}
-		}
-	}
-}
-
-// BlockedPartialLU is the sequential blocked equivalent of PartialLU:
-// pivots in panels of `block` columns, trailing rows updated in row blocks
-// of the same height. The result is bitwise identical to PartialLU.
-// block <= 0 uses DefaultBlockRows.
-func BlockedPartialLU(f *Matrix, npiv int, tol float64, block int) error {
-	if err := checkPartial(f, npiv); err != nil {
-		return err
-	}
-	if block <= 0 {
-		block = DefaultBlockRows
-	}
-	n := f.R
-	if n <= block {
-		// A single panel covers the whole front: the element-wise kernel
-		// computes the same bits without the panel machinery.
-		return PartialLU(f, npiv, tol)
-	}
-	for k0 := 0; k0 < npiv; k0 += block {
-		k1 := min(k0+block, npiv)
-		if err := PanelLU(f, k0, k1, tol); err != nil {
-			return err
-		}
-		for r0 := k1; r0 < n; r0 += block {
-			LUApplyRows(f, k0, k1, r0, min(r0+block, n))
-		}
-	}
-	return nil
-}
-
-// BlockedPartialCholesky is the sequential blocked equivalent of
-// PartialCholesky, bitwise identical to it. block <= 0 uses
-// DefaultBlockRows.
-func BlockedPartialCholesky(f *Matrix, npiv int, block int) error {
-	if err := checkPartial(f, npiv); err != nil {
-		return err
-	}
-	if block <= 0 {
-		block = DefaultBlockRows
-	}
-	n := f.R
-	if n <= block {
-		return PartialCholesky(f, npiv)
-	}
-	for k0 := 0; k0 < npiv; k0 += block {
-		k1 := min(k0+block, npiv)
-		if err := PanelCholesky(f, k0, k1); err != nil {
-			return err
-		}
-		for r0 := k1; r0 < n; r0 += block {
-			CholeskyScaleRows(f, k0, k1, r0, min(r0+block, n))
-		}
-		for r0 := k1; r0 < n; r0 += block {
-			CholeskyUpdateRows(f, k0, k1, r0, min(r0+block, n))
-		}
-	}
-	return nil
 }

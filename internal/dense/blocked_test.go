@@ -1,55 +1,16 @@
 package dense
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// sparsify zeroes a fraction of the off-diagonal entries (symmetrically for
-// SPD inputs) so the kernels' zero-skip short-circuits are exercised — an
-// assembled front is full of structural zeros, and the blocked kernels must
-// replicate the reference kernels' skips bit for bit.
-func sparsify(m *Matrix, frac float64, sym bool, rng *rand.Rand) {
-	for i := 0; i < m.R; i++ {
-		for j := 0; j < i; j++ {
-			if rng.Float64() < frac {
-				m.Set(i, j, 0)
-				if sym {
-					m.Set(j, i, 0)
-				}
-			}
-		}
-	}
-	if sym {
-		// Restore diagonal dominance so the matrix stays SPD.
-		for i := 0; i < m.R; i++ {
-			var s float64
-			for j := 0; j < m.R; j++ {
-				if j != i {
-					s += math.Abs(m.At(i, j))
-				}
-			}
-			m.Set(i, i, s+1)
-		}
-	}
-}
-
-func bitsEqual(t *testing.T, name string, a, b *Matrix) {
-	t.Helper()
-	for p := range a.A {
-		if math.Float64bits(a.A[p]) != math.Float64bits(b.A[p]) {
-			t.Fatalf("%s: entry %d differs bitwise: %g (%#x) vs %g (%#x)",
-				name, p, a.A[p], math.Float64bits(a.A[p]), b.A[p], math.Float64bits(b.A[p]))
-		}
-	}
-}
-
-// TestBlockedLUMatchesNaiveExactly checks the headline guarantee: the
-// blocked kernel performs the same operations in the same per-element
-// order as PartialLU, so for the same elimination order the result is
-// bitwise identical — at every panel width, including ones that do not
-// divide npiv or n.
+// TestBlockedLUMatchesNaiveExactly checks the headline guarantee of the
+// blocked partial LU (panel kernels driven by KernelDefault): it performs
+// the same operations in the same per-element order as PartialLU, so for
+// the same elimination order the result is bitwise identical — at every
+// panel width, including ones that do not divide npiv or n.
 func TestBlockedLUMatchesNaiveExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 5, 17, 40, 73} {
@@ -65,7 +26,7 @@ func TestBlockedLUMatchesNaiveExactly(t *testing.T) {
 			}
 			for _, block := range []int{1, 3, 8, n, 2 * n} {
 				got := cloneM(a)
-				if err := BlockedPartialLU(got, npiv, 1e-14, block); err != nil {
+				if err := KernelDefault.PartialLU(got, npiv, 1e-14, block); err != nil {
 					t.Fatalf("n=%d npiv=%d block=%d: %v", n, npiv, block, err)
 				}
 				bitsEqual(t, "LU", ref, got)
@@ -89,144 +50,11 @@ func TestBlockedCholeskyMatchesNaiveExactly(t *testing.T) {
 			}
 			for _, block := range []int{1, 4, 7, n, 3 * n} {
 				got := cloneM(a)
-				if err := BlockedPartialCholesky(got, npiv, block); err != nil {
+				if err := KernelDefault.PartialCholesky(got, npiv, block); err != nil {
 					t.Fatalf("n=%d npiv=%d block=%d: %v", n, npiv, block, err)
 				}
-				// Compare the lower triangle and pivot rows (the parts a
-				// symmetric partial factorization defines).
-				for i := 0; i < n; i++ {
-					for j := 0; j <= i; j++ {
-						if math.Float64bits(ref.At(i, j)) != math.Float64bits(got.At(i, j)) {
-							t.Fatalf("n=%d npiv=%d block=%d: (%d,%d) %g vs %g",
-								n, npiv, block, i, j, ref.At(i, j), got.At(i, j))
-						}
-					}
-				}
+				lowerBitsEqual(t, fmt.Sprintf("n=%d npiv=%d block=%d", n, npiv, block), ref, got)
 			}
 		}
-	}
-}
-
-// TestBlockedPartitionInvariance checks that the row grouping does not
-// affect the bits: applying a panel row by row, in one big block, or in
-// ragged blocks gives identical trailing matrices. This is the property
-// the within-front parallel executor relies on for determinism across
-// worker counts.
-func TestBlockedPartitionInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	n, npiv := 31, 12
-	a := randomDiagDominant(n, rng)
-	sparsify(a, 0.3, false, rng)
-
-	factor := func(rowBlocks []int) *Matrix { // rowBlocks: boundaries after npiv
-		f := cloneM(a)
-		if err := PanelLU(f, 0, npiv, 1e-14); err != nil {
-			t.Fatal(err)
-		}
-		prev := npiv
-		for _, b := range rowBlocks {
-			LUApplyRows(f, 0, npiv, prev, b)
-			prev = b
-		}
-		LUApplyRows(f, 0, npiv, prev, n)
-		return f
-	}
-	ref := factor(nil)
-	bitsEqual(t, "one-block", ref, factor([]int{}))
-	bitsEqual(t, "ragged", ref, factor([]int{npiv + 1, npiv + 2, 20, 27}))
-	perRow := make([]int, 0, n-npiv)
-	for r := npiv + 1; r < n; r++ {
-		perRow = append(perRow, r)
-	}
-	bitsEqual(t, "per-row", ref, factor(perRow))
-
-	naive := cloneM(a)
-	if err := PartialLU(naive, npiv, 1e-14); err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "vs-naive", naive, ref)
-}
-
-// TestBlockedResidual validates the numerics end to end: a full blocked LU
-// solves a random system to machine-level residual (the tolerance-style
-// check for elimination orders that are *not* replicated, e.g. when a
-// caller compares against an externally factored matrix).
-func TestBlockedResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	n := 48
-	a := randomDiagDominant(n, rng)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b := make([]float64, n)
-	MatVec(a, x, b, 1)
-	lu := cloneM(a)
-	if err := BlockedPartialLU(lu, n, 1e-14, 8); err != nil {
-		t.Fatal(err)
-	}
-	y := append([]float64(nil), b...)
-	for i := 0; i < n; i++ {
-		for k := 0; k < i; k++ {
-			y[i] -= lu.At(i, k) * y[k]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		for k := i + 1; k < n; k++ {
-			y[i] -= lu.At(i, k) * y[k]
-		}
-		y[i] /= lu.At(i, i)
-	}
-	for i := range x {
-		if math.Abs(y[i]-x[i]) > 1e-9*(1+math.Abs(x[i])) {
-			t.Fatalf("solve off at %d: %g vs %g", i, y[i], x[i])
-		}
-	}
-}
-
-// TestBlockedErrors covers the validation and failure paths.
-func TestBlockedErrors(t *testing.T) {
-	if err := BlockedPartialLU(&Matrix{R: 2, C: 3, A: make([]float64, 6)}, 1, 0, 4); err == nil {
-		t.Error("non-square accepted")
-	}
-	if err := BlockedPartialLU(New(3, 3), 5, 0, 4); err == nil {
-		t.Error("npiv out of range accepted")
-	}
-	if err := BlockedPartialLU(New(2, 2), 2, 1e-14, 4); err == nil {
-		t.Error("zero pivot accepted")
-	}
-	f := New(2, 2)
-	f.Set(0, 0, -1)
-	if err := BlockedPartialCholesky(f, 2, 4); err == nil {
-		t.Error("negative diagonal accepted")
-	}
-	if err := BlockedPartialCholesky(New(3, 3), -1, 4); err == nil {
-		t.Error("negative npiv accepted")
-	}
-}
-
-// TestBlockedKernelsZeroAlloc pins the legacy blocked kernels' stack
-// discipline: at the default panel width, the package-level row kernels —
-// what the 1D executor and the blocked drivers call per row block — run
-// without a single heap allocation.
-func TestBlockedKernelsZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	n, npiv := 192, DefaultBlockRows
-	lu := randomDiagDominant(n, rng)
-	if err := PanelLU(lu, 0, npiv, 1e-14); err != nil {
-		t.Fatal(err)
-	}
-	ch := randomSPD(n, rng)
-	if err := PanelCholesky(ch, 0, npiv); err != nil {
-		t.Fatal(err)
-	}
-	CholeskyScaleRows(ch, 0, npiv, npiv, n)
-	allocs := testing.AllocsPerRun(10, func() {
-		LUApplyRows(lu, 0, npiv, npiv, n)
-		CholeskyScaleRows(ch, 0, npiv, npiv, n)
-		CholeskyUpdateRows(ch, 0, npiv, npiv, n)
-	})
-	if allocs != 0 {
-		t.Fatalf("blocked kernels allocate %v per run, want 0", allocs)
 	}
 }

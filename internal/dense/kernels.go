@@ -1,41 +1,36 @@
 // Kernel dispatch for the update micro-kernels — the rank-k panel updates
-// that dominate factorization time. Three implementation families sit
-// behind one selector (plus an auto policy):
+// that dominate factorization time. The element-wise PartialLU /
+// PartialCholesky of dense.go are the definitional oracle; two blocked
+// families sit behind one selector (plus an auto policy):
 //
 //   - KernelDefault: register-blocked micro-kernels that perform the *same
 //     floating-point operations in the same per-element order* as the
-//     reference kernels (PartialLU / PartialCholesky and the PR-3 blocked
-//     row kernels), including the zero-skip short-circuits. Factors are
-//     bitwise identical to the element-wise kernels at every panel width,
-//     row partition and worker count; only the loop structure changes:
-//     column loops are 4x-unrolled over hoisted, capacity-capped row
-//     slices (s = s[:n:n] re-slicing eliminates the bounds checks), and
-//     trailing updates fuse pivot pairs so each element is loaded once
-//     per pair instead of once per pivot.
-//
-//   - KernelFast: full register tiling with *reordered accumulation* —
-//     rank-4 fused updates for LU (one rounded sum of four products per
-//     element) and branch-free 2x2 outer-product tiles for the symmetric
-//     update, with the zero-skip short-circuits dropped. Results are no
-//     longer bitwise comparable to the reference kernels and are
-//     validated by residual tolerance instead. They are still
-//     deterministic for a fixed panel width: every element's value is a
-//     pure function of the front and the panel sequence, independent of
-//     the row-block partition and of which worker runs which block, so a
-//     parallel fast factorization reproduces the sequential fast one.
+//     element-wise kernels, including the zero-skip short-circuits.
+//     Factors are bitwise identical to the element-wise kernels at every
+//     panel width, row partition, tile grid and worker count; only the
+//     loop structure changes: column loops are 4x-unrolled over hoisted,
+//     capacity-capped row slices (s = s[:n:n] re-slicing eliminates the
+//     bounds checks), and trailing updates fuse pivot pairs so each
+//     element is loaded once per pair instead of once per pivot.
 //
 //   - KernelSIMD: fused multiply-add kernels over the span/dot primitives
 //     of simd_prims.go — AVX2/FMA assembly on capable amd64 hardware, a
 //     bitwise-identical math.FMA fallback everywhere else (see simd.go).
-//     Same determinism contract as KernelFast: residual-validated,
-//     reproducible across row partitions, tile grids and worker counts
-//     for a fixed panel width.
+//     Results are not bitwise comparable to the element-wise kernels and
+//     are validated by residual tolerance instead. They are still
+//     deterministic for a fixed panel width: every element's value is a
+//     pure function of the front and the panel sequence, independent of
+//     the row partition, the tile grid and which worker runs which block,
+//     so a parallel SIMD factorization reproduces the sequential one.
 //
 //   - KernelAuto is a policy, not a family: Resolve() picks KernelSIMD
-//     when the vector path is available and KernelFast otherwise.
+//     when the vector path is available and KernelDefault otherwise.
+//
+// The panel kernels (PanelLU, PanelCholesky) and the Cholesky scale phase
+// (CholeskyScaleRows) are shared by both families; see blocked.go.
 //
 // The per-element operation-order discipline of KernelDefault deliberately
-// keeps each update in the `x -= l * v` shape of the reference kernels
+// keeps each update in the `x -= l * v` shape of the element-wise kernels
 // (one multiply, one subtract, each rounded separately) so a compiler that
 // fuses multiply-add does so identically in both loop structures.
 package dense
@@ -45,17 +40,14 @@ type Kernel int
 
 const (
 	// KernelDefault is the register-blocked family: bitwise identical to
-	// the reference kernels (see the package comment above).
+	// the element-wise kernels (see the package comment above).
 	KernelDefault Kernel = iota
-	// KernelFast reorders accumulation for full register tiling; validated
-	// by residual tolerance, deterministic for a fixed panel width.
-	KernelFast
 	// KernelSIMD runs the fused-multiply-add family (AVX2/FMA assembly or
-	// its bitwise-identical math.FMA fallback); same validation and
-	// determinism contract as KernelFast.
+	// its bitwise-identical math.FMA fallback); validated by residual
+	// tolerance, deterministic for a fixed panel width.
 	KernelSIMD
 	// KernelAuto resolves to KernelSIMD when the vector path is available
-	// and to KernelFast otherwise; see Kernel.Resolve.
+	// and to KernelDefault otherwise; see Kernel.Resolve.
 	KernelAuto
 )
 
@@ -63,8 +55,6 @@ func (k Kernel) String() string {
 	switch k {
 	case KernelDefault:
 		return "default"
-	case KernelFast:
-		return "fast"
 	case KernelSIMD:
 		return "simd"
 	case KernelAuto:
@@ -80,54 +70,33 @@ func (k Kernel) String() string {
 // not allocate.
 const kernStackPanel = 256
 
-// LUApplyRows applies the eliminated panel [k0,k1) to rows [r0,r1) through
-// the selected kernel family. Semantics match the package-level
-// LUApplyRows; KernelDefault computes identical bits.
+// LUApplyRows applies the eliminated panel [k0,k1) to rows [r0,r1)
+// (r0 >= k1) through the selected kernel family: for each row, the
+// multiplier scaling and the trailing-row update of every panel pivot —
+// the operations PartialLU performs on that row at steps k0..k1-1.
+// KernelDefault computes those operations in PartialLU's per-element
+// order (identical bits). Rows are independent: disjoint row ranges may
+// run concurrently once the panel is final.
 func (kern Kernel) LUApplyRows(f *Matrix, k0, k1, r0, r1 int) {
 	if r1 <= r0 || k1 <= k0 {
 		return
 	}
-	switch kern.Resolve() {
-	case KernelFast:
-		luApplyRowsFast(f, k0, k1, r0, r1)
-	case KernelSIMD:
+	if kern.Resolve() == KernelSIMD {
 		luApplyRowsSIMD(f, k0, k1, r0, r1)
-	default:
-		luApplyRowsRB(f, k0, k1, r0, r1)
-	}
-}
-
-// CholeskyScaleRows computes the scaled panel columns of rows [r0,r1).
-// All families share one implementation (the hoisted-pattern loop is
-// already branch-free in its inner loop and bitwise identical to the
-// reference): panels up to scaleStackPanel wide run the allocation-free
-// stack-scratch variant, wider ones the heap-scratch original.
-func (kern Kernel) CholeskyScaleRows(f *Matrix, k0, k1, r0, r1 int) {
-	if r1 <= r0 || k1 <= k0 {
 		return
 	}
-	if k1-k0 <= scaleStackPanel {
-		choleskyScaleRowsRB(f, k0, k1, r0, r1)
-		return
-	}
-	CholeskyScaleRows(f, k0, k1, r0, r1)
+	luApplyRowsRB(f, k0, k1, r0, r1)
 }
 
-// CholeskyUpdateRows applies the panel's trailing symmetric update to rows
-// [r0,r1) through the selected kernel family. Semantics match the
-// package-level CholeskyUpdateRows; KernelDefault computes identical bits.
+// CholeskyUpdateRows applies the panel's trailing update to rows [r0,r1)
+// (r0 >= k1), columns (k1, i] of the lower triangle: A(i,j) -=
+// sum_k L(i,k)*L(j,k) over the panel. KernelDefault subtracts pivot by
+// pivot in PartialCholesky's order (per element: ascending k, skipping k
+// where L(j,k) == 0), so its bits are identical. It reads the scaled
+// panel columns of every row j <= i, so CholeskyScaleRows must have
+// completed for all rows up to r1 before this runs.
 func (kern Kernel) CholeskyUpdateRows(f *Matrix, k0, k1, r0, r1 int) {
-	if r1 <= r0 || k1 <= k0 {
-		return
-	}
-	switch kern.Resolve() {
-	case KernelFast:
-		choleskyUpdateRowsFast(f, k0, k1, r0, r1)
-	case KernelSIMD:
-		choleskyUpdateRowsSIMD(f, k0, k1, r0, r1)
-	default:
-		choleskyUpdateRowsRB(f, k0, k1, r0, r1)
-	}
+	kern.CholeskyUpdateTile(f, k0, k1, r0, r1, k1, r1)
 }
 
 // PartialLU is the sequential blocked partial LU through this kernel
@@ -176,7 +145,7 @@ func (kern Kernel) PartialCholesky(f *Matrix, npiv int, block int) error {
 		if err := PanelCholesky(f, k0, k1); err != nil {
 			return err
 		}
-		kern.CholeskyScaleRows(f, k0, k1, k1, f.R)
+		CholeskyScaleRows(f, k0, k1, k1, f.R)
 		kern.CholeskyUpdateRows(f, k0, k1, k1, f.R)
 	}
 	return nil
@@ -282,237 +251,5 @@ func rank2Sub(ri, ra, rb []float64, la, lb float64) {
 	for ; j < n; j++ {
 		ri[j] -= la * ra[j]
 		ri[j] -= lb * rb[j]
-	}
-}
-
-// luApplyRowsFast is the reordered-accumulation LU row kernel: multipliers
-// are computed densely (no zero skips) and the trailing update runs as a
-// rank-4 fused sweep — one rounded sum of four products subtracted per
-// element — so four panel rows stream through the registers per pass.
-func luApplyRowsFast(f *Matrix, k0, k1, r0, r1 int) {
-	n := f.C
-	kw := k1 - k0
-	var ib [kernStackPanel]float64
-	var rb [kernStackPanel][]float64
-	invs, rks := ib[:], rb[:]
-	if kw > kernStackPanel {
-		invs, rks = make([]float64, kw), make([][]float64, kw)
-	}
-	loadPanel(f, k0, k1, invs, rks)
-
-	for i := r0; i < r1; i++ {
-		rowI := f.A[i*n : i*n+n : i*n+n]
-		for k := k0; k < k1; k++ {
-			l := rowI[k] * invs[k-k0]
-			rowI[k] = l
-			rowK := f.A[k*n : k*n+n : k*n+n]
-			for j := k + 1; j < k1; j++ {
-				rowI[j] -= l * rowK[j]
-			}
-		}
-		ri := rowI[k1:]
-		m := len(ri)
-		ri = ri[:m:m]
-		k := k0
-		for ; k+3 < k1; k += 4 {
-			la, lc := rowI[k], rowI[k+2]
-			lb, ld := rowI[k+1], rowI[k+3]
-			ra := rks[k-k0][:m:m]
-			rbv := rks[k+1-k0][:m:m]
-			rc := rks[k+2-k0][:m:m]
-			rd := rks[k+3-k0][:m:m]
-			for j := 0; j < m; j++ {
-				ri[j] -= la*ra[j] + lb*rbv[j] + lc*rc[j] + ld*rd[j]
-			}
-		}
-		for ; k+1 < k1; k += 2 {
-			la, lb := rowI[k], rowI[k+1]
-			ra := rks[k-k0][:m:m]
-			rbv := rks[k+1-k0][:m:m]
-			for j := 0; j < m; j++ {
-				ri[j] -= la*ra[j] + lb*rbv[j]
-			}
-		}
-		if k < k1 {
-			rank1Sub(ri, rks[k-k0], rowI[k])
-		}
-	}
-}
-
-// choleskyUpdateRowsRB is the register-blocked symmetric trailing update:
-// bitwise identical to the reference. It walks the updated columns j
-// outermost, hoists column j's nonzero panel entries (the reference's
-// skip pattern) once, and streams the rows through 4x1 register tiles —
-// four rows accumulate against the same hoisted column, each element
-// receiving its pivots in the reference's ascending order.
-func choleskyUpdateRowsRB(f *Matrix, k0, k1, r0, r1 int) {
-	n := f.C
-	kw := k1 - k0
-	var lb [kernStackPanel]float64
-	var kb [kernStackPanel]int32
-	ls, ks := lb[:], kb[:]
-	if kw > kernStackPanel {
-		ls, ks = make([]float64, kw), make([]int32, kw)
-	}
-	for j := k1; j < r1; j++ {
-		rowJ := f.A[j*n : j*n+n]
-		nnz := 0
-		for k := k0; k < k1; k++ {
-			if v := rowJ[k]; v != 0 {
-				ls[nnz], ks[nnz] = v, int32(k)
-				nnz++
-			}
-		}
-		if nnz == 0 {
-			continue
-		}
-		lj, kj := ls[:nnz:nnz], ks[:nnz:nnz]
-		lo := j
-		if lo < r0 {
-			lo = r0
-		}
-		i := lo
-		for ; i+3 < r1; i += 4 {
-			r0v := f.A[i*n : i*n+n : i*n+n]
-			r1v := f.A[(i+1)*n : (i+1)*n+n : (i+1)*n+n]
-			r2v := f.A[(i+2)*n : (i+2)*n+n : (i+2)*n+n]
-			r3v := f.A[(i+3)*n : (i+3)*n+n : (i+3)*n+n]
-			s0, s1, s2, s3 := r0v[j], r1v[j], r2v[j], r3v[j]
-			for t, l := range lj {
-				k := int(kj[t])
-				s0 -= r0v[k] * l
-				s1 -= r1v[k] * l
-				s2 -= r2v[k] * l
-				s3 -= r3v[k] * l
-			}
-			r0v[j], r1v[j], r2v[j], r3v[j] = s0, s1, s2, s3
-		}
-		for ; i < r1; i++ {
-			rv := f.A[i*n : i*n+n : i*n+n]
-			s := rv[j]
-			for t, l := range lj {
-				s -= rv[int(kj[t])] * l
-			}
-			rv[j] = s
-		}
-	}
-}
-
-// choleskyUpdateRowsFast is the tiled symmetric trailing update: columns
-// in pairs, rows in pairs, so each 2x2 output tile accumulates four dot
-// products over the panel with every panel load shared between two
-// accumulators. No zero skips; deterministic for a fixed panel width.
-func choleskyUpdateRowsFast(f *Matrix, k0, k1, r0, r1 int) {
-	n := f.C
-	j := k1
-	for ; j+1 < r1; j += 2 {
-		rja := f.A[j*n+k0 : j*n+k1 : j*n+k1]
-		rjb := f.A[(j+1)*n+k0 : (j+1)*n+k1 : (j+1)*n+k1]
-		if j >= r0 {
-			// Row j itself only receives column j (the diagonal edge).
-			rv := f.A[j*n : j*n+n]
-			s := rv[j]
-			for _, l := range rja {
-				s -= l * l
-			}
-			rv[j] = s
-		}
-		lo := j + 1
-		if lo < r0 {
-			lo = r0
-		}
-		i := lo
-		for ; i+1 < r1; i += 2 {
-			ria := f.A[i*n : i*n+n : i*n+n]
-			rib := f.A[(i+1)*n : (i+1)*n+n : (i+1)*n+n]
-			pa := ria[k0:k1:k1]
-			pb := rib[k0:k1:k1]
-			s00, s01 := ria[j], ria[j+1]
-			s10, s11 := rib[j], rib[j+1]
-			for t, la := range rja {
-				lb := rjb[t]
-				va, vb := pa[t], pb[t]
-				s00 -= va * la
-				s01 -= va * lb
-				s10 -= vb * la
-				s11 -= vb * lb
-			}
-			ria[j], ria[j+1] = s00, s01
-			rib[j], rib[j+1] = s10, s11
-		}
-		if i < r1 {
-			ria := f.A[i*n : i*n+n : i*n+n]
-			pa := ria[k0:k1:k1]
-			s00, s01 := ria[j], ria[j+1]
-			for t, la := range rja {
-				va := pa[t]
-				s00 -= va * la
-				s01 -= va * rjb[t]
-			}
-			ria[j], ria[j+1] = s00, s01
-		}
-	}
-	if j < r1 {
-		// Odd trailing column: 4x1 tiles against the single hoisted column.
-		rja := f.A[j*n+k0 : j*n+k1 : j*n+k1]
-		lo := j
-		if lo < r0 {
-			lo = r0
-		}
-		for i := lo; i < r1; i++ {
-			rv := f.A[i*n : i*n+n : i*n+n]
-			pv := rv[k0:k1:k1]
-			s := rv[j]
-			for t, l := range rja {
-				s -= pv[t] * l
-			}
-			rv[j] = s
-		}
-	}
-}
-
-// scaleStackPanel bounds the panel width of the stack-scratch scale-rows
-// variant: its hoisted zero-pattern buffers are fixed arrays of
-// scaleStackPanel*(scaleStackPanel-1)/2 entries (~24 KiB), declared — and
-// therefore zeroed — per call, which only pays for itself while the
-// buffers stay small. DefaultBlockRows panels always fit.
-const scaleStackPanel = 64
-
-// choleskyScaleRowsRB is CholeskyScaleRows with the hoisted panel pattern
-// in stack arrays instead of per-call heap slices — same operations, same
-// per-element order, identical bits, zero allocations. Requires
-// k1-k0 <= scaleStackPanel.
-func choleskyScaleRowsRB(f *Matrix, k0, k1, r0, r1 int) {
-	const maxEnt = scaleStackPanel * (scaleStackPanel - 1) / 2
-	n := f.C
-	kw := k1 - k0
-	var ivb [scaleStackPanel]float64
-	var msb [maxEnt]int32
-	var vsb [maxEnt]float64
-	var stb [scaleStackPanel + 1]int32
-	invs := ivb[:kw]
-	pos := 0
-	for k := k0; k < k1; k++ {
-		invs[k-k0] = 1 / f.A[k*n+k]
-		rowK := f.A[k*n+k0 : k*n+k : k*n+k]
-		stb[k-k0] = int32(pos)
-		for m, v := range rowK {
-			if v != 0 {
-				msb[pos], vsb[pos] = int32(m), v
-				pos++
-			}
-		}
-	}
-	stb[kw] = int32(pos)
-	ms, vs := msb[:pos:pos], vsb[:pos:pos]
-	for i := r0; i < r1; i++ {
-		ri := f.A[i*n+k0 : i*n+k1 : i*n+k1]
-		for k := 0; k < kw; k++ {
-			s := ri[k]
-			for p := stb[k]; p < stb[k+1]; p++ {
-				s -= ri[ms[p]] * vs[p]
-			}
-			ri[k] = s * invs[k]
-		}
 	}
 }

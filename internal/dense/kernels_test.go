@@ -1,10 +1,63 @@
 package dense
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// sparsify zeroes a fraction of the off-diagonal entries (symmetrically for
+// SPD inputs) so the kernels' zero-skip short-circuits are exercised — an
+// assembled front is full of structural zeros, and the default kernels must
+// replicate the element-wise kernels' skips bit for bit.
+func sparsify(m *Matrix, frac float64, sym bool, rng *rand.Rand) {
+	for i := 0; i < m.R; i++ {
+		for j := 0; j < i; j++ {
+			if rng.Float64() < frac {
+				m.Set(i, j, 0)
+				if sym {
+					m.Set(j, i, 0)
+				}
+			}
+		}
+	}
+	if sym {
+		// Restore diagonal dominance so the matrix stays SPD.
+		for i := 0; i < m.R; i++ {
+			var s float64
+			for j := 0; j < m.R; j++ {
+				if j != i {
+					s += math.Abs(m.At(i, j))
+				}
+			}
+			m.Set(i, i, s+1)
+		}
+	}
+}
+
+func bitsEqual(t *testing.T, name string, a, b *Matrix) {
+	t.Helper()
+	for p := range a.A {
+		if math.Float64bits(a.A[p]) != math.Float64bits(b.A[p]) {
+			t.Fatalf("%s: entry %d differs bitwise: %g (%#x) vs %g (%#x)",
+				name, p, a.A[p], math.Float64bits(a.A[p]), b.A[p], math.Float64bits(b.A[p]))
+		}
+	}
+}
+
+// lowerBitsEqual compares the lower triangle (the part a symmetric partial
+// factorization defines) bit for bit.
+func lowerBitsEqual(t *testing.T, name string, a, b *Matrix) {
+	t.Helper()
+	for i := 0; i < a.R; i++ {
+		for j := 0; j <= i; j++ {
+			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
+				t.Fatalf("%s: (%d,%d) %g vs %g", name, i, j, a.At(i, j), b.At(i, j))
+			}
+		}
+	}
+}
 
 // TestKernelDefaultLUBitwise pins the dispatch layer's headline guarantee:
 // the register-blocked default kernels perform the reference per-element
@@ -52,33 +105,29 @@ func TestKernelDefaultCholeskyBitwise(t *testing.T) {
 				if err := KernelDefault.PartialCholesky(got, npiv, block); err != nil {
 					t.Fatalf("n=%d npiv=%d block=%d: %v", n, npiv, block, err)
 				}
-				for i := 0; i < n; i++ {
-					for j := 0; j <= i; j++ {
-						if math.Float64bits(ref.At(i, j)) != math.Float64bits(got.At(i, j)) {
-							t.Fatalf("n=%d npiv=%d block=%d: (%d,%d) %g vs %g",
-								n, npiv, block, i, j, ref.At(i, j), got.At(i, j))
-						}
-					}
-				}
+				lowerBitsEqual(t, fmt.Sprintf("n=%d npiv=%d block=%d", n, npiv, block), ref, got)
 			}
 		}
 	}
 }
 
-// TestKernelDefaultRowKernelsBitwise exercises the row kernels directly
-// against the PR-3 blocked ones over ragged row partitions — the unit the
-// within-front executor schedules.
+// TestKernelDefaultRowKernelsBitwise exercises the default row kernels
+// directly over ragged row partitions — the unit the within-front
+// executor schedules — against the element-wise kernels run with the
+// same npiv pivots.
 func TestKernelDefaultRowKernelsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n, npiv := 61, 24
 	lu := randomDiagDominant(n, rng)
 	sparsify(lu, 0.3, false, rng)
 	ref := cloneM(lu)
-	if err := PanelLU(ref, 0, npiv, 1e-14); err != nil {
+	if err := PartialLU(ref, npiv, 1e-14); err != nil {
 		t.Fatal(err)
 	}
-	got := cloneM(ref)
-	LUApplyRows(ref, 0, npiv, npiv, n)
+	got := cloneM(lu)
+	if err := PanelLU(got, 0, npiv, 1e-14); err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range [][2]int{{npiv, npiv + 1}, {npiv + 1, 40}, {40, 40}, {40, n}} {
 		KernelDefault.LUApplyRows(got, 0, npiv, r[0], r[1])
 	}
@@ -87,32 +136,93 @@ func TestKernelDefaultRowKernelsBitwise(t *testing.T) {
 	ch := randomSPD(n, rng)
 	sparsify(ch, 0.5, true, rng)
 	refC := cloneM(ch)
-	if err := PanelCholesky(refC, 0, npiv); err != nil {
+	if err := PartialCholesky(refC, npiv); err != nil {
 		t.Fatal(err)
 	}
-	gotC := cloneM(refC)
-	CholeskyScaleRows(refC, 0, npiv, npiv, n)
-	CholeskyUpdateRows(refC, 0, npiv, npiv, n)
-	KernelDefault.CholeskyScaleRows(gotC, 0, npiv, npiv, n)
+	gotC := cloneM(ch)
+	if err := PanelCholesky(gotC, 0, npiv); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{npiv, 33}, {33, n}} {
+		CholeskyScaleRows(gotC, 0, npiv, r[0], r[1])
+	}
 	for _, r := range [][2]int{{npiv, 30}, {30, 31}, {31, n}} {
 		KernelDefault.CholeskyUpdateRows(gotC, 0, npiv, r[0], r[1])
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			if math.Float64bits(refC.At(i, j)) != math.Float64bits(gotC.At(i, j)) {
-				t.Fatalf("cholesky RB (%d,%d): %g vs %g", i, j, refC.At(i, j), gotC.At(i, j))
-			}
+	lowerBitsEqual(t, "cholesky RB", refC, gotC)
+}
+
+// TestCholeskyScaleRowsBitwise pins the one scale-phase kernel against the
+// element-wise PartialCholesky at panel widths on both sides of the
+// stack-scratch bound (scaleStackPanel): a single panel of width kw,
+// scaled over two row blocks and then updated, reproduces the element-wise
+// factorization with kw pivots bit for bit.
+func TestCholeskyScaleRowsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, kw := range []int{1, 16, scaleStackPanel, scaleStackPanel + 1, 200} {
+		n := kw + 29
+		a := randomSPD(n, rng)
+		sparsify(a, 0.5, true, rng)
+		ref := cloneM(a)
+		if err := PartialCholesky(ref, kw); err != nil {
+			t.Fatal(err)
 		}
+		got := cloneM(a)
+		if err := PanelCholesky(got, 0, kw); err != nil {
+			t.Fatal(err)
+		}
+		CholeskyScaleRows(got, 0, kw, kw, kw+11)
+		CholeskyScaleRows(got, 0, kw, kw+11, n)
+		KernelDefault.CholeskyUpdateRows(got, 0, kw, kw, n)
+		lowerBitsEqual(t, fmt.Sprintf("scale rows kw=%d", kw), ref, got)
 	}
 }
 
-// TestKernelFastResidual validates the reordered-accumulation kernels the
-// way they are specified: not bitwise, but numerically — a full fast LU
-// solves a random system to machine-level residual, and fast Cholesky
-// factors agree with the default ones to tight relative tolerance.
-func TestKernelFastResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	n := 96
+// TestBlockedPartitionInvariance checks that the row grouping does not
+// affect the bits: applying a panel row by row, in one big block, or in
+// ragged blocks gives identical trailing matrices, equal to the
+// element-wise kernel's. This is the property the within-front parallel
+// executor relies on for determinism across worker counts.
+func TestBlockedPartitionInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	n, npiv := 31, 12
+	a := randomDiagDominant(n, rng)
+	sparsify(a, 0.3, false, rng)
+
+	factor := func(rowBlocks []int) *Matrix { // rowBlocks: boundaries after npiv
+		f := cloneM(a)
+		if err := PanelLU(f, 0, npiv, 1e-14); err != nil {
+			t.Fatal(err)
+		}
+		prev := npiv
+		for _, b := range rowBlocks {
+			KernelDefault.LUApplyRows(f, 0, npiv, prev, b)
+			prev = b
+		}
+		KernelDefault.LUApplyRows(f, 0, npiv, prev, n)
+		return f
+	}
+	ref := factor(nil)
+	bitsEqual(t, "ragged", ref, factor([]int{npiv + 1, npiv + 2, 20, 27}))
+	perRow := make([]int, 0, n-npiv)
+	for r := npiv + 1; r < n; r++ {
+		perRow = append(perRow, r)
+	}
+	bitsEqual(t, "per-row", ref, factor(perRow))
+
+	naive := cloneM(a)
+	if err := PartialLU(naive, npiv, 1e-14); err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, "vs-naive", naive, ref)
+}
+
+// TestBlockedResidual validates the numerics end to end: a full blocked LU
+// through the default family solves a random system to machine-level
+// residual.
+func TestBlockedResidual(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	n := 48
 	a := randomDiagDominant(n, rng)
 	x := make([]float64, n)
 	for i := range x {
@@ -121,7 +231,7 @@ func TestKernelFastResidual(t *testing.T) {
 	b := make([]float64, n)
 	MatVec(a, x, b, 1)
 	lu := cloneM(a)
-	if err := KernelFast.PartialLU(lu, n, 1e-14, 16); err != nil {
+	if err := KernelDefault.PartialLU(lu, n, 1e-14, 8); err != nil {
 		t.Fatal(err)
 	}
 	y := append([]float64(nil), b...)
@@ -138,73 +248,58 @@ func TestKernelFastResidual(t *testing.T) {
 	}
 	for i := range x {
 		if math.Abs(y[i]-x[i]) > 1e-9*(1+math.Abs(x[i])) {
-			t.Fatalf("fast LU solve off at %d: %g vs %g", i, y[i], x[i])
-		}
-	}
-
-	s := randomSPD(n, rng)
-	sparsify(s, 0.4, true, rng)
-	def := cloneM(s)
-	if err := KernelDefault.PartialCholesky(def, n/2, 16); err != nil {
-		t.Fatal(err)
-	}
-	fast := cloneM(s)
-	if err := KernelFast.PartialCholesky(fast, n/2, 16); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			d := math.Abs(def.At(i, j) - fast.At(i, j))
-			if d > 1e-8*(1+math.Abs(def.At(i, j))) {
-				t.Fatalf("fast cholesky (%d,%d): %g vs %g", i, j, fast.At(i, j), def.At(i, j))
-			}
+			t.Fatalf("solve off at %d: %g vs %g", i, y[i], x[i])
 		}
 	}
 }
 
-// TestKernelFastPartitionInvariance pins the determinism the parallel
-// executor relies on in fast mode: the fast row kernels compute identical
-// bits however the trailing rows are grouped into blocks.
-func TestKernelFastPartitionInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n, npiv := 47, 18
+// TestBlockedErrors covers the validation and failure paths of the
+// blocked PartialLU/PartialCholesky of both families.
+func TestBlockedErrors(t *testing.T) {
+	for _, kern := range []Kernel{KernelDefault, KernelSIMD} {
+		if err := kern.PartialLU(&Matrix{R: 2, C: 3, A: make([]float64, 6)}, 1, 0, 4); err == nil {
+			t.Errorf("%v: non-square accepted", kern)
+		}
+		if err := kern.PartialLU(New(3, 3), 5, 0, 4); err == nil {
+			t.Errorf("%v: npiv out of range accepted", kern)
+		}
+		if err := kern.PartialLU(New(2, 2), 2, 1e-14, 4); err == nil {
+			t.Errorf("%v: zero pivot accepted", kern)
+		}
+		f := New(2, 2)
+		f.Set(0, 0, -1)
+		if err := kern.PartialCholesky(f, 2, 4); err == nil {
+			t.Errorf("%v: negative diagonal accepted", kern)
+		}
+		if err := kern.PartialCholesky(New(3, 3), -1, 4); err == nil {
+			t.Errorf("%v: negative npiv accepted", kern)
+		}
+	}
+}
 
+// TestBlockedKernelsZeroAlloc pins the default row kernels' stack
+// discipline: at the default panel width, the row kernels and the shared
+// scale phase — what the 1D executor calls per row block — run without a
+// single heap allocation.
+func TestBlockedKernelsZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	n, npiv := 192, DefaultBlockRows
 	lu := randomDiagDominant(n, rng)
-	sparsify(lu, 0.3, false, rng)
 	if err := PanelLU(lu, 0, npiv, 1e-14); err != nil {
 		t.Fatal(err)
 	}
-	apply := func(parts [][2]int) *Matrix {
-		f := cloneM(lu)
-		for _, r := range parts {
-			KernelFast.LUApplyRows(f, 0, npiv, r[0], r[1])
-		}
-		return f
-	}
-	ref := apply([][2]int{{npiv, n}})
-	bitsEqual(t, "fast LU ragged", ref, apply([][2]int{{npiv, npiv + 3}, {npiv + 3, 30}, {30, n}}))
-
 	ch := randomSPD(n, rng)
-	sparsify(ch, 0.4, true, rng)
 	if err := PanelCholesky(ch, 0, npiv); err != nil {
 		t.Fatal(err)
 	}
 	CholeskyScaleRows(ch, 0, npiv, npiv, n)
-	update := func(parts [][2]int) *Matrix {
-		f := cloneM(ch)
-		for _, r := range parts {
-			KernelFast.CholeskyUpdateRows(f, 0, npiv, r[0], r[1])
-		}
-		return f
-	}
-	refC := update([][2]int{{npiv, n}})
-	gotC := update([][2]int{{npiv, npiv + 1}, {npiv + 1, 33}, {33, n}})
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			if math.Float64bits(refC.At(i, j)) != math.Float64bits(gotC.At(i, j)) {
-				t.Fatalf("fast cholesky partition (%d,%d): %g vs %g", i, j, refC.At(i, j), gotC.At(i, j))
-			}
-		}
+	allocs := testing.AllocsPerRun(10, func() {
+		KernelDefault.LUApplyRows(lu, 0, npiv, npiv, n)
+		CholeskyScaleRows(ch, 0, npiv, npiv, n)
+		KernelDefault.CholeskyUpdateRows(ch, 0, npiv, npiv, n)
+	})
+	if allocs != 0 {
+		t.Fatalf("default row kernels allocate %v per run, want 0", allocs)
 	}
 }
 

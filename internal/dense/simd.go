@@ -1,21 +1,23 @@
 // The SIMD/FMA kernel family (KernelSIMD): rank-k panel updates, tile
 // kernels and triangular solves built on the fused span/dot primitives of
-// simd_prims.go / simd_amd64.s. The family follows the fast family's loop
-// skeletons — dense multipliers (no zero skips), pivots consumed in
-// k-groups of 4/2/1 ascending from the panel base — but every multiply-add
-// is fused (one rounding instead of two), which is what the AVX2 FMA units
-// execute natively.
+// simd_prims.go / simd_amd64.s. Multipliers are dense (no zero skips),
+// and the LU trailing update consumes the panel pivots in k-groups of
+// 4/2/1 ascending from the panel base k0: a rank-4 group streams four
+// panel rows through one pass over the updated row, and within a group
+// each element receives its four updates in ascending pivot order. Every
+// multiply-add is fused (one rounding instead of two), which is what the
+// AVX2 FMA units execute natively.
 //
-// Determinism contract, continuing the fast family's: every element's
-// value is a pure function of the front and the panel sequence. The
-// per-element operation order depends only on the panel width (the k-group
-// split is fixed by k0/k1), the span primitives are bitwise independent of
-// vector grouping (per-element chains), and the dot primitives follow one
-// fixed four-lane recipe per column regardless of column grouping — so a
-// SIMD factorization is bitwise identical across row partitions, tile
-// grids and worker counts, and identical between the assembly and portable
-// paths (REPRO_SIMD=off, non-amd64). Accuracy is validated by residual
-// tolerance against KernelDefault, exactly like KernelFast.
+// Determinism contract: every element's value is a pure function of the
+// front and the panel sequence. The per-element operation order depends
+// only on the panel width (the k-group split is fixed by k0/k1), the span
+// primitives are bitwise independent of vector grouping (per-element
+// chains), and the dot primitives follow one fixed four-lane recipe per
+// column regardless of column grouping — so a SIMD factorization is
+// bitwise identical across row partitions, tile grids and worker counts,
+// and identical between the assembly and portable paths (REPRO_SIMD=off,
+// non-amd64). Accuracy is validated by residual tolerance against
+// KernelDefault.
 package dense
 
 import (
@@ -25,10 +27,10 @@ import (
 )
 
 // Resolve maps KernelAuto to the concrete family this machine should run:
-// KernelSIMD when the vector path is available, KernelFast otherwise (the
-// portable SIMD path is bitwise faithful but slower than fast's unfused
-// kernels on hardware without FMA dispatch). Concrete families map to
-// themselves.
+// KernelSIMD when the vector path is available, KernelDefault otherwise
+// (the portable SIMD path is bitwise faithful to the vector one but slower
+// than the default kernels without FMA dispatch). Concrete families map
+// to themselves.
 func (k Kernel) Resolve() Kernel {
 	if k != KernelAuto {
 		return k
@@ -36,7 +38,7 @@ func (k Kernel) Resolve() Kernel {
 	if simdEnabled {
 		return KernelSIMD
 	}
-	return KernelFast
+	return KernelDefault
 }
 
 // SIMDAvailable reports whether the hardware vector path is compiled in,
@@ -57,19 +59,17 @@ func SIMDFeatures() string {
 }
 
 // ParseKernel parses a -kernel flag value into a Kernel. Accepted grammar:
-// default | fast | simd | auto (case-insensitive; empty means default).
+// default | simd | auto (case-insensitive; empty means default).
 func ParseKernel(s string) (Kernel, error) {
 	switch strings.ToLower(s) {
 	case "", "default":
 		return KernelDefault, nil
-	case "fast":
-		return KernelFast, nil
 	case "simd":
 		return KernelSIMD, nil
 	case "auto":
 		return KernelAuto, nil
 	}
-	return KernelDefault, fmt.Errorf("unknown kernel family %q (want default, fast, simd or auto)", s)
+	return KernelDefault, fmt.Errorf("unknown kernel family %q (accepted: default, simd, auto)", s)
 }
 
 // luSolveRowSIMD computes row i's multipliers and within-panel updates
@@ -166,12 +166,6 @@ func choleskyUpdateTileSIMD(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 			rowI[j] -= dotOne(pi, pj)
 		}
 	}
-}
-
-// choleskyUpdateRowsSIMD is the 1D symmetric SIMD update: the tile kernel
-// over the full trailing column range.
-func choleskyUpdateRowsSIMD(f *Matrix, k0, k1, r0, r1 int) {
-	choleskyUpdateTileSIMD(f, k0, k1, r0, r1, k1, r1)
 }
 
 // solveForwardLUSIMD is the fused forward LU substitution: pivot columns

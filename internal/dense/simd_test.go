@@ -3,6 +3,7 @@ package dense
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -99,13 +100,7 @@ func TestKernelSIMDPartitionInvariance(t *testing.T) {
 	}
 	refC := update([][2]int{{npiv, n}})
 	gotC := update([][2]int{{npiv, npiv + 1}, {npiv + 1, 33}, {33, n}})
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			if math.Float64bits(refC.At(i, j)) != math.Float64bits(gotC.At(i, j)) {
-				t.Fatalf("simd cholesky partition (%d,%d): %g vs %g", i, j, refC.At(i, j), gotC.At(i, j))
-			}
-		}
-	}
+	lowerBitsEqual(t, "simd cholesky partition", refC, gotC)
 }
 
 // TestKernelSIMDTileInvariance pins SIMD-2D == SIMD-1D: splitting a panel
@@ -147,13 +142,7 @@ func TestKernelSIMDTileInvariance(t *testing.T) {
 			KernelSIMD.CholeskyUpdateTile(gotC, 0, npiv, r[0], r[1], c[0], c[1])
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			if math.Float64bits(refC.At(i, j)) != math.Float64bits(gotC.At(i, j)) {
-				t.Fatalf("simd cholesky tiles (%d,%d): %g vs %g", i, j, refC.At(i, j), gotC.At(i, j))
-			}
-		}
-	}
+	lowerBitsEqual(t, "simd cholesky tiles", refC, gotC)
 }
 
 // TestKernelSIMDPortableBitwise pins the fallback guarantee at the
@@ -280,7 +269,7 @@ func TestKernelSIMDZeroAlloc(t *testing.T) {
 // TestKernelResolveAndParse covers the auto policy and the -kernel
 // grammar.
 func TestKernelResolveAndParse(t *testing.T) {
-	for _, k := range []Kernel{KernelDefault, KernelFast, KernelSIMD} {
+	for _, k := range []Kernel{KernelDefault, KernelSIMD} {
 		if got := k.Resolve(); got != k {
 			t.Fatalf("%v.Resolve() = %v, want itself", k, got)
 		}
@@ -289,13 +278,12 @@ func TestKernelResolveAndParse(t *testing.T) {
 	if simdEnabled && auto != KernelSIMD {
 		t.Fatalf("auto resolved to %v with SIMD available", auto)
 	}
-	if !simdEnabled && auto != KernelFast {
+	if !simdEnabled && auto != KernelDefault {
 		t.Fatalf("auto resolved to %v without SIMD", auto)
 	}
 
 	good := map[string]Kernel{
 		"": KernelDefault, "default": KernelDefault, "DEFAULT": KernelDefault,
-		"fast": KernelFast, "Fast": KernelFast,
 		"simd": KernelSIMD, "SIMD": KernelSIMD,
 		"auto": KernelAuto, "Auto": KernelAuto,
 	}
@@ -305,9 +293,11 @@ func TestKernelResolveAndParse(t *testing.T) {
 			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	for _, s := range []string{"turbo", "simd2", "none", "fastest"} {
+	for _, s := range []string{"fast", "Fast", "turbo", "simd2", "none", "fastest"} {
 		if _, err := ParseKernel(s); err == nil {
 			t.Fatalf("ParseKernel(%q) accepted", s)
+		} else if !strings.Contains(err.Error(), "default, simd, auto") {
+			t.Fatalf("ParseKernel(%q): error does not name the accepted values: %v", s, err)
 		}
 	}
 	if KernelSIMD.String() != "simd" || KernelAuto.String() != "auto" {

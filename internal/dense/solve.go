@@ -15,11 +15,11 @@ package dense
 //     so each column of a multi-RHS solve is bitwise identical to a
 //     single-RHS solve, which is in turn bitwise identical to the
 //     pre-blocked solver.
-//   - KernelFast pairs the update sources (pivot columns forward, solved
-//     rows backward) into compound multiply-adds. The accumulation order
-//     differs from the reference, so results are validated by residual,
-//     but the order is a pure function of the operands: fast solves are
-//     deterministic at any worker count.
+//   - KernelSIMD pairs the update sources (pivot columns forward, solved
+//     rows backward) into fused multiply-add chains (see simd.go). The
+//     accumulation order differs from the reference, so results are
+//     validated by residual, but the order is a pure function of the
+//     operands: SIMD solves are deterministic at any worker count.
 //
 // The forward kernels consume the f x npiv lower trapezoid L (unit
 // diagonal for LU, stored diagonal for Cholesky) and update the full
@@ -30,11 +30,7 @@ package dense
 // SolveForwardLU applies the unit-lower forward substitution of one
 // front: W[k+1:] -= L[k+1:, k] * W[k] for each pivot k in order.
 func (kern Kernel) SolveForwardLU(L *Matrix, npiv int, W *Matrix) {
-	switch kern.Resolve() {
-	case KernelFast:
-		solveForwardLUFast(L, npiv, W)
-		return
-	case KernelSIMD:
+	if kern.Resolve() == KernelSIMD {
 		solveForwardLUSIMD(L, npiv, W)
 		return
 	}
@@ -60,11 +56,7 @@ func (kern Kernel) SolveForwardLU(L *Matrix, npiv int, W *Matrix) {
 // SolveForwardCholesky applies the lower forward substitution with the
 // stored diagonal: W[k] /= L[k,k], then the trailing update.
 func (kern Kernel) SolveForwardCholesky(L *Matrix, npiv int, W *Matrix) {
-	switch kern.Resolve() {
-	case KernelFast:
-		solveForwardCholeskyFast(L, npiv, W)
-		return
-	case KernelSIMD:
+	if kern.Resolve() == KernelSIMD {
 		solveForwardCholeskySIMD(L, npiv, W)
 		return
 	}
@@ -96,11 +88,7 @@ func (kern Kernel) SolveForwardCholesky(L *Matrix, npiv int, W *Matrix) {
 // W[k] /= U[k,k]. U is the npiv x f upper trapezoid; rows npiv..f-1 of
 // W are inputs only.
 func (kern Kernel) SolveBackwardLU(U *Matrix, npiv int, W *Matrix) {
-	switch kern.Resolve() {
-	case KernelFast:
-		solveBackwardLUFast(U, npiv, W)
-		return
-	case KernelSIMD:
+	if kern.Resolve() == KernelSIMD {
 		solveBackwardLUSIMD(U, npiv, W)
 		return
 	}
@@ -125,11 +113,7 @@ func (kern Kernel) SolveBackwardLU(U *Matrix, npiv int, W *Matrix) {
 // SolveBackwardCholesky applies the L^T backward substitution (row k of
 // L^T is column k of L), dividing by the stored diagonal.
 func (kern Kernel) SolveBackwardCholesky(L *Matrix, npiv int, W *Matrix) {
-	switch kern.Resolve() {
-	case KernelFast:
-		solveBackwardCholeskyFast(L, npiv, W)
-		return
-	case KernelSIMD:
+	if kern.Resolve() == KernelSIMD {
 		solveBackwardCholeskySIMD(L, npiv, W)
 		return
 	}
@@ -159,134 +143,4 @@ func allZero(v []float64) bool {
 		}
 	}
 	return true
-}
-
-// solveForwardLUFast is the reordered-accumulation forward LU: pivot
-// columns are consumed in pairs, each trailing row receiving one
-// compound update — no zero skips, different rounding than the
-// reference, deterministic for fixed operands.
-func solveForwardLUFast(L *Matrix, npiv int, W *Matrix) {
-	n, m := W.R, W.C
-	k := 0
-	for ; k+1 < npiv; k += 2 {
-		va := W.A[k*m : k*m+m]
-		vb := W.A[(k+1)*m : (k+1)*m+m]
-		lba := L.At(k+1, k)
-		for c, v := range va {
-			vb[c] -= lba * v
-		}
-		for i := k + 2; i < n; i++ {
-			la, lb := L.At(i, k), L.At(i, k+1)
-			wi := W.A[i*m : i*m+m]
-			for c := range wi {
-				wi[c] -= la*va[c] + lb*vb[c]
-			}
-		}
-	}
-	for ; k < npiv; k++ {
-		vk := W.A[k*m : k*m+m]
-		for i := k + 1; i < n; i++ {
-			l := L.At(i, k)
-			wi := W.A[i*m : i*m+m]
-			for c := range wi {
-				wi[c] -= l * vk[c]
-			}
-		}
-	}
-}
-
-// solveForwardCholeskyFast is solveForwardLUFast with the diagonal
-// scaling folded into the pair head.
-func solveForwardCholeskyFast(L *Matrix, npiv int, W *Matrix) {
-	n, m := W.R, W.C
-	k := 0
-	for ; k+1 < npiv; k += 2 {
-		da, db := L.At(k, k), L.At(k+1, k+1)
-		va := W.A[k*m : k*m+m]
-		vb := W.A[(k+1)*m : (k+1)*m+m]
-		lba := L.At(k+1, k)
-		for c := range va {
-			va[c] /= da
-			vb[c] = (vb[c] - lba*va[c]) / db
-		}
-		for i := k + 2; i < n; i++ {
-			la, lb := L.At(i, k), L.At(i, k+1)
-			wi := W.A[i*m : i*m+m]
-			for c := range wi {
-				wi[c] -= la*va[c] + lb*vb[c]
-			}
-		}
-	}
-	for ; k < npiv; k++ {
-		d := L.At(k, k)
-		vk := W.A[k*m : k*m+m]
-		for c := range vk {
-			vk[c] /= d
-		}
-		for i := k + 1; i < n; i++ {
-			l := L.At(i, k)
-			wi := W.A[i*m : i*m+m]
-			for c := range wi {
-				wi[c] -= l * vk[c]
-			}
-		}
-	}
-}
-
-// solveBackwardLUFast pairs the solved source rows of each backward
-// accumulation into compound multiply-adds.
-func solveBackwardLUFast(U *Matrix, npiv int, W *Matrix) {
-	n, m := W.R, W.C
-	for k := npiv - 1; k >= 0; k-- {
-		wk := W.A[k*m : k*m+m]
-		uk := U.Row(k)
-		j := k + 1
-		for ; j+1 < n; j += 2 {
-			ua, ub := uk[j], uk[j+1]
-			wa := W.A[j*m : j*m+m]
-			wb := W.A[(j+1)*m : (j+1)*m+m]
-			for c := range wk {
-				wk[c] -= ua*wa[c] + ub*wb[c]
-			}
-		}
-		for ; j < n; j++ {
-			u := uk[j]
-			wj := W.A[j*m : j*m+m]
-			for c := range wk {
-				wk[c] -= u * wj[c]
-			}
-		}
-		d := uk[k]
-		for c := range wk {
-			wk[c] /= d
-		}
-	}
-}
-
-// solveBackwardCholeskyFast is solveBackwardLUFast over column k of L.
-func solveBackwardCholeskyFast(L *Matrix, npiv int, W *Matrix) {
-	n, m := W.R, W.C
-	for k := npiv - 1; k >= 0; k-- {
-		wk := W.A[k*m : k*m+m]
-		i := k + 1
-		for ; i+1 < n; i += 2 {
-			la, lb := L.At(i, k), L.At(i+1, k)
-			wa := W.A[i*m : i*m+m]
-			wb := W.A[(i+1)*m : (i+1)*m+m]
-			for c := range wk {
-				wk[c] -= la*wa[c] + lb*wb[c]
-			}
-		}
-		for ; i < n; i++ {
-			l := L.At(i, k)
-			wi := W.A[i*m : i*m+m]
-			for c := range wk {
-				wk[c] -= l * wi[c]
-			}
-		}
-		d := L.At(k, k)
-		for c := range wk {
-			wk[c] /= d
-		}
-	}
 }

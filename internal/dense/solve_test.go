@@ -135,44 +135,3 @@ func TestSolveKernelsDefaultBitwise(t *testing.T) {
 		}
 	}
 }
-
-// TestSolveKernelsFast validates the reordered fast family against the
-// default by closeness, and checks it is deterministic (two runs, same
-// bits).
-func TestSolveKernelsFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, sz := range []struct{ f, npiv, nrhs int }{
-		{6, 6, 1}, {9, 4, 3}, {17, 8, 5}, {32, 15, 2},
-	} {
-		L, U, W0 := solveProblem(rng, sz.f, sz.npiv, sz.nrhs)
-		runs := []struct {
-			name string
-			run  func(kern Kernel, W *Matrix)
-		}{
-			{"fwdLU", func(kern Kernel, W *Matrix) { kern.SolveForwardLU(L, sz.npiv, W) }},
-			{"fwdChol", func(kern Kernel, W *Matrix) { kern.SolveForwardCholesky(L, sz.npiv, W) }},
-			{"bwdLU", func(kern Kernel, W *Matrix) { kern.SolveBackwardLU(U, sz.npiv, W) }},
-			{"bwdChol", func(kern Kernel, W *Matrix) { kern.SolveBackwardCholesky(L, sz.npiv, W) }},
-		}
-		for _, r := range runs {
-			ref := New(sz.f, sz.nrhs)
-			copy(ref.A, W0.A)
-			r.run(KernelDefault, ref)
-			fast := New(sz.f, sz.nrhs)
-			copy(fast.A, W0.A)
-			r.run(KernelFast, fast)
-			again := New(sz.f, sz.nrhs)
-			copy(again.A, W0.A)
-			r.run(KernelFast, again)
-			for p := range ref.A {
-				if d := math.Abs(ref.A[p] - fast.A[p]); d > 1e-8*(1+math.Abs(ref.A[p])) {
-					t.Fatalf("%s f=%d npiv=%d: fast deviates at %d: %v vs %v",
-						r.name, sz.f, sz.npiv, p, fast.A[p], ref.A[p])
-				}
-				if math.Float64bits(fast.A[p]) != math.Float64bits(again.A[p]) {
-					t.Fatalf("%s: fast kernel not deterministic at %d", r.name, p)
-				}
-			}
-		}
-	}
-}

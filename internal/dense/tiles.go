@@ -1,6 +1,6 @@
 // Tile-level variants of the partial factorization kernels — the numeric
 // layer of the 2D (type-3) within-front decomposition. Where the 1D row
-// kernels of blocked.go/kernels.go hand a slave a whole trailing row block
+// kernels of kernels.go hand a slave a whole trailing row block
 // (all columns), the tile kernels split one panel step of a front into the
 // classic 2D pieces:
 //
@@ -20,9 +20,9 @@
 // already restricted to the panel columns — and the symmetric diagonal
 // tile is PanelCholesky, which never touched trailing columns.)
 //
-// Determinism discipline, continuing blocked.go's: the KernelDefault tile
-// kernels perform the same floating-point operations in the same
-// per-element order as the reference kernels — each element still receives
+// Determinism discipline: the KernelDefault tile kernels perform the same
+// floating-point operations in the same per-element order as the
+// element-wise kernels — each element still receives
 // its pivots in ascending order with the reference's exact zero-skips, and
 // a tile boundary only changes which loop visits the element — so a 2D
 // factorization is bitwise identical to the element-wise one at any tile
@@ -32,14 +32,12 @@
 // unless a nonzero entry's scaling underflowed to exactly zero — possible
 // only for deeply subnormal front entries (|v| < ~1e-312), which the
 // solver's numerical contract (static pivoting on well-scaled systems,
-// see ErrSmallPivot) already excludes. The KernelFast tile kernels reuse the fast family's k-grouping
-// (rank-4 fused LU sweeps, dense multipliers, no skips) restricted to the
-// tile's columns, so fast-2D is bitwise identical to fast-1D for a fixed
-// panel width. In both families every element is written by exactly one
-// task per phase: there are no cross-tile reductions to pin.
+// see ErrSmallPivot) already excludes. The KernelSIMD tile kernels reuse
+// the SIMD family's k-grouping restricted to the tile's columns, so
+// SIMD-2D is bitwise identical to SIMD-1D for a fixed panel width (see
+// simd.go). In both families every element is written by exactly one task
+// per phase: there are no cross-tile reductions to pin.
 package dense
-
-import "math"
 
 // PanelLUTile eliminates pivots [k0,k1) of f within rows *and columns*
 // [k0,k1) only — the diagonal-tile factor of a 2D panel step. It computes
@@ -48,26 +46,7 @@ import "math"
 // decomposition those columns are applied per column tile by
 // LUPanelTrailing instead.
 func PanelLUTile(f *Matrix, k0, k1 int, tol float64) error {
-	for k := k0; k < k1; k++ {
-		pk := f.At(k, k)
-		if math.Abs(pk) <= tol {
-			return errSmallPivotAt(k, pk)
-		}
-		inv := 1 / pk
-		rowK := f.Row(k)
-		for i := k + 1; i < k1; i++ {
-			rowI := f.Row(i)
-			l := rowI[k] * inv
-			if l == 0 {
-				continue
-			}
-			rowI[k] = l
-			for j := k + 1; j < k1; j++ {
-				rowI[j] -= l * rowK[j]
-			}
-		}
-	}
-	return nil
+	return panelLU(f, k0, k1, k1, tol)
 }
 
 // LUPanelTrailing applies the diagonal tile's within-panel multipliers to
@@ -114,9 +93,9 @@ func LUPanelTrailing(f *Matrix, k0, k1, c0, c1 int) {
 // LUSolveRows computes the multipliers and within-panel updates of rows
 // [r0,r1) (r0 >= k1) against the eliminated panel [k0,k1) — the
 // column-panel (L-tile) solve, i.e. exactly the panel-column part of
-// LUApplyRows without the trailing sweep. After it, columns [k0,k1) of the
-// rows hold the final multipliers LUUpdateTile reads. Rows are independent
-// given the diagonal tile.
+// Kernel.LUApplyRows without the trailing sweep. After it, columns
+// [k0,k1) of the rows hold the final multipliers LUUpdateTile reads. Rows
+// are independent given the diagonal tile.
 func (kern Kernel) LUSolveRows(f *Matrix, k0, k1, r0, r1 int) {
 	if r1 <= r0 || k1 <= k0 {
 		return
@@ -131,20 +110,18 @@ func (kern Kernel) LUSolveRows(f *Matrix, k0, k1, r0, r1 int) {
 	for k := k0; k < k1; k++ {
 		invs[k-k0] = 1 / f.A[k*n+k]
 	}
-	kern = kern.Resolve()
-	if kern == KernelSIMD {
+	if kern.Resolve() == KernelSIMD {
 		for i := r0; i < r1; i++ {
 			luSolveRowSIMD(f, f.A[i*n:i*n+n:i*n+n], k0, k1, invs)
 		}
 		return
 	}
-	fast := kern == KernelFast
 	for i := r0; i < r1; i++ {
 		rowI := f.A[i*n : i*n+n : i*n+n]
 		for k := k0; k < k1; k++ {
 			l := rowI[k] * invs[k-k0]
-			if l == 0 && !fast {
-				continue // the reference's zero-skip; fast mode is dense
+			if l == 0 {
+				continue
 			}
 			rowI[k] = l
 			rowK := f.A[k*n : k*n+n : k*n+n]
@@ -160,16 +137,15 @@ func (kern Kernel) LUSolveRows(f *Matrix, k0, k1, r0, r1 int) {
 // left in columns [k0,k1) and the panel rows' columns [c0,c1) finalized by
 // LUPanelTrailing (or the 1D master's PanelLU). Per element, KernelDefault
 // replays the reference order — pivots ascending, skipping zero
-// multipliers, one multiply one subtract each — and KernelFast replays the
-// fast family's rank-4 fused k-grouping, so each mode computes the same
-// bits as its 1D counterpart at any tile grid.
+// multipliers, one multiply one subtract each — and KernelSIMD replays the
+// SIMD family's fused k-grouping, so each family computes the same bits
+// as its 1D counterpart at any tile grid.
 func (kern Kernel) LUUpdateTile(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 	if r1 <= r0 || c1 <= c0 || k1 <= k0 {
 		return
 	}
 	n := f.C
 	kw := k1 - k0
-	m := c1 - c0
 	var rb [kernStackPanel][]float64
 	rks := rb[:]
 	if kw > kernStackPanel {
@@ -178,41 +154,10 @@ func (kern Kernel) LUUpdateTile(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 	for k := k0; k < k1; k++ {
 		rks[k-k0] = f.A[k*n+c0 : k*n+c1 : k*n+c1]
 	}
-	kern = kern.Resolve()
-	if kern == KernelSIMD {
+	if kern.Resolve() == KernelSIMD {
 		for i := r0; i < r1; i++ {
 			rowI := f.A[i*n : i*n+n : i*n+n]
 			simdTrailingUpdate(rowI[c0:c1:c1], rowI, rks, k0, k1)
-		}
-		return
-	}
-	if kern == KernelFast {
-		for i := r0; i < r1; i++ {
-			rowI := f.A[i*n : i*n+n : i*n+n]
-			ri := rowI[c0:c1:c1]
-			k := k0
-			for ; k+3 < k1; k += 4 {
-				la, lc := rowI[k], rowI[k+2]
-				lb, ld := rowI[k+1], rowI[k+3]
-				ra := rks[k-k0]
-				rbv := rks[k+1-k0]
-				rc := rks[k+2-k0]
-				rd := rks[k+3-k0]
-				for j := 0; j < m; j++ {
-					ri[j] -= la*ra[j] + lb*rbv[j] + lc*rc[j] + ld*rd[j]
-				}
-			}
-			for ; k+1 < k1; k += 2 {
-				la, lb := rowI[k], rowI[k+1]
-				ra := rks[k-k0]
-				rbv := rks[k+1-k0]
-				for j := 0; j < m; j++ {
-					ri[j] -= la*ra[j] + lb*rbv[j]
-				}
-			}
-			if k < k1 {
-				rank1Sub(ri, rks[k-k0], rowI[k])
-			}
 		}
 		return
 	}
@@ -255,9 +200,9 @@ func (kern Kernel) LUUpdateTile(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 // lower-triangle part of the tile rows [r0,r1) x columns [c0,c1) (r0, c0
 // >= k1): A(i,j) for j in [c0, min(c1, i+1)). It reads the scaled panel
 // columns of the tile's rows and of the rows its columns index, so
-// CholeskyScaleRows must have completed for all rows below r1 first. A
-// full-width tile (c0 <= k1's first trailing column, c1 >= r1) delegates
-// to the 1D kernel so the 1D path keeps its width-dispatched loop nests.
+// CholeskyScaleRows must have completed for all rows below r1 first. The
+// 1D Kernel.CholeskyUpdateRows is this kernel over the full trailing
+// column range.
 func (kern Kernel) CholeskyUpdateTile(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 	if c0 < k1 {
 		c0 = k1
@@ -268,26 +213,20 @@ func (kern Kernel) CholeskyUpdateTile(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 	if r1 <= r0 || c1 <= c0 || k1 <= k0 {
 		return
 	}
-	kern = kern.Resolve()
-	if kern == KernelSIMD {
+	if kern.Resolve() == KernelSIMD {
 		choleskyUpdateTileSIMD(f, k0, k1, r0, r1, c0, c1)
-		return
-	}
-	if c0 == k1 && c1 == r1 {
-		kern.CholeskyUpdateRows(f, k0, k1, r0, r1)
-		return
-	}
-	if kern == KernelFast {
-		choleskyUpdateTileFast(f, k0, k1, r0, r1, c0, c1)
 		return
 	}
 	choleskyUpdateTileRB(f, k0, k1, r0, r1, c0, c1)
 }
 
-// choleskyUpdateTileRB is choleskyUpdateRowsRB with the updated columns
-// restricted to [c0,c1): per column j it gathers row j's nonzero panel
-// entries (the reference skip pattern) once and streams the tile's rows
-// through 4x1 register tiles — identical bits to the reference kernel.
+// choleskyUpdateTileRB is the register-blocked symmetric trailing update
+// of columns [c0,c1): it walks the updated columns j outermost, gathers
+// row j's nonzero panel entries (the element-wise kernel's skip pattern)
+// once, and streams the tile's rows through 4x1 register tiles — four
+// rows accumulate against the same hoisted column, each element receiving
+// its pivots in ascending order, so the bits are identical to
+// PartialCholesky's.
 func choleskyUpdateTileRB(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 	n := f.C
 	kw := k1 - k0
@@ -335,79 +274,6 @@ func choleskyUpdateTileRB(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 			s := rv[j]
 			for t, l := range lj {
 				s -= rv[int(kj[t])] * l
-			}
-			rv[j] = s
-		}
-	}
-}
-
-// choleskyUpdateTileFast is the fast symmetric tile update: column pairs,
-// row pairs, 2x2 accumulator tiles, no zero skips. Each element's
-// accumulator still receives the panel entries in ascending order, so the
-// values match choleskyUpdateRowsFast's at any tile grid.
-func choleskyUpdateTileFast(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
-	n := f.C
-	j := c0
-	for ; j+1 < c1; j += 2 {
-		rja := f.A[j*n+k0 : j*n+k1 : j*n+k1]
-		rjb := f.A[(j+1)*n+k0 : (j+1)*n+k1 : (j+1)*n+k1]
-		if j >= r0 && j < r1 {
-			// Row j itself only receives column j (the diagonal edge).
-			rv := f.A[j*n : j*n+n]
-			s := rv[j]
-			for _, l := range rja {
-				s -= l * l
-			}
-			rv[j] = s
-		}
-		lo := j + 1
-		if lo < r0 {
-			lo = r0
-		}
-		i := lo
-		for ; i+1 < r1; i += 2 {
-			ria := f.A[i*n : i*n+n : i*n+n]
-			rib := f.A[(i+1)*n : (i+1)*n+n : (i+1)*n+n]
-			pa := ria[k0:k1:k1]
-			pb := rib[k0:k1:k1]
-			s00, s01 := ria[j], ria[j+1]
-			s10, s11 := rib[j], rib[j+1]
-			for t, la := range rja {
-				lb := rjb[t]
-				va, vb := pa[t], pb[t]
-				s00 -= va * la
-				s01 -= va * lb
-				s10 -= vb * la
-				s11 -= vb * lb
-			}
-			ria[j], ria[j+1] = s00, s01
-			rib[j], rib[j+1] = s10, s11
-		}
-		if i < r1 {
-			ria := f.A[i*n : i*n+n : i*n+n]
-			pa := ria[k0:k1:k1]
-			s00, s01 := ria[j], ria[j+1]
-			for t, la := range rja {
-				va := pa[t]
-				s00 -= va * la
-				s01 -= va * rjb[t]
-			}
-			ria[j], ria[j+1] = s00, s01
-		}
-	}
-	if j < c1 {
-		// Odd trailing column: 1x1 accumulators against the single column.
-		rja := f.A[j*n+k0 : j*n+k1 : j*n+k1]
-		lo := j
-		if lo < r0 {
-			lo = r0
-		}
-		for i := lo; i < r1; i++ {
-			rv := f.A[i*n : i*n+n : i*n+n]
-			pv := rv[k0:k1:k1]
-			s := rv[j]
-			for t, l := range rja {
-				s -= pv[t] * l
 			}
 			rv[j] = s
 		}

@@ -174,12 +174,12 @@ func Eliminate(f *dense.Matrix, npiv int, kind sparse.Type, tol float64) error {
 // kernel family of the dispatch layer (internal/dense). With
 // dense.KernelDefault, blockRows <= 0 falls back to the element-wise
 // kernels and every path produces bitwise-identical factors, so callers
-// may mix block sizes freely across executors. dense.KernelFast and
-// dense.KernelSIMD always run blocked (blockRows <= 0 uses
-// dense.DefaultBlockRows) and are validated by residual, not bit
-// equality; both are still deterministic for a fixed panel width,
-// independent of row partition and worker count. dense.KernelAuto is
-// resolved here so the blockRows default tracks the concrete family.
+// may mix block sizes freely across executors. dense.KernelSIMD always
+// runs blocked (blockRows <= 0 uses dense.DefaultBlockRows) and is
+// validated by residual, not bit equality; it is still deterministic for
+// a fixed panel width, independent of row partition and worker count.
+// dense.KernelAuto is resolved here so the blockRows default tracks the
+// concrete family.
 func EliminateKernel(f *dense.Matrix, npiv int, kind sparse.Type, tol float64, blockRows int, kern dense.Kernel) error {
 	kern = kern.Resolve()
 	if kern != dense.KernelDefault && blockRows <= 0 {

@@ -201,7 +201,7 @@ func (j *Job) Run(i int) {
 	case TileLUApply:
 		j.kern.LUApplyRows(j.f, j.k0, j.k1, t.R0, t.R1)
 	case TileCholScale:
-		j.kern.CholeskyScaleRows(j.f, j.k0, j.k1, t.R0, t.R1)
+		dense.CholeskyScaleRows(j.f, j.k0, j.k1, t.R0, t.R1)
 	case TileCholUpdate:
 		j.kern.CholeskyUpdateTile(j.f, j.k0, j.k1, t.R0, t.R1, t.C0, t.C1)
 	case TileLUSolve:

@@ -98,6 +98,26 @@ func TestConcurrentRuns(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 
+	// A registered run has no progress ledger until its executor arms it
+	// at the start of the factorization; wait for both to be armed (the
+	// ledger stays armed once set) so every scrape below sees one.
+	armed := func() bool {
+		for _, j := range jobs {
+			if !j.run.Progress().Active() {
+				return false
+			}
+		}
+		return true
+	}
+wait:
+	for !armed() {
+		select {
+		case <-done:
+			break wait
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+
 	// Scrape both runs over HTTP until they finish.
 	last := map[string]float64{}
 	scrape := func() {

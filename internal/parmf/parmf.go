@@ -163,17 +163,14 @@ type Config struct {
 	// allocate nothing.
 	Tracer *trace.Tracer
 	// Kernel selects the dense kernel family for every front, split or
-	// not (dense.KernelDefault, KernelFast, KernelSIMD, or KernelAuto,
-	// which resolves to SIMD when the vector path is available and fast
-	// otherwise). The non-default families trade the bitwise guarantee
-	// for speed, validated by residual, and stay deterministic for a
-	// fixed BlockRows — they compute the same bits whatever the row
-	// partition, tile grid or worker count, they just differ from the
+	// not (dense.KernelDefault, KernelSIMD, or KernelAuto, which
+	// resolves to SIMD when the vector path is available and to the
+	// default family otherwise). KernelSIMD trades the bitwise guarantee
+	// for speed, validated by residual, and stays deterministic for a
+	// fixed BlockRows — it computes the same bits whatever the row
+	// partition, tile grid or worker count, it just differs from the
 	// element-wise reference.
 	Kernel dense.Kernel
-	// FastKernels is the deprecated boolean form of Kernel=KernelFast; it
-	// is honored only when Kernel is left at the default.
-	FastKernels bool
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// executor's task point (see internal/faults). nil is a zero-cost
 	// no-op, like Tracer.
@@ -424,11 +421,7 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 		cbOwner: make([]int, tree.Len()),
 		loads:   make([]int64, cfg.Workers),
 	}
-	kern := cfg.Kernel
-	if kern == dense.KernelDefault && cfg.FastKernels {
-		kern = dense.KernelFast
-	}
-	kern = kern.Resolve() // auto picks simd or fast here, so stats name the family that ran
+	kern := cfg.Kernel.Resolve() // auto picks simd or default here, so stats name the family that ran
 	f.kern = kern
 	st.cond = sync.NewCond(&st.mu)
 	st.stats.Workers = cfg.Workers

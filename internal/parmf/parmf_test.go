@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/assembly"
-	"repro/internal/dense"
 	"repro/internal/front"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -223,86 +222,5 @@ func TestSmallPivotPropagates(t *testing.T) {
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.Natural))
 	if _, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4)); err == nil {
 		t.Fatal("indefinite matrix accepted")
-	}
-}
-
-// TestFastKernelsSuite validates the opt-in fast kernel family the way it
-// is specified: not bitwise against the default mode, but (a) residual
-// within 10x of the default factorization on every suite problem, and
-// (b) deterministic — the parallel fast factors are bitwise identical to
-// the sequential fast ones at every worker count, with the within-front
-// split path enabled, because the fast kernels compute the same bits
-// whatever the row partition.
-func TestFastKernelsSuite(t *testing.T) {
-	suite := workload.SmallSuite()
-	for _, p := range suite {
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			a := problemMatrix(t, p)
-			tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
-			assembly.SortChildrenLiu(tree)
-
-			rng := rand.New(rand.NewSource(99))
-			b := make([]float64, a.N)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-
-			def, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
-			if err != nil {
-				t.Fatalf("seqmf default: %v", err)
-			}
-			xDef, err := def.SolveOriginal(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rDef := residual(a, xDef, b)
-
-			fopt := seqmf.DefaultOptions()
-			fopt.FastKernels = true
-			fast, err := seqmf.Factorize(pa, tree, fopt)
-			if err != nil {
-				t.Fatalf("seqmf fast: %v", err)
-			}
-			if fast.Stats.Kernel != "fast" || def.Stats.Kernel != "default" {
-				t.Fatalf("kernel stats %q / %q", fast.Stats.Kernel, def.Stats.Kernel)
-			}
-			xFast, err := fast.SolveOriginal(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rFast := residual(a, xFast, b); rFast > 10*rDef+1e-13 {
-				t.Errorf("fast residual %g vs default %g (over 10x)", rFast, rDef)
-			}
-
-			// With no subtree roots configured, every node is an individual
-			// task, so at >1 worker exactly the fronts of at least
-			// FrontSplit rows (spanning more than one row block) must run
-			// through the master/slave split path.
-			const frontSplit = 128
-			wantSplit := false
-			for i := range tree.Nodes {
-				if nf := tree.Nodes[i].NFront(); nf >= frontSplit && nf > dense.DefaultBlockRows {
-					wantSplit = true
-					break
-				}
-			}
-			for _, workers := range []int{1, 2, 8} {
-				cfg := parmf.DefaultConfig(workers)
-				cfg.FastKernels = true
-				cfg.FrontSplit = frontSplit // exercise the split path through the fast kernels
-				pf, err := parmf.Factorize(pa, tree, cfg)
-				if err != nil {
-					t.Fatalf("parmf fast %d workers: %v", workers, err)
-				}
-				compareFactors(t, tree, fast.Front(), pf.Front(), 0) // bitwise
-				if pf.Stats.Kernel != "fast" {
-					t.Errorf("%d workers: kernel stat %q", workers, pf.Stats.Kernel)
-				}
-				if workers > 1 && wantSplit && pf.Stats.SplitFronts == 0 {
-					t.Errorf("%d workers: split path did not run (want SplitFronts > 0)", workers)
-				}
-			}
-		})
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPropertySIMDSuite validates the SIMD kernel family the way the fast
-// family is validated, over every small-suite problem: (a) residual within
+// TestPropertySIMDSuite validates the SIMD kernel family the way it is
+// specified, over every small-suite problem: (a) residual within
 // 10x of the default factorization, (b) deterministic — the parallel SIMD
 // factors are bitwise identical to the sequential SIMD ones at every
 // worker count with both within-front paths enabled (type-2 row split and

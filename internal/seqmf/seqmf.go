@@ -82,14 +82,11 @@ type Options struct {
 	// use, and bitwise identical to the element-wise kernels (0).
 	BlockRows int
 	// Kernel selects the dense kernel family (dense.KernelDefault,
-	// KernelFast, KernelSIMD, or KernelAuto, which resolves to SIMD when
-	// the vector path is available and fast otherwise). The non-default
-	// families trade the bitwise guarantee for speed, validated by
-	// residual, and stay deterministic for a fixed BlockRows.
+	// KernelSIMD, or KernelAuto, which resolves to SIMD when the vector
+	// path is available and to the default family otherwise). KernelSIMD
+	// trades the bitwise guarantee for speed, validated by residual, and
+	// stays deterministic for a fixed BlockRows.
 	Kernel dense.Kernel
-	// FastKernels is the deprecated boolean form of Kernel=KernelFast; it
-	// is honored only when Kernel is left at the default.
-	FastKernels bool
 	// Store receives each front's factor block the moment it is
 	// extracted; nil keeps factors in memory (front.Factors).
 	Store front.Store
@@ -128,11 +125,7 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 		Kind: pa.Kind,
 		N:    pa.N,
 	}
-	kern := opt.Kernel
-	if kern == dense.KernelDefault && opt.FastKernels {
-		kern = dense.KernelFast
-	}
-	kern = kern.Resolve() // auto picks simd or fast here, so stats name the family that ran
+	kern := opt.Kernel.Resolve() // auto picks simd or default here, so stats name the family that ran
 	f.kern = kern
 	f.Stats.Kernel = kern.String()
 	var meter *memory.Meter

@@ -1,5 +1,5 @@
 // Per-kernel microbenchmarks for the numeric hot path — the update
-// micro-kernels (element-wise / PR-3 blocked / register-blocked / fast),
+// micro-kernels (element-wise / register-blocked / simd),
 // the run-merged extend-add, the front arena, the root-front
 // decomposition (1D row blocks vs the 2D type-3 tile grid) and the
 // blocked multi-RHS solve phase — plus a JSON emitter that makes the
@@ -141,14 +141,8 @@ func updateKernelCases() []kernelBenchCase {
 		luCase("element", func(f *dense.Matrix) error {
 			return dense.PartialLU(f, benchFrontNPiv, 1e-14)
 		}),
-		luCase("blocked", func(f *dense.Matrix) error {
-			return dense.BlockedPartialLU(f, benchFrontNPiv, 1e-14, dense.DefaultBlockRows)
-		}),
 		luCase("register", func(f *dense.Matrix) error {
 			return dense.KernelDefault.PartialLU(f, benchFrontNPiv, 1e-14, dense.DefaultBlockRows)
-		}),
-		luCase("fast", func(f *dense.Matrix) error {
-			return dense.KernelFast.PartialLU(f, benchFrontNPiv, 1e-14, dense.DefaultBlockRows)
 		}),
 		luCase("simd", func(f *dense.Matrix) error {
 			return dense.KernelSIMD.PartialLU(f, benchFrontNPiv, 1e-14, dense.DefaultBlockRows)
@@ -156,14 +150,8 @@ func updateKernelCases() []kernelBenchCase {
 		cholCase("element", func(f *dense.Matrix) error {
 			return dense.PartialCholesky(f, benchFrontNPiv)
 		}),
-		cholCase("blocked", func(f *dense.Matrix) error {
-			return dense.BlockedPartialCholesky(f, benchFrontNPiv, dense.DefaultBlockRows)
-		}),
 		cholCase("register", func(f *dense.Matrix) error {
 			return dense.KernelDefault.PartialCholesky(f, benchFrontNPiv, dense.DefaultBlockRows)
-		}),
-		cholCase("fast", func(f *dense.Matrix) error {
-			return dense.KernelFast.PartialCholesky(f, benchFrontNPiv, dense.DefaultBlockRows)
 		}),
 		cholCase("simd", func(f *dense.Matrix) error {
 			return dense.KernelSIMD.PartialCholesky(f, benchFrontNPiv, dense.DefaultBlockRows)
@@ -172,11 +160,11 @@ func updateKernelCases() []kernelBenchCase {
 }
 
 // BenchmarkUpdateKernel compares the kernel families on one large front
-// (order 768, 384 pivots, ~30% structural zeros): element-wise, PR-3
-// blocked, register-blocked (the KernelDefault dispatch — bitwise
-// identical to element-wise), fast (reordered accumulation) and simd
-// (fused FMA chains — AVX2/FMA assembly where the CPU has it, the
-// bitwise-identical portable fallback otherwise).
+// (order 768, 384 pivots, ~30% structural zeros): element-wise (the
+// oracle), register-blocked (the KernelDefault dispatch — bitwise
+// identical to element-wise) and simd (fused FMA chains — AVX2/FMA
+// assembly where the CPU has it, the bitwise-identical portable fallback
+// otherwise).
 func BenchmarkUpdateKernel(b *testing.B) {
 	for _, c := range updateKernelCases() {
 		b.Run(c.name[len("UpdateKernel/"):], c.fn)
