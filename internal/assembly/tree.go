@@ -10,11 +10,12 @@ package assembly
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/etree"
 	"repro/internal/order"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 )
 
 // Node is one front of the assembly tree. Pivot columns are the contiguous
@@ -154,6 +155,9 @@ func (t *Tree) Validate() error {
 type Options struct {
 	Ordering order.Method
 	Amalg    etree.AmalgamationOptions
+	// Tracer, when non-nil, records the analyze.order, analyze.symbolic
+	// and analyze.tree spans on its global track. nil = no overhead.
+	Tracer *trace.Tracer
 }
 
 // DefaultOptions returns the standard pipeline configuration.
@@ -164,20 +168,41 @@ func DefaultOptions(m order.Method) Options {
 // Analyze runs the full symbolic analysis: ordering, postordering,
 // supernode detection, amalgamation and exact front-structure computation.
 // It returns the assembly tree and the permuted matrix (pattern+values).
+//
+// The pattern of A+Aᵀ (A's own pattern when symmetric) is built once and
+// serves the ordering, the elimination tree, the column counts and the
+// front structures; the postordered elimination tree is the first one
+// relabelled, and A itself is permuted once.
 func Analyze(a *sparse.CSC, opt Options) (*Tree, *sparse.CSC) {
-	perm := order.Compute(a, opt.Ordering)
-	pa := a.Permute(perm)
-	parent := etree.Compute(pa)
+	tr := opt.Tracer
+	tr.GlobalBegin(trace.SpanAnalyzeOrder)
+	s := &sparse.CSC{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Kind: sparse.Symmetric}
+	if a.Kind != sparse.Symmetric {
+		s = sparse.SymmetrizePattern(a)
+	}
+	perm := order.Compute(s, opt.Ordering)
+	tr.GlobalEnd(trace.SpanAnalyzeOrder)
+
+	tr.GlobalBegin(trace.SpanAnalyzeSymbolic)
+	parent := etree.Compute(s.Permute(perm))
 	post := etree.Postorder(parent)
 	perm = etree.ApplyPostorder(perm, post)
-	pa = a.Permute(perm)
-	parent = etree.Compute(pa)
-	counts := etree.ColCounts(pa, parent)
+	parent = etree.Relabel(parent, post)
+	pa := a.Permute(perm)
+	ps := pa
+	if a.Kind != sparse.Symmetric {
+		ps = s.Permute(perm)
+	}
+	counts := etree.ColCounts(ps, parent)
 	super, memb := etree.Supernodes(parent, counts)
 	super, memb = etree.Amalgamate(parent, counts, super, memb, opt.Amalg)
-	t := BuildTree(pa, parent, super, memb)
+	tr.GlobalEnd(trace.SpanAnalyzeSymbolic)
+
+	tr.GlobalBegin(trace.SpanAnalyzeTree)
+	t := BuildTree(ps, parent, super, memb)
 	t.Kind = a.Kind
 	t.Perm = perm
+	tr.GlobalEnd(trace.SpanAnalyzeTree)
 	return t, pa
 }
 
@@ -230,7 +255,7 @@ func BuildTree(pa *sparse.CSC, parent, super, memb []int) *Tree {
 				add(r)
 			}
 		}
-		sort.Ints(rows)
+		slices.Sort(rows)
 		nd.Rows = rows
 	}
 	return t

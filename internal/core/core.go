@@ -77,8 +77,10 @@ type Config struct {
 	// and FactorizeParallelOOC (zero value = defaults: spill file in the
 	// system temp dir, resident buffer sized by oocOptions).
 	OOC ooc.Options
-	// Tracer, when non-nil, records task/front/store/solve spans and
-	// memory timelines from every numeric factorization run through this
+	// Tracer, when non-nil, records the analysis phases of Analyze
+	// (analyze.order, analyze.symbolic, analyze.tree, analyze.map spans on
+	// the global track), then task/front/store/solve spans and memory
+	// timelines from every numeric factorization run through this
 	// analysis (see internal/trace: Chrome trace_event export, memory
 	// CSV/sparklines, Prometheus-style snapshots). The executors also arm
 	// its progress ledger (fronts/flops done against the analysis-time
@@ -130,7 +132,9 @@ func Analyze(a *sparse.CSC, cfg Config) (*Analysis, error) {
 	if cfg.Params.FlopRate == 0 {
 		cfg.Params = parsim.DefaultParams()
 	}
-	tree, pa := assembly.Analyze(a, assembly.Options{Ordering: cfg.Ordering, Amalg: cfg.Amalg})
+	tree, pa := assembly.Analyze(a, assembly.Options{Ordering: cfg.Ordering, Amalg: cfg.Amalg, Tracer: cfg.Tracer})
+	cfg.Tracer.GlobalBegin(trace.SpanAnalyzeMap)
+	defer cfg.Tracer.GlobalEnd(trace.SpanAnalyzeMap)
 	splitCount := 0
 	if cfg.SplitThreshold > 0 {
 		tree, splitCount = assembly.Split(tree, assembly.SplitOptions{

@@ -136,6 +136,26 @@ func ApplyPostorder(perm, post []int) []int {
 	return out
 }
 
+// Relabel returns the forest parent renumbered by post (position ->
+// vertex): out[k] is the position of post[k]'s parent, -1 for roots.
+// Relabelled by one of its postorders, the elimination tree of A is the
+// elimination tree of the postordered matrix, so the analysis never
+// recomputes it.
+func Relabel(parent, post []int) []int {
+	pos := make([]int, len(post))
+	for k, v := range post {
+		pos[v] = k
+	}
+	out := make([]int, len(post))
+	for k, v := range post {
+		out[k] = -1
+		if p := parent[v]; p >= 0 {
+			out[k] = pos[p]
+		}
+	}
+	return out
+}
+
 // ColCounts returns, for each column j of the (symbolic) factor of the
 // symmetrized pattern of a, the number of nonzeros in column j including
 // the diagonal. The matrix must already be in elimination order, with

@@ -10,39 +10,34 @@ type Bisection struct {
 	PartA, PartB, Sep []int
 }
 
-// Bisect computes a vertex bisection of the induced subgraph on verts using
-// a level-set split from a pseudo-peripheral vertex, followed by separator
-// minimization (moving separator vertices with one-sided neighborhoods into
-// their part). verts must be a connected set for best quality but
-// disconnected sets are handled (smallest components are distributed).
-func Bisect(g *Graph, verts []int) Bisection {
+// Bisect computes a vertex bisection of the induced subgraph on verts; see
+// Scratch.Bisect. It allocates a Scratch for the one call.
+func Bisect(g *Graph, verts []int) Bisection { return NewScratch(g).Bisect(verts) }
+
+// Bisect computes a vertex bisection of the induced subgraph on verts
+// (distinct vertices) using a level-set split from a pseudo-peripheral
+// vertex, followed by separator minimization (moving separator vertices
+// with one-sided neighborhoods into their part). verts must be a
+// connected set for best quality but disconnected sets are handled
+// (smallest components are distributed). The cost is O(|verts| + their
+// edges).
+func (s *Scratch) Bisect(verts []int) Bisection {
 	if len(verts) <= 1 {
 		return Bisection{PartA: append([]int(nil), verts...)}
 	}
-	const inSet = 1
-	mask := make([]int, g.N)
 	for _, v := range verts {
-		mask[v] = inSet
+		s.in[v] = true
 	}
-	defer func() {
-		for _, v := range verts {
-			mask[v] = 0
-		}
-	}()
-
 	// Work component by component; accumulate the split so that the overall
-	// halves stay balanced.
+	// halves stay balanced. A component leaves the vertex set once split,
+	// which is how later starts recognize it.
 	var out Bisection
 	sizeA, sizeB := 0, 0
-	seen := make(map[int]bool, len(verts))
 	for _, start := range verts {
-		if seen[start] {
+		if !s.in[start] {
 			continue
 		}
-		_, comp, _ := g.BFSLevels(start, mask, inSet)
-		for _, v := range comp {
-			seen[v] = true
-		}
+		comp, ecc := s.bfs(start)
 		if len(comp) <= 2 {
 			// Tiny component: dump into the lighter side.
 			if sizeA <= sizeB {
@@ -52,39 +47,54 @@ func Bisect(g *Graph, verts []int) Bisection {
 				out.PartB = append(out.PartB, comp...)
 				sizeB += len(comp)
 			}
+			for _, v := range comp {
+				s.in[v] = false
+			}
 			continue
 		}
-		a, b, s := bisectComponent(g, comp, mask, inSet)
-		if sizeA <= sizeB {
-			out.PartA = append(out.PartA, a...)
-			out.PartB = append(out.PartB, b...)
-			sizeA += len(a)
-			sizeB += len(b)
-		} else {
-			out.PartA = append(out.PartA, b...)
-			out.PartB = append(out.PartB, a...)
-			sizeA += len(b)
-			sizeB += len(a)
+		a, b, sep := s.bisectComponent(start, comp, ecc)
+		if sizeA > sizeB {
+			a, b = b, a
 		}
-		out.Sep = append(out.Sep, s...)
+		out.PartA = appendPart(out.PartA, a)
+		out.PartB = appendPart(out.PartB, b)
+		out.Sep = appendPart(out.Sep, sep)
+		sizeA += len(a)
+		sizeB += len(b)
 	}
 	return out
 }
 
-// bisectComponent splits one connected component comp.
-func bisectComponent(g *Graph, comp []int, mask []int, inSet int) (partA, partB, sep []int) {
-	root := g.PseudoPeripheral(comp[0], mask, inSet)
-	level, order, ecc := g.BFSLevels(root, mask, inSet)
-	if ecc == 0 {
-		return comp, nil, nil
+// appendPart appends part to dst, taking part itself when dst is empty
+// (the common single-component case copies nothing).
+func appendPart(dst, part []int) []int {
+	if len(dst) == 0 {
+		return part
 	}
+	return append(dst, part...)
+}
+
+// Bisection sides of the vertices of the component being split.
+const (
+	inA = iota + 1
+	inB
+	inSep
+)
+
+// bisectComponent splits the connected component of start, given the
+// search from start (comp, ecc), and removes it from the vertex set.
+func (s *Scratch) bisectComponent(start int, comp []int, ecc int) (partA, partB, sep []int) {
+	g := s.g
+	size := len(comp) // comp aliases the search queue the next search reuses
+	_, order, ecc := s.pseudoPeripheral(start, comp, ecc)
+	level := s.level
 	// Choose the cut level so that halves are balanced: the first level
 	// whose cumulative size reaches half the component.
 	levelCount := make([]int, ecc+1)
 	for _, v := range order {
 		levelCount[level[v]]++
 	}
-	half := len(comp) / 2
+	half := size / 2
 	cum := 0
 	cut := 0
 	for l := 0; l <= ecc; l++ {
@@ -97,16 +107,11 @@ func bisectComponent(g *Graph, comp []int, mask []int, inSet int) (partA, partB,
 	if cut == ecc {
 		cut = ecc - 1 // keep part B nonempty
 	}
-	// Initial split: levels <= cut in A, > cut+? Take separator = vertices
-	// at level cut+1 adjacent to level cut... simpler: separator is the
-	// subset of level cut+1 vertices adjacent to A; but classic wide-to-
-	// narrow: sep = vertices at level cut+1 with a neighbor at level cut.
-	const (
-		inA = iota + 1
-		inB
-		inSep
-	)
-	side := make(map[int]int, len(comp))
+	// Initial split: levels <= cut in A, the rest in B; the separator is
+	// the level cut+1 vertices with a neighbor at level cut. Every
+	// in-set neighbor of a component vertex is in the component, so
+	// level and side are valid for it.
+	side := s.side
 	for _, v := range order {
 		if level[v] <= cut {
 			side[v] = inA
@@ -119,7 +124,7 @@ func bisectComponent(g *Graph, comp []int, mask []int, inSet int) (partA, partB,
 			continue
 		}
 		for _, w := range g.Neighbors(v) {
-			if mask[w] == inSet && level[w] == cut {
+			if s.in[w] && level[w] == cut {
 				side[v] = inSep
 				break
 			}
@@ -135,7 +140,7 @@ func bisectComponent(g *Graph, comp []int, mask []int, inSet int) (partA, partB,
 			}
 			hasA, hasB := false, false
 			for _, w := range g.Neighbors(v) {
-				if mask[w] != inSet {
+				if !s.in[w] {
 					continue
 				}
 				switch side[w] {
@@ -164,12 +169,20 @@ func bisectComponent(g *Graph, comp []int, mask []int, inSet int) (partA, partB,
 			continue
 		}
 		for _, w := range g.Neighbors(v) {
-			if mask[w] == inSet && side[w] == inB {
+			if s.in[w] && side[w] == inB {
 				side[v] = inSep
 				break
 			}
 		}
 	}
+	// The three parts are carved from one allocation, in BFS order.
+	var count [inSep + 1]int
+	for _, v := range order {
+		count[side[v]]++
+	}
+	buf := make([]int, len(order))
+	na, nb := count[inA], count[inB]
+	partA, partB, sep = buf[:0:na], buf[na:na:na+nb], buf[na+nb:na+nb]
 	for _, v := range order {
 		switch side[v] {
 		case inA:
@@ -179,6 +192,8 @@ func bisectComponent(g *Graph, comp []int, mask []int, inSet int) (partA, partB,
 		default:
 			sep = append(sep, v)
 		}
+		side[v] = 0
+		s.in[v] = false
 	}
 	return partA, partB, sep
 }

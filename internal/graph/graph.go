@@ -84,25 +84,7 @@ func (g *Graph) Neighbors(v int) []int { return g.Adj[g.Ptr[v]:g.Ptr[v+1]] }
 // and the mapping local→global (which is just verts). Vertices in verts
 // must be distinct.
 func (g *Graph) Subgraph(verts []int) (*Graph, []int) {
-	local := make(map[int]int, len(verts))
-	for i, v := range verts {
-		local[v] = i
-	}
-	sg := &Graph{N: len(verts), Ptr: make([]int, len(verts)+1)}
-	var adj []int
-	for i, v := range verts {
-		for _, w := range g.Neighbors(v) {
-			if lw, ok := local[w]; ok {
-				adj = append(adj, lw)
-			}
-		}
-		sg.Ptr[i+1] = len(adj)
-	}
-	sg.Adj = adj
-	for i := 0; i < sg.N; i++ {
-		insertionSort(sg.Adj[sg.Ptr[i]:sg.Ptr[i+1]])
-	}
-	return sg, verts
+	return NewScratch(g).Subgraph(verts), verts
 }
 
 // BFSLevels performs a breadth-first search from root restricted to
@@ -110,30 +92,9 @@ func (g *Graph) Subgraph(verts []int) (*Graph, []int) {
 // It returns the level of each reached vertex (-1 if unreached), the list
 // of reached vertices in BFS order, and the eccentricity (last level).
 func (g *Graph) BFSLevels(root int, mask []int, maskVal int) (level []int, order []int, ecc int) {
-	level = make([]int, g.N)
-	for i := range level {
-		level[i] = -1
-	}
-	order = make([]int, 0, g.N)
-	level[root] = 0
-	order = append(order, root)
-	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		for _, w := range g.Neighbors(v) {
-			if level[w] >= 0 {
-				continue
-			}
-			if mask != nil && mask[w] != maskVal {
-				continue
-			}
-			level[w] = level[v] + 1
-			order = append(order, w)
-		}
-	}
-	if len(order) > 0 {
-		ecc = level[order[len(order)-1]]
-	}
-	return level, order, ecc
+	s := newMaskedScratch(g, mask, maskVal)
+	order, ecc = s.bfs(root)
+	return s.level, order, ecc
 }
 
 // PseudoPeripheral returns an approximate peripheral vertex of the
@@ -142,29 +103,9 @@ func (g *Graph) BFSLevels(root int, mask []int, maskVal int) (level []int, order
 // minimum-degree vertex of the last level until the eccentricity stops
 // growing.
 func (g *Graph) PseudoPeripheral(root int, mask []int, maskVal int) int {
-	v := root
-	_, order, ecc := g.BFSLevels(v, mask, maskVal)
-	for iter := 0; iter < 10; iter++ {
-		// Find a min-degree vertex among the deepest level.
-		level, ord, e := g.BFSLevels(v, mask, maskVal)
-		best, bestDeg := -1, 1<<62
-		for i := len(ord) - 1; i >= 0 && level[ord[i]] == e; i-- {
-			if d := g.Degree(ord[i]); d < bestDeg {
-				best, bestDeg = ord[i], d
-			}
-		}
-		if best < 0 || e <= ecc && iter > 0 {
-			break
-		}
-		if e <= ecc {
-			ecc = e
-			v = best
-			continue
-		}
-		ecc = e
-		v = best
-		_ = order
-	}
+	s := newMaskedScratch(g, mask, maskVal)
+	order, ecc := s.bfs(root)
+	v, _, _ := s.pseudoPeripheral(root, order, ecc)
 	return v
 }
 

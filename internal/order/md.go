@@ -1,7 +1,9 @@
 package order
 
 import (
-	"container/heap"
+	"cmp"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -19,7 +21,7 @@ import (
 // ScoreFunc computes the selection score of a variable from its external
 // degree d (sum of supervariable weights of its quotient neighborhood) and
 // the sizes of its adjacent elements' boundaries. Lower scores are
-// eliminated first.
+// eliminated first. elemBoundaries is scratch, valid only during the call.
 type ScoreFunc func(d int, nv int, elemBoundaries []int) int64
 
 // ScoreAMD is the approximate-minimum-degree score: the external degree.
@@ -47,39 +49,137 @@ func ScoreAMF(d, nv int, elemBoundaries []int) int64 {
 	return fill*(1<<20) + int64(d)
 }
 
-type mdNode struct {
-	score int64
-	v     int
-	stamp int64
+// mdHeap is an indexed binary min-heap of variables keyed by (score, v):
+// every live variable sits in it exactly once, and rescoring moves the
+// variable in place (decrease- or increase-key), so the heap never holds
+// more than n entries. The minimum over distinct (score, v) keys is
+// unique, so the pop order is fully determined by the scores.
+type mdHeap struct {
+	score []int64 // current score per variable
+	pos   []int   // heap position per variable, -1 when absent
+	items []int   // heap array of variables
 }
 
-type mdHeap []mdNode
-
-func (h mdHeap) Len() int { return len(h) }
-func (h mdHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score < h[j].score
+func (h *mdHeap) less(a, b int) bool {
+	if h.score[a] != h.score[b] {
+		return h.score[a] < h.score[b]
 	}
-	return h[i].v < h[j].v // deterministic tie-breaking
+	return a < b // deterministic tie-breaking
 }
-func (h mdHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mdHeap) Push(x any)   { *h = append(*h, x.(mdNode)) }
-func (h *mdHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+func (h *mdHeap) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.pos[h.items[i]] = i
+	h.pos[h.items[j]] = j
+}
+
+func (h *mdHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(h.items[i], h.items[p]) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h *mdHeap) down(i int) {
+	n := len(h.items)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.less(h.items[r], h.items[c]) {
+			c = r
+		}
+		if !h.less(h.items[c], h.items[i]) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+// set inserts v with the given score, or moves it to its new score.
+func (h *mdHeap) set(v int, score int64) {
+	i := h.pos[v]
+	if i < 0 {
+		h.score[v] = score
+		h.pos[v] = len(h.items)
+		h.items = append(h.items, v)
+		h.up(len(h.items) - 1)
+		return
+	}
+	old := h.score[v]
+	h.score[v] = score
+	if score < old {
+		h.up(i)
+	} else {
+		h.down(i)
+	}
+}
+
+// remove deletes v from the heap if present.
+func (h *mdHeap) remove(v int) {
+	i := h.pos[v]
+	if i < 0 {
+		return
+	}
+	last := len(h.items) - 1
+	h.swap(i, last)
+	h.items = h.items[:last]
+	h.pos[v] = -1
+	if i < last {
+		h.down(i)
+		h.up(i)
+	}
+}
+
+// pop removes and returns the minimum variable, or -1 when empty.
+func (h *mdHeap) pop() int {
+	if len(h.items) == 0 {
+		return -1
+	}
+	v := h.items[0]
+	h.remove(v)
+	return v
+}
 
 type mdState struct {
-	n       int
 	adjVar  [][]int // variable -> adjacent variables (may contain stale ids)
 	adjElem [][]int // variable -> adjacent elements
 	elems   [][]int // element id -> boundary variables (stale-tolerant)
-	alive   []bool  // variable not yet eliminated/absorbed
+	vars    []mdVar // per-variable state, packed for locality
 	elemOK  []bool  // element not yet absorbed
-	nv      []int   // supervariable weight
-	parent  []int   // absorption forest: absorbed var -> representative
-	mark    []int64
-	stamp   []int64 // heap lazy-deletion stamps
-	curMark int64
-	score   ScoreFunc
-	h       mdHeap
+	// Supervariable members as linked lists, representative first:
+	// next[v] follows v (-1 ends the list), tail[r] is r's last member.
+	next, tail []int
+	curMark    int32
+	score      ScoreFunc
+	h          mdHeap
+
+	// Scratch reused across pivots.
+	lp         []int       // L_p under construction
+	elemBounds []int       // externalDegree's element boundary sizes
+	buckets    []hashedVar // mergeIndistinguishable's candidates
+	live       [4][]int    // sameAdjacency's live element/variable lists
+}
+
+// mdVar is the state of one variable. The degree scans touch all four
+// fields of every boundary variable they visit, so they share a cache line.
+type mdVar struct {
+	parent int32 // absorption forest: absorbed var -> representative, -1 for reps
+	nv     int32 // supervariable weight
+	mark   int32 // visit stamp, compared against curMark
+	alive  bool  // not yet eliminated or absorbed
+}
+
+// hashedVar is a supervariable candidate with its quotient-adjacency hash.
+type hashedVar struct {
+	h uint64
+	v int
 }
 
 // MinimumDegree runs the quotient-graph minimum-degree algorithm on g with
@@ -88,49 +188,44 @@ type mdState struct {
 func MinimumDegree(g *graph.Graph, score ScoreFunc) []int {
 	n := g.N
 	s := &mdState{
-		n:       n,
 		adjVar:  make([][]int, n),
 		adjElem: make([][]int, n),
-		alive:   make([]bool, n),
-		nv:      make([]int, n),
-		parent:  make([]int, n),
-		mark:    make([]int64, n),
-		stamp:   make([]int64, n),
+		vars:    make([]mdVar, n),
+		next:    make([]int, n),
+		tail:    make([]int, n),
 		score:   score,
+		h: mdHeap{
+			score: make([]int64, n),
+			pos:   make([]int, n),
+			items: make([]int, 0, n),
+		},
+	}
+	// Variable lists start as capacity-capped windows of one copy of the
+	// adjacency; cleaning only ever shrinks them in place.
+	adj := append([]int(nil), g.Adj...)
+	for v := 0; v < n; v++ {
+		lo, hi := g.Ptr[v], g.Ptr[v+1]
+		s.adjVar[v] = adj[lo:hi:hi]
+		s.vars[v] = mdVar{parent: -1, nv: 1, alive: true}
+		s.next[v] = -1
+		s.tail[v] = v
+		s.h.pos[v] = -1
 	}
 	for v := 0; v < n; v++ {
-		s.adjVar[v] = append([]int(nil), g.Neighbors(v)...)
-		s.alive[v] = true
-		s.nv[v] = 1
-		s.parent[v] = -1
-	}
-	heap.Init(&s.h)
-	for v := 0; v < n; v++ {
-		s.pushScore(v)
+		s.rescore(v)
 	}
 
 	perm := make([]int, 0, n)
-	members := make([][]int, n) // supervariable members (absorbed vars), rep first
-	for v := 0; v < n; v++ {
-		members[v] = []int{v}
-	}
-
-	for len(perm) < n {
-		p := s.popMin()
+	for {
+		p := s.h.pop()
 		if p < 0 {
-			// All heap entries stale; collect any remaining alive variables
-			// (isolated after absorption bookkeeping).
-			for v := 0; v < n; v++ {
-				if s.alive[v] {
-					perm = append(perm, members[v]...)
-					s.alive[v] = false
-				}
-			}
 			break
 		}
 		// Eliminate supervariable p: emit its members.
-		perm = append(perm, members[p]...)
-		s.alive[p] = false
+		for v := p; v >= 0; v = s.next[v] {
+			perm = append(perm, v)
+		}
+		s.vars[p].alive = false
 
 		// Build L_p.
 		lp := s.buildElement(p)
@@ -143,16 +238,15 @@ func MinimumDegree(g *graph.Graph, score ScoreFunc) []int {
 
 		// Clean each i in L_p: drop edges covered by the new element, drop
 		// absorbed elements, attach e.
-		s.curMark++
-		m := s.curMark
+		m := s.nextMark()
 		for _, i := range lp {
-			s.mark[i] = m
+			s.vars[i].mark = m
 		}
 		for _, i := range lp {
 			av := s.adjVar[i][:0]
 			for _, w := range s.adjVar[i] {
 				w = s.find(w)
-				if w == i || !s.alive[w] || s.mark[w] == m {
+				if w == i || !s.vars[w].alive || s.vars[w].mark == m {
 					continue // covered by element e or gone
 				}
 				av = append(av, w)
@@ -168,66 +262,61 @@ func MinimumDegree(g *graph.Graph, score ScoreFunc) []int {
 		}
 
 		// Supervariable detection among L_p: hash quotient adjacency.
-		s.mergeIndistinguishable(lp, members)
+		s.mergeIndistinguishable(lp)
 
 		// Rescore surviving members of L_p.
 		for _, i := range lp {
-			if s.alive[i] {
-				s.pushScore(i)
+			if s.vars[i].alive {
+				s.rescore(i)
 			}
 		}
 	}
 	return perm
 }
 
+// dedupInts sorts a and drops repeats in place.
 func dedupInts(a []int) []int {
 	if len(a) < 2 {
 		return a
 	}
-	insertionSortInts(a)
-	out := a[:1]
-	for _, v := range a[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
-	}
+	slices.Sort(a)
+	return slices.Compact(a)
 }
 
 func (s *mdState) find(v int) int {
-	for s.parent[v] >= 0 {
-		if s.parent[s.parent[v]] >= 0 {
-			s.parent[v] = s.parent[s.parent[v]] // path halving
+	for p := s.vars[v].parent; p >= 0; p = s.vars[v].parent {
+		if pp := s.vars[p].parent; pp >= 0 {
+			s.vars[v].parent = pp // path halving
 		}
-		v = s.parent[v]
+		v = int(s.vars[v].parent)
 	}
 	return v
 }
 
-// buildElement computes L_p = union of p's variable neighbors and the
-// boundaries of p's elements, excluding eliminated variables and p itself.
-// Elements of p are absorbed.
-func (s *mdState) buildElement(p int) []int {
+// nextMark returns a fresh visit stamp, clearing every stamp when the
+// counter would overflow.
+func (s *mdState) nextMark() int32 {
+	if s.curMark == math.MaxInt32 {
+		for v := range s.vars {
+			s.vars[v].mark = 0
+		}
+		s.curMark = 0
+	}
 	s.curMark++
-	m := s.curMark
-	s.mark[p] = m
-	var lp []int
+	return s.curMark
+}
+
+// buildElement computes L_p = union of p's variable neighbors and the
+// boundaries of p's elements, excluding eliminated variables and p itself,
+// sorted ascending. Elements of p are absorbed.
+func (s *mdState) buildElement(p int) []int {
+	m := s.nextMark()
+	s.vars[p].mark = m
+	lp := s.lp[:0]
 	add := func(w int) {
 		w = s.find(w)
-		if s.alive[w] && s.mark[w] != m {
-			s.mark[w] = m
+		if vw := &s.vars[w]; vw.alive && vw.mark != m {
+			vw.mark = m
 			lp = append(lp, w)
 		}
 	}
@@ -243,23 +332,27 @@ func (s *mdState) buildElement(p int) []int {
 		}
 		s.elemOK[e] = false // absorbed into the new element
 	}
-	insertionSortInts(lp)
-	return lp
+	s.lp = lp
+	if len(lp) == 0 {
+		return nil
+	}
+	slices.Sort(lp)
+	return append([]int(nil), lp...)
 }
 
 // externalDegree computes the weighted external degree of i and collects
-// the boundary sizes (excluding i) of its adjacent elements for AMF.
+// the boundary sizes (excluding i) of its adjacent elements for AMF into
+// the reused s.elemBounds.
 func (s *mdState) externalDegree(i int) (d int, elemBounds []int) {
-	s.curMark++
-	m := s.curMark
-	s.mark[i] = m
+	m := s.nextMark()
+	s.vars[i].mark = m
 	for _, w := range s.adjVar[i] {
-		w = s.find(w)
-		if s.alive[w] && s.mark[w] != m {
-			s.mark[w] = m
-			d += s.nv[w]
+		if vw := &s.vars[s.find(w)]; vw.alive && vw.mark != m {
+			vw.mark = m
+			d += int(vw.nv)
 		}
 	}
+	elemBounds = s.elemBounds[:0]
 	for _, e := range s.adjElem[i] {
 		if !s.elemOK[e] {
 			continue
@@ -267,43 +360,38 @@ func (s *mdState) externalDegree(i int) (d int, elemBounds []int) {
 		b := 0
 		for _, w := range s.elems[e] {
 			w = s.find(w)
-			if !s.alive[w] || w == i {
+			vw := &s.vars[w]
+			if !vw.alive || w == i {
 				continue
 			}
-			b += s.nv[w]
-			if s.mark[w] != m {
-				s.mark[w] = m
-				d += s.nv[w]
+			b += int(vw.nv)
+			if vw.mark != m {
+				vw.mark = m
+				d += int(vw.nv)
 			}
 		}
 		elemBounds = append(elemBounds, b)
 	}
+	s.elemBounds = elemBounds
 	return d, elemBounds
 }
 
-func (s *mdState) pushScore(v int) {
+// rescore computes v's score and places v in the heap under it.
+func (s *mdState) rescore(v int) {
 	d, eb := s.externalDegree(v)
-	s.stamp[v]++
-	heap.Push(&s.h, mdNode{score: s.score(d, s.nv[v], eb), v: v, stamp: s.stamp[v]})
-}
-
-func (s *mdState) popMin() int {
-	for s.h.Len() > 0 {
-		nd := heap.Pop(&s.h).(mdNode)
-		if s.alive[nd.v] && s.stamp[nd.v] == nd.stamp {
-			return nd.v
-		}
-	}
-	return -1
+	s.h.set(v, s.score(d, int(s.vars[v].nv), eb))
 }
 
 // mergeIndistinguishable merges variables of lp with identical quotient
-// adjacency into supervariables.
-func (s *mdState) mergeIndistinguishable(lp []int, members [][]int) {
-	type bucket struct{ vars []int }
-	buckets := make(map[uint64]*bucket)
+// adjacency into supervariables. Candidates are grouped by a hash of
+// their adjacency; lp is sorted, so within a group the lower variable
+// absorbs the higher. Merging inside one group never changes the
+// adjacency of another group's variables (lp members carry no variable
+// edges to each other after cleaning), so the groups are independent.
+func (s *mdState) mergeIndistinguishable(lp []int) {
+	cand := s.buckets[:0]
 	for _, i := range lp {
-		if !s.alive[i] {
+		if !s.vars[i].alive {
 			continue
 		}
 		h := uint64(17)
@@ -315,33 +403,39 @@ func (s *mdState) mergeIndistinguishable(lp []int, members [][]int) {
 				h = h*37 + uint64(e)*40503
 			}
 		}
-		b := buckets[h]
-		if b == nil {
-			b = &bucket{}
-			buckets[h] = b
-		}
-		b.vars = append(b.vars, i)
+		cand = append(cand, hashedVar{h, i})
 	}
-	for _, b := range buckets {
-		if len(b.vars) < 2 {
-			continue
+	s.buckets = cand
+	slices.SortFunc(cand, func(a, b hashedVar) int {
+		if a.h != b.h {
+			return cmp.Compare(a.h, b.h)
 		}
-		for x := 0; x < len(b.vars); x++ {
-			i := b.vars[x]
-			if !s.alive[i] {
+		return cmp.Compare(a.v, b.v)
+	})
+	for lo := 0; lo < len(cand); {
+		hi := lo + 1
+		for hi < len(cand) && cand[hi].h == cand[lo].h {
+			hi++
+		}
+		group := cand[lo:hi]
+		lo = hi
+		for x := 0; x < len(group); x++ {
+			i := group[x].v
+			if !s.vars[i].alive {
 				continue
 			}
-			for y := x + 1; y < len(b.vars); y++ {
-				j := b.vars[y]
-				if !s.alive[j] || !s.sameAdjacency(i, j) {
+			for y := x + 1; y < len(group); y++ {
+				j := group[y].v
+				if !s.vars[j].alive || !s.sameAdjacency(i, j) {
 					continue
 				}
 				// Absorb j into i.
-				s.alive[j] = false
-				s.parent[j] = i
-				s.nv[i] += s.nv[j]
-				members[i] = append(members[i], members[j]...)
-				members[j] = nil
+				s.vars[j].alive = false
+				s.h.remove(j)
+				s.vars[j].parent = int32(i)
+				s.vars[i].nv += s.vars[j].nv
+				s.next[s.tail[i]] = j
+				s.tail[i] = s.tail[j]
 				s.adjVar[j] = nil
 				s.adjElem[j] = nil
 			}
@@ -351,48 +445,39 @@ func (s *mdState) mergeIndistinguishable(lp []int, members [][]int) {
 
 func (s *mdState) sameAdjacency(i, j int) bool {
 	// Compare live element lists.
-	ei := liveElems(s, i)
-	ej := liveElems(s, j)
-	if len(ei) != len(ej) {
+	ei := s.liveElems(0, i)
+	ej := s.liveElems(1, j)
+	if !slices.Equal(ei, ej) {
 		return false
-	}
-	for k := range ei {
-		if ei[k] != ej[k] {
-			return false
-		}
 	}
 	// Compare variable lists modulo i/j themselves.
-	vi := liveVars(s, i, j)
-	vj := liveVars(s, j, i)
-	if len(vi) != len(vj) {
-		return false
-	}
-	for k := range vi {
-		if vi[k] != vj[k] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(s.liveVars(2, i, j), s.liveVars(3, j, i))
 }
 
-func liveElems(s *mdState, i int) []int {
-	var out []int
+// liveElems returns i's live elements, sorted, in scratch list k.
+func (s *mdState) liveElems(k, i int) []int {
+	out := s.live[k][:0]
 	for _, e := range s.adjElem[i] {
 		if s.elemOK[e] {
 			out = append(out, e)
 		}
 	}
-	insertionSortInts(out)
+	slices.Sort(out)
+	s.live[k] = out
 	return out
 }
 
-func liveVars(s *mdState, i, excl int) []int {
-	var out []int
+// liveVars returns i's live variable neighbors other than excl, sorted
+// and deduplicated, in scratch list k.
+func (s *mdState) liveVars(k, i, excl int) []int {
+	out := s.live[k][:0]
 	for _, w := range s.adjVar[i] {
 		w = s.find(w)
-		if s.alive[w] && w != i && w != excl {
+		if s.vars[w].alive && w != i && w != excl {
 			out = append(out, w)
 		}
 	}
-	return dedupInts(out)
+	out = dedupInts(out)
+	s.live[k] = out
+	return out
 }

@@ -39,47 +39,52 @@ func NestedDissection(g *graph.Graph, opt NDOptions) []int {
 	for i := range verts {
 		verts[i] = i
 	}
-	perm := make([]int, 0, g.N)
-	ndRecurse(g, verts, opt, opt.MaxDepth, &perm)
-	return perm
+	nd := &ndState{sc: graph.NewScratch(g), opt: opt, perm: make([]int, 0, g.N)}
+	nd.recurse(verts, opt.MaxDepth)
+	return nd.perm
 }
 
-func ndRecurse(g *graph.Graph, verts []int, opt NDOptions, depth int, perm *[]int) {
+// ndState is one dissection run: every bisection and leaf subgraph works
+// on the one scratch, so a subproblem costs O(its size), not O(N).
+type ndState struct {
+	sc   *graph.Scratch
+	opt  NDOptions
+	perm []int
+}
+
+func (nd *ndState) recurse(verts []int, depth int) {
 	if len(verts) == 0 {
 		return
 	}
-	if len(verts) <= opt.LeafSize || depth == 0 {
-		*perm = append(*perm, orderLeaf(g, verts, opt.LeafScore)...)
+	if len(verts) <= nd.opt.LeafSize || depth == 0 {
+		nd.orderLeaf(verts)
 		return
 	}
-	b := graph.Bisect(g, verts)
+	b := nd.sc.Bisect(verts)
 	if len(b.PartA) == 0 || len(b.PartB) == 0 {
 		// Bisection failed to split (e.g. clique): fall back to leaf order.
-		*perm = append(*perm, orderLeaf(g, verts, opt.LeafScore)...)
+		nd.orderLeaf(verts)
 		return
 	}
-	ndRecurse(g, b.PartA, opt, depth-1, perm)
-	ndRecurse(g, b.PartB, opt, depth-1, perm)
+	nd.recurse(b.PartA, depth-1)
+	nd.recurse(b.PartB, depth-1)
 	// Separator vertices are eliminated last; order them among themselves
 	// by minimum degree on their induced subgraph.
 	if len(b.Sep) > 0 {
-		*perm = append(*perm, orderLeaf(g, b.Sep, opt.LeafScore)...)
+		nd.orderLeaf(b.Sep)
 	}
 }
 
 // orderLeaf orders the induced subgraph on verts with minimum degree and
-// maps back to global indices.
-func orderLeaf(g *graph.Graph, verts []int, score ScoreFunc) []int {
+// appends it, in global indices, to the permutation.
+func (nd *ndState) orderLeaf(verts []int) {
 	if len(verts) <= 2 {
-		return append([]int(nil), verts...)
+		nd.perm = append(nd.perm, verts...)
+		return
 	}
-	sg, back := g.Subgraph(verts)
-	lp := MinimumDegree(sg, score)
-	out := make([]int, len(lp))
-	for i, v := range lp {
-		out[i] = back[v]
+	for _, v := range MinimumDegree(nd.sc.Subgraph(verts), nd.opt.LeafScore) {
+		nd.perm = append(nd.perm, verts[v])
 	}
-	return out
 }
 
 // HybridPORD is the PORD stand-in: a tightly-coupled bottom-up/top-down

@@ -1,7 +1,5 @@
 package sparse
 
-import "sort"
-
 // Builder accumulates entries in coordinate form and compresses them into a
 // CSC matrix, summing duplicates. It is the standard way to construct
 // matrices in this package.
@@ -54,55 +52,71 @@ func (b *Builder) AddSym(i, j int, v float64) {
 // NNZ returns the number of recorded (pre-compression) entries.
 func (b *Builder) NNZ() int { return len(b.rows) }
 
-type cooSorter struct{ b *Builder }
-
-func (s cooSorter) Len() int { return len(s.b.rows) }
-func (s cooSorter) Less(i, j int) bool {
-	if s.b.cols[i] != s.b.cols[j] {
-		return s.b.cols[i] < s.b.cols[j]
-	}
-	return s.b.rows[i] < s.b.rows[j]
-}
-func (s cooSorter) Swap(i, j int) {
-	s.b.rows[i], s.b.rows[j] = s.b.rows[j], s.b.rows[i]
-	s.b.cols[i], s.b.cols[j] = s.b.cols[j], s.b.cols[i]
-	s.b.vals[i], s.b.vals[j] = s.b.vals[j], s.b.vals[i]
-}
-
 // Build compresses the recorded entries into a CSC matrix, summing
-// duplicates. The builder can be reused afterwards (entries are kept).
+// duplicates. Duplicates of one (i,j) are summed in insertion order (the
+// order of the Add calls). The builder can be reused afterwards: its
+// entries are kept, in insertion order.
+//
+// Build is a stable two-pass counting sort — entries bucketed by row, then
+// by column — so it costs O(nnz + n) and leaves equal (i,j) entries in
+// insertion order.
 func (b *Builder) Build() *CSC {
-	sort.Sort(cooSorter{b})
+	n, nz := b.n, len(b.rows)
+	rows, cols, vals := b.rows, b.cols, b.vals
+	// Pass 1: entry ids ordered by row.
+	ptr := make([]int, n+1)
+	for _, i := range rows {
+		ptr[i+1]++
+	}
+	for i := 0; i < n; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	byRow := make([]int, nz)
+	for k, i := range rows {
+		byRow[ptr[i]] = k
+		ptr[i]++
+	}
+	// Pass 2: stable by column, so each column's entries come out with
+	// ascending rows and equal (i,j) entries in insertion order.
+	clear(ptr)
+	for _, j := range cols {
+		ptr[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		ptr[j+1] += ptr[j]
+	}
+	sorted := make([]int, nz)
+	for _, k := range byRow {
+		j := cols[k]
+		sorted[ptr[j]] = k
+		ptr[j]++
+	}
+	same := func(q int) bool { // entry q repeats entry q-1's (i,j)
+		return q > 0 && rows[sorted[q]] == rows[sorted[q-1]] && cols[sorted[q]] == cols[sorted[q-1]]
+	}
+	uniq := 0
+	for q := range sorted {
+		if !same(q) {
+			uniq++
+		}
+	}
 	a := &CSC{
-		N:      b.n,
-		ColPtr: make([]int, b.n+1),
+		N:      n,
+		ColPtr: make([]int, n+1),
+		RowIdx: make([]int, 0, uniq),
+		Val:    make([]float64, 0, uniq),
 		Kind:   b.kind,
 	}
-	// Count unique entries.
-	uniq := 0
-	for k := 0; k < len(b.rows); {
-		k2 := k + 1
-		for k2 < len(b.rows) && b.rows[k2] == b.rows[k] && b.cols[k2] == b.cols[k] {
-			k2++
+	for q, k := range sorted {
+		if same(q) {
+			a.Val[len(a.Val)-1] += vals[k]
+			continue
 		}
-		uniq++
-		k = k2
+		a.RowIdx = append(a.RowIdx, rows[k])
+		a.Val = append(a.Val, vals[k])
+		a.ColPtr[cols[k]+1]++
 	}
-	a.RowIdx = make([]int, 0, uniq)
-	a.Val = make([]float64, 0, uniq)
-	for k := 0; k < len(b.rows); {
-		v := b.vals[k]
-		k2 := k + 1
-		for k2 < len(b.rows) && b.rows[k2] == b.rows[k] && b.cols[k2] == b.cols[k] {
-			v += b.vals[k2]
-			k2++
-		}
-		a.RowIdx = append(a.RowIdx, b.rows[k])
-		a.Val = append(a.Val, v)
-		a.ColPtr[b.cols[k]+1]++
-		k = k2
-	}
-	for j := 0; j < b.n; j++ {
+	for j := 0; j < n; j++ {
 		a.ColPtr[j+1] += a.ColPtr[j]
 	}
 	return a

@@ -163,33 +163,78 @@ func (a *CSC) MulVec(x []float64) []float64 {
 // Permute returns P*A*Pᵀ where perm[k] = original index of the k-th
 // row/column of the permuted matrix (i.e. perm maps new→old).
 // For symmetric matrices the result keeps lower-triangular storage.
+//
+// a must be a valid CSC (see Validate): its entries are unique, so the
+// permuted ones are too, and no sort is needed: entries are bucketed by
+// new row, then by new column while the rows are visited in ascending
+// order — two counting passes, O(nnz + n).
 func (a *CSC) Permute(perm []int) *CSC {
 	if len(perm) != a.N {
 		panic("sparse: Permute length mismatch")
 	}
-	inv := make([]int, a.N) // old -> new
+	n, nz := a.N, a.NNZ()
+	inv := make([]int, n) // old -> new
 	for k, o := range perm {
 		inv[o] = k
 	}
-	b := NewBuilder(a.N, a.Kind)
-	for j := 0; j < a.N; j++ {
-		nj := inv[j]
+	sym := a.Kind == Symmetric
+	// Pass 1: bucket the entries by new row.
+	rowPtr := make([]int, n+1)
+	for j := 0; j < n; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			ni := inv[a.RowIdx[p]]
-			v := 1.0
-			if a.Val != nil {
-				v = a.Val[p]
+			r := inv[a.RowIdx[p]]
+			if sym && r < inv[j] {
+				r = inv[j]
 			}
-			r, c := ni, nj
-			if a.Kind == Symmetric && r < c {
-				r, c = c, r
-			}
-			b.Add(r, c, v)
+			rowPtr[r+1]++
 		}
 	}
-	out := b.Build()
-	if a.Val == nil {
-		out.Val = nil
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	next := append([]int(nil), rowPtr[:n]...)
+	rowCols := make([]int, nz)
+	var rowVals []float64
+	if a.Val != nil {
+		rowVals = make([]float64, nz)
+	}
+	for j := 0; j < n; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			r, c := inv[a.RowIdx[p]], inv[j]
+			if sym && r < c {
+				r, c = c, r
+			}
+			q := next[r]
+			next[r]++
+			rowCols[q] = c
+			if rowVals != nil {
+				rowVals[q] = a.Val[p]
+			}
+		}
+	}
+	// Pass 2: bucket by new column; visiting the rows in order leaves every
+	// column's rows ascending.
+	out := &CSC{N: n, ColPtr: make([]int, n+1), RowIdx: make([]int, nz), Kind: a.Kind}
+	if a.Val != nil {
+		out.Val = make([]float64, nz)
+	}
+	for _, c := range rowCols {
+		out.ColPtr[c+1]++
+	}
+	for c := 0; c < n; c++ {
+		out.ColPtr[c+1] += out.ColPtr[c]
+	}
+	copy(next, out.ColPtr[:n])
+	for r := 0; r < n; r++ {
+		for q := rowPtr[r]; q < rowPtr[r+1]; q++ {
+			c := rowCols[q]
+			d := next[c]
+			next[c]++
+			out.RowIdx[d] = r
+			if out.Val != nil {
+				out.Val[d] = rowVals[q]
+			}
+		}
 	}
 	return out
 }

@@ -1,5 +1,7 @@
 package sparse
 
+import "slices"
+
 // Pattern operations used by the symbolic analysis. These work on the
 // stored pattern; values, when present, are carried along where meaningful.
 
@@ -34,29 +36,52 @@ func Transpose(a *CSC) *CSC {
 }
 
 // SymmetrizePattern returns the pattern of A+Aᵀ as a Symmetric (lower
-// triangle) pattern-only matrix. This is the graph on which orderings and
-// the elimination tree are computed for unsymmetric matrices, exactly as
-// MUMPS does during analysis.
+// triangle) pattern-only matrix with a full diagonal. This is the graph on
+// which orderings and the elimination tree are computed for unsymmetric
+// matrices, exactly as MUMPS does during analysis.
+//
+// Every entry (i,j) lands in column min(i,j) as row max(i,j) (one counting
+// pass), then each column is sorted and deduplicated in place.
 func SymmetrizePattern(a *CSC) *CSC {
-	b := NewBuilder(a.N, Symmetric)
-	for j := 0; j < a.N; j++ {
+	n := a.N
+	ptr := make([]int, n+1)
+	for j := 0; j < n; j++ {
+		ptr[j+1]++ // the diagonal, so the elimination tree is well defined
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			if a.Kind == Symmetric {
-				b.Add(i, j, 1)
-			} else if i >= j {
-				b.Add(i, j, 1)
-			} else {
-				b.Add(j, i, 1)
-			}
+			ptr[min(a.RowIdx[p], j)+1]++
 		}
 	}
-	// Ensure a full diagonal so the elimination tree is well defined.
-	for j := 0; j < a.N; j++ {
-		b.Add(j, j, 1)
+	for j := 0; j < n; j++ {
+		ptr[j+1] += ptr[j]
 	}
-	out := b.Build()
-	out.Val = nil
+	idx := make([]int, ptr[n])
+	next := append([]int(nil), ptr[:n]...)
+	for j := 0; j < n; j++ {
+		idx[next[j]] = j
+		next[j]++
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			i := a.RowIdx[p]
+			lo := min(i, j)
+			idx[next[lo]] = max(i, j)
+			next[lo]++
+		}
+	}
+	out := &CSC{N: n, ColPtr: make([]int, n+1), Kind: Symmetric}
+	w := 0
+	for j := 0; j < n; j++ {
+		col := idx[ptr[j]:ptr[j+1]]
+		slices.Sort(col)
+		prev := -1
+		for _, r := range col {
+			if r != prev {
+				idx[w] = r
+				w++
+				prev = r
+			}
+		}
+		out.ColPtr[j+1] = w
+	}
+	out.RowIdx = idx[:w:w]
 	return out
 }
 

@@ -244,6 +244,8 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 		tr.Instant(0, EvPut, 1, 64)
 		tr.End(0, SpanTask, 1)
 		tr.StoreInstant(EvOOCPut, 1, 64)
+		tr.GlobalBegin(SpanAnalyzeOrder)
+		tr.GlobalEnd(SpanAnalyzeOrder)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil tracer allocates %.1f per task", allocs)

@@ -134,6 +134,57 @@ func TestTracedSequentialRun(t *testing.T) {
 	}
 }
 
+// TestTracedAnalysisPhases: a traced Analyze + Factorize lists the four
+// analysis phases, one span each, next to the factorization's phases, in
+// the snapshot and in the Prometheus rendering; the Chrome rendering stays
+// valid with the analysis spans on the global track.
+func TestTracedAnalysisPhases(t *testing.T) {
+	a := sparse.Grid3D(6, 6, 6)
+	cfg := core.DefaultConfig(order.ND, 1)
+	tr := trace.New(1)
+	cfg.Tracer = tr
+	an, err := core.Analyze(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := an.Factorize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := tr.Snapshot(f.Stats)
+	phases := map[string]trace.PhaseStat{}
+	for _, p := range snap.Phases {
+		phases[p.Phase] = p
+	}
+	var prom bytes.Buffer
+	if err := snap.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.LintPrometheus(prom.Bytes()); err != nil {
+		t.Errorf("Prometheus rendering fails lint: %v", err)
+	}
+	for _, want := range []string{
+		trace.SpanAnalyzeOrder, trace.SpanAnalyzeSymbolic, trace.SpanAnalyzeTree, trace.SpanAnalyzeMap,
+	} {
+		if p := phases[want]; p.Count != 1 || p.Open != 0 || p.Seconds <= 0 {
+			t.Errorf("phase %q: %+v, want one closed span", want, p)
+		}
+		if !bytes.Contains(prom.Bytes(), []byte(`mf_phase_seconds_total{phase="`+want+`"}`)) {
+			t.Errorf("Prometheus rendering lacks phase %q", want)
+		}
+	}
+	if phases[trace.SpanFactor].Count != int64(an.Tree.Len()) {
+		t.Errorf("factor spans %d, want %d", phases[trace.SpanFactor].Count, an.Tree.Len())
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.ValidateChromeTrace(buf.Bytes()); err != nil {
+		t.Errorf("traced analysis renders an invalid Chrome trace: %v", err)
+	}
+}
+
 // TestUntracedRunUnchanged cross-checks that attaching a tracer changes
 // no numbers: the work stats are identical with and without.
 func TestUntracedRunUnchanged(t *testing.T) {

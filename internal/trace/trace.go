@@ -71,6 +71,12 @@ const (
 	EvDirectRead   = "direct-read"   // instant: solve fetch that outran the reader
 	EvOOCDegrade   = "ooc-degrade"   // instant: block retained in-core after persistent write failure
 
+	// Analysis phases (core.Analyze), on the global track.
+	SpanAnalyzeOrder    = "analyze.order"    // A+Aᵀ pattern and fill-reducing ordering
+	SpanAnalyzeSymbolic = "analyze.symbolic" // etree, postorder, permutation, column counts, supernodes
+	SpanAnalyzeTree     = "analyze.tree"     // front structures of the assembly tree
+	SpanAnalyzeMap      = "analyze.map"      // node splitting, Liu child order, static mapping
+
 	// Counter names.
 	CounterResident = "resident" // global resident gauge (model entries)
 	CounterMem      = "mem"      // per-worker stack/active (model entries)
@@ -226,6 +232,24 @@ func (t *Tracer) Instant(w int, name string, node int, bytes int64) {
 		return
 	}
 	t.record(trackWorker+w, Event{Kind: KindInstant, Name: name, Node: int32(node), V1: bytes})
+}
+
+// GlobalBegin opens span name on the global track. Only the analysis
+// phases, which run on one goroutine before any worker exists, record
+// spans there.
+func (t *Tracer) GlobalBegin(name string) {
+	if t == nil {
+		return
+	}
+	t.record(TrackGlobal, Event{Kind: KindBegin, Name: name, Node: -1})
+}
+
+// GlobalEnd closes the global-track span opened by GlobalBegin.
+func (t *Tracer) GlobalEnd(name string) {
+	if t == nil {
+		return
+	}
+	t.record(TrackGlobal, Event{Kind: KindEnd, Name: name, Node: -1})
 }
 
 // StoreBegin opens a span on the store track. Only the OOC store's
