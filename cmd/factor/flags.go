@@ -1,15 +1,10 @@
-// Package cliflags holds the flag set, validation and input loading shared
-// by the factorization CLIs (cmd/parfactor, cmd/oocfactor): problem
-// selection, ordering, worker count, the within-front split knobs and the
-// kernel-family switch. Each command registers the common set once and
-// adds its own specific flags next to it, so the two tools cannot drift
-// apart on the meaning or validation of the shared ones.
-package cliflags
+package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -19,14 +14,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/faults"
+	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/sparse"
 	"repro/internal/workload"
 )
 
-// Common is the flag set shared by the factorization CLIs.
-type Common struct {
+// flags is the command line of one run; register documents each field.
+type flags struct {
 	Matrix     string
 	MM         string
 	Ordering   string
@@ -36,77 +32,77 @@ type Common struct {
 	BlockRows  int
 	RootGrid   int
 	Slaves     string
+	Policy     string
+	Bound      int64
 	Kernel     string
 	Small      bool
 	NRHS       int
+	Seq        bool
 
-	// Observability outputs (see Observability): empty = disabled.
-	Trace   string // Chrome trace_event JSON path
-	Metrics string // counters snapshot path (.json = JSON, else Prometheus text)
-	Pprof   string // runtime profile path prefix (<prefix>.cpu.pprof, <prefix>.heap.pprof)
+	// The file store's knobs (Budget, Dir, Prefetch) apply only when
+	// Store is "file".
+	Store    string
+	Budget   int64
+	Dir      string
+	Prefetch int
 
-	// Listen, when non-empty, serves the live observability plane
-	// (internal/obs: /metrics, /progress, /runs, pprof, trace dumps) on
-	// this host:port while the run executes. ListenLinger keeps the
-	// server up that long after the run finishes, so short runs can still
-	// be scraped (CI does exactly this).
+	Trace        string
+	Metrics      string
+	Pprof        string
 	Listen       string
 	ListenLinger time.Duration
-
-	// Timeout, when positive, bounds the whole run (analysis +
-	// factorization + solve) with a context deadline: the executors drain
-	// deterministically at the next front boundary and the CLI exits
-	// nonzero with a descriptive error. 0 = no deadline.
-	Timeout time.Duration
-	// Faults is a fault-injection schedule (internal/faults.Parse
-	// grammar: "point:kind[:nth[:count]]", comma-separated) armed on the
-	// run for chaos testing. Empty = disabled.
-	Faults string
+	Timeout      time.Duration
+	Faults       string
 }
 
-// Solver is the solve surface the CLIs drive after a factorization:
-// right-hand sides in the original (pre-permutation) ordering, single
-// vector or a row-major n x nrhs block. Both seqmf.Factors and
-// parmf.Factors satisfy it.
-type Solver interface {
-	SolveOriginal(b []float64) ([]float64, error)
-	SolveOriginalMulti(b []float64, nrhs int) ([]float64, error)
-}
-
-// FactorSolver is a Solver whose factor store must be released when the
-// run is done (e.g. an out-of-core spill file).
-type FactorSolver interface {
-	Solver
-	Close() error
-}
-
-// Register declares the common flags on fs (use flag.CommandLine for the
-// process flag set). defaultWorkers seeds -workers, which differs between
-// the tools (parfactor defaults parallel, oocfactor sequential).
-func (c *Common) Register(fs *flag.FlagSet, defaultWorkers int) {
+// register declares the flags on fs.
+func (c *flags) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Matrix, "matrix", "", "suite problem name (see experiments -table 1)")
 	fs.StringVar(&c.MM, "mm", "", "MatrixMarket file to read instead of a suite problem")
 	fs.StringVar(&c.Ordering, "ordering", "METIS", "fill-reducing ordering: METIS|PORD|AMD|AMF|RCM|NATURAL")
-	fs.IntVar(&c.Workers, "workers", defaultWorkers, "worker goroutine count")
+	fs.IntVar(&c.Workers, "workers", 8, "worker goroutine count (1 runs the sequential executor)")
 	fs.Int64Var(&c.Split, "split", 0, "split masters larger than this many entries (0 = off)")
 	fs.IntVar(&c.FrontSplit, "front-split", 128, "factor fronts at least this large via within-front master/slave tasks")
 	fs.IntVar(&c.BlockRows, "block-rows", dense.DefaultBlockRows, "panel width / tile edge of the blocked kernels and within-front partitions")
 	fs.IntVar(&c.RootGrid, "root-grid", 0, "2D (type-3) root-front worker grid rows: 0 = auto (floor(sqrt(workers))), -1 = 1D roots, N > 0 = N grid rows")
 	fs.StringVar(&c.Slaves, "slaves", "memory", "slave selection for split fronts: memory (Algorithm 1) or workload")
+	fs.StringVar(&c.Policy, "policy", "memory", "task selection: memory (Algorithm 2) or depthfirst")
+	fs.Int64Var(&c.Bound, "bound", 0, "per-worker memory bound in entries (0 = sequential peak)")
 	fs.StringVar(&c.Kernel, "kernel", "", "dense kernel family: default|simd|auto (auto picks simd when AVX2/FMA is available, default otherwise)")
 	fs.BoolVar(&c.Small, "small", false, "use the reduced (test-scale) suite")
 	fs.IntVar(&c.NRHS, "nrhs", 1, "number of right-hand sides solved as one blocked multi-RHS pass")
+	fs.BoolVar(&c.Seq, "seq", false, "also run the sequential in-core factorization: report speedup and the factor and solution diffs")
+	fs.StringVar(&c.Store, "store", "mem", "factor store: mem (in-core) or file (spilled to disk as produced, next to an in-core run)")
+	fs.Int64Var(&c.Budget, "budget", 0, "-store file: resident spill-buffer budget in entries (0 = factors/16)")
+	fs.StringVar(&c.Dir, "dir", "", "-store file: spill directory (default: system temp dir)")
+	fs.IntVar(&c.Prefetch, "prefetch", 0, "-store file: solve-phase read-ahead in blocks (0 = 8)")
 	fs.StringVar(&c.Trace, "trace", "", "write Chrome trace_event JSON of the run to this file (chrome://tracing / Perfetto)")
 	fs.StringVar(&c.Metrics, "metrics", "", "write the aggregated counters snapshot to this file (.json = JSON, otherwise Prometheus text format)")
 	fs.StringVar(&c.Pprof, "pprof", "", "capture runtime profiles to <prefix>.cpu.pprof and <prefix>.heap.pprof")
 	fs.StringVar(&c.Listen, "listen", "", "serve live observability HTTP (/metrics, /progress, /runs, /debug/pprof) on this host:port during the run")
 	fs.DurationVar(&c.ListenLinger, "listen-linger", 0, "keep the -listen server up this long after the run completes (lets scrapers catch short runs)")
-	fs.DurationVar(&c.Timeout, "timeout", 0, "abort the run after this long (0 = no deadline); the executors drain cleanly and the tool exits nonzero")
+	fs.DurationVar(&c.Timeout, "timeout", 0, "abort the run after this long (0 = no deadline); the executors drain cleanly and the command exits nonzero")
 	fs.StringVar(&c.Faults, "faults", "", "deterministic fault-injection schedule, e.g. 'spill-write:error:2:3,task:delay' (chaos testing; see internal/faults)")
 }
 
-// Validate checks the numeric ranges of the common flags.
-func (c *Common) Validate() error {
+// parseFlags parses args into validated flags; usage and parse errors go
+// to stderr.
+func parseFlags(args []string, stderr io.Writer) (*flags, error) {
+	fs := flag.NewFlagSet("factor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var c flags
+	c.register(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	return &c, c.validate()
+}
+
+// validate checks the numeric ranges and grammars of the flags.
+func (c *flags) validate() error {
 	if c.Workers < 1 {
 		return fmt.Errorf("-workers must be >= 1 (got %d)", c.Workers)
 	}
@@ -125,13 +121,34 @@ func (c *Common) Validate() error {
 	if c.RootGrid > c.Workers {
 		return fmt.Errorf("-root-grid %d exceeds -workers %d (grid rows cannot outnumber workers)", c.RootGrid, c.Workers)
 	}
-	if _, err := c.Method(); err != nil {
+	if c.Bound < 0 {
+		return fmt.Errorf("-bound must be >= 0 (got %d)", c.Bound)
+	}
+	if c.Budget < 0 {
+		return fmt.Errorf("-budget must be >= 0 (got %d)", c.Budget)
+	}
+	if c.Prefetch < 0 {
+		return fmt.Errorf("-prefetch must be >= 0 (got %d)", c.Prefetch)
+	}
+	switch c.Store {
+	case "mem":
+		if c.Budget != 0 || c.Dir != "" || c.Prefetch != 0 {
+			return fmt.Errorf("-budget, -dir and -prefetch need -store file")
+		}
+	case "file":
+	default:
+		return fmt.Errorf("unknown -store %q (want mem or file)", c.Store)
+	}
+	if _, err := c.method(); err != nil {
 		return err
 	}
-	if _, err := c.SlavePolicy(); err != nil {
+	if _, err := c.slavePolicy(); err != nil {
 		return err
 	}
-	if _, err := c.KernelFamily(); err != nil {
+	if _, err := c.policy(); err != nil {
+		return err
+	}
+	if _, err := c.kernelFamily(); err != nil {
 		return err
 	}
 	if c.Matrix == "" && c.MM == "" {
@@ -154,25 +171,25 @@ func (c *Common) Validate() error {
 	if c.Timeout < 0 {
 		return fmt.Errorf("-timeout must be >= 0 (got %v)", c.Timeout)
 	}
-	if _, err := c.Injector(); err != nil {
+	if _, err := c.injector(); err != nil {
 		return fmt.Errorf("-faults: %v", err)
 	}
 	return nil
 }
 
-// Context returns the run context -timeout asks for: a deadline-bound
+// context returns the run context -timeout asks for: a deadline-bound
 // context when the flag is positive, plain Background otherwise. The
 // caller must invoke cancel on every path (it is never nil).
-func (c *Common) Context() (context.Context, context.CancelFunc) {
+func (c *flags) context() (context.Context, context.CancelFunc) {
 	if c.Timeout > 0 {
 		return context.WithTimeout(context.Background(), c.Timeout)
 	}
 	return context.WithCancel(context.Background())
 }
 
-// Injector parses -faults into an armed injector (nil when the flag is
+// injector parses -faults into an armed injector (nil when the flag is
 // empty — the executors then skip all fault checks at zero cost).
-func (c *Common) Injector() (*faults.Injector, error) {
+func (c *flags) injector() (*faults.Injector, error) {
 	return faults.Parse(c.Faults)
 }
 
@@ -180,7 +197,7 @@ func (c *Common) Injector() (*faults.Injector, error) {
 // file path (not an existing directory) and the outputs must not collide
 // with each other (-pprof is a prefix, so it collides when a derived
 // profile path equals another output).
-func (c *Common) validateOutputs() error {
+func (c *flags) validateOutputs() error {
 	outs := map[string]string{}
 	add := func(flagName, path string) error {
 		if path == "" {
@@ -214,29 +231,16 @@ func (c *Common) validateOutputs() error {
 	return nil
 }
 
-// Method parses -ordering.
-func (c *Common) Method() (order.Method, error) {
-	switch strings.ToUpper(c.Ordering) {
-	case "METIS", "ND":
-		return order.ND, nil
-	case "PORD":
-		return order.PORD, nil
-	case "AMD":
-		return order.AMD, nil
-	case "AMF":
-		return order.AMF, nil
-	case "RCM":
-		return order.RCM, nil
-	case "NATURAL":
-		return order.Natural, nil
-	}
-	return 0, fmt.Errorf("unknown ordering %q", c.Ordering)
+// method parses -ordering (case-insensitive order.Method names; ND is
+// METIS).
+func (c *flags) method() (order.Method, error) {
+	return order.Parse(strings.ToUpper(c.Ordering))
 }
 
-// KernelFamily parses -kernel (default|simd|auto; empty means default).
+// kernelFamily parses -kernel (default|simd|auto; empty means default).
 // The returned Kernel may be dense.KernelAuto — the executors resolve it
 // to the concrete family and report that in their stats.
-func (c *Common) KernelFamily() (dense.Kernel, error) {
+func (c *flags) kernelFamily() (dense.Kernel, error) {
 	k, err := dense.ParseKernel(c.Kernel)
 	if err != nil {
 		return dense.KernelDefault, fmt.Errorf("-kernel: %v", err)
@@ -244,8 +248,8 @@ func (c *Common) KernelFamily() (dense.Kernel, error) {
 	return k, nil
 }
 
-// SlavePolicy parses -slaves.
-func (c *Common) SlavePolicy() (parmf.SlavePolicy, error) {
+// slavePolicy parses -slaves.
+func (c *flags) slavePolicy() (parmf.SlavePolicy, error) {
 	switch strings.ToLower(c.Slaves) {
 	case "memory":
 		return parmf.SlavesMemory, nil
@@ -255,9 +259,20 @@ func (c *Common) SlavePolicy() (parmf.SlavePolicy, error) {
 	return 0, fmt.Errorf("unknown slave policy %q", c.Slaves)
 }
 
-// Load reads the selected matrix (-mm file or suite problem) and fills
+// policy parses -policy.
+func (c *flags) policy() (parmf.Policy, error) {
+	switch strings.ToLower(c.Policy) {
+	case "memory":
+		return parmf.MemoryAware, nil
+	case "depthfirst":
+		return parmf.DepthFirst, nil
+	}
+	return 0, fmt.Errorf("unknown policy %q", c.Policy)
+}
+
+// load reads the selected matrix (-mm file or suite problem) and fills
 // pattern-only problems with deterministic diagonally dominant values.
-func (c *Common) Load() (*sparse.CSC, error) {
+func (c *flags) load() (*sparse.CSC, error) {
 	var a *sparse.CSC
 	switch {
 	case c.MM != "":
@@ -291,21 +306,27 @@ func (c *Common) Load() (*sparse.CSC, error) {
 	return a, nil
 }
 
-// CoreConfig builds the analysis configuration the common flags describe.
-func (c *Common) CoreConfig() (core.Config, error) {
-	m, err := c.Method()
-	if err != nil {
-		return core.Config{}, err
-	}
-	kern, err := c.KernelFamily()
-	if err != nil {
-		return core.Config{}, err
-	}
+// coreConfig builds the analysis configuration validated flags describe;
+// its numeric options reach every factorization of the run.
+func (c *flags) coreConfig() core.Config {
+	m, _ := c.method()          // validated
+	kern, _ := c.kernelFamily() // validated
 	cfg := core.DefaultConfig(m, c.Workers)
 	cfg.SplitThreshold = c.Split
-	cfg.FrontSplit = c.FrontSplit
 	cfg.BlockRows = c.BlockRows
-	cfg.RootGrid = c.RootGrid
 	cfg.Kernel = kern
-	return cfg, nil
+	cfg.OOC = ooc.Options{Dir: c.Dir, BufferEntries: c.Budget, Prefetch: c.Prefetch}
+	return cfg
+}
+
+// parmfConfig builds the parallel executor's scheduling configuration
+// validated flags describe.
+func (c *flags) parmfConfig() parmf.Config {
+	pcfg := parmf.DefaultConfig(c.Workers)
+	pcfg.Policy, _ = c.policy()           // validated
+	pcfg.SlavePolicy, _ = c.slavePolicy() // validated
+	pcfg.PeakBound = c.Bound
+	pcfg.FrontSplit = c.FrontSplit
+	pcfg.RootGrid = c.RootGrid
+	return pcfg
 }

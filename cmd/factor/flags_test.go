@@ -1,4 +1,4 @@
-package cliflags
+package main
 
 import (
 	"flag"
@@ -8,27 +8,17 @@ import (
 	"repro/internal/dense"
 	"repro/internal/order"
 	"repro/internal/parmf"
-	"repro/internal/seqmf"
 )
 
-// Both executors must satisfy the shared CLI solver surface.
-var (
-	_ Solver = (*seqmf.Factors)(nil)
-	_ Solver = (*parmf.Factors)(nil)
-
-	_ FactorSolver = (*seqmf.Factors)(nil)
-	_ FactorSolver = (*parmf.Factors)(nil)
-)
-
-func parse(t *testing.T, args ...string) (*Common, error) {
+func parse(t *testing.T, args ...string) (*flags, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var c Common
-	c.Register(fs, 4)
+	var c flags
+	c.register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	return &c, c.Validate()
+	return &c, c.validate()
 }
 
 func TestDefaultsValidate(t *testing.T) {
@@ -36,20 +26,20 @@ func TestDefaultsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Workers != 4 || c.BlockRows < 1 || c.Kernel != "" || c.NRHS != 1 {
+	if c.Workers != 8 || c.BlockRows < 1 || c.Kernel != "" || c.NRHS != 1 {
 		t.Fatalf("unexpected defaults %+v", c)
 	}
-	m, err := c.Method()
+	m, err := c.method()
 	if err != nil || m != order.ND {
 		t.Fatalf("default ordering %v, %v", m, err)
 	}
-	sp, err := c.SlavePolicy()
+	sp, err := c.slavePolicy()
 	if err != nil || sp != parmf.SlavesMemory {
 		t.Fatalf("default slaves %v, %v", sp, err)
 	}
 }
 
-// TestTimeoutAndFaultsFlags pins the robustness flags both CLIs share:
+// TestTimeoutAndFaultsFlags pins the robustness flags:
 // negative -timeout and malformed -faults schedules are rejected at
 // validation; valid ones produce a deadline-bound context and an armed
 // injector.
@@ -68,14 +58,14 @@ func TestTimeoutAndFaultsFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := c.Context()
+	ctx, cancel := c.context()
 	defer cancel()
 	if _, ok := ctx.Deadline(); !ok {
 		t.Error("-timeout did not set a context deadline")
 	}
-	in, err := c.Injector()
+	in, err := c.injector()
 	if err != nil || in == nil {
-		t.Fatalf("Injector() = %v, %v; want armed injector", in, err)
+		t.Fatalf("injector() = %v, %v; want armed injector", in, err)
 	}
 
 	// No flags: Background-equivalent context, nil injector (zero cost).
@@ -83,13 +73,13 @@ func TestTimeoutAndFaultsFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel = c.Context()
+	ctx, cancel = c.context()
 	defer cancel()
 	if _, ok := ctx.Deadline(); ok {
 		t.Error("deadline set without -timeout")
 	}
-	if in, err := c.Injector(); err != nil || in != nil {
-		t.Fatalf("Injector() without -faults = %v, %v; want nil, nil", in, err)
+	if in, err := c.injector(); err != nil || in != nil {
+		t.Fatalf("injector() without -faults = %v, %v; want nil, nil", in, err)
 	}
 }
 
@@ -107,8 +97,16 @@ func TestValidationRejects(t *testing.T) {
 		{"-matrix", "PRE2", "-ordering", ""},
 		{"-matrix", "PRE2", "-slaves", "nobody"},
 		{"-matrix", "PRE2", "-root-grid", "-2"},
-		{"-matrix", "PRE2", "-root-grid", "5"},                  // > default 4 workers
+		{"-matrix", "PRE2", "-root-grid", "9"},                  // > default 8 workers
 		{"-matrix", "PRE2", "-workers", "2", "-root-grid", "3"}, // > explicit workers
+		{"-matrix", "PRE2", "-policy", "fifo"},
+		{"-matrix", "PRE2", "-bound", "-1"},
+		{"-matrix", "PRE2", "-store", "disk"},
+		{"-matrix", "PRE2", "-store", "file", "-budget", "-5"},
+		{"-matrix", "PRE2", "-store", "file", "-prefetch", "-1"},
+		{"-matrix", "PRE2", "-budget", "512"}, // spill knobs need -store file
+		{"-matrix", "PRE2", "-dir", "."},
+		{"-matrix", "PRE2", "-prefetch", "4"},
 		{}, // neither -matrix nor -mm
 	}
 	for _, args := range cases {
@@ -120,19 +118,15 @@ func TestValidationRejects(t *testing.T) {
 
 // TestRootGridAccepts pins the accepted -root-grid range: -1 disables the
 // 2D root path, 0 asks for the auto grid, and positive values up to the
-// worker count select the grid row count — all flowing into core.Config.
+// worker count select the grid row count — all flowing into parmf.Config.
 func TestRootGridAccepts(t *testing.T) {
 	for _, rg := range []string{"-1", "0", "1", "4"} {
 		c, err := parse(t, "-matrix", "PRE2", "-root-grid", rg)
 		if err != nil {
 			t.Fatalf("-root-grid %s rejected: %v", rg, err)
 		}
-		cfg, err := c.CoreConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.RootGrid != c.RootGrid {
-			t.Fatalf("-root-grid %s: core config got %d", rg, cfg.RootGrid)
+		if pcfg := c.parmfConfig(); pcfg.RootGrid != c.RootGrid {
+			t.Fatalf("-root-grid %s: executor config got %d", rg, pcfg.RootGrid)
 		}
 	}
 }
@@ -142,19 +136,16 @@ func TestLoadSuiteProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := c.Load()
+	a, err := c.load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.N == 0 || !a.HasValues() {
 		t.Fatalf("loaded matrix n=%d values=%v (GUPTA3 must be filled)", a.N, a.HasValues())
 	}
-	cfg, err := c.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Kernel != dense.KernelSIMD || cfg.FrontSplit != 128 {
-		t.Fatalf("core config %+v", cfg)
+	cfg, pcfg := c.coreConfig(), c.parmfConfig()
+	if cfg.Kernel != dense.KernelSIMD || pcfg.FrontSplit != 128 {
+		t.Fatalf("core config %+v, executor config %+v", cfg, pcfg)
 	}
 }
 
@@ -178,13 +169,12 @@ func TestKernelFlagGrammar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("args %v rejected: %v", c.args, err)
 		}
-		k, err := fl.KernelFamily()
+		k, err := fl.kernelFamily()
 		if err != nil || k != c.want {
-			t.Fatalf("args %v: KernelFamily() = %v, %v; want %v", c.args, k, err, c.want)
+			t.Fatalf("args %v: kernelFamily() = %v, %v; want %v", c.args, k, err, c.want)
 		}
-		cfg, err := fl.CoreConfig()
-		if err != nil || cfg.Kernel != c.want {
-			t.Fatalf("args %v: core config kernel %v, %v; want %v", c.args, cfg.Kernel, err, c.want)
+		if cfg := fl.coreConfig(); cfg.Kernel != c.want {
+			t.Fatalf("args %v: core config kernel %v; want %v", c.args, cfg.Kernel, c.want)
 		}
 	}
 
@@ -203,7 +193,7 @@ func TestKernelFlagGrammar(t *testing.T) {
 	}
 
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	new(Common).Register(fs, 4)
+	new(flags).register(fs)
 	fs.VisitAll(func(f *flag.Flag) {
 		if strings.Contains(f.Name, "kernel") && f.Name != "kernel" {
 			t.Errorf("flag -%s selects a kernel family besides -kernel", f.Name)
@@ -216,7 +206,7 @@ func TestLoadUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Load(); err == nil || !strings.Contains(err.Error(), "NO_SUCH_PROBLEM") {
+	if _, err := c.load(); err == nil || !strings.Contains(err.Error(), "NO_SUCH_PROBLEM") {
 		t.Fatalf("unknown problem error %v", err)
 	}
 }

@@ -1,4 +1,4 @@
-package cliflags
+package main
 
 import (
 	"fmt"
@@ -16,19 +16,17 @@ import (
 	"repro/internal/trace"
 )
 
-// Obs is the observability lifecycle of one CLI run: it owns the tracer
-// the executors record into, the live HTTP plane -listen asks for, and
-// the profile/trace/metrics files the run ends by writing. Build one
-// with Common.Observability after flag parsing, attach Obs.Tracer to
-// the core/executor config, and call Finish with the run's stats before
+// Obs is the observability lifecycle of one run: it owns the tracer the
+// executors record into, the live HTTP plane -listen asks for, and the
+// profile/trace/metrics files the run ends by writing. Build one with
+// flags.observability after flag parsing, attach Obs.Tracer to the
+// analysis configuration, and call Finish with the run's stats before
 // exiting.
 type Obs struct {
 	// Tracer records the run; nil when none of -trace, -metrics or
 	// -listen was given (the executors then skip all event work).
 	Tracer *trace.Tracer
 	// Server is the live observability plane (-listen); nil otherwise.
-	// Its registry is open: a CLI that runs several factorizations may
-	// register more runs next to Run.
 	Server *obs.Server
 	// Run is this process's registered run on Server (same nil-ness).
 	Run *obs.Run
@@ -39,14 +37,15 @@ type Obs struct {
 	linger  time.Duration
 	cpuFile *os.File
 	faults  *faults.Injector
+	stderr  io.Writer // status lines (live URL, linger notice)
 }
 
-// Observability starts the observability the flags ask for: a CPU
+// observability starts the observability the flags ask for: a CPU
 // profile when -pprof is set, a tracer when -trace, -metrics or -listen
-// is, and the live HTTP server when -listen is. The zero Obs (all flags
-// empty) is valid and Finish on it is a no-op.
-func (c *Common) Observability() (*Obs, error) {
-	o := &Obs{trace: c.Trace, metrics: c.Metrics, pprof: c.Pprof, linger: c.ListenLinger}
+// is, and the live HTTP server when -listen is; status lines go to
+// stderr. With all flags empty the Obs is inert and Finish is a no-op.
+func (c *flags) observability(stderr io.Writer) (*Obs, error) {
+	o := &Obs{trace: c.Trace, metrics: c.Metrics, pprof: c.Pprof, linger: c.ListenLinger, stderr: stderr}
 	if c.Trace != "" || c.Metrics != "" || c.Listen != "" {
 		o.Tracer = trace.New(c.Workers)
 	}
@@ -65,7 +64,7 @@ func (c *Common) Observability() (*Obs, error) {
 			return nil, err
 		}
 		o.Server, o.Run = srv, run
-		fmt.Fprintf(os.Stderr, "observability: live on %s (metrics, progress, runs, pprof)\n", srv.URL())
+		fmt.Fprintf(stderr, "observability: live on %s (metrics, progress, runs, pprof)\n", srv.URL())
 	}
 	if c.Pprof != "" {
 		f, err := os.Create(c.Pprof + ".cpu.pprof")
@@ -83,7 +82,7 @@ func (c *Common) Observability() (*Obs, error) {
 	return o, nil
 }
 
-// SetFaults attaches the run's fault injector (from Common.Injector):
+// SetFaults attaches the run's fault injector (from flags.injector):
 // live /metrics scrapes and the final -metrics snapshot then carry the
 // mf_faults_injected_total series. nil is a no-op.
 func (o *Obs) SetFaults(in *faults.Injector) {
@@ -111,7 +110,7 @@ func (o *Obs) Finish(stats memory.ExecStats) error {
 	}
 	if o.Server != nil {
 		if o.linger > 0 {
-			fmt.Fprintf(os.Stderr, "observability: run done, serving %s for another %v\n", o.Server.URL(), o.linger)
+			fmt.Fprintf(o.stderr, "observability: run done, serving %s for another %v\n", o.Server.URL(), o.linger)
 			time.Sleep(o.linger)
 		}
 		keep(o.Server.Close())

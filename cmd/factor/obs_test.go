@@ -1,4 +1,4 @@
-package cliflags
+package main
 
 import (
 	"errors"
@@ -15,8 +15,7 @@ import (
 )
 
 // TestObservabilityFlagsAccepted pins the observability flags onto the
-// shared set: both CLIs register through Common.Register, so accepting
-// them here is accepting them in cmd/parfactor and cmd/oocfactor alike.
+// command's flag set.
 func TestObservabilityFlagsAccepted(t *testing.T) {
 	dir := t.TempDir()
 	c, err := parse(t, "-matrix", "PRE2",
@@ -39,7 +38,7 @@ func TestObservabilityFlagsOptional(t *testing.T) {
 	if c.Trace != "" || c.Metrics != "" || c.Pprof != "" {
 		t.Fatalf("unset observability flags should stay empty: %+v", c)
 	}
-	o, err := c.Observability()
+	o, err := c.observability(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestObservabilityLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := c.Observability()
+	o, err := c.observability(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestListenLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := c.Observability()
+	o, err := c.observability(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +178,8 @@ func TestListenLifecycle(t *testing.T) {
 	}
 }
 
-// TestAbortLifecycle pins the failure path the CLIs' fatal handlers
-// take: Abort flips the registered run to StatusFailed (not Done), the
+// TestAbortLifecycle pins the failure path the command's failure path
+// takes: Abort flips the registered run to StatusFailed (not Done), the
 // server shuts down, and the metrics output — including the injected
 // fault counters — is still written for post-mortem.
 func TestAbortLifecycle(t *testing.T) {
@@ -191,11 +190,11 @@ func TestAbortLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := c.Observability()
+	o, err := c.observability(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := c.Injector()
+	in, err := c.injector()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,24 +27,6 @@ import (
 	"repro/internal/workload"
 )
 
-func parseOrdering(s string) (order.Method, error) {
-	switch strings.ToUpper(s) {
-	case "METIS", "ND":
-		return order.ND, nil
-	case "PORD":
-		return order.PORD, nil
-	case "AMD":
-		return order.AMD, nil
-	case "AMF":
-		return order.AMF, nil
-	case "RCM":
-		return order.RCM, nil
-	case "NATURAL":
-		return order.Natural, nil
-	}
-	return 0, fmt.Errorf("unknown ordering %q", s)
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("memsched: ")
@@ -79,7 +61,7 @@ func main() {
 		log.Fatal("need -matrix NAME or -mm FILE")
 	}
 
-	m, err := parseOrdering(*ordering)
+	m, err := order.Parse(strings.ToUpper(*ordering))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,18 +34,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var m order.Method
-	switch strings.ToUpper(*ordering) {
-	case "METIS", "ND":
-		m = order.ND
-	case "PORD":
-		m = order.PORD
-	case "AMD":
-		m = order.AMD
-	case "AMF":
-		m = order.AMF
-	default:
-		log.Fatalf("unknown ordering %q", *ordering)
+	m, err := order.Parse(strings.ToUpper(*ordering))
+	if err != nil {
+		log.Fatal(err)
 	}
 	an, err := core.Analyze(p.Matrix(), core.DefaultConfig(m, *procs))
 	if err != nil {

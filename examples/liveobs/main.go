@@ -3,7 +3,7 @@
 // runs: the example polls its own /progress endpoint over HTTP from a
 // second goroutine, printing a progress bar with ETA as fronts complete,
 // then dumps an excerpt of the final Prometheus scrape. The same plane
-// is what cmd/parfactor and cmd/oocfactor expose behind -listen (see
+// is what cmd/factor exposes behind -listen (see
 // README "Observability": curl /metrics, /progress, /runs, /trace.json,
 // /timeline.csv or /debug/pprof while a factorization executes).
 package main

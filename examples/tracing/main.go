@@ -5,7 +5,7 @@
 // (attached through core.Config.Tracer): every mutation of each worker's
 // stack/active accounting lands in the event stream, so the measured
 // sparklines are exact, and the run also exports as Chrome trace_event
-// JSON (see cmd/parfactor -trace for the file form).
+// JSON (see cmd/factor -trace for the file form).
 package main
 
 import (
@@ -53,9 +53,8 @@ func main() {
 	// memory sample recorded by the tracer. Created here — after the
 	// symbolic phase — so the trace clock starts at the factorization.
 	tr := trace.New(procs)
-	pcfg := parmf.DefaultConfig(procs)
-	pcfg.Tracer = tr
-	pf, err := an.FactorizeParallel(pcfg)
+	an.Config.Tracer = tr
+	pf, err := an.FactorizeParallel(parmf.DefaultConfig(procs))
 	if err != nil {
 		log.Fatal(err)
 	}

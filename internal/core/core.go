@@ -6,11 +6,18 @@
 //
 // Typical use:
 //
-//	an, err := core.Analyze(a, core.DefaultConfig(order.ND, 32))
+//	cfg := core.DefaultConfig(order.ND, 32)
+//	cfg.Kernel = dense.KernelAuto     // numeric knobs: front.Options, embedded
+//	an, err := core.Analyze(a, cfg)
 //	f, err := an.Factorize()          // numeric LU/Cholesky + Solve
 //	pf, err := an.FactorizeParallel(parmf.DefaultConfig(8))
 //	of, st, err := an.FactorizeOOC()  // factors spilled to disk as produced
+//	x, pf, err := an.FactorizeParallelAndSolve(parmf.DefaultConfig(8), b, nrhs)
 //	res, err := an.Simulate(parsim.MemoryBased())
+//
+// Every factorization entry point hands Config.Options (block rows,
+// kernel family, tracer, faults) unchanged to its executor, so one
+// analysis runs all of them with the same numerics.
 package core
 
 import (
@@ -18,9 +25,8 @@ import (
 	"fmt"
 
 	"repro/internal/assembly"
-	"repro/internal/dense"
 	"repro/internal/etree"
-	"repro/internal/faults"
+	"repro/internal/front"
 	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -44,31 +50,6 @@ type Config struct {
 	SplitMinPiv int
 	// Procs is the simulated processor count.
 	Procs int
-	// FrontSplit: fronts of at least this order (outside leaf subtrees)
-	// factor through the within-front (type-2) master/slave path of the
-	// parallel executor. 0 derives the static mapping's type-2
-	// classification threshold from the tree; negative disables
-	// within-front parallelism. The factors never depend on it.
-	FrontSplit int
-	// BlockRows is the panel width / row-block height of the blocked
-	// dense kernels and of the within-front partitions (1D row blocks and
-	// 2D tiles), for both executors. 0 uses dense.DefaultBlockRows;
-	// negative selects the element-wise reference kernels
-	// (bitwise-identical, slower).
-	BlockRows int
-	// RootGrid controls the 2D (type-3) tile decomposition of split root
-	// fronts in the parallel executor: 0 sizes the worker grid
-	// automatically (pr = floor(sqrt(workers)), pc = ceil(workers/pr)),
-	// > 0 forces that many grid rows, negative keeps roots on the 1D
-	// (type-2) row partition. The factors never depend on it.
-	RootGrid int
-	// Kernel selects the dense kernel family of every numeric
-	// factorization (dense.KernelDefault, KernelSIMD, or KernelAuto,
-	// which resolves to SIMD when the vector path is available and to
-	// the default family otherwise). KernelSIMD is validated by residual
-	// instead of bit equality; factors stay deterministic for a fixed
-	// BlockRows, at any worker count.
-	Kernel dense.Kernel
 	// MapOptions overrides the static mapping (zero value = defaults).
 	MapOptions assembly.MapOptions
 	// Params is the simulated machine model (zero value = defaults).
@@ -77,24 +58,13 @@ type Config struct {
 	// and FactorizeParallelOOC (zero value = defaults: spill file in the
 	// system temp dir, resident buffer sized by oocOptions).
 	OOC ooc.Options
-	// Tracer, when non-nil, records the analysis phases of Analyze
-	// (analyze.order, analyze.symbolic, analyze.tree, analyze.map spans on
-	// the global track), then task/front/store/solve spans and memory
-	// timelines from every numeric factorization run through this
-	// analysis (see internal/trace: Chrome trace_event export, memory
-	// CSV/sparklines, Prometheus-style snapshots). The executors also arm
-	// its progress ledger (fronts/flops done against the analysis-time
-	// totals), so a trace.Collector — or an internal/obs server holding
-	// one — can serve live mid-run snapshots with progress, ETA and the
-	// exact resident gauge. nil = zero overhead.
-	Tracer *trace.Tracer
-	// Faults, when non-nil, arms deterministic fault injection at the
-	// named points of every numeric factorization run through this
-	// analysis (see internal/faults): the executors' task points, the
-	// out-of-core store's spill-write/spill-read/decode points, and the
-	// solve's per-front point. nil = zero overhead; fault handling never
-	// changes the numeric result of a run that completes.
-	Faults *faults.Injector
+	// Options are the numeric knobs of every factorization run through
+	// this analysis, handed unchanged to the executor. Options.Tracer also
+	// records the analysis phases of Analyze (analyze.order,
+	// analyze.symbolic, analyze.tree, analyze.map spans on the global
+	// track), and Tracer and Faults also reach the out-of-core store
+	// unless Config.OOC sets its own.
+	front.Options
 }
 
 // DefaultConfig returns a standard configuration.
@@ -197,9 +167,9 @@ func (an *Analysis) WithSplit(threshold int64, minPiv int) (*Analysis, error) {
 }
 
 // Factorize runs the sequential numeric factorization (real LU/Cholesky)
-// through the blocked dense kernels (Config.BlockRows) — the same numeric
-// path the parallel executor uses, bitwise identical to the element-wise
-// kernels. The matrix must carry values.
+// with Config.Options — by default through the blocked dense kernels, the
+// same numeric path the parallel executor uses and bitwise identical to
+// the element-wise kernels. The matrix must carry values.
 func (an *Analysis) Factorize() (*seqmf.Factors, error) {
 	return an.FactorizeCtx(context.Background())
 }
@@ -208,45 +178,15 @@ func (an *Analysis) Factorize() (*seqmf.Factors, error) {
 // ctx between fronts and a cancellation becomes a descriptive error
 // naming how far the walk got. A Background context costs nothing.
 func (an *Analysis) FactorizeCtx(ctx context.Context) (*seqmf.Factors, error) {
-	return seqmf.FactorizeCtx(ctx, an.Permuted, an.Tree, an.seqOptions())
+	return seqmf.FactorizeCtx(ctx, an.Permuted, an.Tree, an.Config.Options, nil)
 }
 
-// seqOptions resolves the sequential executor's options from the
-// analysis configuration.
-func (an *Analysis) seqOptions() seqmf.Options {
-	opt := seqmf.DefaultOptions()
-	opt.BlockRows = an.blockRows()
-	opt.Kernel = an.Config.Kernel
-	opt.Tracer = an.Config.Tracer
-	opt.Faults = an.Config.Faults
-	return opt
-}
-
-// blockRows resolves Config.BlockRows: explicit, default, or 0 for the
-// element-wise kernels.
-func (an *Analysis) blockRows() int {
-	switch {
-	case an.Config.BlockRows > 0:
-		return an.Config.BlockRows
-	case an.Config.BlockRows < 0:
-		return 0
-	}
-	return dense.DefaultBlockRows
-}
-
-// FrontSplitThreshold resolves Config.FrontSplit against the tree: the
-// explicit threshold, the static mapping's type-2 classification
-// threshold (Config.FrontSplit == 0 — an explicit
-// MapOptions.Type2MinFront included, so the executor splits exactly the
-// fronts the mapping classifies as type 2), or 0 when within-front
-// parallelism is disabled (negative).
+// FrontSplitThreshold is the within-front split threshold a zero
+// parmf.Config.FrontSplit resolves to: the static mapping's type-2
+// classification threshold (an explicit MapOptions.Type2MinFront
+// included), so the executor splits exactly the fronts the mapping
+// classifies as type 2.
 func (an *Analysis) FrontSplitThreshold() int {
-	switch {
-	case an.Config.FrontSplit > 0:
-		return an.Config.FrontSplit
-	case an.Config.FrontSplit < 0:
-		return 0
-	}
 	// Analyze applies MapOptions only when P is set; mirror that here.
 	if mo := an.Config.MapOptions; mo.P != 0 && mo.Type2MinFront > 0 {
 		return mo.Type2MinFront
@@ -262,10 +202,11 @@ func (an *Analysis) FrontSplitThreshold() int {
 
 // FactorizeParallel runs the shared-memory parallel numeric factorization
 // with cfg.Workers goroutines (cfg.Workers < 1 uses the analysis processor
-// count). Unless overridden, the static mapping's leaf subtrees become the
-// single-worker subtree tasks of the paper's layer L0, and fronts above
-// the type-2 threshold factor through the within-front master/slave path
-// (Config.FrontSplit / Config.BlockRows).
+// count) and Config.Options. Unless overridden, the static mapping's leaf
+// subtrees become the single-worker subtree tasks of the paper's layer L0,
+// and fronts above the mapping's type-2 threshold (cfg.FrontSplit == 0,
+// see FrontSplitThreshold) factor through the within-front master/slave
+// path.
 func (an *Analysis) FactorizeParallel(cfg parmf.Config) (*parmf.Factors, error) {
 	return an.FactorizeParallelCtx(context.Background(), cfg)
 }
@@ -284,22 +225,7 @@ func (an *Analysis) FactorizeParallelCtx(ctx context.Context, cfg parmf.Config) 
 	if cfg.FrontSplit == 0 {
 		cfg.FrontSplit = an.FrontSplitThreshold()
 	}
-	if cfg.BlockRows == 0 {
-		cfg.BlockRows = an.Config.BlockRows
-	}
-	if cfg.RootGrid == 0 {
-		cfg.RootGrid = an.Config.RootGrid
-	}
-	if cfg.Kernel == dense.KernelDefault {
-		cfg.Kernel = an.Config.Kernel
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = an.Config.Tracer
-	}
-	if cfg.Faults == nil {
-		cfg.Faults = an.Config.Faults
-	}
-	return parmf.FactorizeCtx(ctx, an.Permuted, an.Tree, cfg)
+	return parmf.FactorizeCtx(ctx, an.Permuted, an.Tree, cfg, an.Config.Options)
 }
 
 // FactorizeAndSolve factors sequentially and solves nrhs right-hand
@@ -309,20 +235,9 @@ func (an *Analysis) FactorizeParallelCtx(ctx context.Context, cfg parmf.Config) 
 // "factor once, solve many" service shape); they need no Close for the
 // in-memory store used here.
 func (an *Analysis) FactorizeAndSolve(b []float64, nrhs int) ([]float64, *seqmf.Factors, error) {
-	return an.FactorizeAndSolveCtx(context.Background(), b, nrhs)
-}
-
-// FactorizeAndSolveCtx is FactorizeAndSolve under a context. The
-// factorization walk checks ctx between fronts; the sequential solve
-// runs to completion once started (it is short next to the
-// factorization), with one ctx check between the two phases.
-func (an *Analysis) FactorizeAndSolveCtx(ctx context.Context, b []float64, nrhs int) ([]float64, *seqmf.Factors, error) {
-	f, err := an.FactorizeCtx(ctx)
+	f, err := an.Factorize()
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("core: solve cancelled: %w", context.Cause(ctx))
 	}
 	x, err := f.SolveOriginalMulti(b, nrhs)
 	if err != nil {
@@ -336,18 +251,11 @@ func (an *Analysis) FactorizeAndSolveCtx(ctx context.Context, b []float64, nrhs 
 // cfg.Workers goroutines and the solve runs tree-parallel with the same
 // worker count, bitwise identical to the sequential solve.
 func (an *Analysis) FactorizeParallelAndSolve(cfg parmf.Config, b []float64, nrhs int) ([]float64, *parmf.Factors, error) {
-	return an.FactorizeParallelAndSolveCtx(context.Background(), cfg, b, nrhs)
-}
-
-// FactorizeParallelAndSolveCtx is FactorizeParallelAndSolve under a
-// context: both the factorization pool and the tree-parallel solve
-// pools drain at the next front boundary on cancellation.
-func (an *Analysis) FactorizeParallelAndSolveCtx(ctx context.Context, cfg parmf.Config, b []float64, nrhs int) ([]float64, *parmf.Factors, error) {
-	f, err := an.FactorizeParallelCtx(ctx, cfg)
+	f, err := an.FactorizeParallel(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	x, err := f.Solver(cfg.Workers).SolveOriginalMultiCtx(ctx, b, nrhs)
+	x, err := f.SolveOriginalMulti(b, nrhs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -400,9 +308,7 @@ func (an *Analysis) FactorizeOOCCtx(ctx context.Context) (*seqmf.Factors, *ooc.F
 	if err != nil {
 		return nil, nil, err
 	}
-	opt := an.seqOptions()
-	opt.Store = st
-	f, err := seqmf.FactorizeCtx(ctx, an.Permuted, an.Tree, opt)
+	f, err := seqmf.FactorizeCtx(ctx, an.Permuted, an.Tree, an.Config.Options, st)
 	if err != nil {
 		st.Close()
 		return nil, nil, err

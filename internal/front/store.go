@@ -100,12 +100,11 @@ func StoreFaultCounters(st Store) (retries, degradedBlocks int64) {
 }
 
 // ResolveStore is the store setup shared by the executors: a nil st
-// becomes a fresh in-memory Factors for the tree, a nil m becomes a
-// fresh Meter, and the meter is installed on the store before any Put
-// can happen. The returned *Factors is the in-memory container when the
-// store is (or wraps to) one, nil for external stores — executors expose
-// it for cross-validation.
-func ResolveStore(st Store, tree *assembly.Tree, kind sparse.Type, m *memory.Meter) (Store, *Factors, *memory.Meter) {
+// becomes a fresh in-memory Factors for the tree, and a fresh Meter is
+// installed on the store before any Put can happen. The returned
+// *Factors is the in-memory container when the store is one, nil for
+// external stores — executors expose it for cross-validation.
+func ResolveStore(st Store, tree *assembly.Tree, kind sparse.Type) (Store, *Factors, *memory.Meter) {
 	var fs *Factors
 	if st == nil {
 		fs = NewFactors(tree, kind)
@@ -113,9 +112,7 @@ func ResolveStore(st Store, tree *assembly.Tree, kind sparse.Type, m *memory.Met
 	} else if f, ok := st.(*Factors); ok {
 		fs = f
 	}
-	if m == nil {
-		m = new(memory.Meter)
-	}
+	m := new(memory.Meter)
 	st.SetMeter(m)
 	return st, fs, m
 }

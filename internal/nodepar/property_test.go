@@ -54,9 +54,7 @@ func TestPropertyHybridSuite(t *testing.T) {
 			}
 			split := assembly.DefaultType2MinFront(maxFront)
 
-			sOpt := seqmf.DefaultOptions()
-			sOpt.BlockRows = dense.DefaultBlockRows
-			sf, err := seqmf.Factorize(pa, tree, sOpt)
+			sf, err := seqmf.Factorize(pa, tree, front.Options{}, nil)
 			if err != nil {
 				t.Fatalf("seqmf: %v", err)
 			}
@@ -66,7 +64,7 @@ func TestPropertyHybridSuite(t *testing.T) {
 				cfg := parmf.DefaultConfig(workers)
 				cfg.FrontSplit = split
 				cfg.RootGrid = -1 // pure type-2: every split front on the 1D partition
-				pf, err := parmf.Factorize(pa, tree, cfg)
+				pf, err := parmf.Factorize(pa, tree, cfg, front.Options{})
 				if err != nil {
 					t.Fatalf("%d workers: %v", workers, err)
 				}
@@ -150,9 +148,7 @@ func TestPropertyType3Suite(t *testing.T) {
 			split := assembly.DefaultType2MinFront(maxFront)
 			rootSplits := rootFront >= split && rootFront > dense.DefaultBlockRows
 
-			sOpt := seqmf.DefaultOptions()
-			sOpt.BlockRows = dense.DefaultBlockRows
-			sf, err := seqmf.Factorize(pa, tree, sOpt)
+			sf, err := seqmf.Factorize(pa, tree, front.Options{}, nil)
 			if err != nil {
 				t.Fatalf("seqmf: %v", err)
 			}
@@ -166,7 +162,7 @@ func TestPropertyType3Suite(t *testing.T) {
 					cfg := parmf.DefaultConfig(workers)
 					cfg.FrontSplit = split
 					cfg.RootGrid = grid
-					pf, err := parmf.Factorize(pa, tree, cfg)
+					pf, err := parmf.Factorize(pa, tree, cfg, front.Options{})
 					if err != nil {
 						t.Fatalf("%d workers grid %d: %v", workers, grid, err)
 					}

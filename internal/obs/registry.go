@@ -3,7 +3,7 @@
 // memory timelines and pprof for factorizations while they run, plus a
 // registry that lets one server watch several concurrent runs.
 //
-// The CLIs wire it behind the -listen flag (internal/cliflags); a
+// cmd/factor wires it behind the -listen flag (cmd/factor/obs.go); a
 // library embedder creates a Server, Registers a Run per factorization,
 // hands the run's tracer to the executor, and Completes the run with
 // the final ExecStats:

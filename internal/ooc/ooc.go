@@ -78,6 +78,11 @@ type Options struct {
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// store's spill-write, spill-read and decode points (see
 	// internal/faults). nil is a zero-cost no-op.
+	//
+	// Faults and Tracer repeat front.Options' fields on purpose: the
+	// store is built, and its writer goroutine started, before an
+	// executor binds it, so it cannot take them from the executor's
+	// options. core fills both from its front.Options when they are nil.
 	Faults *faults.Injector
 	// Tracer, when non-nil, records store activity on the trace's store
 	// track: spill-write spans from the writer goroutine and queue/read

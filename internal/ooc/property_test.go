@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/assembly"
+	"repro/internal/front"
 	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -58,7 +59,7 @@ func TestOOCPropertySuite(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 2, 8} {
-				inc, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(workers))
+				inc, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(workers), front.Options{})
 				if err != nil {
 					t.Fatalf("%d workers in-core: %v", workers, err)
 				}
@@ -68,7 +69,7 @@ func TestOOCPropertySuite(t *testing.T) {
 				}
 				cfg := parmf.DefaultConfig(workers)
 				cfg.Store = st
-				of, err := parmf.Factorize(pa, tree, cfg)
+				of, err := parmf.Factorize(pa, tree, cfg, front.Options{})
 				if err != nil {
 					t.Fatalf("%d workers OOC: %v", workers, err)
 				}
@@ -106,7 +107,7 @@ func TestOOCPropertySuite(t *testing.T) {
 
 			// Sequential executor through the file store: every factor
 			// block on disk must be bitwise identical to the in-core one.
-			sInc, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
+			sInc, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
 			if err != nil {
 				t.Fatalf("seqmf in-core: %v", err)
 			}
@@ -114,9 +115,7 @@ func TestOOCPropertySuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := seqmf.DefaultOptions()
-			opt.Store = st
-			sOOC, err := seqmf.Factorize(pa, tree, opt)
+			sOOC, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, st)
 			if err != nil {
 				t.Fatalf("seqmf OOC: %v", err)
 			}

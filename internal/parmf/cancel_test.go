@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/assembly"
 	"repro/internal/faults"
+	"repro/internal/front"
 	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -65,9 +66,7 @@ func TestCancelledRunNoGoroutineLeak(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 				cancel()
 			}()
-			cfg := parmf.DefaultConfig(workers)
-			cfg.Faults = slowTasks()
-			pf, err := parmf.FactorizeCtx(ctx, pa, tree, cfg)
+			pf, err := parmf.FactorizeCtx(ctx, pa, tree, parmf.DefaultConfig(workers), front.Options{Faults: slowTasks()})
 			cancel()
 			if err == nil {
 				// The run won the race; nothing to drain, but still no leak.
@@ -100,16 +99,13 @@ func TestCancelledOOCRunNoGoroutineLeak(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 				cancel()
 			}()
+			opt := front.Options{Faults: slowTasks()}
 			if workers == 1 {
-				opt := seqmf.DefaultOptions()
-				opt.Store = store
-				opt.Faults = slowTasks()
-				_, err = seqmf.FactorizeCtx(ctx, pa, tree, opt)
+				_, err = seqmf.FactorizeCtx(ctx, pa, tree, opt, store)
 			} else {
 				cfg := parmf.DefaultConfig(workers)
 				cfg.Store = store
-				cfg.Faults = slowTasks()
-				_, err = parmf.FactorizeCtx(ctx, pa, tree, cfg)
+				_, err = parmf.FactorizeCtx(ctx, pa, tree, cfg, opt)
 			}
 			cancel()
 			if err == nil {
@@ -131,7 +127,7 @@ func TestCancelledSolveNoGoroutineLeak(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
 	assembly.SortChildrenLiu(tree)
-	pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4))
+	pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,14 +99,14 @@ func (p SlavePolicy) String() string {
 	return fmt.Sprintf("SlavePolicy(%d)", int(p))
 }
 
-// Config drives the parallel factorization.
+// Config drives the parallel factorization's scheduling; the numeric
+// knobs (block rows, kernel family, tracer, faults) come in separately as
+// a front.Options, shared with the sequential executor.
 type Config struct {
 	// Workers is the worker-goroutine count (<1 means 1).
 	Workers int
 	// Policy is the task-selection policy.
 	Policy Policy
-	// PivotTol is the minimum pivot magnitude for LU (0 = default 1e-12).
-	PivotTol float64
 	// PeakBound is the per-worker active-memory budget (model entries) the
 	// memory-aware policy schedules under. 0 uses the sequential stack
 	// peak of the tree with its current child order — the tightest bound a
@@ -114,33 +114,23 @@ type Config struct {
 	PeakBound int64
 	// SubtreeRoots lists roots of disjoint leaf subtrees (typically the
 	// static mapping's Geist-Ng layer); each subtree runs as a single task
-	// on one worker. Nodes outside the subtrees are individual tasks.
+	// on one worker, and Algorithm 2 takes it unconditionally (step 1).
+	// Nodes outside the subtrees are individual tasks.
 	SubtreeRoots []int
-	// InSubtree optionally marks extra nodes Algorithm 2 should treat as
-	// subtree work (taken unconditionally, step 1); SubtreeRoots members
-	// are always treated so.
-	InSubtree func(node int) bool
 	// Store receives each front's factor block the moment it is
 	// extracted; nil keeps factors in memory (front.Factors).
 	Store front.Store
-	// Meter, when non-nil, replaces the internal resident-memory meter —
-	// pass one to share accounting with an enclosing measurement.
-	Meter *memory.Meter
 	// FrontSplit, when positive, factors fronts of at least this order
 	// (outside leaf subtrees, at more than one worker) through the
 	// within-front master/slave path (internal/nodepar): the paper's
 	// type-2 1D row blocking as real shared-memory tasks. <= 0 disables;
-	// core.FactorizeParallel derives it from the mapping's type-2
-	// classification threshold. Splitting never changes the factors: the
-	// row partition is a pure function of the front and BlockRows, and
-	// the blocked kernels are bitwise identical to the element-wise ones.
+	// core.FactorizeParallel derives a zero from the mapping's type-2
+	// classification threshold. Element-wise kernels (negative
+	// front.Options.BlockRows) disable it too. Splitting never changes the
+	// factors: the row partition is a pure function of the front and the
+	// block rows, and the blocked kernels are bitwise identical to the
+	// element-wise ones.
 	FrontSplit int
-	// BlockRows is the panel width and row-block height of the blocked
-	// dense kernels and the within-front 1D partition. 0 uses
-	// dense.DefaultBlockRows; a negative value selects the element-wise
-	// reference kernels (which also disables FrontSplit — the split path
-	// requires the blocked kernels).
-	BlockRows int
 	// SlavePolicy picks the slave-selection heuristic for split fronts.
 	SlavePolicy SlavePolicy
 	// RootGrid controls the 2D (type-3) tile decomposition of root
@@ -149,37 +139,17 @@ type Config struct {
 	// the root's serial-master and task-count caps. 0 sizes the grid
 	// automatically from the worker count (pr = floor(sqrt(W)), pc =
 	// ceil(W/pr)); > 0 forces that many grid rows (library callers may
-	// pass more than W, which AutoGrid clamps; the CLIs' -root-grid
+	// pass more than W, which AutoGrid clamps; cmd/factor's -root-grid
 	// rejects that instead); negative disables the 2D path (roots use
-	// the 1D partition). The
-	// factors never depend on it: tile boundaries are a pure function of
-	// the front and BlockRows, and the grid only stamps preferred owners.
+	// the 1D partition). The factors never depend on it: tile boundaries
+	// are a pure function of the front and the block rows, and the grid
+	// only stamps preferred owners.
 	RootGrid int
-	// gridPR/gridPC is the resolved root grid (0 = 2D path disabled).
-	gridPR, gridPC int
-	// Tracer, when non-nil, records task/front/solve spans and memory
-	// counter samples from this run (see internal/trace). nil disables
-	// tracing at zero cost: the workers pay a nil check per event and
-	// allocate nothing.
-	Tracer *trace.Tracer
-	// Kernel selects the dense kernel family for every front, split or
-	// not (dense.KernelDefault, KernelSIMD, or KernelAuto, which
-	// resolves to SIMD when the vector path is available and to the
-	// default family otherwise). KernelSIMD trades the bitwise guarantee
-	// for speed, validated by residual, and stays deterministic for a
-	// fixed BlockRows — it computes the same bits whatever the row
-	// partition, tile grid or worker count, it just differs from the
-	// element-wise reference.
-	Kernel dense.Kernel
-	// Faults, when non-nil, arms deterministic fault injection at the
-	// executor's task point (see internal/faults). nil is a zero-cost
-	// no-op, like Tracer.
-	Faults *faults.Injector
 }
 
 // DefaultConfig returns the standard settings for the given worker count.
 func DefaultConfig(workers int) Config {
-	return Config{Workers: workers, Policy: MemoryAware, PivotTol: 1e-12}
+	return Config{Workers: workers, Policy: MemoryAware}
 }
 
 // Stats records memory and work, in the units of the assembly cost model.
@@ -356,9 +326,10 @@ type plan struct {
 }
 
 // Factorize factors the permuted matrix pa over its assembly tree with a
-// pool of cfg.Workers goroutines. pa must carry numerical values.
-func Factorize(pa *sparse.CSC, tree *assembly.Tree, cfg Config) (*Factors, error) {
-	return FactorizeCtx(context.Background(), pa, tree, cfg)
+// pool of cfg.Workers goroutines and the numeric options opt. pa must
+// carry numerical values.
+func Factorize(pa *sparse.CSC, tree *assembly.Tree, cfg Config, opt front.Options) (*Factors, error) {
+	return FactorizeCtx(context.Background(), pa, tree, cfg, opt)
 }
 
 // FactorizeCtx is Factorize under a context. Cancellation drains the
@@ -368,7 +339,7 @@ func Factorize(pa *sparse.CSC, tree *assembly.Tree, cfg Config) (*Factors, error
 // cancellation cause. No goroutines leak — the workers, the context
 // watcher and a bound store's background goroutines all stop. A
 // Background context costs nothing (no watcher is spawned).
-func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg Config) (*Factors, error) {
+func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg Config, opt front.Options) (*Factors, error) {
 	sh, err := front.NewShared(pa, tree)
 	if err != nil {
 		return nil, err // already carries the front: context
@@ -376,29 +347,19 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.PivotTol == 0 {
-		cfg.PivotTol = 1e-12
-	}
-	if cfg.BlockRows == 0 {
-		cfg.BlockRows = dense.DefaultBlockRows
-	}
-	if cfg.BlockRows < 0 {
-		cfg.BlockRows = 0 // element-wise kernels
-	}
-	if cfg.Workers == 1 || cfg.BlockRows == 0 {
+	blockRows, kern := opt.Resolve()
+	if cfg.Workers == 1 || blockRows == 0 {
 		// One worker has no slaves to fan out to, and the split path runs
 		// on the blocked kernels; either way the factors are the same bits.
 		cfg.FrontSplit = 0
 	}
+	var gridPR, gridPC int
 	if cfg.RootGrid >= 0 {
-		cfg.gridPR, cfg.gridPC = nodepar.AutoGrid(cfg.Workers, cfg.RootGrid)
+		gridPR, gridPC = nodepar.AutoGrid(cfg.Workers, cfg.RootGrid)
 	}
 	peaks := assembly.SequentialPeaks(tree)
 	if cfg.PeakBound <= 0 {
 		cfg.PeakBound = assembly.TreePeak(peaks, tree)
-	}
-	if cfg.InSubtree == nil {
-		cfg.InSubtree = func(int) bool { return false }
 	}
 
 	pl, err := buildPlan(tree, cfg.SubtreeRoots, peaks)
@@ -410,10 +371,11 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 		Tree:   tree,
 		Kind:   pa.Kind,
 		N:      pa.N,
-		faults: cfg.Faults,
+		kern:   kern,
+		faults: opt.Faults,
 	}
 	var meter *memory.Meter
-	f.store, f.fs, meter = front.ResolveStore(cfg.Store, tree, pa.Kind, cfg.Meter)
+	f.store, f.fs, meter = front.ResolveStore(cfg.Store, tree, pa.Kind)
 	front.BindStoreContext(ctx, f.store)
 	st := &state{
 		unfin:   make([]int, tree.Len()),
@@ -421,8 +383,6 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 		cbOwner: make([]int, tree.Len()),
 		loads:   make([]int64, cfg.Workers),
 	}
-	kern := cfg.Kernel.Resolve() // auto picks simd or default here, so stats name the family that ran
-	f.kern = kern
 	st.cond = sync.NewCond(&st.mu)
 	st.stats.Workers = cfg.Workers
 	st.stats.PeakBound = cfg.PeakBound
@@ -456,17 +416,17 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 	st.stats.Tasks = st.remaining
 
 	tracker := memory.NewSafeTracker(cfg.Workers)
-	if cfg.Tracer != nil {
+	if tr := opt.Tracer; tr != nil {
 		// Observers run under the instruments' own locks, so the recorded
 		// counter samples are the exact gauge histories: the trace's
 		// "resident" maximum equals Stats.ResidentPeak bit for bit.
-		f.tracer = cfg.Tracer
-		cfg.Tracer.EnsureWorkers(cfg.Workers)
-		meter.Observe(cfg.Tracer.MeterObserver())
-		tracker.Observe(cfg.Tracer.TrackerObserver())
+		f.tracer = tr
+		tr.EnsureWorkers(cfg.Workers)
+		meter.Observe(tr.MeterObserver())
+		tracker.Observe(tr.TrackerObserver())
 		// Arm the progress ledger with the analysis-time denominators so a
 		// live /metrics or /progress scrape reports completion and an ETA.
-		cfg.Tracer.SetTotals(int64(tree.Len()), assembly.TotalFlops(tree))
+		tr.SetTotals(int64(tree.Len()), assembly.TotalFlops(tree))
 	}
 	if ctx.Done() != nil {
 		// The watcher is the only way a cond.Wait-blocked worker can
@@ -495,7 +455,8 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 			defer wg.Done()
 			worker{id: id, cfg: cfg, sh: sh, st: st, pl: pl, tracker: tracker,
 				out: f.store, meter: meter, asm: front.NewAssembler(sh),
-				arena: front.NewArena(), kern: kern, tr: cfg.Tracer}.run()
+				arena: front.NewArena(), blockRows: blockRows, gridPR: gridPR, gridPC: gridPC,
+				kern: kern, tr: opt.Tracer, faults: opt.Faults}.run()
 		}(w)
 	}
 	wg.Wait()
@@ -596,8 +557,12 @@ type worker struct {
 	meter   *memory.Meter
 	asm     *front.Assembler
 	arena   *front.Arena // front/CB slab recycler; single-threaded, see front.Arena
-	kern    dense.Kernel
-	tr      *trace.Tracer // nil when untraced (every method no-ops)
+
+	blockRows      int // resolved panel width; 0 = element-wise kernels
+	gridPR, gridPC int // resolved root grid; 0 = 2D path disabled
+	kern           dense.Kernel
+	tr             *trace.Tracer    // nil when untraced (every method no-ops)
+	faults         *faults.Injector // nil when unarmed
 }
 
 // taskResult carries a finished task's bookkeeping back under the lock.
@@ -775,7 +740,7 @@ func (w worker) selectLocked() (int, bool) {
 		bound = p
 	}
 	inSubtree := func(task int) bool {
-		return w.pl.taskOf[task] == task || w.cfg.InSubtree(task)
+		return w.pl.taskOf[task] == task
 	}
 	cost := func(task int) int64 { return w.pl.taskCost(task, tree) }
 
@@ -849,7 +814,7 @@ func (w worker) processTask(task int) (r *taskResult) {
 // the master part — the slave row blocks are charged to whoever runs
 // their tasks, as the paper's type-2 accounting does.
 func (w worker) processNode(ni int, r *taskResult) error {
-	if err := w.cfg.Faults.Check(faults.Task, ni); err != nil {
+	if err := w.faults.Check(faults.Task, ni); err != nil {
 		return fmt.Errorf("parmf: worker %d: node %d: %w", w.id, ni, err)
 	}
 	tree := w.sh.Tree
@@ -904,7 +869,7 @@ func (w worker) processNode(ni int, r *taskResult) error {
 	w.tr.Begin(w.id, trace.SpanFactor, ni)
 	if split {
 		err = w.runSplitFront(ni, fr, r)
-	} else if kerr := front.EliminateKernel(fr, npiv, tree.Kind, w.cfg.PivotTol, w.cfg.BlockRows, w.kern); kerr != nil {
+	} else if kerr := front.EliminateKernel(fr, npiv, tree.Kind, front.PivotTol, w.blockRows, w.kern); kerr != nil {
 		err = fmt.Errorf("parmf: node %d (front %d, npiv %d): %w", ni, nf, npiv, kerr)
 	}
 	w.tr.End(w.id, trace.SpanFactor, ni)
@@ -955,7 +920,7 @@ func (w worker) splitFront(ni int) bool {
 		return false
 	}
 	nf := w.sh.Tree.Nodes[ni].NFront()
-	return nf >= w.cfg.FrontSplit && nf > w.cfg.BlockRows
+	return nf >= w.cfg.FrontSplit && nf > w.blockRows
 }
 
 // runSplitFront factors an assembled front as a master task plus slave
@@ -980,16 +945,16 @@ func (w worker) runSplitFront(ni int, fr *dense.Matrix, r *taskResult) error {
 
 	var part nodepar.Partition
 	st.mu.Lock()
-	if isRoot && w.cfg.gridPR > 0 {
-		part = nodepar.NewTilePartition(tree.Kind, nf, npiv, w.cfg.BlockRows,
-			w.cfg.gridPR, w.cfg.gridPC, w.cfg.Workers)
+	if isRoot && w.gridPR > 0 {
+		part = nodepar.NewTilePartition(tree.Kind, nf, npiv, w.blockRows,
+			w.gridPR, w.gridPC, w.cfg.Workers)
 		st.stats.Root2DFronts++
 	} else {
-		rp := nodepar.NewRowPartition(tree.Kind, nf, npiv, w.cfg.BlockRows)
+		rp := nodepar.NewRowPartition(tree.Kind, nf, npiv, w.blockRows)
 		w.assignSlavesLocked(nd, rp.Blocks)
 		part = rp
 	}
-	job := nodepar.NewJob(ni, fr, npiv, tree.Kind, w.cfg.PivotTol, part, w.kern)
+	job := nodepar.NewJob(ni, fr, npiv, tree.Kind, front.PivotTol, part, w.kern)
 	st.stats.SplitFronts++
 	st.mu.Unlock()
 
@@ -1072,7 +1037,7 @@ func (w worker) assignSlavesLocked(nd *assembly.Node, blocks []nodepar.Block) {
 	}
 	kind := w.sh.Tree.Kind
 	npiv, nf := nd.NPiv(), nd.NFront()
-	firstK1 := w.cfg.BlockRows
+	firstK1 := w.blockRows
 	if firstK1 > npiv {
 		firstK1 = npiv
 	}

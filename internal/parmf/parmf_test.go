@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/assembly"
+	"repro/internal/dense"
 	"repro/internal/front"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -83,14 +84,14 @@ func TestCrossValidateSuite(t *testing.T) {
 			a := problemMatrix(t, p)
 			tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
 			assembly.SortChildrenLiu(tree)
-			sf, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
+			sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
 			if err != nil {
 				t.Fatalf("seqmf: %v", err)
 			}
 			var pf *parmf.Factors
 			for _, workers := range []int{1, 2, 8} {
 				var err error
-				pf, err = parmf.Factorize(pa, tree, parmf.DefaultConfig(workers))
+				pf, err = parmf.Factorize(pa, tree, parmf.DefaultConfig(workers), front.Options{})
 				if err != nil {
 					t.Fatalf("parmf %d workers: %v", workers, err)
 				}
@@ -131,13 +132,13 @@ func TestDepthFirstPolicy(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
 	assembly.SortChildrenLiu(tree)
-	sf, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
+	sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := parmf.DefaultConfig(4)
 	cfg.Policy = parmf.DepthFirst
-	pf, err := parmf.Factorize(pa, tree, cfg)
+	pf, err := parmf.Factorize(pa, tree, cfg, front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +152,13 @@ func TestSubtreeShortcut(t *testing.T) {
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
 	assembly.SortChildrenLiu(tree)
 	mp := assembly.Map(tree, assembly.DefaultMapOptions(4))
-	sf, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
+	sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := parmf.DefaultConfig(4)
-	cfg.InSubtree = func(n int) bool { return mp.Subtree[n] >= 0 }
-	pf, err := parmf.Factorize(pa, tree, cfg)
+	cfg.SubtreeRoots = mp.SubRoot
+	pf, err := parmf.Factorize(pa, tree, cfg, front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +175,11 @@ func TestSplitTree(t *testing.T) {
 		t.Skip("nothing split at this size")
 	}
 	assembly.SortChildrenLiu(nt)
-	sf, err := seqmf.Factorize(pa, nt, seqmf.DefaultOptions())
+	sf, err := seqmf.Factorize(pa, nt, front.Options{BlockRows: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := parmf.Factorize(pa, nt, parmf.DefaultConfig(4))
+	pf, err := parmf.Factorize(pa, nt, parmf.DefaultConfig(4), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +192,14 @@ func TestErrors(t *testing.T) {
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 	pat := pa.Clone()
 	pat.Val = nil
-	if _, err := parmf.Factorize(pat, tree, parmf.DefaultConfig(2)); err == nil {
+	if _, err := parmf.Factorize(pat, tree, parmf.DefaultConfig(2), front.Options{}); err == nil {
 		t.Error("pattern-only matrix accepted")
 	}
 	small, _ := assembly.Analyze(sparse.Grid2D(2, 2), assembly.DefaultOptions(order.AMD))
-	if _, err := parmf.Factorize(pa, small, parmf.DefaultConfig(2)); err == nil {
+	if _, err := parmf.Factorize(pa, small, parmf.DefaultConfig(2), front.Options{}); err == nil {
 		t.Error("mismatched tree accepted")
 	}
-	f, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(2))
+	f, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(2), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,68 @@ func TestSmallPivotPropagates(t *testing.T) {
 	b.Add(1, 1, -1)
 	a := b.Build()
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.Natural))
-	if _, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4)); err == nil {
+	if _, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4), front.Options{}); err == nil {
 		t.Fatal("indefinite matrix accepted")
+	}
+}
+
+// TestZeroOptionsSameAcrossExecutors pins the one meaning of the zero
+// front.Options: both executors resolve it to dense.DefaultBlockRows
+// panels of the default family, so the sequential executor and the
+// parallel one at 1 and 4 workers (split fronts included) produce factors
+// bitwise identical to the element-wise oracle, and the parallel work —
+// whose row partitions depend on the block rows — equals that of an
+// explicit DefaultBlockRows run.
+func TestZeroOptionsSameAcrossExecutors(t *testing.T) {
+	if br, k := (front.Options{}).Resolve(); br != dense.DefaultBlockRows || k != dense.KernelDefault {
+		t.Fatalf("zero options resolve to %d block rows, kernel %v", br, k)
+	}
+	pre2, err := workload.ByName(workload.SmallSuite(), "PRE2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems := []struct {
+		name string
+		a    *sparse.CSC
+	}{
+		{"grid3d-spd", sparse.Grid3D(10, 10, 10)},
+		{"pre2-unsym", problemMatrix(t, pre2)},
+	}
+	explicit := front.Options{BlockRows: dense.DefaultBlockRows}
+	for _, p := range problems {
+		tree, pa := assembly.Analyze(p.a, assembly.DefaultOptions(order.ND))
+		assembly.SortChildrenLiu(tree)
+		oracle, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", p.name, err)
+		}
+		sf, err := seqmf.Factorize(pa, tree, front.Options{}, nil)
+		if err != nil {
+			t.Fatalf("%s: seqmf: %v", p.name, err)
+		}
+		compareFactors(t, tree, oracle.Front(), sf.Front(), 0)
+		if sf.Stats != oracle.Stats {
+			t.Errorf("%s: seqmf stats %+v, oracle %+v", p.name, sf.Stats, oracle.Stats)
+		}
+		for _, workers := range []int{1, 4} {
+			cfg := parmf.DefaultConfig(workers)
+			cfg.FrontSplit = dense.DefaultBlockRows + 1 // split every front spanning two row blocks
+			zero, err := parmf.Factorize(pa, tree, cfg, front.Options{})
+			if err != nil {
+				t.Fatalf("%s: parmf %d workers: %v", p.name, workers, err)
+			}
+			compareFactors(t, tree, oracle.Front(), zero.Front(), 0)
+			ref, err := parmf.Factorize(pa, tree, cfg, explicit)
+			if err != nil {
+				t.Fatalf("%s: parmf %d workers, explicit block rows: %v", p.name, workers, err)
+			}
+			if !zero.Stats.WorkStats.Equal(ref.Stats.WorkStats) {
+				t.Errorf("%s: %d workers: zero options did %+v, explicit %d block rows %+v",
+					p.name, workers, zero.Stats.WorkStats, dense.DefaultBlockRows, ref.Stats.WorkStats)
+			}
+			if workers > 1 && zero.Stats.SplitFronts == 0 {
+				t.Errorf("%s: %d workers: no front took the split path", p.name, workers)
+			}
+		}
 	}
 }

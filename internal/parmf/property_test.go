@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/assembly"
+	"repro/internal/front"
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/seqmf"
@@ -42,12 +43,12 @@ func TestPropertyPeakBoundAndSeqEquivalence(t *testing.T) {
 		tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 		peaks := assembly.SortChildrenLiu(tree)
 		bound := assembly.TreePeak(peaks, tree)
-		sf, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
+		sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: seqmf: %v", seed, err)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(workers))
+			pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(workers), front.Options{})
 			if err != nil {
 				t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/assembly"
 	"repro/internal/dense"
+	"repro/internal/front"
 	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -39,7 +40,7 @@ func TestPropertySIMDSuite(t *testing.T) {
 				b[i] = rng.NormFloat64()
 			}
 
-			def, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
+			def, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
 			if err != nil {
 				t.Fatalf("seqmf default: %v", err)
 			}
@@ -49,9 +50,8 @@ func TestPropertySIMDSuite(t *testing.T) {
 			}
 			rDef := residual(a, xDef, b)
 
-			sopt := seqmf.DefaultOptions()
-			sopt.Kernel = dense.KernelSIMD
-			simd, err := seqmf.Factorize(pa, tree, sopt)
+			simdOpt := front.Options{Kernel: dense.KernelSIMD}
+			simd, err := seqmf.Factorize(pa, tree, simdOpt, nil)
 			if err != nil {
 				t.Fatalf("seqmf simd: %v", err)
 			}
@@ -83,12 +83,11 @@ func TestPropertySIMDSuite(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 8} {
 				cfg := parmf.DefaultConfig(workers)
-				cfg.Kernel = dense.KernelSIMD
 				cfg.FrontSplit = frontSplit // exercise the split paths through the SIMD kernels
 				if workers > 1 {
 					cfg.RootGrid = 2 // force a real 2-row type-3 grid on qualifying roots
 				}
-				pf, err := parmf.Factorize(pa, tree, cfg)
+				pf, err := parmf.Factorize(pa, tree, cfg, simdOpt)
 				if err != nil {
 					t.Fatalf("parmf simd %d workers: %v", workers, err)
 				}
@@ -117,10 +116,7 @@ func TestPropertySIMDSuite(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			oopt := seqmf.DefaultOptions()
-			oopt.Kernel = dense.KernelSIMD
-			oopt.Store = st
-			of, err := seqmf.Factorize(pa, tree, oopt)
+			of, err := seqmf.Factorize(pa, tree, simdOpt, st)
 			if err != nil {
 				t.Fatalf("seqmf simd ooc: %v", err)
 			}
@@ -136,10 +132,9 @@ func TestPropertySIMDSuite(t *testing.T) {
 			}
 			defer pst.Close()
 			cfg := parmf.DefaultConfig(2)
-			cfg.Kernel = dense.KernelSIMD
 			cfg.FrontSplit = frontSplit
 			cfg.Store = pst
-			opf, err := parmf.Factorize(pa, tree, cfg)
+			opf, err := parmf.Factorize(pa, tree, cfg, simdOpt)
 			if err != nil {
 				t.Fatalf("parmf simd ooc: %v", err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/assembly"
+	"repro/internal/front"
 	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -62,7 +63,7 @@ func TestTreeSolverBitwiseRandom(t *testing.T) {
 		a := randomProblem(seed)
 		tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 		assembly.SortChildrenLiu(tree)
-		sf, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
+		sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -114,7 +115,7 @@ func TestPropertySolveMultiSuite(t *testing.T) {
 			}
 			tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
 			assembly.SortChildrenLiu(tree)
-			sf, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
+			sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,9 +152,7 @@ func TestPropertySolveMultiSuite(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			opt := seqmf.DefaultOptions()
-			opt.Store = st
-			of, err := seqmf.Factorize(pa, tree, opt)
+			of, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,11 +193,11 @@ func TestFactorsSolveMulti(t *testing.T) {
 	a := randomProblem(3)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 	assembly.SortChildrenLiu(tree)
-	sf, err := seqmf.Factorize(pa, tree, seqmf.DefaultOptions())
+	sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4))
+	pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +230,7 @@ func TestTreeSolverValidation(t *testing.T) {
 	a := randomProblem(2)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 	assembly.SortChildrenLiu(tree)
-	pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(2))
+	pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(2), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,50 +72,19 @@ func (f *Factors) Close() error {
 	return f.store.Close()
 }
 
-// Options configures the numeric factorization.
-type Options struct {
-	// PivotTol is the minimum pivot magnitude for LU.
-	PivotTol float64
-	// BlockRows, when positive, routes the partial factorizations through
-	// the blocked (panel + row-block) dense kernels with this panel width
-	// — the same numeric path the parallel executor's within-front tasks
-	// use, and bitwise identical to the element-wise kernels (0).
-	BlockRows int
-	// Kernel selects the dense kernel family (dense.KernelDefault,
-	// KernelSIMD, or KernelAuto, which resolves to SIMD when the vector
-	// path is available and to the default family otherwise). KernelSIMD
-	// trades the bitwise guarantee for speed, validated by residual, and
-	// stays deterministic for a fixed BlockRows.
-	Kernel dense.Kernel
-	// Store receives each front's factor block the moment it is
-	// extracted; nil keeps factors in memory (front.Factors).
-	Store front.Store
-	// Meter, when non-nil, replaces the internal resident-memory meter —
-	// pass one to share accounting with an enclosing measurement.
-	Meter *memory.Meter
-	// Tracer, when non-nil, records front-phase spans (on worker track 0)
-	// and resident-gauge counter samples from this run (see
-	// internal/trace). nil disables tracing at zero cost.
-	Tracer *trace.Tracer
-	// Faults, when non-nil, arms deterministic fault injection at the
-	// walk's task point (see internal/faults). nil is a zero-cost no-op.
-	Faults *faults.Injector
-}
-
-// DefaultOptions returns the standard settings.
-func DefaultOptions() Options { return Options{PivotTol: 1e-12} }
-
-// Factorize factors the permuted matrix pa whose assembly tree is tree.
-// pa must carry numerical values.
-func Factorize(pa *sparse.CSC, tree *assembly.Tree, opt Options) (*Factors, error) {
-	return FactorizeCtx(context.Background(), pa, tree, opt)
+// Factorize factors the permuted matrix pa whose assembly tree is tree
+// with the numeric options opt, handing each front's factor block to st
+// the moment it is extracted (nil keeps the factors in memory,
+// front.Factors). pa must carry numerical values.
+func Factorize(pa *sparse.CSC, tree *assembly.Tree, opt front.Options, st front.Store) (*Factors, error) {
+	return FactorizeCtx(context.Background(), pa, tree, opt, st)
 }
 
 // FactorizeCtx is Factorize under a context: the walk checks ctx between
 // fronts and returns a descriptive cancellation error naming how far it
 // got; a bound fault-tolerant store (ooc.FileStore) stops its background
 // goroutines promptly too. A Background context costs nothing.
-func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt Options) (*Factors, error) {
+func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt front.Options, st front.Store) (*Factors, error) {
 	sh, err := front.NewShared(pa, tree)
 	if err != nil {
 		return nil, err // already carries the front: context
@@ -125,11 +94,11 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 		Kind: pa.Kind,
 		N:    pa.N,
 	}
-	kern := opt.Kernel.Resolve() // auto picks simd or default here, so stats name the family that ran
+	blockRows, kern := opt.Resolve()
 	f.kern = kern
 	f.Stats.Kernel = kern.String()
 	var meter *memory.Meter
-	f.store, f.fs, meter = front.ResolveStore(opt.Store, tree, pa.Kind, opt.Meter)
+	f.store, f.fs, meter = front.ResolveStore(st, tree, pa.Kind)
 	front.BindStoreContext(ctx, f.store)
 	tr := opt.Tracer
 	if tr != nil {
@@ -206,7 +175,7 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 
 		// Partial factorization.
 		tr.Begin(0, trace.SpanFactor, ni)
-		err = front.EliminateKernel(fr, npiv, pa.Kind, opt.PivotTol, opt.BlockRows, kern)
+		err = front.EliminateKernel(fr, npiv, pa.Kind, front.PivotTol, blockRows, kern)
 		tr.End(0, trace.SpanFactor, ni)
 		if err != nil {
 			return fmt.Errorf("seqmf: node %d (front %d, npiv %d): %w", ni, nf, npiv, err)

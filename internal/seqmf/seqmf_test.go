@@ -7,9 +7,13 @@ import (
 	"testing/quick"
 
 	"repro/internal/assembly"
+	"repro/internal/front"
 	"repro/internal/order"
 	"repro/internal/sparse"
 )
+
+// elementWise runs the walk on the element-wise reference kernels.
+var elementWise = front.Options{BlockRows: -1}
 
 func residual(a *sparse.CSC, x, b []float64) float64 {
 	ax := a.MulVec(x)
@@ -29,7 +33,7 @@ func solveAndCheck(t *testing.T, a *sparse.CSC, m order.Method, tol float64) *Fa
 	t.Helper()
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(m))
 	assembly.SortChildrenLiu(tree)
-	f, err := Factorize(pa, tree, DefaultOptions())
+	f, err := Factorize(pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatalf("%v: %v", m, err)
 	}
@@ -85,7 +89,7 @@ func TestMeasuredPeakMatchesModel(t *testing.T) {
 		tree, pa := assembly.Analyze(a, assembly.DefaultOptions(m))
 		peaks := assembly.SortChildrenLiu(tree)
 		want := assembly.TreePeak(peaks, tree)
-		f, err := Factorize(pa, tree, DefaultOptions())
+		f, err := Factorize(pa, tree, elementWise, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +105,7 @@ func TestMeasuredPeakMatchesModel(t *testing.T) {
 func TestFactorEntriesMatchModel(t *testing.T) {
 	a := sparse.Grid2D(9, 9)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
-	f, err := Factorize(pa, tree, DefaultOptions())
+	f, err := Factorize(pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +122,12 @@ func TestLiuOrderingReducesMeasuredPeak(t *testing.T) {
 	// accordingly (model and measurement move together).
 	a := sparse.Grid3D(5, 5, 5)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMF))
-	f1, err := Factorize(pa, tree, DefaultOptions())
+	f1, err := Factorize(pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assembly.SortChildrenLiu(tree)
-	f2, err := Factorize(pa, tree, DefaultOptions())
+	f2, err := Factorize(pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestLiuOrderingReducesMeasuredPeak(t *testing.T) {
 func TestSolvePermutedVsOriginal(t *testing.T) {
 	a := sparse.Grid2D(8, 8)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
-	f, err := Factorize(pa, tree, DefaultOptions())
+	f, err := Factorize(pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +162,11 @@ func TestFactorizeErrors(t *testing.T) {
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 	pat := pa.Clone()
 	pat.Val = nil
-	if _, err := Factorize(pat, tree, DefaultOptions()); err == nil {
+	if _, err := Factorize(pat, tree, elementWise, nil); err == nil {
 		t.Error("pattern-only matrix accepted")
 	}
 	small, _ := assembly.Analyze(sparse.Grid2D(2, 2), assembly.DefaultOptions(order.AMD))
-	if _, err := Factorize(pa, small, DefaultOptions()); err == nil {
+	if _, err := Factorize(pa, small, elementWise, nil); err == nil {
 		t.Error("mismatched tree accepted")
 	}
 	if _, err := (&Factors{N: 4}).Solve(make([]float64, 3)); err == nil {
@@ -179,7 +183,7 @@ func TestSolveOnSplitTree(t *testing.T) {
 	if count == 0 {
 		t.Skip("nothing split at this size")
 	}
-	f, err := Factorize(pa, nt, DefaultOptions())
+	f, err := Factorize(pa, nt, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestSolvePropertyRandomSPD(t *testing.T) {
 		n := 10 + rng.Intn(80)
 		a := sparse.RandomSPDPattern(n, 3, rng)
 		tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
-		fac, err := Factorize(pa, tree, DefaultOptions())
+		fac, err := Factorize(pa, tree, elementWise, nil)
 		if err != nil {
 			return false
 		}

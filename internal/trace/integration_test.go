@@ -197,9 +197,8 @@ func TestUntracedRunUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := parmf.DefaultConfig(2)
-	cfg.Tracer = trace.New(2)
-	traced, err := an.FactorizeParallel(cfg)
+	an.Config.Tracer = trace.New(2)
+	traced, err := an.FactorizeParallel(parmf.DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +212,7 @@ func TestUntracedRunUnchanged(t *testing.T) {
 
 // TestValidateTraceFile validates an externally produced Chrome trace
 // when -trace-file is given — the CI smoke step factors a small matrix
-// through cmd/parfactor -trace and feeds the file here. Skipped without
+// through cmd/factor -trace and feeds the file here. Skipped without
 // the flag.
 func TestValidateTraceFile(t *testing.T) {
 	if *traceFile == "" {

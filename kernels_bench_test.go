@@ -442,14 +442,14 @@ func tracingCases() []kernelBenchCase {
 			n := 0
 			b.ResetTimer()
 			for b.Loop() {
-				cfg := parmf.DefaultConfig(8)
+				run := *an // the tracer rides in on a copy of the shared analysis
 				if traced {
-					cfg.Tracer = trace.New(8)
+					run.Config.Tracer = trace.New(8)
 				}
-				if _, err := an.FactorizeParallel(cfg); err != nil {
+				if _, err := run.FactorizeParallel(parmf.DefaultConfig(8)); err != nil {
 					b.Fatal(err)
 				}
-				events += int64(cfg.Tracer.Events())
+				events += int64(run.Config.Tracer.Events())
 				n++
 			}
 			if traced && n > 0 {
@@ -493,12 +493,12 @@ func liveScrapeCases() []kernelBenchCase {
 			col := trace.NewCollector(tr)
 			var stop atomic.Bool
 			done := make(chan struct{})
+			run := *an
+			run.Config.Tracer = tr
 			go func() {
 				defer close(done)
 				for !stop.Load() {
-					cfg := parmf.DefaultConfig(8)
-					cfg.Tracer = tr
-					if _, err := an.FactorizeParallel(cfg); err != nil {
+					if _, err := run.FactorizeParallel(parmf.DefaultConfig(8)); err != nil {
 						b.Error(err)
 						return
 					}
