@@ -519,8 +519,7 @@ func BenchmarkNodeParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a := p.Matrix()
-		an, err := core.Analyze(a, core.DefaultConfig(order.ND, 8))
+		an, err := core.Analyze(p.NumericMatrix(), core.DefaultConfig(order.ND, 8))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -567,7 +566,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	an, err := core.Analyze(p.Matrix(), core.DefaultConfig(order.ND, 8))
+	an, err := core.Analyze(p.NumericMatrix(), core.DefaultConfig(order.ND, 8))
 	if err != nil {
 		b.Fatal(err)
 	}

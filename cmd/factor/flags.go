@@ -271,20 +271,24 @@ func (c *flags) policy() (parmf.Policy, error) {
 }
 
 // load reads the selected matrix (-mm file or suite problem) and fills
-// pattern-only problems with deterministic diagonally dominant values.
+// pattern-only ones with deterministic diagonally dominant values.
 func (c *flags) load() (*sparse.CSC, error) {
-	var a *sparse.CSC
 	switch {
 	case c.MM != "":
 		f, err := os.Open(c.MM)
 		if err != nil {
 			return nil, err
 		}
-		a, err = sparse.ReadMatrixMarket(f)
+		a, err := sparse.ReadMatrixMarket(f)
 		f.Close()
 		if err != nil {
 			return nil, err
 		}
+		// The same fill a suite problem gets from NumericMatrix.
+		if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
+			return nil, err
+		}
+		return a, nil
 	case c.Matrix != "":
 		suite := workload.Suite()
 		if c.Small {
@@ -294,16 +298,9 @@ func (c *flags) load() (*sparse.CSC, error) {
 		if err != nil {
 			return nil, err
 		}
-		a = p.Matrix()
-	default:
-		return nil, fmt.Errorf("need -matrix NAME or -mm FILE")
+		return p.NumericMatrix(), nil
 	}
-	if !a.HasValues() {
-		if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
+	return nil, fmt.Errorf("need -matrix NAME or -mm FILE")
 }
 
 // coreConfig builds the analysis configuration validated flags describe;

@@ -19,14 +19,12 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/parsim"
-	"repro/internal/sparse"
 	"repro/internal/workload"
 )
 
@@ -36,12 +34,7 @@ func main() {
 	t := metrics.New("sequential resident peaks, matrix entries (ND ordering)",
 		"problem", "sim in-core", "sim OOC", "mea in-core", "mea OOC", "mea saving %")
 	for _, p := range workload.SmallSuite() {
-		a := p.Matrix()
-		if !a.HasValues() {
-			if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
-				log.Fatal(err)
-			}
-		}
+		a := p.NumericMatrix()
 		an, err := core.Analyze(a, core.DefaultConfig(order.ND, 1))
 		if err != nil {
 			log.Fatal(err)

@@ -97,12 +97,7 @@ func TestChaosSuite(t *testing.T) {
 	for _, p := range workload.SmallSuite() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			a := p.Matrix()
-			if !a.HasValues() {
-				if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
-					t.Fatal(err)
-				}
-			}
+			a := p.NumericMatrix()
 			clean := runChaos(t, a, nil, context.Background())
 			if clean.err != nil {
 				t.Fatalf("clean run failed: %v", clean.err)
@@ -228,12 +223,7 @@ func TestChaosRandomSchedules(t *testing.T) {
 	for pi, p := range workload.SmallSuite() {
 		p, pi := p, pi
 		t.Run(p.Name, func(t *testing.T) {
-			a := p.Matrix()
-			if !a.HasValues() {
-				if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
-					t.Fatal(err)
-				}
-			}
+			a := p.NumericMatrix()
 			clean := runChaos(t, a, nil, context.Background())
 			if clean.err != nil {
 				t.Fatalf("clean run failed: %v", clean.err)

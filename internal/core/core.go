@@ -105,13 +105,37 @@ func Analyze(a *sparse.CSC, cfg Config) (*Analysis, error) {
 	tree, pa := assembly.Analyze(a, assembly.Options{Ordering: cfg.Ordering, Amalg: cfg.Amalg, Tracer: cfg.Tracer})
 	cfg.Tracer.GlobalBegin(trace.SpanAnalyzeMap)
 	defer cfg.Tracer.GlobalEnd(trace.SpanAnalyzeMap)
-	splitCount := 0
 	if cfg.SplitThreshold > 0 {
-		tree, splitCount = assembly.Split(tree, assembly.SplitOptions{
-			MaxMasterEntries: cfg.SplitThreshold,
-			MinPiv:           cfg.SplitMinPiv,
-		})
+		// Split the Liu-ordered tree, as WithSplit does, so both build
+		// the same split tree.
+		assembly.SortChildrenLiu(tree)
 	}
+	return finish(tree, pa, cfg)
+}
+
+// WithSplit returns a new Analysis whose tree has large type-2 masters
+// split into chains (threshold in entries), reusing the already-computed
+// ordering and symbolic structure. minPiv <= 0 uses the config default.
+func (an *Analysis) WithSplit(threshold int64, minPiv int) (*Analysis, error) {
+	cfg := an.Config
+	cfg.SplitThreshold = threshold
+	if minPiv > 0 {
+		cfg.SplitMinPiv = minPiv
+	} else if cfg.SplitMinPiv <= 0 {
+		cfg.SplitMinPiv = 16
+	}
+	return finish(an.Tree, an.Permuted, cfg)
+}
+
+// finish is the tail of the symbolic phase shared by Analyze and
+// WithSplit: split the tree's large type-2 masters into a new tree (a
+// no-op unless cfg.SplitThreshold is positive), order children by Liu's
+// rule, map the tree statically and validate the mapping.
+func finish(tree *assembly.Tree, pa *sparse.CSC, cfg Config) (*Analysis, error) {
+	tree, count := assembly.Split(tree, assembly.SplitOptions{
+		MaxMasterEntries: cfg.SplitThreshold,
+		MinPiv:           cfg.SplitMinPiv,
+	})
 	peaks := assembly.SortChildrenLiu(tree)
 	mo := cfg.MapOptions
 	if mo.P == 0 {
@@ -124,41 +148,6 @@ func Analyze(a *sparse.CSC, cfg Config) (*Analysis, error) {
 	return &Analysis{
 		Tree:       tree,
 		Permuted:   pa,
-		Mapping:    mp,
-		Config:     cfg,
-		SplitCount: splitCount,
-		SeqPeak:    assembly.TreePeak(peaks, tree),
-	}, nil
-}
-
-// WithSplit returns a new Analysis whose tree has large type-2 masters
-// split into chains (threshold in entries), reusing the already-computed
-// ordering and symbolic structure. minPiv <= 0 uses the config default.
-func (an *Analysis) WithSplit(threshold int64, minPiv int) (*Analysis, error) {
-	if minPiv <= 0 {
-		minPiv = an.Config.SplitMinPiv
-		if minPiv <= 0 {
-			minPiv = 16
-		}
-	}
-	tree, count := assembly.Split(an.Tree, assembly.SplitOptions{
-		MaxMasterEntries: threshold,
-		MinPiv:           minPiv,
-	})
-	peaks := assembly.SortChildrenLiu(tree)
-	mo := an.Config.MapOptions
-	if mo.P == 0 {
-		mo = assembly.DefaultMapOptions(an.Config.Procs)
-	}
-	mp := assembly.Map(tree, mo)
-	if err := mp.Validate(tree); err != nil {
-		return nil, fmt.Errorf("core: mapping after split: %w", err)
-	}
-	cfg := an.Config
-	cfg.SplitThreshold = threshold
-	return &Analysis{
-		Tree:       tree,
-		Permuted:   an.Permuted,
 		Mapping:    mp,
 		Config:     cfg,
 		SplitCount: count,

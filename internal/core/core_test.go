@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/assembly"
@@ -96,6 +98,23 @@ func TestWithSplit(t *testing.T) {
 	if r1.TotalFactors != r2.TotalFactors {
 		t.Errorf("splitting changed factor entries: %d vs %d (unsym chains preserve them)",
 			r1.TotalFactors, r2.TotalFactors)
+	}
+	// Splitting at analysis time and afterwards is one pipeline.
+	cfg := an.Config
+	cfg.SplitThreshold, cfg.SplitMinPiv = big/2, 4
+	direct, err := Analyze(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(direct.Tree, sp.Tree) {
+		t.Error("Analyze with SplitThreshold and WithSplit built different trees")
+	}
+	if !reflect.DeepEqual(direct.Mapping, sp.Mapping) {
+		t.Error("Analyze with SplitThreshold and WithSplit built different mappings")
+	}
+	if direct.SeqPeak != sp.SeqPeak || direct.SplitCount != sp.SplitCount {
+		t.Errorf("SeqPeak/SplitCount %d/%d direct, %d/%d via WithSplit",
+			direct.SeqPeak, direct.SplitCount, sp.SeqPeak, sp.SplitCount)
 	}
 }
 
@@ -197,7 +216,7 @@ func TestFactorizeOOC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range xs {
-		if xs[i] != xo[i] {
+		if math.Float64bits(xs[i]) != math.Float64bits(xo[i]) {
 			t.Fatalf("x[%d]: %g vs %g (should be bitwise identical)", i, xs[i], xo[i])
 		}
 	}
@@ -236,7 +255,7 @@ func TestFactorizeParallelOOC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range xs {
-		if xs[i] != xp[i] {
+		if math.Float64bits(xs[i]) != math.Float64bits(xp[i]) {
 			t.Fatalf("x[%d]: %g vs %g (should be bitwise identical)", i, xs[i], xp[i])
 		}
 	}
@@ -309,7 +328,7 @@ func TestFactorizeAndSolve(t *testing.T) {
 		t.Fatalf("parallel run used %d workers", pf.Stats.Workers)
 	}
 	for i := range xs {
-		if xs[i] != xp[i] {
+		if math.Float64bits(xs[i]) != math.Float64bits(xp[i]) {
 			t.Fatalf("parallel x differs at %d: %v != %v", i, xp[i], xs[i])
 		}
 	}
@@ -321,7 +340,7 @@ func TestFactorizeAndSolve(t *testing.T) {
 	}
 	ax := a.MulVec(x0)
 	for i := range ax {
-		if d := ax[i] - b0[i]; d > 1e-8 || d < -1e-8 {
+		if d := ax[i] - b0[i]; !(math.Abs(d) <= 1e-8) {
 			t.Fatalf("residual at %d: %g", i, d)
 		}
 	}

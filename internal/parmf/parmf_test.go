@@ -1,12 +1,11 @@
 package parmf_test
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/assembly"
 	"repro/internal/dense"
+	"repro/internal/difftest"
 	"repro/internal/front"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -14,118 +13,6 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/workload"
 )
-
-// problemMatrix generates a suite problem and gives pattern-only analogues
-// (GUPTA3's AAᵀ) deterministic diagonally dominant values.
-func problemMatrix(t *testing.T, p workload.Problem) *sparse.CSC {
-	t.Helper()
-	a := p.Matrix()
-	if !a.HasValues() {
-		if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return a
-}
-
-// compareFactors asserts the two factorizations hold the same pivots and
-// the same L (and U) entries within tol on every front.
-func compareFactors(t *testing.T, tree *assembly.Tree, a, b *front.Factors, tol float64) {
-	t.Helper()
-	for ni := range tree.Nodes {
-		na, nb := a.Node(ni), b.Node(ni)
-		if na.NPiv != nb.NPiv || len(na.Rows) != len(nb.Rows) {
-			t.Fatalf("node %d: shape mismatch (npiv %d vs %d, rows %d vs %d)",
-				ni, na.NPiv, nb.NPiv, len(na.Rows), len(nb.Rows))
-		}
-		for k, g := range na.Rows {
-			if nb.Rows[k] != g {
-				t.Fatalf("node %d: row %d is %d vs %d", ni, k, g, nb.Rows[k])
-			}
-		}
-		for p, v := range na.L.A {
-			if d := math.Abs(v - nb.L.A[p]); d > tol*(1+math.Abs(v)) {
-				t.Fatalf("node %d: L entry %d differs: %g vs %g", ni, p, v, nb.L.A[p])
-			}
-		}
-		if na.U != nil {
-			for p, v := range na.U.A {
-				if d := math.Abs(v - nb.U.A[p]); d > tol*(1+math.Abs(v)) {
-					t.Fatalf("node %d: U entry %d differs: %g vs %g", ni, p, v, nb.U.A[p])
-				}
-			}
-		}
-	}
-}
-
-func residual(a *sparse.CSC, x, b []float64) float64 {
-	ax := a.MulVec(x)
-	var rn, bn float64
-	for i := range b {
-		d := ax[i] - b[i]
-		rn += d * d
-		bn += b[i] * b[i]
-	}
-	return math.Sqrt(rn / bn)
-}
-
-// TestCrossValidateSuite factors every Table-1 problem with the parallel
-// executor at 1, 2 and 8 workers and checks the factors against seqmf
-// within 1e-10 (static pivoting makes them deterministic), the unsymmetric
-// LU path included. The 1-worker run must reproduce seqmf.Stats exactly.
-func TestCrossValidateSuite(t *testing.T) {
-	suite := workload.Suite()
-	if testing.Short() {
-		suite = workload.SmallSuite() // same 8 problems, test scale
-	}
-	for _, p := range suite {
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			a := problemMatrix(t, p)
-			tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
-			assembly.SortChildrenLiu(tree)
-			sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
-			if err != nil {
-				t.Fatalf("seqmf: %v", err)
-			}
-			var pf *parmf.Factors
-			for _, workers := range []int{1, 2, 8} {
-				var err error
-				pf, err = parmf.Factorize(pa, tree, parmf.DefaultConfig(workers), front.Options{})
-				if err != nil {
-					t.Fatalf("parmf %d workers: %v", workers, err)
-				}
-				compareFactors(t, tree, sf.Front(), pf.Front(), 1e-10)
-				if pf.Stats.FactorEntries != sf.Stats.FactorEntries {
-					t.Errorf("%d workers: factor entries %d vs seq %d",
-						workers, pf.Stats.FactorEntries, sf.Stats.FactorEntries)
-				}
-				if workers == 1 {
-					if got, want := pf.Stats.Seq(), sf.Stats; got != want {
-						t.Errorf("1-worker stats %+v != seq %+v", got, want)
-					}
-					if pf.Stats.Deviations != 0 || pf.Stats.Forced != 0 {
-						t.Errorf("1-worker run deviated: %+v", pf.Stats)
-					}
-				}
-			}
-
-			// The 8-worker factors must solve the system too.
-			rng := rand.New(rand.NewSource(99))
-			b := make([]float64, a.N)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			x, err := pf.SolveOriginal(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r := residual(a, x, b); r > 1e-7 {
-				t.Errorf("residual %g", r)
-			}
-		})
-	}
-}
 
 // TestDepthFirstPolicy cross-validates the plain LIFO policy as well.
 func TestDepthFirstPolicy(t *testing.T) {
@@ -142,7 +29,9 @@ func TestDepthFirstPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareFactors(t, tree, sf.Front(), pf.Front(), 1e-10)
+	if err := difftest.CompareFactors(tree, sf.Store(), pf.Store()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSubtreeShortcut runs with leaf-subtree information (as core wires it
@@ -162,7 +51,9 @@ func TestSubtreeShortcut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareFactors(t, tree, sf.Front(), pf.Front(), 1e-10)
+	if err := difftest.CompareFactors(tree, sf.Store(), pf.Store()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSplitTree checks the parallel executor on a statically split tree
@@ -183,7 +74,9 @@ func TestSplitTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareFactors(t, nt, sf.Front(), pf.Front(), 1e-10)
+	if err := difftest.CompareFactors(nt, sf.Store(), pf.Store()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestErrors covers the input-validation paths.
@@ -246,7 +139,7 @@ func TestZeroOptionsSameAcrossExecutors(t *testing.T) {
 		a    *sparse.CSC
 	}{
 		{"grid3d-spd", sparse.Grid3D(10, 10, 10)},
-		{"pre2-unsym", problemMatrix(t, pre2)},
+		{"pre2-unsym", pre2.NumericMatrix()},
 	}
 	explicit := front.Options{BlockRows: dense.DefaultBlockRows}
 	for _, p := range problems {
@@ -260,7 +153,9 @@ func TestZeroOptionsSameAcrossExecutors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: seqmf: %v", p.name, err)
 		}
-		compareFactors(t, tree, oracle.Front(), sf.Front(), 0)
+		if err := difftest.CompareFactors(tree, oracle.Store(), sf.Store()); err != nil {
+			t.Fatalf("%s: seqmf: %v", p.name, err)
+		}
 		if sf.Stats != oracle.Stats {
 			t.Errorf("%s: seqmf stats %+v, oracle %+v", p.name, sf.Stats, oracle.Stats)
 		}
@@ -271,7 +166,9 @@ func TestZeroOptionsSameAcrossExecutors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: parmf %d workers: %v", p.name, workers, err)
 			}
-			compareFactors(t, tree, oracle.Front(), zero.Front(), 0)
+			if err := difftest.CompareFactors(tree, oracle.Store(), zero.Store()); err != nil {
+				t.Fatalf("%s: parmf %d workers: %v", p.name, workers, err)
+			}
 			ref, err := parmf.Factorize(pa, tree, cfg, explicit)
 			if err != nil {
 				t.Fatalf("%s: parmf %d workers, explicit block rows: %v", p.name, workers, err)

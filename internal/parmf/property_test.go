@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/assembly"
+	"repro/internal/difftest"
 	"repro/internal/front"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -32,7 +33,8 @@ func randomProblem(seed int64) *sparse.CSC {
 //     measured stack+front peak exceeds it;
 //   - a 1-worker run replays the sequential traversal: identical
 //     seqmf.Stats, no deviations, no forced activations;
-//   - the factors match seqmf at every worker count (static pivoting).
+//   - the factors match seqmf bit for bit at every worker count (static
+//     pivoting, deterministic assembly order).
 func TestPropertyPeakBoundAndSeqEquivalence(t *testing.T) {
 	seeds := int64(24)
 	if testing.Short() {
@@ -76,7 +78,9 @@ func TestPropertyPeakBoundAndSeqEquivalence(t *testing.T) {
 			if pf.Stats.Fronts != tree.Len() {
 				t.Errorf("seed %d: fronts %d != nodes %d", seed, pf.Stats.Fronts, tree.Len())
 			}
-			compareFactors(t, tree, sf.Front(), pf.Front(), 1e-10)
+			if err := difftest.CompareFactors(tree, sf.Store(), pf.Store()); err != nil {
+				t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
+			}
 			if workers == 1 {
 				if got, want := pf.Stats.Seq(), sf.Stats; got != want {
 					t.Errorf("seed %d: 1-worker stats %+v != seq %+v", seed, got, want)

@@ -1,52 +1,15 @@
 package parmf_test
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/assembly"
+	"repro/internal/difftest"
 	"repro/internal/front"
-	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/seqmf"
-	"repro/internal/sparse"
-	"repro/internal/workload"
 )
-
-// rhsBlock builds a deterministic n x nrhs row-major RHS block.
-func rhsBlock(n, nrhs int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	b := make([]float64, n*nrhs)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	return b
-}
-
-// col extracts column c of a row-major n x nrhs block.
-func col(b []float64, n, nrhs, c int) []float64 {
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[i*nrhs+c]
-	}
-	return x
-}
-
-// assertBitsEqual fails on the first position where the two vectors
-// differ in float bits.
-func assertBitsEqual(t *testing.T, what string, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: length %d != %d", what, len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: bits differ at %d: %v != %v", what, i, got[i], want[i])
-		}
-	}
-}
 
 // TestTreeSolverBitwiseRandom checks the tree-parallel solve's core
 // guarantee over random SPD and unsymmetric trees: at 1, 2 and 8
@@ -68,11 +31,11 @@ func TestTreeSolverBitwiseRandom(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, nrhs := range []int{1, 4} {
-			b := rhsBlock(a.N, nrhs, 100+seed)
+			b := difftest.RHSBlock(a.N, nrhs, 100+seed)
 			// Sequential reference: one single-RHS solve per column.
 			want := make([][]float64, nrhs)
 			for c := 0; c < nrhs; c++ {
-				want[c], err = sf.Solve(col(b, a.N, nrhs, c))
+				want[c], err = sf.Solve(difftest.Col(b, a.N, nrhs, c))
 				if err != nil {
 					t.Fatalf("seed %d: reference solve: %v", seed, err)
 				}
@@ -84,104 +47,12 @@ func TestTreeSolverBitwiseRandom(t *testing.T) {
 					t.Fatalf("seed %d, %d workers, nrhs %d: %v", seed, workers, nrhs, err)
 				}
 				for c := 0; c < nrhs; c++ {
-					assertBitsEqual(t, "parallel vs sequential column", col(x, a.N, nrhs, c), want[c])
+					if err := difftest.SameBits("parallel vs sequential column", difftest.Col(x, a.N, nrhs, c), want[c]); err != nil {
+						t.Fatalf("seed %d, %d workers, nrhs %d: %v", seed, workers, nrhs, err)
+					}
 				}
 			}
 		}
-	}
-}
-
-// TestPropertySolveMultiSuite is the solve-phase acceptance property on
-// every workload problem: the blocked multi-RHS solve equals nrhs
-// repeated single-RHS solves bit-for-bit, tree-parallel solves at 1, 2
-// and 8 workers equal the sequential one bit-for-bit, the same holds
-// out-of-core (where the factors also round-trip disk exactly), and a
-// k-RHS OOC solve streams the factor file exactly twice — one forward
-// and one backward pass — instead of 2k times.
-func TestPropertySolveMultiSuite(t *testing.T) {
-	suite := workload.Suite()
-	if testing.Short() {
-		suite = workload.SmallSuite()
-	}
-	const nrhs = 3
-	for _, p := range suite {
-		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
-			a := p.Matrix()
-			if !a.HasValues() {
-				if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
-			assembly.SortChildrenLiu(tree)
-			sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := rhsBlock(a.N, nrhs, 99)
-			want := make([][]float64, nrhs)
-			for c := 0; c < nrhs; c++ {
-				want[c], err = sf.Solve(col(b, a.N, nrhs, c))
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Blocked multi-RHS == repeated single-RHS, bit for bit.
-			xm, err := sf.SolveMulti(b, nrhs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c := 0; c < nrhs; c++ {
-				assertBitsEqual(t, "multi vs single column", col(xm, a.N, nrhs, c), want[c])
-			}
-			// Tree-parallel at 1/2/8 workers == sequential, bit for bit.
-			for _, workers := range []int{1, 2, 8} {
-				ts := parmf.NewTreeSolver(sf.Store(), tree, pa.Kind, workers, 0)
-				x, err := ts.SolveMulti(b, nrhs)
-				if err != nil {
-					t.Fatalf("%d workers: %v", workers, err)
-				}
-				assertBitsEqual(t, "parallel vs sequential block", x, xm)
-			}
-
-			// Out-of-core: same bits, and one forward + one backward
-			// block stream total for the whole k-RHS block.
-			st, err := ooc.NewFileStore(ooc.Options{BufferEntries: 1 << 12})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			of, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := st.Stats()
-			xo, err := of.SolveMulti(b, nrhs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			after := st.Stats()
-			assertBitsEqual(t, "ooc vs in-core block", xo, xm)
-			reads := after.BlocksRead - before.BlocksRead
-			direct := after.DirectReads - before.DirectReads
-			blocks := int64(after.Blocks)
-			if reads < 2*blocks {
-				t.Fatalf("k-RHS solve read %d blocks, want at least 2 passes over %d", reads, blocks)
-			}
-			if reads > 2*blocks+direct {
-				t.Fatalf("k-RHS solve read %d blocks over %d spilled (+%d direct): re-streaming per RHS?",
-					reads, blocks, direct)
-			}
-			// Tree-parallel against the file store too.
-			for _, workers := range []int{2, 8} {
-				x, err := parmf.NewTreeSolver(st, tree, pa.Kind, workers, 0).SolveMulti(b, nrhs)
-				if err != nil {
-					t.Fatalf("ooc %d workers: %v", workers, err)
-				}
-				assertBitsEqual(t, "ooc parallel block", x, xm)
-			}
-		})
 	}
 }
 
@@ -202,10 +73,10 @@ func TestFactorsSolveMulti(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nrhs = 5
-	b := rhsBlock(a.N, nrhs, 17)
+	b := difftest.RHSBlock(a.N, nrhs, 17)
 	want := make([][]float64, nrhs)
 	for c := 0; c < nrhs; c++ {
-		want[c], err = sf.SolveOriginal(col(b, a.N, nrhs, c))
+		want[c], err = sf.SolveOriginal(difftest.Col(b, a.N, nrhs, c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,9 +90,13 @@ func TestFactorsSolveMulti(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < nrhs; c++ {
-		assertBitsEqual(t, "seqmf multi column", col(xs, a.N, nrhs, c), want[c])
+		if err := difftest.SameBits("seqmf multi column", difftest.Col(xs, a.N, nrhs, c), want[c]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	assertBitsEqual(t, "parmf vs seqmf block", xp, xs)
+	if err := difftest.SameBits("parmf vs seqmf block", xp, xs); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestTreeSolverValidation checks every tree-parallel entry point

@@ -46,7 +46,7 @@ func solveAndCheck(t *testing.T, a *sparse.CSC, m order.Method, tol float64) *Fa
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := residual(a, x, b); r > tol {
+	if r := residual(a, x, b); !(r <= tol) {
 		t.Fatalf("%v: residual %g > %g", m, r, tol)
 	}
 	return f
@@ -152,7 +152,7 @@ func TestSolvePermutedVsOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := residual(a, x, b); r > 1e-9 {
+	if r := residual(a, x, b); !(r <= 1e-9) {
 		t.Errorf("residual %g", r)
 	}
 }
@@ -195,7 +195,7 @@ func TestSolveOnSplitTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := residual(a, x, b); r > 1e-8 {
+	if r := residual(a, x, b); !(r <= 1e-8) {
 		t.Errorf("split-tree residual %g", r)
 	}
 }
@@ -220,7 +220,7 @@ func TestSolvePropertyRandomSPD(t *testing.T) {
 			return false
 		}
 		for i := range x {
-			if math.Abs(x[i]-x0[i]) > 1e-6*(1+math.Abs(x0[i])) {
+			if !(math.Abs(x[i]-x0[i]) <= 1e-6*(1+math.Abs(x0[i]))) {
 				return false
 			}
 		}

@@ -38,6 +38,20 @@ type Problem struct {
 // Matrix generates the matrix (deterministic per problem).
 func (p Problem) Matrix() *sparse.CSC { return p.Gen() }
 
+// NumericMatrix generates the matrix with values the numeric executors
+// can factor: a pattern-only analogue (GUPTA3's A·Aᵀ) gets deterministic
+// diagonally dominant values from sparse.FillDominant seeded with 7;
+// every other problem is Matrix unchanged. Every generator stores the
+// full diagonal, so the fill cannot fail; a generator that stops doing so
+// panics here.
+func (p Problem) NumericMatrix() *sparse.CSC {
+	a := p.Gen()
+	if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
+		panic(fmt.Sprintf("workload: %s: %v", p.Name, err))
+	}
+	return a
+}
+
 // Suite returns the eight problems of Table 1 at full (reproduction)
 // scale.
 func Suite() []Problem { return suite(1) }

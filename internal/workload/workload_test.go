@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/sparse"
@@ -40,6 +42,26 @@ func TestSmallSuiteMatricesValid(t *testing.T) {
 		}
 		if a.N < 100 {
 			t.Errorf("%s: suspiciously small (n=%d)", p.Name, a.N)
+		}
+	}
+}
+
+// TestNumericMatrix pins NumericMatrix to the seed-7 FillDominant values
+// the executors' tests and the CLIs have always factored, and to Matrix
+// itself for problems that carry values.
+func TestNumericMatrix(t *testing.T) {
+	for _, p := range SmallSuite() {
+		got, want := p.NumericMatrix(), p.Matrix()
+		if err := sparse.FillDominant(want, rand.New(rand.NewSource(7))); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if !got.HasValues() || len(got.Val) != len(want.Val) {
+			t.Fatalf("%s: %d values, want %d", p.Name, len(got.Val), len(want.Val))
+		}
+		for i, v := range want.Val {
+			if math.Float64bits(got.Val[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: value %d is %v, want %v", p.Name, i, got.Val[i], v)
+			}
 		}
 	}
 }

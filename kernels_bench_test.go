@@ -37,7 +37,6 @@ import (
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/seqmf"
-	"repro/internal/sparse"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -296,13 +295,7 @@ var rootFrontAnalysis = sync.OnceValue(func() *core.Analysis {
 	if err != nil {
 		panic(err)
 	}
-	a := p.Matrix()
-	if !a.HasValues() {
-		if err := sparse.FillDominant(a, rand.New(rand.NewSource(7))); err != nil {
-			panic(err)
-		}
-	}
-	an, err := core.Analyze(a, core.DefaultConfig(order.ND, 8))
+	an, err := core.Analyze(p.NumericMatrix(), core.DefaultConfig(order.ND, 8))
 	if err != nil {
 		panic(err)
 	}
