@@ -68,7 +68,7 @@ func (c *flags) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Slaves, "slaves", "memory", "slave selection for split fronts: memory (Algorithm 1) or workload")
 	fs.StringVar(&c.Policy, "policy", "memory", "task selection: memory (Algorithm 2) or depthfirst")
 	fs.Int64Var(&c.Bound, "bound", 0, "per-worker memory bound in entries (0 = sequential peak)")
-	fs.StringVar(&c.Kernel, "kernel", "", "dense kernel family: default|simd|auto (auto picks simd when AVX2/FMA is available, default otherwise)")
+	fs.StringVar(&c.Kernel, "kernel", "auto", "dense kernel family: default|simd|auto (auto picks simd when AVX2/FMA is available, default otherwise)")
 	fs.BoolVar(&c.Small, "small", false, "use the reduced (test-scale) suite")
 	fs.IntVar(&c.NRHS, "nrhs", 1, "number of right-hand sides solved as one blocked multi-RHS pass")
 	fs.BoolVar(&c.Seq, "seq", false, "also run the sequential in-core factorization: report speedup and the factor and solution diffs")
@@ -237,9 +237,10 @@ func (c *flags) method() (order.Method, error) {
 	return order.Parse(strings.ToUpper(c.Ordering))
 }
 
-// kernelFamily parses -kernel (default|simd|auto; empty means default).
-// The returned Kernel may be dense.KernelAuto — the executors resolve it
-// to the concrete family and report that in their stats.
+// kernelFamily parses -kernel (default|simd|auto; auto unless given, as
+// in core.DefaultConfig). The returned Kernel may be dense.KernelAuto —
+// the executors resolve it to the concrete family and report that in
+// their stats.
 func (c *flags) kernelFamily() (dense.Kernel, error) {
 	k, err := dense.ParseKernel(c.Kernel)
 	if err != nil {

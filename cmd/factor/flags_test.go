@@ -26,7 +26,7 @@ func TestDefaultsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Workers != 8 || c.BlockRows < 1 || c.Kernel != "" || c.NRHS != 1 {
+	if c.Workers != 8 || c.BlockRows < 1 || c.Kernel != "auto" || c.NRHS != 1 {
 		t.Fatalf("unexpected defaults %+v", c)
 	}
 	m, err := c.method()
@@ -150,15 +150,16 @@ func TestLoadSuiteProblem(t *testing.T) {
 }
 
 // TestKernelFlagGrammar pins the -kernel grammar: default, simd and auto
-// are accepted; anything else — the removed fast family included — is
-// rejected with an error naming the accepted values, and -kernel is the
-// only flag that selects a kernel family.
+// are accepted, auto when the flag is absent, as core.DefaultConfig picks;
+// anything else — the removed fast family included — is rejected with an
+// error naming the accepted values, and -kernel is the only flag that
+// selects a kernel family.
 func TestKernelFlagGrammar(t *testing.T) {
 	accept := []struct {
 		args []string
 		want dense.Kernel
 	}{
-		{[]string{"-matrix", "PRE2"}, dense.KernelDefault},
+		{[]string{"-matrix", "PRE2"}, dense.KernelAuto},
 		{[]string{"-matrix", "PRE2", "-kernel", "default"}, dense.KernelDefault},
 		{[]string{"-matrix", "PRE2", "-kernel", "simd"}, dense.KernelSIMD},
 		{[]string{"-matrix", "PRE2", "-kernel", "auto"}, dense.KernelAuto},

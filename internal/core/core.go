@@ -6,8 +6,8 @@
 //
 // Typical use:
 //
-//	cfg := core.DefaultConfig(order.ND, 32)
-//	cfg.Kernel = dense.KernelAuto     // numeric knobs: front.Options, embedded
+//	cfg := core.DefaultConfig(order.ND, 32) // kernels: dense.KernelAuto
+//	cfg.Kernel = dense.KernelDefault  // optional: element-wise bits (front.Options, embedded)
 //	an, err := core.Analyze(a, cfg)
 //	f, err := an.Factorize()          // numeric LU/Cholesky + Solve
 //	pf, err := an.FactorizeParallel(parmf.DefaultConfig(8))
@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"repro/internal/assembly"
+	"repro/internal/dense"
 	"repro/internal/etree"
 	"repro/internal/front"
 	"repro/internal/ooc"
@@ -67,7 +68,11 @@ type Config struct {
 	front.Options
 }
 
-// DefaultConfig returns a standard configuration.
+// DefaultConfig returns a standard configuration. Its kernel family is
+// dense.KernelAuto: the SIMD kernels where the CPU has AVX2+FMA (and
+// REPRO_SIMD is not off), the default family elsewhere. Set
+// Kernel = dense.KernelDefault for factors bitwise identical to the
+// element-wise kernels.
 func DefaultConfig(m order.Method, procs int) Config {
 	return Config{
 		Ordering:    m,
@@ -75,6 +80,7 @@ func DefaultConfig(m order.Method, procs int) Config {
 		SplitMinPiv: 16,
 		Procs:       procs,
 		Params:      parsim.DefaultParams(),
+		Options:     front.Options{Kernel: dense.KernelAuto},
 	}
 }
 

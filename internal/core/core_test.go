@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/assembly"
+	"repro/internal/dense"
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/parsim"
@@ -38,6 +39,19 @@ func TestAnalyzeFactorizeSimulate(t *testing.T) {
 		if res.NodesDone != an.Tree.Len() {
 			t.Fatal("incomplete simulation")
 		}
+	}
+}
+
+// TestDefaultConfigKernel pins the shipped kernel family: the SIMD
+// kernels exactly where the vector path is available, the bitwise
+// default family everywhere else.
+func TestDefaultConfigKernel(t *testing.T) {
+	want := dense.KernelDefault
+	if dense.SIMDAvailable() {
+		want = dense.KernelSIMD
+	}
+	if got := DefaultConfig(order.AMD, 2).Kernel.Resolve(); got != want {
+		t.Fatalf("DefaultConfig kernel resolves to %v, want %v (SIMD available: %v)", got, want, dense.SIMDAvailable())
 	}
 }
 

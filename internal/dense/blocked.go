@@ -1,5 +1,5 @@
-// Panel kernels of the blocked partial factorizations, shared by every
-// kernel family (see kernels.go). Pivots are processed in panels and the
+// Panel kernels of the blocked partial factorizations (see kernels.go for
+// the families that run them). Pivots are processed in panels and the
 // trailing rows in row blocks, so a panel of pivot rows is reused across a
 // whole block of trailing rows instead of the element-wise kernels' one
 // full sweep of the trailing matrix per pivot. The row blocks are exactly
@@ -8,7 +8,7 @@
 //
 // Kernel split, mirroring the paper's type-2 master/slave structure:
 //
-//	PanelLU / PanelCholesky        master: eliminate a panel of pivots
+//	Kernel.PanelLU / PanelCholesky master: eliminate a panel of pivots
 //	                               within the panel's own rows
 //	Kernel.LUApplyRows             slave: apply a panel to a row block
 //	                               (scale + full trailing sweep, one phase)
@@ -23,7 +23,11 @@
 // master's pivot rows. The functions in this file perform the same
 // floating-point operations in the same per-element order as the
 // element-wise PartialLU/PartialCholesky — including the zero-skip
-// short-circuits — so they compute identical bits under every family.
+// short-circuits — so they compute identical bits under every family
+// that runs them: PanelCholesky, CholeskyScaleRows and the diagonal LU
+// tile (PanelLUTile) under both, the full-row panelLU as the default
+// family's LU master (KernelSIMD sweeps the panel rows' trailing columns
+// with its own fused kernel, see Kernel.PanelLU).
 package dense
 
 import "math"
@@ -32,16 +36,9 @@ import "math"
 // blocked kernels and of the within-front 1D partition built on them.
 const DefaultBlockRows = 64
 
-// PanelLU eliminates pivots [k0,k1) of f within rows [k0,k1) only — the
-// master part of a panel step. Rows >= k1 are untouched; apply the panel
-// to them with Kernel.LUApplyRows. Requires 0 <= k0 <= k1 <= f.R and that
-// all earlier panels have been applied to rows [k0,k1).
-func PanelLU(f *Matrix, k0, k1 int, tol float64) error {
-	return panelLU(f, k0, k1, f.C, tol)
-}
-
-// panelLU eliminates pivots [k0,k1) within rows [k0,k1), updating columns
-// up to (not including) n: f.C for PanelLU, k1 for PanelLUTile.
+// panelLU eliminates pivots [k0,k1) within rows [k0,k1) in the
+// element-wise kernel's order, updating columns up to (not including) n:
+// f.C for the default family's Kernel.PanelLU, k1 for PanelLUTile.
 func panelLU(f *Matrix, k0, k1, n int, tol float64) error {
 	for k := k0; k < k1; k++ {
 		pk := f.At(k, k)
@@ -49,7 +46,7 @@ func panelLU(f *Matrix, k0, k1, n int, tol float64) error {
 			return errSmallPivotAt(k, pk)
 		}
 		inv := 1 / pk
-		rowK := f.Row(k)
+		rowK := f.Row(k)[k+1 : n]
 		for i := k + 1; i < k1; i++ {
 			rowI := f.Row(i)
 			l := rowI[k] * inv
@@ -57,9 +54,7 @@ func panelLU(f *Matrix, k0, k1, n int, tol float64) error {
 				continue
 			}
 			rowI[k] = l
-			for j := k + 1; j < n; j++ {
-				rowI[j] -= l * rowK[j]
-			}
+			rank1Sub(rowI[k+1:n], rowK, l)
 		}
 	}
 	return nil

@@ -26,8 +26,13 @@
 //   - KernelAuto is a policy, not a family: Resolve() picks KernelSIMD
 //     when the vector path is available and KernelDefault otherwise.
 //
-// The panel kernels (PanelLU, PanelCholesky) and the Cholesky scale phase
-// (CholeskyScaleRows) are shared by both families; see blocked.go.
+// Both families share the diagonal-block kernels (PanelLUTile,
+// PanelCholesky) and the Cholesky scale phase (CholeskyScaleRows); see
+// blocked.go. The LU master panel is per family (Kernel.PanelLU):
+// KernelDefault runs it in the element-wise order, KernelSIMD as the
+// diagonal tile followed by its fused row-panel solve
+// (Kernel.LUPanelTrailing), so a SIMD factorization runs vector code over
+// every trailing span, the panel rows' included.
 //
 // The per-element operation-order discipline of KernelDefault deliberately
 // keeps each update in the `x -= l * v` shape of the element-wise kernels
@@ -88,6 +93,26 @@ func (kern Kernel) LUApplyRows(f *Matrix, k0, k1, r0, r1 int) {
 	luApplyRowsRB(f, k0, k1, r0, r1)
 }
 
+// PanelLU eliminates pivots [k0,k1) within the panel rows [k0,k1),
+// trailing columns [k1,n) included — the 1D master part of a panel step.
+// Rows >= k1 are untouched; apply the panel to them with LUApplyRows.
+// Requires 0 <= k0 <= k1 <= f.R and that all earlier panels have been
+// applied to rows [k0,k1). KernelDefault sweeps the panel in the
+// element-wise order (identical bits). KernelSIMD factors the diagonal
+// tile (PanelLUTile) and then runs its row-panel solve (LUPanelTrailing)
+// over [k1,n): the 2D master runs the same two pieces, so SIMD-1D and
+// SIMD-2D panels are bitwise identical by construction.
+func (kern Kernel) PanelLU(f *Matrix, k0, k1 int, tol float64) error {
+	if kern.Resolve() != KernelSIMD {
+		return panelLU(f, k0, k1, f.C, tol)
+	}
+	if err := PanelLUTile(f, k0, k1, tol); err != nil {
+		return err
+	}
+	luPanelTrailingSIMD(f, k0, k1, k1, f.C)
+	return nil
+}
+
 // CholeskyUpdateRows applies the panel's trailing update to rows [r0,r1)
 // (r0 >= k1), columns (k1, i] of the lower triangle: A(i,j) -=
 // sum_k L(i,k)*L(j,k) over the panel. KernelDefault subtracts pivot by
@@ -118,7 +143,7 @@ func (kern Kernel) PartialLU(f *Matrix, npiv int, tol float64, block int) error 
 	}
 	for k0 := 0; k0 < npiv; k0 += block {
 		k1 := min(k0+block, npiv)
-		if err := PanelLU(f, k0, k1, tol); err != nil {
+		if err := kern.PanelLU(f, k0, k1, tol); err != nil {
 			return err
 		}
 		kern.LUApplyRows(f, k0, k1, k1, f.R)

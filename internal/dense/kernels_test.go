@@ -125,7 +125,7 @@ func TestKernelDefaultRowKernelsBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := cloneM(lu)
-	if err := PanelLU(got, 0, npiv, 1e-14); err != nil {
+	if err := KernelDefault.PanelLU(got, 0, npiv, 1e-14); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range [][2]int{{npiv, npiv + 1}, {npiv + 1, 40}, {40, 40}, {40, n}} {
@@ -191,7 +191,7 @@ func TestBlockedPartitionInvariance(t *testing.T) {
 
 	factor := func(rowBlocks []int) *Matrix { // rowBlocks: boundaries after npiv
 		f := cloneM(a)
-		if err := PanelLU(f, 0, npiv, 1e-14); err != nil {
+		if err := KernelDefault.PanelLU(f, 0, npiv, 1e-14); err != nil {
 			t.Fatal(err)
 		}
 		prev := npiv
@@ -285,7 +285,7 @@ func TestBlockedKernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n, npiv := 192, DefaultBlockRows
 	lu := randomDiagDominant(n, rng)
-	if err := PanelLU(lu, 0, npiv, 1e-14); err != nil {
+	if err := KernelDefault.PanelLU(lu, 0, npiv, 1e-14); err != nil {
 		t.Fatal(err)
 	}
 	ch := randomSPD(n, rng)

@@ -1,12 +1,13 @@
-// The SIMD/FMA kernel family (KernelSIMD): rank-k panel updates, tile
-// kernels and triangular solves built on the fused span/dot primitives of
-// simd_prims.go / simd_amd64.s. Multipliers are dense (no zero skips),
-// and the LU trailing update consumes the panel pivots in k-groups of
-// 4/2/1 ascending from the panel base k0: a rank-4 group streams four
-// panel rows through one pass over the updated row, and within a group
-// each element receives its four updates in ascending pivot order. Every
-// multiply-add is fused (one rounding instead of two), which is what the
-// AVX2 FMA units execute natively.
+// The SIMD/FMA kernel family (KernelSIMD): rank-k panel updates, the LU
+// master panel's row-panel solve, tile kernels and triangular solves built
+// on the fused span/dot primitives of simd_prims.go / simd_amd64.s.
+// Multipliers are dense (no zero skips), and every LU trailing update —
+// the panel rows' own trailing columns included — consumes the pivots in
+// k-groups of 4/2/1 ascending from the panel base k0: a rank-4 group
+// streams four panel rows through one pass over the updated row, and
+// within a group each element receives its four updates in ascending
+// pivot order. Every multiply-add is fused (one rounding instead of two),
+// which is what the AVX2 FMA units execute natively.
 //
 // Determinism contract: every element's value is a pure function of the
 // front and the panel sequence. The per-element operation order depends
@@ -76,10 +77,33 @@ func ParseKernel(s string) (Kernel, error) {
 // against the eliminated panel [k0,k1) — the SIMD form of the L-tile
 // solve. Dense (no zero skips): the multiplier is always stored, so the
 // tile update's stored-multiplier read sees exactly what the solve
-// computed.
+// computed. Pivots go in groups of four: the group's multipliers finish
+// each other inside the 4x4 diagonal block, then one fused rank-4 sweep
+// updates the rest of the panel columns. Every element still receives
+// one FMA per earlier pivot, in ascending order, so the bits equal a
+// pivot-by-pivot sweep; the grouping only cuts the calls per row by four.
 func luSolveRowSIMD(f *Matrix, rowI []float64, k0, k1 int, invs []float64) {
 	n := f.C
-	for k := k0; k < k1; k++ {
+	k := k0
+	for ; k+3 < k1; k += 4 {
+		r0 := f.A[k*n : k*n+n : k*n+n]
+		r1 := f.A[(k+1)*n : (k+1)*n+n : (k+1)*n+n]
+		r2 := f.A[(k+2)*n : (k+2)*n+n : (k+2)*n+n]
+		r3 := f.A[(k+3)*n : (k+3)*n+n : (k+3)*n+n]
+		l0 := rowI[k] * invs[k-k0]
+		a1 := math.FMA(-l0, r0[k+1], rowI[k+1])
+		a2 := math.FMA(-l0, r0[k+2], rowI[k+2])
+		a3 := math.FMA(-l0, r0[k+3], rowI[k+3])
+		l1 := a1 * invs[k+1-k0]
+		a2 = math.FMA(-l1, r1[k+2], a2)
+		a3 = math.FMA(-l1, r1[k+3], a3)
+		l2 := a2 * invs[k+2-k0]
+		a3 = math.FMA(-l2, r2[k+3], a3)
+		l3 := a3 * invs[k+3-k0]
+		rowI[k], rowI[k+1], rowI[k+2], rowI[k+3] = l0, l1, l2, l3
+		fnmaSpan4(rowI[k+4:k1], r0[k+4:k1], r1[k+4:k1], r2[k+4:k1], r3[k+4:k1], l0, l1, l2, l3)
+	}
+	for ; k < k1; k++ {
 		l := rowI[k] * invs[k-k0]
 		rowI[k] = l
 		rowK := f.A[k*n : k*n+n : k*n+n]
@@ -108,6 +132,27 @@ func simdTrailingUpdate(ri, lrow []float64, rks [][]float64, k0, k1 int) {
 	}
 	if k < k1 {
 		fnmaSpan1(ri, rks[k-k0][:m:m], lrow[k])
+	}
+}
+
+// luPanelTrailingSIMD is the SIMD row-panel solve over columns [c0,c1):
+// panel row i receives the fused update of pivots [k0,i) from the rows
+// above it, in ascending order so each pivot row's span is final before
+// a later row reads it. The per-element operations depend only on the
+// panel, not on [c0,c1), so any column tiling — the 1D master's single
+// span included — computes the same bits.
+func luPanelTrailingSIMD(f *Matrix, k0, k1, c0, c1 int) {
+	n := f.C
+	var rb [kernStackPanel][]float64
+	rks := rb[:]
+	if kw := k1 - k0; kw > kernStackPanel {
+		rks = make([][]float64, kw)
+	}
+	for k := k0; k < k1; k++ {
+		rks[k-k0] = f.A[k*n+c0 : k*n+c1 : k*n+c1]
+	}
+	for i := k0 + 1; i < k1; i++ {
+		simdTrailingUpdate(rks[i-k0], f.A[i*n:i*n+n:i*n+n], rks, k0, i)
 	}
 }
 

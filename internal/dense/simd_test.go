@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -72,7 +73,7 @@ func TestKernelSIMDPartitionInvariance(t *testing.T) {
 
 	lu := randomDiagDominant(n, rng)
 	sparsify(lu, 0.3, false, rng)
-	if err := PanelLU(lu, 0, npiv, 1e-14); err != nil {
+	if err := KernelDefault.PanelLU(lu, 0, npiv, 1e-14); err != nil {
 		t.Fatal(err)
 	}
 	apply := func(parts [][2]int) *Matrix {
@@ -112,7 +113,7 @@ func TestKernelSIMDTileInvariance(t *testing.T) {
 
 	lu := randomDiagDominant(n, rng)
 	sparsify(lu, 0.3, false, rng)
-	if err := PanelLU(lu, 0, npiv, 1e-14); err != nil {
+	if err := KernelDefault.PanelLU(lu, 0, npiv, 1e-14); err != nil {
 		t.Fatal(err)
 	}
 	ref := cloneM(lu)
@@ -178,6 +179,104 @@ func TestKernelSIMDPortableBitwise(t *testing.T) {
 	luGo, chGo := run(false)
 	bitsEqual(t, "simd LU asm-vs-portable", luVec, luGo)
 	bitsEqual(t, "simd cholesky asm-vs-portable", chVec, chGo)
+}
+
+// TestKernelSIMDMasterPanel pins the SIMD LU master panel on a front of
+// several panels whose order is not a multiple of the vector width: the
+// 1D factorization (Kernel.PanelLU, then LUApplyRows) equals the 2D one
+// (PanelLUTile, Kernel.LUPanelTrailing over ragged column tiles, then
+// LUSolveRows and LUUpdateTile) bit for bit, the assembly path equals the
+// portable one, and the factors reproduce the front to the residual
+// tolerance of TestKernelSIMDResidual.
+func TestKernelSIMDMasterPanel(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	const n, npiv, b = 83, 57, 16 // four panels, the last one ragged
+	a := randomDiagDominant(n, rng)
+	sparsify(a, 0.3, false, rng)
+
+	oneD := cloneM(a)
+	if err := KernelSIMD.PartialLU(oneD, npiv, 1e-14, b); err != nil {
+		t.Fatal(err)
+	}
+	twoD := cloneM(a)
+	for k0 := 0; k0 < npiv; k0 += b {
+		k1 := min(k0+b, npiv)
+		if err := PanelLUTile(twoD, k0, k1, 1e-14); err != nil {
+			t.Fatal(err)
+		}
+		for c0 := k1; c0 < n; c0 += 7 {
+			KernelSIMD.LUPanelTrailing(twoD, k0, k1, c0, min(c0+7, n))
+		}
+		for r0 := k1; r0 < n; r0 += 11 {
+			KernelSIMD.LUSolveRows(twoD, k0, k1, r0, min(r0+11, n))
+		}
+		for r0 := k1; r0 < n; r0 += 13 {
+			for c0 := k1; c0 < n; c0 += 9 {
+				KernelSIMD.LUUpdateTile(twoD, k0, k1, r0, min(r0+13, n), c0, min(c0+9, n))
+			}
+		}
+	}
+	bitsEqual(t, "simd LU 1D vs 2D", oneD, twoD)
+
+	if simdHW {
+		was := simdEnabled
+		simdEnabled = !was
+		other := cloneM(a)
+		err := KernelSIMD.PartialLU(other, npiv, 1e-14, b)
+		simdEnabled = was
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual(t, "simd LU asm-vs-portable", oneD, other)
+	}
+
+	// Residual: unit-lower L times U over the pivots, plus the Schur
+	// complement in the trailing block, reproduces the front.
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < min(npiv, i+1, j+1); k++ {
+				l := oneD.At(i, k)
+				if k == i {
+					l = 1
+				}
+				s += l * oneD.At(k, j)
+			}
+			if i >= npiv && j >= npiv {
+				s += oneD.At(i, j)
+			}
+			if d := math.Abs(s - a.At(i, j)); d > 1e-9*(1+math.Abs(a.At(i, j))) {
+				t.Fatalf("simd LU reconstruction (%d,%d): %g vs %g", i, j, s, a.At(i, j))
+			}
+		}
+	}
+}
+
+// TestKernelSIMDSolveRowsGrouping pins the L-tile solve's pivot grouping
+// as bit-neutral: at every panel width (four-pivot groups plus every tail
+// length), LUSolveRows equals a pivot-by-pivot sweep of single FMAs.
+func TestKernelSIMDSolveRowsGrouping(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	const n = 40
+	for kw := 1; kw <= 11; kw++ {
+		a := randomDiagDominant(n, rng)
+		if err := KernelDefault.PanelLU(a, 0, kw, 1e-14); err != nil {
+			t.Fatal(err)
+		}
+		want := cloneM(a)
+		for i := kw; i < n; i++ {
+			for k := 0; k < kw; k++ {
+				l := want.At(i, k) * (1 / want.At(k, k))
+				want.Set(i, k, l)
+				for j := k + 1; j < kw; j++ {
+					want.Set(i, j, math.FMA(-l, want.At(k, j), want.At(i, j)))
+				}
+			}
+		}
+		got := cloneM(a)
+		KernelSIMD.LUSolveRows(got, 0, kw, kw, n)
+		bitsEqual(t, fmt.Sprintf("simd L-tile solve, panel width %d", kw), want, got)
+	}
 }
 
 // TestKernelSIMDSolveKernels validates the fused triangular solves against
@@ -246,7 +345,10 @@ func TestKernelSIMDZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	n, npiv := 160, 32
 	lu := randomDiagDominant(n, rng)
-	if err := PanelLU(lu, 0, npiv, 1e-14); err != nil {
+	// The master panel at DefaultBlockRows re-eliminates a fresh copy of
+	// the front each run, so its pivots never drift.
+	front, master := cloneM(lu), cloneM(lu)
+	if err := KernelDefault.PanelLU(lu, 0, npiv, 1e-14); err != nil {
 		t.Fatal(err)
 	}
 	ch := randomSPD(n, rng)
@@ -255,6 +357,15 @@ func TestKernelSIMDZeroAlloc(t *testing.T) {
 	}
 	CholeskyScaleRows(ch, 0, npiv, npiv, n)
 	allocs := testing.AllocsPerRun(10, func() {
+		copy(master.A, front.A)
+		if err := KernelSIMD.PanelLU(master, 0, DefaultBlockRows, 1e-14); err != nil {
+			t.Fatal(err)
+		}
+		copy(master.A, front.A)
+		if err := PanelLUTile(master, 0, DefaultBlockRows, 1e-14); err != nil {
+			t.Fatal(err)
+		}
+		KernelSIMD.LUPanelTrailing(master, 0, DefaultBlockRows, DefaultBlockRows, n)
 		KernelSIMD.LUApplyRows(lu, 0, npiv, npiv, n)
 		KernelSIMD.LUSolveRows(lu, 0, npiv, npiv, n)
 		KernelSIMD.LUUpdateTile(lu, 0, npiv, npiv, n, npiv, n)

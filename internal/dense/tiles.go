@@ -6,8 +6,8 @@
 //
 //	PanelLUTile            diagonal-tile factor: the panel pivots
 //	                       eliminated within the panel's own rows *and*
-//	                       columns only
-//	LUPanelTrailing        row-panel solve: the panel rows' trailing
+//	                       columns only (shared by both families)
+//	Kernel.LUPanelTrailing row-panel solve: the panel rows' trailing
 //	                       columns (the U tiles), per column tile
 //	LUSolveRows            column-panel solve: a trailing row block's
 //	                       multipliers + within-panel updates (the L tile)
@@ -33,15 +33,17 @@
 // only for deeply subnormal front entries (|v| < ~1e-312), which the
 // solver's numerical contract (static pivoting on well-scaled systems,
 // see ErrSmallPivot) already excludes. The KernelSIMD tile kernels reuse
-// the SIMD family's k-grouping restricted to the tile's columns, so
-// SIMD-2D is bitwise identical to SIMD-1D for a fixed panel width (see
-// simd.go). In both families every element is written by exactly one task
-// per phase: there are no cross-tile reductions to pin.
+// the SIMD family's k-grouping restricted to the tile's columns — in the
+// row-panel solve as much as in the update — and the SIMD 1D master
+// (Kernel.PanelLU) is PanelLUTile plus that same row-panel solve over all
+// trailing columns, so SIMD-2D is bitwise identical to SIMD-1D for a fixed
+// panel width (see simd.go). In both families every element is written by
+// exactly one task per phase: there are no cross-tile reductions to pin.
 package dense
 
 // PanelLUTile eliminates pivots [k0,k1) of f within rows *and columns*
 // [k0,k1) only — the diagonal-tile factor of a 2D panel step. It computes
-// the same multipliers and within-tile updates as PanelLU, which
+// the same multipliers and within-tile updates as Kernel.PanelLU, which
 // additionally sweeps the panel rows' trailing columns; with the 2D
 // decomposition those columns are applied per column tile by
 // LUPanelTrailing instead.
@@ -51,16 +53,29 @@ func PanelLUTile(f *Matrix, k0, k1 int, tol float64) error {
 
 // LUPanelTrailing applies the diagonal tile's within-panel multipliers to
 // the panel rows' columns [c0,c1) (c0 >= k1) — the row-panel (U-tile)
-// solve. Requires PanelLUTile to have finalized the multipliers. Per
-// element it replays PanelLU's update order exactly: row i receives pivots
-// k0..i-1 ascending, skipping zero multipliers, and a pivot row's trailing
-// slice is final before any later row reads it. Disjoint column tiles are
-// independent. Both kernel families compute these bits (the master panel
-// runs the shared PanelLU in 1D mode for both).
-func LUPanelTrailing(f *Matrix, k0, k1, c0, c1 int) {
+// solve. Requires PanelLUTile to have finalized the multipliers. Row i
+// receives pivots k0..i-1 ascending, and a pivot row's slice is final
+// before any later row reads it; disjoint column tiles are independent.
+// KernelDefault replays its full-row master's update order exactly (zero
+// multipliers skipped, one multiply one subtract each), so PanelLUTile
+// plus these tiles equals KernelDefault.PanelLU. KernelSIMD applies the
+// pivots through the fused k-grouping of simdTrailingUpdate, which is
+// what its own 1D master (Kernel.PanelLU) runs over the full trailing
+// span.
+func (kern Kernel) LUPanelTrailing(f *Matrix, k0, k1, c0, c1 int) {
 	if c1 <= c0 || k1 <= k0 {
 		return
 	}
+	if kern.Resolve() == KernelSIMD {
+		luPanelTrailingSIMD(f, k0, k1, c0, c1)
+		return
+	}
+	luPanelTrailingRB(f, k0, k1, c0, c1)
+}
+
+// luPanelTrailingRB is the register-blocked row-panel solve: per panel
+// row, the nonzero multipliers in ascending pivot order, fused in pairs.
+func luPanelTrailingRB(f *Matrix, k0, k1, c0, c1 int) {
 	n := f.C
 	var lb [kernStackPanel]float64
 	var kb [kernStackPanel]int32
@@ -135,11 +150,11 @@ func (kern Kernel) LUSolveRows(f *Matrix, k0, k1, r0, r1 int) {
 // LUUpdateTile applies the panel's rank-k update to the tile rows [r0,r1)
 // x columns [c0,c1) (r0, c0 >= k1), reading the multipliers LUSolveRows
 // left in columns [k0,k1) and the panel rows' columns [c0,c1) finalized by
-// LUPanelTrailing (or the 1D master's PanelLU). Per element, KernelDefault
-// replays the reference order — pivots ascending, skipping zero
-// multipliers, one multiply one subtract each — and KernelSIMD replays the
-// SIMD family's fused k-grouping, so each family computes the same bits
-// as its 1D counterpart at any tile grid.
+// Kernel.LUPanelTrailing (or the 1D master's Kernel.PanelLU). Per element,
+// KernelDefault replays the reference order — pivots ascending, skipping
+// zero multipliers, one multiply one subtract each — and KernelSIMD
+// replays the SIMD family's fused k-grouping, so each family computes the
+// same bits as its 1D counterpart at any tile grid.
 func (kern Kernel) LUUpdateTile(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 	if r1 <= r0 || c1 <= c0 || k1 <= k0 {
 		return
@@ -176,8 +191,8 @@ func (kern Kernel) LUUpdateTile(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 		// the unscaled entry. That needs a deeply subnormal front entry
 		// (|v| < ~1e-312 given the pivot threshold), far outside the
 		// well-scaled systems the no-pivoting solver requires anyway (see
-		// ErrSmallPivot); the same caveat applies to LUPanelTrailing
-		// against PanelLU.
+		// ErrSmallPivot); the same caveat applies to the row-panel solve
+		// (luPanelTrailingRB) against KernelDefault.PanelLU.
 		nnz := 0
 		for k := k0; k < k1; k++ {
 			if l := rowI[k]; l != 0 {

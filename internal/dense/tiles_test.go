@@ -32,7 +32,7 @@ func tilePartialLU(f *Matrix, npiv int, tol float64, b int, kern Kernel) error {
 			return err
 		}
 		for _, ct := range tileBounds(k1, n, b) {
-			LUPanelTrailing(f, k0, k1, ct[0], ct[1])
+			kern.LUPanelTrailing(f, k0, k1, ct[0], ct[1])
 		}
 		for _, rt := range tileBounds(k1, n, b) {
 			kern.LUSolveRows(f, k0, k1, rt[0], rt[1])
@@ -143,7 +143,7 @@ func TestTileGridIndependence(t *testing.T) {
 		}
 		for c0 := k1; c0 < n; {
 			c1 := min(c0+7, n)
-			LUPanelTrailing(got, k0, k1, c0, c1)
+			KernelDefault.LUPanelTrailing(got, k0, k1, c0, c1)
 			c0 = c1
 		}
 		for r0 := k1; r0 < n; {

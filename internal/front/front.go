@@ -197,21 +197,19 @@ func EliminateKernel(f *dense.Matrix, npiv int, kind sparse.Type, tol float64, b
 // ExtractFactor copies the factor pieces out of the eliminated front: the
 // nf x npiv lower trapezoid (diag: Cholesky=L(k,k), LU=1 implicit) and, for
 // unsymmetric matrices, the npiv x nf upper trapezoid holding the U diag.
+// Each factor row is one contiguous copy; the entries above L's diagonal
+// and left of U's stay zero.
 func ExtractFactor(f *dense.Matrix, rows []int, npiv int, kind sparse.Type) NodeFactor {
 	nf := len(rows)
 	nfac := NodeFactor{Rows: rows, NPiv: npiv}
 	nfac.L = dense.New(nf, npiv)
 	for i := 0; i < nf; i++ {
-		for k := 0; k < npiv && k <= i; k++ {
-			nfac.L.Set(i, k, f.At(i, k))
-		}
+		copy(nfac.L.Row(i), f.Row(i)[:min(npiv, i+1)])
 	}
 	if kind == sparse.Unsymmetric {
 		nfac.U = dense.New(npiv, nf)
 		for k := 0; k < npiv; k++ {
-			for j := k; j < nf; j++ {
-				nfac.U.Set(k, j, f.At(k, j))
-			}
+			copy(nfac.U.Row(k)[k:], f.Row(k)[k:nf])
 		}
 	}
 	return nfac

@@ -86,6 +86,60 @@ func TestNewSharedErrors(t *testing.T) {
 	}
 }
 
+// TestExtractFactorMatchesElementwise pins the row-copy extraction
+// against an element-by-element reference on random unsymmetric and
+// symmetric fronts: L is the nf x npiv lower trapezoid, U the npiv x nf
+// upper one, and every entry outside them is zero.
+func TestExtractFactorMatchesElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const nf, npiv = 23, 9
+	for _, kind := range []sparse.Type{sparse.Unsymmetric, sparse.Symmetric} {
+		f := dense.New(nf, nf)
+		for p := range f.A {
+			f.A[p] = rng.NormFloat64()
+		}
+		rows := make([]int, nf)
+		for i := range rows {
+			rows[i] = 3 * i
+		}
+		got := ExtractFactor(f, rows, npiv, kind)
+		if got.NPiv != npiv || len(got.Rows) != nf || got.L.R != nf || got.L.C != npiv {
+			t.Fatalf("%v: factor shape NPiv %d rows %d L %dx%d", kind, got.NPiv, len(got.Rows), got.L.R, got.L.C)
+		}
+		for i := 0; i < nf; i++ {
+			for k := 0; k < npiv; k++ {
+				want := 0.0
+				if k <= i {
+					want = f.At(i, k)
+				}
+				if math.Float64bits(got.L.At(i, k)) != math.Float64bits(want) {
+					t.Fatalf("%v: L(%d,%d) = %g, want %g", kind, i, k, got.L.At(i, k), want)
+				}
+			}
+		}
+		if kind == sparse.Symmetric {
+			if got.U != nil {
+				t.Fatalf("symmetric front extracted a U factor")
+			}
+			continue
+		}
+		if got.U == nil || got.U.R != npiv || got.U.C != nf {
+			t.Fatalf("unsymmetric front: U %v", got.U)
+		}
+		for k := 0; k < npiv; k++ {
+			for j := 0; j < nf; j++ {
+				want := 0.0
+				if j >= k {
+					want = f.At(k, j)
+				}
+				if math.Float64bits(got.U.At(k, j)) != math.Float64bits(want) {
+					t.Fatalf("U(%d,%d) = %g, want %g", k, j, got.U.At(k, j), want)
+				}
+			}
+		}
+	}
+}
+
 // TestExtractFullFront checks that a front with npiv == n reproduces the
 // plain dense factorization (L, and U for LU).
 func TestExtractFullFront(t *testing.T) {

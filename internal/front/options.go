@@ -25,10 +25,11 @@ type Options struct {
 	BlockRows int
 	// Kernel selects the dense kernel family (dense.KernelDefault,
 	// KernelSIMD, or KernelAuto, which resolves to SIMD when the vector
-	// path is available and to the default family otherwise). KernelSIMD
-	// is validated by residual instead of bit equality; its factors stay
-	// deterministic for a fixed BlockRows at any worker count, row
-	// partition or tile grid.
+	// path is available and to the default family otherwise). The zero
+	// value is KernelDefault; core.DefaultConfig picks KernelAuto.
+	// KernelSIMD is validated by residual instead of bit equality; its
+	// factors stay deterministic for a fixed BlockRows at any worker
+	// count, row partition or tile grid.
 	Kernel dense.Kernel
 	// Tracer, when non-nil, records task/front/store/solve spans and the
 	// memory timelines of the run, and the executors arm its progress

@@ -77,7 +77,7 @@ func (j *Job) Phases() []Phase { return j.Part.Phases() }
 // RunMaster eliminates panel p's master part (full panel rows for the 1D
 // partition, the diagonal tile for the 2D one). Call without the
 // scheduling lock, before starting the panel's phases.
-func (j *Job) RunMaster(p Panel) error { return j.Part.Master(j.f, p, j.tol) }
+func (j *Job) RunMaster(p Panel) error { return j.Part.Master(j.f, p, j.tol, j.kern) }
 
 // StartPhase arms the tile tasks of phase ph for panel p and returns how
 // many there are (0 when nothing trails the panel). Must not be called
@@ -207,7 +207,7 @@ func (j *Job) Run(i int) {
 	case TileLUSolve:
 		j.kern.LUSolveRows(j.f, j.k0, j.k1, t.R0, t.R1)
 	case TileLURowPanel:
-		dense.LUPanelTrailing(j.f, j.k0, j.k1, t.C0, t.C1)
+		j.kern.LUPanelTrailing(j.f, j.k0, j.k1, t.C0, t.C1)
 	case TileLUUpdate:
 		j.kern.LUUpdateTile(j.f, j.k0, j.k1, t.R0, t.R1, t.C0, t.C1)
 	}

@@ -106,9 +106,10 @@ type Partition interface {
 	Panels() []Panel
 	// Phases returns the slave phases of one panel, in order.
 	Phases() []Phase
-	// Master eliminates panel p's master part (called without the
-	// scheduling lock, before the panel's phases start).
-	Master(f *dense.Matrix, p Panel, tol float64) error
+	// Master eliminates panel p's master part through kernel family kern
+	// (called without the scheduling lock, before the panel's phases
+	// start).
+	Master(f *dense.Matrix, p Panel, tol float64, kern dense.Kernel) error
 	// AppendTasks appends phase ph's tile tasks for panel p to dst and
 	// returns it (no tasks when nothing trails the panel).
 	AppendTasks(dst []Tile, p Panel, ph Phase) []Tile
@@ -175,12 +176,13 @@ func (p *RowPartition) Phases() []Phase {
 }
 
 // Master eliminates panel pl within its own rows: full rows for LU (the 1D
-// master owns the panel's U part), the diagonal block for Cholesky.
-func (p *RowPartition) Master(f *dense.Matrix, pl Panel, tol float64) error {
+// master owns the panel's U part, through the family's Kernel.PanelLU),
+// the diagonal block for Cholesky.
+func (p *RowPartition) Master(f *dense.Matrix, pl Panel, tol float64, kern dense.Kernel) error {
 	if p.Kind == sparse.Symmetric {
 		return dense.PanelCholesky(f, pl.K0, pl.K1)
 	}
-	return dense.PanelLU(f, pl.K0, pl.K1, tol)
+	return kern.PanelLU(f, pl.K0, pl.K1, tol)
 }
 
 // AppendTasks emits one task per row block with rows beyond the panel.

@@ -70,10 +70,12 @@ func (p *TilePartition) Phases() []Phase {
 	return []Phase{PhaseSolve, PhaseUpdate}
 }
 
-// Master factors the diagonal tile only; the panel's trailing columns (the
-// U tiles) are PhaseSolve tasks, unlike the 1D master which sweeps them
-// itself. (The symmetric diagonal kernel never touched trailing columns.)
-func (p *TilePartition) Master(f *dense.Matrix, pl Panel, tol float64) error {
+// Master factors the diagonal tile only, the same PanelLUTile for every
+// kernel family; the panel's trailing columns (the U tiles) are
+// PhaseSolve tasks run through the family's Kernel.LUPanelTrailing,
+// unlike the 1D master which sweeps them itself. (The symmetric diagonal
+// kernel never touched trailing columns.)
+func (p *TilePartition) Master(f *dense.Matrix, pl Panel, tol float64, _ dense.Kernel) error {
 	if p.Kind == sparse.Symmetric {
 		return dense.PanelCholesky(f, pl.K0, pl.K1)
 	}
