@@ -39,12 +39,11 @@ type flags struct {
 	NRHS       int
 	Seq        bool
 
-	// The file store's knobs (Budget, Dir, Prefetch) apply only when
-	// Store is "file".
-	Store    string
-	Budget   int64
-	Dir      string
-	Prefetch int
+	// The file store's knobs (Budget, Dir) apply only when Store is
+	// "file".
+	Store  string
+	Budget int64
+	Dir    string
 
 	Trace        string
 	Metrics      string
@@ -75,7 +74,6 @@ func (c *flags) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Store, "store", "mem", "factor store: mem (in-core) or file (spilled to disk as produced, next to an in-core run)")
 	fs.Int64Var(&c.Budget, "budget", 0, "-store file: resident spill-buffer budget in entries (0 = factors/16)")
 	fs.StringVar(&c.Dir, "dir", "", "-store file: spill directory (default: system temp dir)")
-	fs.IntVar(&c.Prefetch, "prefetch", 0, "-store file: solve-phase read-ahead in blocks (0 = 8)")
 	fs.StringVar(&c.Trace, "trace", "", "write Chrome trace_event JSON of the run to this file (chrome://tracing / Perfetto)")
 	fs.StringVar(&c.Metrics, "metrics", "", "write the aggregated counters snapshot to this file (.json = JSON, otherwise Prometheus text format)")
 	fs.StringVar(&c.Pprof, "pprof", "", "capture runtime profiles to <prefix>.cpu.pprof and <prefix>.heap.pprof")
@@ -127,13 +125,10 @@ func (c *flags) validate() error {
 	if c.Budget < 0 {
 		return fmt.Errorf("-budget must be >= 0 (got %d)", c.Budget)
 	}
-	if c.Prefetch < 0 {
-		return fmt.Errorf("-prefetch must be >= 0 (got %d)", c.Prefetch)
-	}
 	switch c.Store {
 	case "mem":
-		if c.Budget != 0 || c.Dir != "" || c.Prefetch != 0 {
-			return fmt.Errorf("-budget, -dir and -prefetch need -store file")
+		if c.Budget != 0 || c.Dir != "" {
+			return fmt.Errorf("-budget and -dir need -store file")
 		}
 	case "file":
 	default:
@@ -313,7 +308,7 @@ func (c *flags) coreConfig() core.Config {
 	cfg.SplitThreshold = c.Split
 	cfg.BlockRows = c.BlockRows
 	cfg.Kernel = kern
-	cfg.OOC = ooc.Options{Dir: c.Dir, BufferEntries: c.Budget, Prefetch: c.Prefetch}
+	cfg.OOC = ooc.Options{Dir: c.Dir, BufferEntries: c.Budget}
 	return cfg
 }
 

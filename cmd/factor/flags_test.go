@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -103,16 +104,23 @@ func TestValidationRejects(t *testing.T) {
 		{"-matrix", "PRE2", "-bound", "-1"},
 		{"-matrix", "PRE2", "-store", "disk"},
 		{"-matrix", "PRE2", "-store", "file", "-budget", "-5"},
-		{"-matrix", "PRE2", "-store", "file", "-prefetch", "-1"},
 		{"-matrix", "PRE2", "-budget", "512"}, // spill knobs need -store file
 		{"-matrix", "PRE2", "-dir", "."},
-		{"-matrix", "PRE2", "-prefetch", "4"},
 		{}, // neither -matrix nor -mm
 	}
 	for _, args := range cases {
 		if _, err := parse(t, args...); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestPrefetchFlagRemoved: the block-count read-ahead knob is gone (the
+// -budget entry budget drives the solve's read-ahead), so the flag is an
+// unknown-flag error rather than a silently ignored setting.
+func TestPrefetchFlagRemoved(t *testing.T) {
+	if _, err := parseFlags([]string{"-matrix", "PRE2", "-store", "file", "-prefetch", "4"}, io.Discard); err == nil {
+		t.Error("-prefetch accepted")
 	}
 }
 
@@ -184,6 +192,7 @@ func TestKernelFlagGrammar(t *testing.T) {
 		{"-matrix", "PRE2", "-kernel", "fastest"},
 		{"-matrix", "PRE2", "-kernel", "fast"},
 		{"-matrix", "PRE2", "-kernel", "FAST"},
+		{"-matrix", "PRE2", "-kernel", ""}, // names no family (leaving the flag out means auto)
 	}
 	for _, args := range reject {
 		if _, err := parse(t, args...); err == nil {

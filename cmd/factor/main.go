@@ -6,7 +6,7 @@
 //
 //	factor -matrix NAME|-mm FILE [-ordering METIS|PORD|AMD|AMF|RCM|NATURAL]
 //	       [-workers W] [-store mem|file] [-budget ENTRIES] [-dir DIR]
-//	       [-prefetch N] [-policy memory|depthfirst] [-bound ENTRIES]
+//	       [-policy memory|depthfirst] [-bound ENTRIES]
 //	       [-split N] [-front-split N] [-block-rows N] [-root-grid N]
 //	       [-slaves memory|workload] [-kernel FAMILY] [-nrhs K] [-seq]
 //	       [-small] [-trace FILE] [-metrics FILE] [-pprof PREFIX]
@@ -23,10 +23,10 @@
 //
 // -store mem keeps the factor blocks resident. -store file spills each
 // block to disk as it is produced (-budget bounds the resident spill
-// buffer, -dir places the spill file, -prefetch sets the solve's
-// read-ahead), then also factors in-core at the same worker count and
-// prints both measured resident peaks next to the simulator's prediction
-// and the solution difference between the two runs. -seq adds the
+// buffer and the solve's read-ahead, -dir places the spill file), then
+// also factors in-core at the same worker count and prints both
+// measured resident peaks next to the simulator's prediction and the
+// solution difference between the two runs. -seq adds the
 // sequential in-core reference: the speedup over it and the largest
 // factor and solution differences. Every difference is exactly 0 for
 // every kernel family, store and worker count: pivoting is static, the
@@ -254,8 +254,8 @@ func report(ctx context.Context, fl *flags, a *sparse.CSC, cfg core.Config, pcfg
 	incore := m
 	if file {
 		sp := m.spill
-		fmt.Fprintf(w, "  spill            %d blocks, %.1f MiB; buffer peak %d entries, %d put waits, %d block reads, %d direct\n",
-			sp.Blocks, float64(sp.BytesWritten)/(1<<20), sp.BufferPeak, sp.PutWaits, sp.BlocksRead, sp.DirectReads)
+		fmt.Fprintf(w, "  spill            %d blocks, %.1f MiB; buffer peak %d entries, %d put waits, %d block reads in %d reads, %d direct\n",
+			sp.Blocks, float64(sp.BytesWritten)/(1<<20), sp.BufferPeak, sp.PutWaits, sp.BlocksRead, sp.Reads, sp.DirectReads)
 		if incore, err = r.factorize(ctx, fl.Workers, false); err != nil {
 			return memory.ExecStats{}, err
 		}

@@ -176,6 +176,18 @@ func TestChaosSuite(t *testing.T) {
 				assertDescriptive(t, r.err, "read")
 			})
 
+			t.Run("read-corrupt-fails-solve", func(t *testing.T) {
+				// A bit flipped after a spill read must fail the solve
+				// with the record's checksum error, never return an x.
+				r := runChaos(t, a, faults.New(
+					faults.Rule{Point: faults.SpillRead, Kind: faults.KindCorrupt, Nth: 3},
+				), context.Background())
+				assertDescriptive(t, r.err, "checksum mismatch")
+				if r.x != nil {
+					t.Error("a solution was returned from corrupted factors")
+				}
+			})
+
 			t.Run("decode-error-not-retried", func(t *testing.T) {
 				r := runChaos(t, a, faults.New(
 					faults.Rule{Point: faults.Decode, Kind: faults.KindError, Nth: 2},
@@ -219,7 +231,7 @@ func TestChaosSuite(t *testing.T) {
 // the same — a bitwise identical completion or a descriptive error.
 func TestChaosRandomSchedules(t *testing.T) {
 	points := faults.Points()
-	kinds := []faults.Kind{faults.KindError, faults.KindDelay, faults.KindShortWrite, faults.KindPanic}
+	kinds := []faults.Kind{faults.KindError, faults.KindDelay, faults.KindShortWrite, faults.KindPanic, faults.KindCorrupt}
 	for pi, p := range workload.SmallSuite() {
 		p, pi := p, pi
 		t.Run(p.Name, func(t *testing.T) {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/parmf"
 	"repro/internal/parsim"
 	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 func TestAnalyzeFactorizeSimulate(t *testing.T) {
@@ -271,6 +274,58 @@ func TestFactorizeParallelOOC(t *testing.T) {
 	for i := range xs {
 		if math.Float64bits(xs[i]) != math.Float64bits(xp[i]) {
 			t.Fatalf("x[%d]: %g vs %g (should be bitwise identical)", i, xs[i], xp[i])
+		}
+	}
+}
+
+// TestSpillFileMatchesAcrossExecutors: the file store reserves every
+// record in postorder, so the parallel executor — whatever order its
+// workers finish fronts in, with or without within-front tasks — writes
+// the sequential executor's spill file byte for byte (default kernel
+// family, whose factors are bitwise identical across executors).
+func TestSpillFileMatchesAcrossExecutors(t *testing.T) {
+	for _, name := range []string{"SHIP_003", "PRE2"} {
+		p, err := workload.ByName(workload.SmallSuite(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(order.ND, 8)
+		cfg.Kernel = dense.KernelDefault
+		cfg.OOC.Dir = t.TempDir()
+		an, err := Analyze(p.NumericMatrix(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf, st, err := an.FactorizeOOC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(st.Path())
+		sf.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 8} {
+			pcfg := parmf.DefaultConfig(workers)
+			if workers == 8 {
+				pcfg.FrontSplit = 32 // within-front tasks and a 2D root too
+			}
+			pf, st, err := an.FactorizeParallelOOC(pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(st.Path())
+			pf.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 8 && pf.Stats.SplitFronts == 0 {
+				t.Errorf("%s: no front split at FrontSplit 32", name)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: %d-worker spill file (%d bytes) differs from the sequential one (%d bytes)",
+					name, workers, len(got), len(want))
+			}
 		}
 	}
 }

@@ -60,10 +60,12 @@ func SIMDFeatures() string {
 }
 
 // ParseKernel parses a -kernel flag value into a Kernel. Accepted grammar:
-// default | simd | auto (case-insensitive; empty means default).
+// default | simd | auto (case-insensitive). The empty string is an
+// error: it names no family, and reading it as default would make
+// `-kernel ""` differ from leaving the flag out (auto).
 func ParseKernel(s string) (Kernel, error) {
 	switch strings.ToLower(s) {
-	case "", "default":
+	case "default":
 		return KernelDefault, nil
 	case "simd":
 		return KernelSIMD, nil

@@ -394,7 +394,7 @@ func TestKernelResolveAndParse(t *testing.T) {
 	}
 
 	good := map[string]Kernel{
-		"": KernelDefault, "default": KernelDefault, "DEFAULT": KernelDefault,
+		"default": KernelDefault, "DEFAULT": KernelDefault,
 		"simd": KernelSIMD, "SIMD": KernelSIMD,
 		"auto": KernelAuto, "Auto": KernelAuto,
 	}
@@ -404,7 +404,7 @@ func TestKernelResolveAndParse(t *testing.T) {
 			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	for _, s := range []string{"fast", "Fast", "turbo", "simd2", "none", "fastest"} {
+	for _, s := range []string{"", "fast", "Fast", "turbo", "simd2", "none", "fastest"} {
 		if _, err := ParseKernel(s); err == nil {
 			t.Fatalf("ParseKernel(%q) accepted", s)
 		} else if !strings.Contains(err.Error(), "default, simd, auto") {

@@ -3,8 +3,8 @@
 // parmf.TreeSolver) and the out-of-core store (internal/ooc) consult an
 // optional *Injector at named fault points — one Check call per task,
 // spill write, spill read, block decode or solve visit — and an armed
-// rule turns that call into an injected error, a delay, a short write or
-// a panic, on an exact hit schedule.
+// rule turns that call into an injected error, a delay, a short write, a
+// corrupted read or a panic, on an exact hit schedule.
 //
 // The package exists so the fault-tolerance machinery (context
 // cancellation, the OOC store's retry/degrade path, panic containment in
@@ -37,8 +37,10 @@ const (
 	// block write (key = node). Errors and short writes there exercise
 	// the retry/degrade path.
 	SpillWrite Point = "spill-write"
-	// SpillRead fires before each spill-file block read (prefetcher and
-	// direct solve fetches; key = node).
+	// SpillRead fires once per block before each spill-file read (an
+	// extent read checks every block it covers, a direct solve fetch its
+	// one block; key = node). Errors there fail the whole read, which is
+	// retried as a unit; KindCorrupt flips a bit of the block after it.
 	SpillRead Point = "spill-read"
 	// Decode fires before decoding a block read back from the spill file
 	// (key = node). Decode errors are not retried — they indicate
@@ -69,6 +71,11 @@ const (
 	// KindPanic makes Check panic with a message naming the point — the
 	// executors' containment must convert it into a wrapped error.
 	KindPanic
+	// KindCorrupt makes CheckRead report that the caller must flip one
+	// payload bit of the data it just read (only meaningful at
+	// SpillRead; Check treats it as a no-op), modeling silent media
+	// corruption the spill checksum has to catch.
+	KindCorrupt
 )
 
 func (k Kind) String() string {
@@ -81,6 +88,8 @@ func (k Kind) String() string {
 		return "short-write"
 	case KindPanic:
 		return "panic"
+	case KindCorrupt:
+		return "corrupt"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -193,19 +202,29 @@ func (in *Injector) hit(p Point) (*Rule, int64) {
 // node index). It returns an *InjectedError for a firing KindError rule,
 // sleeps and returns nil for KindDelay, panics for KindPanic (the
 // executors' containment converts that into a wrapped error), and
-// ignores KindShortWrite (that kind only means something to CheckWrite).
+// ignores KindShortWrite and KindCorrupt (those kinds only mean something
+// to CheckWrite and CheckRead).
 // A nil injector returns nil without any work.
 func (in *Injector) Check(p Point, key int) error {
 	if in == nil {
 		return nil
 	}
+	_, err := in.fire(p, key)
+	return err
+}
+
+// fire advances point p and applies the kinds every check shares: the
+// injected error of a KindError rule, the sleep of KindDelay, the panic
+// of KindPanic. It returns the firing rule (nil when none) for the kinds
+// only CheckWrite and CheckRead act on.
+func (in *Injector) fire(p Point, key int) (*Rule, error) {
 	r, h := in.hit(p)
 	if r == nil {
-		return nil
+		return nil, nil
 	}
 	switch r.Kind {
 	case KindError:
-		return &InjectedError{Point: p, Key: key, Hit: h}
+		return r, &InjectedError{Point: p, Key: key, Hit: h}
 	case KindDelay:
 		d := r.Delay
 		if d <= 0 {
@@ -215,7 +234,7 @@ func (in *Injector) Check(p Point, key int) error {
 	case KindPanic:
 		panic(fmt.Sprintf("faults: injected panic at %s (key %d, hit %d)", p, key, h))
 	}
-	return nil
+	return r, nil
 }
 
 // CheckWrite is Check for a write of n bytes at point p: a firing
@@ -228,25 +247,23 @@ func (in *Injector) CheckWrite(p Point, key, n int) (int, error) {
 	if in == nil {
 		return n, nil
 	}
-	r, h := in.hit(p)
-	if r == nil {
-		return n, nil
-	}
-	switch r.Kind {
-	case KindError:
-		return n, &InjectedError{Point: p, Key: key, Hit: h}
-	case KindDelay:
-		d := r.Delay
-		if d <= 0 {
-			d = time.Millisecond
-		}
-		time.Sleep(d)
-	case KindShortWrite:
+	r, err := in.fire(p, key)
+	if err == nil && r != nil && r.Kind == KindShortWrite {
 		return n / 2, nil
-	case KindPanic:
-		panic(fmt.Sprintf("faults: injected panic at %s (key %d, hit %d)", p, key, h))
 	}
-	return n, nil
+	return n, err
+}
+
+// CheckRead is Check for a read at point p: a firing KindCorrupt rule
+// returns corrupt = true, telling the caller to flip one bit of the
+// payload it reads (the read itself succeeds); the other kinds behave
+// as in Check. A nil injector returns (false, nil).
+func (in *Injector) CheckRead(p Point, key int) (corrupt bool, err error) {
+	if in == nil {
+		return false, nil
+	}
+	r, err := in.fire(p, key)
+	return err == nil && r != nil && r.Kind == KindCorrupt, err
 }
 
 // Stats returns the per-point hit/fired counters for every point that
@@ -287,7 +304,7 @@ func (in *Injector) Fired() int64 {
 //	point:kind[:nth[:count]]
 //
 // point is one of spill-write, spill-read, decode, task, solve; kind is
-// error, delay, short-write or panic; nth is the 1-based hit the rule
+// error, delay, short-write, corrupt or panic; nth is the 1-based hit the rule
 // starts firing on (default 1) and count how many consecutive hits fire
 // (default 1, -1 = forever). Examples:
 //
@@ -295,6 +312,7 @@ func (in *Injector) Fired() int64 {
 //	spill-write:error:1:-1   // every spill write fails (a dead disk)
 //	task:panic:5             // the 5th task check panics once
 //	solve:delay:1:-1         // every solve visit sleeps 1ms
+//	spill-read:corrupt:3     // the 3rd block read back has a bit flipped
 //
 // An empty spec returns a nil injector (zero overhead).
 func Parse(spec string) (*Injector, error) {
@@ -324,10 +342,12 @@ func Parse(spec string) (*Injector, error) {
 			r.Kind = KindDelay
 		case "short-write":
 			r.Kind = KindShortWrite
+		case "corrupt":
+			r.Kind = KindCorrupt
 		case "panic":
 			r.Kind = KindPanic
 		default:
-			return nil, fmt.Errorf("faults: rule %q: unknown kind %q (want error, delay, short-write or panic)", part, fields[1])
+			return nil, fmt.Errorf("faults: rule %q: unknown kind %q (want error, delay, short-write, corrupt or panic)", part, fields[1])
 		}
 		if len(fields) >= 3 {
 			n, err := strconv.ParseInt(fields[2], 10, 64)

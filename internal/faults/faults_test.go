@@ -216,3 +216,30 @@ func TestConcurrentChecks(t *testing.T) {
 	}
 	close(done)
 }
+
+func TestCorruptKind(t *testing.T) {
+	in := New(Rule{Point: SpillRead, Kind: KindCorrupt, Nth: 2})
+	for hit, want := range []bool{false, true, false} {
+		corrupt, err := in.CheckRead(SpillRead, 7)
+		if err != nil || corrupt != want {
+			t.Fatalf("hit %d: corrupt=%v err=%v, want %v nil", hit+1, corrupt, err, want)
+		}
+	}
+	// Check ignores KindCorrupt but still counts the hit.
+	in2 := New(Rule{Point: SpillRead, Kind: KindCorrupt})
+	if err := in2.Check(SpillRead, 0); err != nil {
+		t.Fatalf("Check on corrupt rule: %v", err)
+	}
+	if in2.Fired() != 1 {
+		t.Fatalf("Fired() = %d, want 1", in2.Fired())
+	}
+	// CheckRead reports the other kinds as Check does.
+	in3 := New(Rule{Point: SpillRead, Kind: KindError})
+	if corrupt, err := in3.CheckRead(SpillRead, 3); corrupt || !errors.Is(err, ErrInjected) {
+		t.Fatalf("CheckRead on error rule: corrupt=%v err=%v", corrupt, err)
+	}
+	p, err := Parse("spill-read:corrupt:4")
+	if err != nil || p.rules[SpillRead][0].Kind != KindCorrupt || p.rules[SpillRead][0].Nth != 4 {
+		t.Fatalf("Parse corrupt rule: %v %+v", err, p)
+	}
+}

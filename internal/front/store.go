@@ -53,7 +53,8 @@ type Store interface {
 	// Fetch stays correct in any order.
 	Prefetch(order []int)
 	// Fetch returns node ni's factor block for the solve phase. The block
-	// is valid until the matching Release.
+	// is valid until the matching Release; a file store reuses its
+	// memory afterwards.
 	Fetch(ni int) (*NodeFactor, error)
 	// Release ends the caller's use of the block returned by Fetch.
 	Release(ni int)
@@ -99,9 +100,18 @@ func StoreFaultCounters(st Store) (retries, degradedBlocks int64) {
 	return 0, 0
 }
 
+// TreeBinder is the optional Store extension for stores whose layout
+// follows the assembly tree: ResolveStore hands them the tree and the
+// matrix kind before the first Put (the file store reserves each node's
+// record there, in solve order).
+type TreeBinder interface {
+	BindTree(tree *assembly.Tree, kind sparse.Type)
+}
+
 // ResolveStore is the store setup shared by the executors: a nil st
-// becomes a fresh in-memory Factors for the tree, and a fresh Meter is
-// installed on the store before any Put can happen. The returned
+// becomes a fresh in-memory Factors for the tree, a TreeBinder is bound
+// to the tree, and a fresh Meter is installed on the store before any
+// Put can happen. The returned
 // *Factors is the in-memory container when the store is one, nil for
 // external stores — executors expose it for cross-validation.
 func ResolveStore(st Store, tree *assembly.Tree, kind sparse.Type) (Store, *Factors, *memory.Meter) {
@@ -111,6 +121,8 @@ func ResolveStore(st Store, tree *assembly.Tree, kind sparse.Type) (Store, *Fact
 		st = fs
 	} else if f, ok := st.(*Factors); ok {
 		fs = f
+	} else if tb, ok := st.(TreeBinder); ok {
+		tb.BindTree(tree, kind)
 	}
 	m := new(memory.Meter)
 	st.SetMeter(m)

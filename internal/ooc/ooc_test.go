@@ -187,7 +187,7 @@ func TestMeterBalances(t *testing.T) {
 // TestPrefetchStream walks blocks in the announced order (forward then
 // reverse, like the solves) and checks contents and meter balance.
 func TestPrefetchStream(t *testing.T) {
-	s, err := NewFileStore(Options{Dir: t.TempDir(), BufferEntries: 256, Prefetch: 4})
+	s, err := NewFileStore(Options{Dir: t.TempDir(), BufferEntries: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
