@@ -1,6 +1,7 @@
 // The SIMD/FMA kernel family (KernelSIMD): rank-k panel updates, the LU
 // master panel's row-panel solve, tile kernels and triangular solves built
-// on the fused span/dot primitives of simd_prims.go / simd_amd64.s.
+// on the fused span, chain and dot primitives of simd_prims.go /
+// simd_amd64.s.
 // Multipliers are dense (no zero skips), and every LU trailing update —
 // the panel rows' own trailing columns included — consumes the pivots in
 // k-groups of 4/2/1 ascending from the panel base k0: a rank-4 group
@@ -215,95 +216,81 @@ func choleskyUpdateTileSIMD(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 	}
 }
 
-// solveForwardLUSIMD is the fused forward LU substitution: pivot columns
-// consumed in pairs, each trailing panel row receiving chained FMA
-// updates. Dense, deterministic for fixed operands, validated by residual.
-func solveForwardLUSIMD(L *Matrix, npiv int, W *Matrix) {
-	n, m := W.R, W.C
-	k := 0
-	for ; k+1 < npiv; k += 2 {
-		va := W.A[k*m : k*m+m : k*m+m]
-		vb := W.A[(k+1)*m : (k+1)*m+m : (k+1)*m+m]
-		fnmaSpan1(vb, va, L.At(k+1, k))
-		for i := k + 2; i < n; i++ {
-			fnmaSpan2(W.A[i*m:i*m+m:i*m+m], va, vb, L.At(i, k), L.At(i, k+1))
+// The SIMD triangular solves compute each panel element as one fused
+// chain held in registers: w = fma(-l_k, src_k[c], w) over the sources k
+// in ascending order (pivot rows forward, solved rows backward), then the
+// division by a stored diagonal where there is one. Column c of the panel
+// never meets another column, so a multi-RHS solve gives each column the
+// bits of a single-RHS one, and the vector and portable paths agree bit
+// for bit.
+
+// solveForwardSIMD is the forward substitution of both factor kinds; chol
+// divides each pivot row by the stored diagonal after its chain. Rows go
+// four at a time through fnmaChain4, each L row read contiguously: the
+// four rows' chains first run over the sources above the group, then a
+// pivot group finishes inside its own 4x4 diagonal block, row by row, so
+// every element still sees its sources in ascending order.
+func solveForwardSIMD(L *Matrix, npiv int, W *Matrix, chol bool) {
+	n, m, lc := W.R, W.C, L.C
+	w, l := W.A, L.A
+	i := 0
+	for ; i+3 < npiv; i += 4 {
+		fnmaChain4(w[i*m:], m, w, m, l[i*lc:], lc, i, m)
+		for r := i; r < i+4; r++ {
+			wr := w[r*m : r*m+m : r*m+m]
+			fnmaChain1(wr, w[i*m:], m, l[r*lc+i:], 1, r-i)
+			if chol {
+				divSpan(wr, l[r*lc+r])
+			}
 		}
 	}
-	for ; k < npiv; k++ {
-		vk := W.A[k*m : k*m+m : k*m+m]
-		for i := k + 1; i < n; i++ {
-			fnmaSpan1(W.A[i*m:i*m+m:i*m+m], vk, L.At(i, k))
+	for ; i < npiv; i++ {
+		wi := w[i*m : i*m+m : i*m+m]
+		fnmaChain1(wi, w, m, l[i*lc:], 1, i)
+		if chol {
+			divSpan(wi, l[i*lc+i])
 		}
+	}
+	for ; i+3 < n; i += 4 {
+		fnmaChain4(w[i*m:], m, w, m, l[i*lc:], lc, npiv, m)
+	}
+	for ; i < n; i++ {
+		fnmaChain1(w[i*m:i*m+m:i*m+m], w, m, l[i*lc:], 1, npiv)
 	}
 }
 
-// solveForwardCholeskySIMD folds the stored-diagonal scaling into the
-// fused pair head: vb[c] = fma(-lba, va[c], vb[c]) / db keeps one rounding
-// for the multiply-add (matching the span primitives) plus the division.
-func solveForwardCholeskySIMD(L *Matrix, npiv int, W *Matrix) {
-	n, m := W.R, W.C
-	k := 0
-	for ; k+1 < npiv; k += 2 {
-		da, db := L.At(k, k), L.At(k+1, k+1)
-		va := W.A[k*m : k*m+m : k*m+m]
-		vb := W.A[(k+1)*m : (k+1)*m+m : (k+1)*m+m]
-		lba := L.At(k+1, k)
-		for c := range va {
-			va[c] /= da
-			vb[c] = math.FMA(-lba, va[c], vb[c]) / db
-		}
-		for i := k + 2; i < n; i++ {
-			fnmaSpan2(W.A[i*m:i*m+m:i*m+m], va, vb, L.At(i, k), L.At(i, k+1))
-		}
-	}
-	for ; k < npiv; k++ {
-		d := L.At(k, k)
-		vk := W.A[k*m : k*m+m : k*m+m]
-		for c := range vk {
-			vk[c] /= d
-		}
-		for i := k + 1; i < n; i++ {
-			fnmaSpan1(W.A[i*m:i*m+m:i*m+m], vk, L.At(i, k))
-		}
-	}
-}
-
-// solveBackwardLUSIMD pairs the solved source rows of each backward
-// accumulation into fused chains, then divides by the pivot.
+// solveBackwardLUSIMD solves the pivot rows bottom up, one row at a time
+// (each needs the one below it): row k's chain runs over the solved rows
+// k+1..n-1 with U row k as coefficients, then divides by U(k,k).
 func solveBackwardLUSIMD(U *Matrix, npiv int, W *Matrix) {
-	n, m := W.R, W.C
+	n, m, uc := W.R, W.C, U.C
+	w, u := W.A, U.A
 	for k := npiv - 1; k >= 0; k-- {
-		wk := W.A[k*m : k*m+m : k*m+m]
-		uk := U.Row(k)
-		j := k + 1
-		for ; j+1 < n; j += 2 {
-			fnmaSpan2(wk, W.A[j*m:j*m+m:j*m+m], W.A[(j+1)*m:(j+1)*m+m:(j+1)*m+m], uk[j], uk[j+1])
+		wk := w[k*m : k*m+m : k*m+m]
+		if k+1 < n {
+			fnmaChain1(wk, w[(k+1)*m:], m, u[k*uc+k+1:], 1, n-k-1)
 		}
-		if j < n {
-			fnmaSpan1(wk, W.A[j*m:j*m+m:j*m+m], uk[j])
-		}
-		d := uk[k]
-		for c := range wk {
-			wk[c] /= d
-		}
+		divSpan(wk, u[k*uc+k])
 	}
 }
 
-// solveBackwardCholeskySIMD is solveBackwardLUSIMD over column k of L.
+// solveBackwardCholeskySIMD is solveBackwardLUSIMD over column k of L
+// (row k of L^T): the coefficients are L.C apart.
 func solveBackwardCholeskySIMD(L *Matrix, npiv int, W *Matrix) {
-	n, m := W.R, W.C
+	n, m, lc := W.R, W.C, L.C
+	w, l := W.A, L.A
 	for k := npiv - 1; k >= 0; k-- {
-		wk := W.A[k*m : k*m+m : k*m+m]
-		i := k + 1
-		for ; i+1 < n; i += 2 {
-			fnmaSpan2(wk, W.A[i*m:i*m+m:i*m+m], W.A[(i+1)*m:(i+1)*m+m:(i+1)*m+m], L.At(i, k), L.At(i+1, k))
+		wk := w[k*m : k*m+m : k*m+m]
+		if k+1 < n {
+			fnmaChain1(wk, w[(k+1)*m:], m, l[(k+1)*lc+k:], lc, n-k-1)
 		}
-		if i < n {
-			fnmaSpan1(wk, W.A[i*m:i*m+m:i*m+m], L.At(i, k))
-		}
-		d := L.At(k, k)
-		for c := range wk {
-			wk[c] /= d
-		}
+		divSpan(wk, l[k*lc+k])
+	}
+}
+
+// divSpan divides a solved panel row by its pivot.
+func divSpan(w []float64, d float64) {
+	for c := range w {
+		w[c] /= d
 	}
 }

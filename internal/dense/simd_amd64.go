@@ -25,6 +25,12 @@ func fnmaSpan2Asm(d, a, b *float64, n int, la, lb float64)
 func fnmaSpan4Asm(d, a, b, c, e *float64, n int, la, lb, lc, ld float64)
 
 //go:noescape
+func fnmaChain1Asm(d, src *float64, ss int, coef *float64, cs, nk, n int)
+
+//go:noescape
+func fnmaChain4Asm(d *float64, ds int, src *float64, ss int, coef *float64, cs, nk, n int)
+
+//go:noescape
 func dot1Asm(p, q *float64, n int) float64
 
 //go:noescape
@@ -92,6 +98,38 @@ func fnmaSpan4(d, a, b, c, e []float64, la, lb, lc, ld float64) {
 		return
 	}
 	fnmaSpan4Go(d, a, b, c, e, la, lb, lc, ld)
+}
+
+// fnmaChain1 is fnmaChain1Go through the vector unit when available.
+// The index checks up front turn a short operand into a panic before the
+// assembly reads past it.
+func fnmaChain1(d, src []float64, ss int, coef []float64, cs, nk int) {
+	n := len(d)
+	if nk == 0 || n == 0 {
+		return
+	}
+	_ = src[(nk-1)*ss+n-1]
+	_ = coef[(nk-1)*cs]
+	if simdEnabled {
+		fnmaChain1Asm(&d[0], &src[0], ss, &coef[0], cs, nk, n)
+		return
+	}
+	fnmaChain1Go(d, src, ss, coef, cs, nk)
+}
+
+// fnmaChain4 is fnmaChain4Go through the vector unit when available.
+func fnmaChain4(d []float64, ds int, src []float64, ss int, coef []float64, cs, nk, n int) {
+	if nk == 0 || n == 0 {
+		return
+	}
+	_ = d[3*ds+n-1]
+	_ = src[(nk-1)*ss+n-1]
+	_ = coef[3*cs+nk-1]
+	if simdEnabled {
+		fnmaChain4Asm(&d[0], ds, &src[0], ss, &coef[0], cs, nk, n)
+		return
+	}
+	fnmaChain4Go(d, ds, src, ss, coef, cs, nk, n)
 }
 
 func dotOne(p, q []float64) float64 {

@@ -1,4 +1,4 @@
-// AVX2/FMA implementations of the SIMD span/dot primitives. Each routine
+// AVX2/FMA implementations of the SIMD span/chain/dot primitives. Each routine
 // computes, lane by lane, exactly the math.FMA recipe of its portable
 // twin in simd_prims.go (one rounding per multiply-add, fixed four-lane
 // dot accumulation reduced as (acc0+acc2)+(acc1+acc3), scalar FMA tails),
@@ -461,5 +461,260 @@ srtail:
 	JMP    srtail
 
 srdone:
+	VZEROUPPER
+	RET
+
+// func fnmaChain1Asm(d, src *float64, ss int, coef *float64, cs, nk, n int)
+// One FMA chain per element of the n-span d, held in registers across
+// the nk sources: d[c] = fma(-coef[t*cs], src[t*ss+c], d[c]) for t in
+// ascending order — the fnmaChain1Go contract. Column blocks of 16/8/4
+// (4/2/1 YMM accumulators), then one scalar chain per tail column.
+// Requires nk >= 1 (the dispatch wrapper skips empty chains).
+TEXT ·fnmaChain1Asm(SB), NOSPLIT, $0-56
+	MOVQ d+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ss+16(FP), R8
+	SHLQ $3, R8
+	MOVQ coef+24(FP), R9
+	MOVQ cs+32(FP), R10
+	SHLQ $3, R10
+	MOVQ nk+40(FP), R11
+	MOVQ n+48(FP), CX
+
+c1blk16:
+	CMPQ    CX, $16
+	JLT     c1blk8
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    SI, AX
+	MOVQ    R9, BX
+	MOVQ    R11, DX
+
+c1k16:
+	VBROADCASTSD (BX), Y12
+	VFNMADD231PD (AX), Y12, Y0
+	VFNMADD231PD 32(AX), Y12, Y1
+	VFNMADD231PD 64(AX), Y12, Y2
+	VFNMADD231PD 96(AX), Y12, Y3
+	ADDQ         R8, AX
+	ADDQ         R10, BX
+	DECQ         DX
+	JNE          c1k16
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, SI
+	SUBQ         $16, CX
+	JMP          c1blk16
+
+c1blk8:
+	CMPQ    CX, $8
+	JLT     c1blk4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	MOVQ    SI, AX
+	MOVQ    R9, BX
+	MOVQ    R11, DX
+
+c1k8:
+	VBROADCASTSD (BX), Y12
+	VFNMADD231PD (AX), Y12, Y0
+	VFNMADD231PD 32(AX), Y12, Y1
+	ADDQ         R8, AX
+	ADDQ         R10, BX
+	DECQ         DX
+	JNE          c1k8
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	ADDQ         $64, DI
+	ADDQ         $64, SI
+	SUBQ         $8, CX
+
+c1blk4:
+	CMPQ    CX, $4
+	JLT     c1tail
+	VMOVUPD (DI), Y0
+	MOVQ    SI, AX
+	MOVQ    R9, BX
+	MOVQ    R11, DX
+
+c1k4:
+	VBROADCASTSD (BX), Y12
+	VFNMADD231PD (AX), Y12, Y0
+	ADDQ         R8, AX
+	ADDQ         R10, BX
+	DECQ         DX
+	JNE          c1k4
+	VMOVUPD      Y0, (DI)
+	ADDQ         $32, DI
+	ADDQ         $32, SI
+	SUBQ         $4, CX
+
+c1tail:
+	TESTQ  CX, CX
+	JE     c1done
+	VMOVSD (DI), X0
+	MOVQ   SI, AX
+	MOVQ   R9, BX
+	MOVQ   R11, DX
+
+c1k1:
+	VMOVSD       (BX), X12
+	VFNMADD231SD (AX), X12, X0
+	ADDQ         R8, AX
+	ADDQ         R10, BX
+	DECQ         DX
+	JNE          c1k1
+	VMOVSD       X0, (DI)
+	ADDQ         $8, DI
+	ADDQ         $8, SI
+	DECQ         CX
+	JMP          c1tail
+
+c1done:
+	VZEROUPPER
+	RET
+
+// func fnmaChain4Asm(d *float64, ds int, src *float64, ss int, coef *float64, cs, nk, n int)
+// fnmaChain1Asm over four rows at once (d rows ds apart, coefficient rows
+// cs apart and contiguous in t): each source row src[t*ss:] is loaded
+// once per column block and feeds all four rows' chains. Column blocks
+// of 8 (4 rows x 2 YMM = 8 accumulators) and 4, then four scalar chains
+// per tail column. Per element the operations are exactly those of
+// fnmaChain4Go. Requires nk >= 1.
+TEXT ·fnmaChain4Asm(SB), NOSPLIT, $0-64
+	MOVQ d+0(FP), DI
+	MOVQ ds+8(FP), R12
+	SHLQ $3, R12
+	LEAQ (R12)(R12*2), R13      // 3 d rows
+	MOVQ src+16(FP), SI
+	MOVQ ss+24(FP), R8
+	SHLQ $3, R8
+	MOVQ coef+32(FP), R9
+	MOVQ cs+40(FP), R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R14      // 3 coefficient rows
+	MOVQ nk+48(FP), R11
+	MOVQ n+56(FP), CX
+
+c4blk8:
+	CMPQ    CX, $8
+	JLT     c4blk4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R12*1), Y2
+	VMOVUPD 32(DI)(R12*1), Y3
+	VMOVUPD (DI)(R12*2), Y4
+	VMOVUPD 32(DI)(R12*2), Y5
+	VMOVUPD (DI)(R13*1), Y6
+	VMOVUPD 32(DI)(R13*1), Y7
+	MOVQ    SI, AX
+	MOVQ    R9, BX
+	MOVQ    R11, DX
+
+c4k8:
+	VMOVUPD      (AX), Y8
+	VMOVUPD      32(AX), Y9
+	VBROADCASTSD (BX), Y10
+	VBROADCASTSD (BX)(R10*1), Y11
+	VBROADCASTSD (BX)(R10*2), Y12
+	VBROADCASTSD (BX)(R14*1), Y13
+	VFNMADD231PD Y8, Y10, Y0
+	VFNMADD231PD Y9, Y10, Y1
+	VFNMADD231PD Y8, Y11, Y2
+	VFNMADD231PD Y9, Y11, Y3
+	VFNMADD231PD Y8, Y12, Y4
+	VFNMADD231PD Y9, Y12, Y5
+	VFNMADD231PD Y8, Y13, Y6
+	VFNMADD231PD Y9, Y13, Y7
+	ADDQ         R8, AX
+	ADDQ         $8, BX
+	DECQ         DX
+	JNE          c4k8
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, (DI)(R12*1)
+	VMOVUPD      Y3, 32(DI)(R12*1)
+	VMOVUPD      Y4, (DI)(R12*2)
+	VMOVUPD      Y5, 32(DI)(R12*2)
+	VMOVUPD      Y6, (DI)(R13*1)
+	VMOVUPD      Y7, 32(DI)(R13*1)
+	ADDQ         $64, DI
+	ADDQ         $64, SI
+	SUBQ         $8, CX
+	JMP          c4blk8
+
+c4blk4:
+	CMPQ    CX, $4
+	JLT     c4tail
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R12*1), Y2
+	VMOVUPD (DI)(R12*2), Y4
+	VMOVUPD (DI)(R13*1), Y6
+	MOVQ    SI, AX
+	MOVQ    R9, BX
+	MOVQ    R11, DX
+
+c4k4:
+	VMOVUPD      (AX), Y8
+	VBROADCASTSD (BX), Y10
+	VBROADCASTSD (BX)(R10*1), Y11
+	VBROADCASTSD (BX)(R10*2), Y12
+	VBROADCASTSD (BX)(R14*1), Y13
+	VFNMADD231PD Y8, Y10, Y0
+	VFNMADD231PD Y8, Y11, Y2
+	VFNMADD231PD Y8, Y12, Y4
+	VFNMADD231PD Y8, Y13, Y6
+	ADDQ         R8, AX
+	ADDQ         $8, BX
+	DECQ         DX
+	JNE          c4k4
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y2, (DI)(R12*1)
+	VMOVUPD      Y4, (DI)(R12*2)
+	VMOVUPD      Y6, (DI)(R13*1)
+	ADDQ         $32, DI
+	ADDQ         $32, SI
+	SUBQ         $4, CX
+
+c4tail:
+	TESTQ  CX, CX
+	JE     c4done
+	VMOVSD (DI), X0
+	VMOVSD (DI)(R12*1), X2
+	VMOVSD (DI)(R12*2), X4
+	VMOVSD (DI)(R13*1), X6
+	MOVQ   SI, AX
+	MOVQ   R9, BX
+	MOVQ   R11, DX
+
+c4k1:
+	VMOVSD       (AX), X8
+	VMOVSD       (BX), X10
+	VMOVSD       (BX)(R10*1), X11
+	VMOVSD       (BX)(R10*2), X12
+	VMOVSD       (BX)(R14*1), X13
+	VFNMADD231SD X8, X10, X0
+	VFNMADD231SD X8, X11, X2
+	VFNMADD231SD X8, X12, X4
+	VFNMADD231SD X8, X13, X6
+	ADDQ         R8, AX
+	ADDQ         $8, BX
+	DECQ         DX
+	JNE          c4k1
+	VMOVSD       X0, (DI)
+	VMOVSD       X2, (DI)(R12*1)
+	VMOVSD       X4, (DI)(R12*2)
+	VMOVSD       X6, (DI)(R13*1)
+	ADDQ         $8, DI
+	ADDQ         $8, SI
+	DECQ         CX
+	JMP          c4tail
+
+c4done:
 	VZEROUPPER
 	RET

@@ -20,6 +20,14 @@ func fnmaSpan4(d, a, b, c, e []float64, la, lb, lc, ld float64) {
 	fnmaSpan4Go(d, a, b, c, e, la, lb, lc, ld)
 }
 
+func fnmaChain1(d, src []float64, ss int, coef []float64, cs, nk int) {
+	fnmaChain1Go(d, src, ss, coef, cs, nk)
+}
+
+func fnmaChain4(d []float64, ds int, src []float64, ss int, coef []float64, cs, nk, n int) {
+	fnmaChain4Go(d, ds, src, ss, coef, cs, nk, n)
+}
+
 func dotOne(p, q []float64) float64 { return dotOneGo(p, q) }
 
 func dotFour(p, q0, q1, q2, q3 []float64) (s0, s1, s2, s3 float64) {

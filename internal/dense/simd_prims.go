@@ -1,4 +1,4 @@
-// Portable reference implementations of the SIMD span/dot primitives —
+// Portable reference implementations of the SIMD span/chain/dot primitives —
 // the exact per-element specification the amd64 assembly reproduces.
 //
 // Every primitive is written in terms of math.FMA, which is correctly
@@ -53,6 +53,57 @@ func fnmaSpan4Go(d, a, b, c, e []float64, la, lb, lc, ld float64) {
 		s = math.FMA(-lb, b[j], s)
 		s = math.FMA(-lc, c[j], s)
 		d[j] = math.FMA(-ld, e[j], s)
+	}
+}
+
+// fnmaChain1Go runs one fused chain per element of d over nk sources,
+// each source row ss elements after the last and its coefficient cs
+// after the last: d[c] = fma(-coef[t*cs], src[t*ss+c], d[c]) for t in
+// ascending order. Each column's chain is independent of every other
+// column's, so the bits do not depend on how columns are grouped; four
+// columns run side by side only to overlap the FMA latency.
+func fnmaChain1Go(d, src []float64, ss int, coef []float64, cs, nk int) {
+	n := len(d)
+	c := 0
+	for ; c+3 < n; c += 4 {
+		w0, w1, w2, w3 := d[c], d[c+1], d[c+2], d[c+3]
+		for t := 0; t < nk; t++ {
+			l, s := coef[t*cs], src[t*ss+c:t*ss+c+4:t*ss+c+4]
+			w0 = math.FMA(-l, s[0], w0)
+			w1 = math.FMA(-l, s[1], w1)
+			w2 = math.FMA(-l, s[2], w2)
+			w3 = math.FMA(-l, s[3], w3)
+		}
+		d[c], d[c+1], d[c+2], d[c+3] = w0, w1, w2, w3
+	}
+	for ; c < n; c++ {
+		w := d[c]
+		for t := 0; t < nk; t++ {
+			w = math.FMA(-coef[t*cs], src[t*ss+c], w)
+		}
+		d[c] = w
+	}
+}
+
+// fnmaChain4Go is fnmaChain1Go over four rows of n elements, ds apart
+// in d, sharing the sources: row r's coefficients are coef[r*cs+t]
+// (contiguous in t). Each source element is read once for the four
+// rows' chains — the 4-row step of the forward solve.
+func fnmaChain4Go(d []float64, ds int, src []float64, ss int, coef []float64, cs, nk, n int) {
+	l0 := coef[:nk:nk]
+	l1 := coef[cs : cs+nk : cs+nk]
+	l2 := coef[2*cs : 2*cs+nk : 2*cs+nk]
+	l3 := coef[3*cs : 3*cs+nk : 3*cs+nk]
+	for c := 0; c < n; c++ {
+		w0, w1, w2, w3 := d[c], d[ds+c], d[2*ds+c], d[3*ds+c]
+		for t := range l0 {
+			s := src[t*ss+c]
+			w0 = math.FMA(-l0[t], s, w0)
+			w1 = math.FMA(-l1[t], s, w1)
+			w2 = math.FMA(-l2[t], s, w2)
+			w3 = math.FMA(-l3[t], s, w3)
+		}
+		d[c], d[ds+c], d[2*ds+c], d[3*ds+c] = w0, w1, w2, w3
 	}
 }
 

@@ -80,6 +80,36 @@ func TestSIMDPrimitivesMatchPortable(t *testing.T) {
 		check("fnmaSpan4",
 			func(dst []float64) { fnmaSpan4(dst, a, b, c, e, la, lb, lc, ld) },
 			func(dst []float64) { fnmaSpan4Go(dst, a, b, c, e, la, lb, lc, ld) })
+		// The chain primitives over nk source rows of the span, ss apart
+		// (coefficients cs apart for the 1-row chain, contiguous per row
+		// for the 4-row one): every 16/8/4 column block and scalar tail.
+		for _, nk := range []int{1, 2, 5} {
+			const ss, cs = 73, 3
+			src := randSpan(rng, (nk-1)*ss+n)
+			coef := randSpan(rng, 4*(cs+nk))
+			check("fnmaChain1",
+				func(dst []float64) { fnmaChain1(dst, src, ss, coef, cs, nk) },
+				func(dst []float64) { fnmaChain1Go(dst, src, ss, coef, cs, nk) })
+			rows := func(asm bool) []float64 {
+				const ds = 71
+				d4 := make([]float64, 3*ds+n)
+				for r := 0; r < 4; r++ {
+					copy(d4[r*ds:], d)
+				}
+				if asm {
+					fnmaChain4(d4, ds, src, ss, coef, cs+nk, nk, n)
+				} else {
+					fnmaChain4Go(d4, ds, src, ss, coef, cs+nk, nk, n)
+				}
+				return d4
+			}
+			dAsm, dRef := rows(true), rows(false)
+			for j := range dAsm {
+				if math.Float64bits(dAsm[j]) != math.Float64bits(dRef[j]) {
+					t.Fatalf("fnmaChain4 n=%d nk=%d: element %d differs: asm %v ref %v", n, nk, j, dAsm[j], dRef[j])
+				}
+			}
+		}
 		check("addSpan",
 			func(dst []float64) { addSpanFast(dst, a) },
 			func(dst []float64) { addSpanGo(dst, a) })
@@ -147,6 +177,8 @@ func TestSIMDPrimitivesZeroAlloc(t *testing.T) {
 		_ = dotOne(d, a)
 		addSpanFast(d, a)
 		scatterRuns4(d, d, d, d, a, a, a, a, runs[:1])
+		fnmaChain1(d[:16], a, 16, a[48:], 1, 3)
+		fnmaChain4(d, 16, a, 16, a[32:], 8, 2, 8)
 	})
 	if allocs != 0 {
 		t.Fatalf("primitives allocate %v per run, want 0", allocs)

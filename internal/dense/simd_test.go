@@ -339,8 +339,110 @@ func TestKernelSIMDSolveKernels(t *testing.T) {
 	}
 }
 
+// chainSolveRef is the per-element specification of the SIMD solves:
+// every element (i, c) is one math.FMA chain over its sources in
+// ascending order, then the division by the stored diagonal where there
+// is one. coef(i, k) is the coefficient of source row k in row i's chain.
+func chainSolveRef(W *Matrix, npiv int, forward, divide bool, coef func(i, k int) float64) {
+	n, m := W.R, W.C
+	solveRow := func(i, k0, k1 int, divide bool) {
+		for c := 0; c < m; c++ {
+			w := W.At(i, c)
+			for k := k0; k < k1; k++ {
+				w = math.FMA(-coef(i, k), W.At(k, c), w)
+			}
+			if divide {
+				w /= coef(i, i)
+			}
+			W.Set(i, c, w)
+		}
+	}
+	if forward {
+		for i := 0; i < n; i++ {
+			solveRow(i, 0, min(i, npiv), divide && i < npiv)
+		}
+		return
+	}
+	for k := npiv - 1; k >= 0; k-- {
+		solveRow(k, k+1, n, divide)
+	}
+}
+
+// TestKernelSIMDSolveChains pins the four SIMD solve kernels bit for bit
+// against chainSolveRef on both the vector and the portable path, over
+// front orders below and above the 4-row group, npiv from 0 to f, and
+// nrhs 1-17 (every 16/8/4 column block of the chain primitives and
+// every scalar tail width).
+func TestKernelSIMDSolveChains(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	paths := []struct {
+		name  string
+		force func(*testing.T)
+	}{{"vector", forceVector}, {"portable", forcePortable}}
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) {
+			path.force(t)
+			for _, f := range []int{1, 2, 3, 5, 9, 14} {
+				for _, npiv := range []int{0, 1, f / 2, f - 1, f} {
+					checkSolveChains(t, rng, f, npiv)
+				}
+			}
+		})
+	}
+}
+
+// checkSolveChains runs the four SIMD solves of one f x npiv front at
+// nrhs 1-17 against chainSolveRef.
+func checkSolveChains(t *testing.T, rng *rand.Rand, f, npiv int) {
+	t.Helper()
+	// Factor pieces in the store's shapes: L is f x npiv, U is npiv x f;
+	// zeros exercise the dense (no skip) chains.
+	L, U := New(f, npiv), New(npiv, f)
+	for _, m := range []*Matrix{L, U} {
+		for i := range m.A {
+			if rng.Float64() > 0.2 {
+				m.A[i] = rng.NormFloat64()
+			}
+		}
+	}
+	for k := 0; k < npiv; k++ {
+		L.Set(k, k, 2+rng.Float64())
+		U.Set(k, k, 2+rng.Float64())
+	}
+	cases := []struct {
+		name            string
+		run             func(W *Matrix)
+		forward, divide bool
+		coef            func(i, k int) float64
+	}{
+		{"fwdLU", func(W *Matrix) { KernelSIMD.SolveForwardLU(L, npiv, W) }, true, false, L.At},
+		{"fwdChol", func(W *Matrix) { KernelSIMD.SolveForwardCholesky(L, npiv, W) }, true, true, L.At},
+		{"bwdLU", func(W *Matrix) { KernelSIMD.SolveBackwardLU(U, npiv, W) }, false, true, U.At},
+		{"bwdChol", func(W *Matrix) { KernelSIMD.SolveBackwardCholesky(L, npiv, W) }, false, true,
+			func(i, k int) float64 { return L.At(k, i) }},
+	}
+	for nrhs := 1; nrhs <= 17; nrhs++ {
+		W0 := New(f, nrhs)
+		for i := range W0.A {
+			W0.A[i] = rng.NormFloat64()
+		}
+		for _, kc := range cases {
+			got, want := cloneM(W0), cloneM(W0)
+			kc.run(got)
+			chainSolveRef(want, npiv, kc.forward, kc.divide, kc.coef)
+			for i := range got.A {
+				if math.Float64bits(got.A[i]) != math.Float64bits(want.A[i]) {
+					t.Fatalf("%s f=%d npiv=%d nrhs=%d: element (%d,%d) = %v, reference %v",
+						kc.name, f, npiv, nrhs, i/nrhs, i%nrhs, got.A[i], want.A[i])
+				}
+			}
+		}
+	}
+}
+
 // TestKernelSIMDZeroAlloc pins the SIMD kernels' steady-state stack
-// discipline: default-width panels run without a single heap allocation.
+// discipline: default-width panels, and the four solve kernels at 1, 8
+// and 16 right-hand sides, run without a single heap allocation.
 func TestKernelSIMDZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	n, npiv := 160, 32
@@ -356,6 +458,14 @@ func TestKernelSIMDZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	CholeskyScaleRows(ch, 0, npiv, npiv, n)
+	var panels []*Matrix
+	for _, nrhs := range []int{1, 8, 16} {
+		W := New(n, nrhs)
+		for i := range W.A {
+			W.A[i] = rng.NormFloat64()
+		}
+		panels = append(panels, W)
+	}
 	allocs := testing.AllocsPerRun(10, func() {
 		copy(master.A, front.A)
 		if err := KernelSIMD.PanelLU(master, 0, DefaultBlockRows, 1e-14); err != nil {
@@ -371,6 +481,12 @@ func TestKernelSIMDZeroAlloc(t *testing.T) {
 		KernelSIMD.LUUpdateTile(lu, 0, npiv, npiv, n, npiv, n)
 		KernelSIMD.CholeskyUpdateRows(ch, 0, npiv, npiv, n)
 		KernelSIMD.CholeskyUpdateTile(ch, 0, npiv, npiv, n, npiv+4, n-4)
+		for _, W := range panels {
+			KernelSIMD.SolveForwardLU(lu, npiv, W)
+			KernelSIMD.SolveBackwardLU(lu, npiv, W)
+			KernelSIMD.SolveForwardCholesky(ch, npiv, W)
+			KernelSIMD.SolveBackwardCholesky(ch, npiv, W)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("SIMD kernels allocate %v per run, want 0", allocs)

@@ -15,11 +15,16 @@ package dense
 //     so each column of a multi-RHS solve is bitwise identical to a
 //     single-RHS solve, which is in turn bitwise identical to the
 //     pre-blocked solver.
-//   - KernelSIMD pairs the update sources (pivot columns forward, solved
-//     rows backward) into fused multiply-add chains (see simd.go). The
-//     accumulation order differs from the reference, so results are
-//     validated by residual, but the order is a pure function of the
-//     operands: SIMD solves are deterministic at any worker count.
+//   - KernelSIMD computes each panel element as one fused multiply-add
+//     chain held in registers: w = fma(-l_k, src_k[c], w) over the
+//     sources k (pivot rows forward, solved rows backward) in ascending
+//     order, then the division by a stored diagonal (see simd.go). No
+//     zero is skipped, and each column is independent of the others, so
+//     every column carries the bits of a single-RHS solve and the AVX2
+//     and portable paths are bit-identical. The order differs from the
+//     reference, so results are validated by residual, but it is a pure
+//     function of the operands: SIMD solves are deterministic at any
+//     worker count.
 //
 // The forward kernels consume the f x npiv lower trapezoid L (unit
 // diagonal for LU, stored diagonal for Cholesky) and update the full
@@ -31,7 +36,7 @@ package dense
 // front: W[k+1:] -= L[k+1:, k] * W[k] for each pivot k in order.
 func (kern Kernel) SolveForwardLU(L *Matrix, npiv int, W *Matrix) {
 	if kern.Resolve() == KernelSIMD {
-		solveForwardLUSIMD(L, npiv, W)
+		solveForwardSIMD(L, npiv, W, false)
 		return
 	}
 	n, m := W.R, W.C
@@ -57,7 +62,7 @@ func (kern Kernel) SolveForwardLU(L *Matrix, npiv int, W *Matrix) {
 // stored diagonal: W[k] /= L[k,k], then the trailing update.
 func (kern Kernel) SolveForwardCholesky(L *Matrix, npiv int, W *Matrix) {
 	if kern.Resolve() == KernelSIMD {
-		solveForwardCholeskySIMD(L, npiv, W)
+		solveForwardSIMD(L, npiv, W, true)
 		return
 	}
 	n, m := W.R, W.C

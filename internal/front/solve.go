@@ -137,11 +137,17 @@ func (s *Solver) Solve(b []float64) ([]float64, error) { return s.SolveMulti(b, 
 // SolveMulti solves nrhs systems in one forward and one backward pass
 // over the factor store. b is n x nrhs row-major and is not modified.
 func (s *Solver) SolveMulti(b []float64, nrhs int) ([]float64, error) {
-	if s.st == nil {
-		return nil, fmt.Errorf("front: nil factor store")
-	}
 	if err := CheckRHS(s.tree.N, b, nrhs); err != nil {
 		return nil, err
+	}
+	return s.solveInPlace(append([]float64(nil), b...), nrhs)
+}
+
+// solveInPlace runs both passes over the validated n x nrhs block x,
+// overwriting it with the solution.
+func (s *Solver) solveInPlace(x []float64, nrhs int) ([]float64, error) {
+	if s.st == nil {
+		return nil, fmt.Errorf("front: nil factor store")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,7 +155,6 @@ func (s *Solver) SolveMulti(b []float64, nrhs int) ([]float64, error) {
 		return nil, err
 	}
 	defer s.st.EndSolve()
-	x := append([]float64(nil), b...)
 	w := s.panel(nrhs)
 	// Forward: y = L^{-1} b, fronts in postorder.
 	s.st.Prefetch(s.post)
@@ -190,7 +195,7 @@ func (s *Solver) SolveOriginalMulti(b []float64, nrhs int) ([]float64, error) {
 	if perm == nil {
 		return s.SolveMulti(b, nrhs)
 	}
-	px, err := s.SolveMulti(PermuteRHS(perm, b, nrhs), nrhs)
+	px, err := s.solveInPlace(PermuteRHS(perm, b, nrhs), nrhs)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +220,8 @@ func CheckRHS(n int, b []float64, nrhs int) error {
 }
 
 // PermuteRHS maps a row-major n x nrhs block from the original to the
-// permuted index space (perm[newI] = oldI).
+// permuted index space (perm[newI] = oldI) in a fresh block, which the
+// original-ordering solves then solve in place.
 func PermuteRHS(perm []int, b []float64, nrhs int) []float64 {
 	pb := make([]float64, len(b))
 	for newI, oldI := range perm {

@@ -162,11 +162,17 @@ func (s *TreeSolver) SolveMulti(b []float64, nrhs int) ([]float64, error) {
 // fault-tolerant store, so its prefetcher stops too. A Background
 // context costs nothing.
 func (s *TreeSolver) SolveMultiCtx(ctx context.Context, b []float64, nrhs int) ([]float64, error) {
-	if s.st == nil {
-		return nil, fmt.Errorf("parmf: nil factor store")
-	}
 	if err := front.CheckRHS(s.tree.N, b, nrhs); err != nil {
 		return nil, err
+	}
+	return s.solveInPlace(ctx, append([]float64(nil), b...), nrhs)
+}
+
+// solveInPlace runs both passes over the validated n x nrhs block x,
+// overwriting it with the solution.
+func (s *TreeSolver) solveInPlace(ctx context.Context, x []float64, nrhs int) ([]float64, error) {
+	if s.st == nil {
+		return nil, fmt.Errorf("parmf: nil factor store")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -180,7 +186,6 @@ func (s *TreeSolver) SolveMultiCtx(ctx context.Context, b []float64, nrhs int) (
 	}
 	defer s.st.EndSolve()
 	front.BindStoreContext(ctx, s.st)
-	x := append([]float64(nil), b...)
 	s.st.Prefetch(s.post)
 	err := s.runPass(ctx, s.post, nrhs, trace.SpanSolveFwd, s.fwdIndeg, s.fwdSuccs, func(ni int, nf *front.NodeFactor, w []float64) {
 		front.ForwardNodePanel(x, nf, s.kind, nrhs, w, s.kern)
@@ -219,7 +224,7 @@ func (s *TreeSolver) SolveOriginalMultiCtx(ctx context.Context, b []float64, nrh
 	if perm == nil {
 		return s.SolveMultiCtx(ctx, b, nrhs)
 	}
-	px, err := s.SolveMultiCtx(ctx, front.PermuteRHS(perm, b, nrhs), nrhs)
+	px, err := s.solveInPlace(ctx, front.PermuteRHS(perm, b, nrhs), nrhs)
 	if err != nil {
 		return nil, err
 	}
