@@ -285,7 +285,7 @@ func report(ctx context.Context, fl *flags, a *sparse.CSC, cfg core.Config, pcfg
 		fmt.Fprintf(w, "sequential in-core reference: %.3fs wall, peak %d entries\n",
 			ref.factorT.Seconds(), ref.stats.PeakStack)
 		fmt.Fprintf(w, "  speedup          %.2fx\n", ref.factorT.Seconds()/m.factorT.Seconds())
-		fmt.Fprintf(w, "  max factor diff  %.3g\n", maxFactorDiff(ref.front, incore.front, an.Tree.Len()))
+		fmt.Fprintf(w, "  max factor diff  %.3g\n", maxDiff(ref.front.Slab(), incore.front.Slab()))
 		fmt.Fprintf(w, "  max x diff       %g over %d rhs\n", maxDiff(ref.x, m.x), fl.NRHS)
 	}
 	return s, nil
@@ -299,20 +299,6 @@ func rhs(n, nrhs int) []float64 {
 		b[i] = rng.NormFloat64()
 	}
 	return b
-}
-
-// maxFactorDiff is the largest entrywise difference between two
-// in-memory factorizations of the same tree.
-func maxFactorDiff(a, b *front.Factors, nodes int) float64 {
-	var d float64
-	for ni := 0; ni < nodes; ni++ {
-		na, nb := a.Node(ni), b.Node(ni)
-		d = math.Max(d, maxDiff(na.L.A, nb.L.A))
-		if na.U != nil {
-			d = math.Max(d, maxDiff(na.U.A, nb.U.A))
-		}
-	}
-	return d
 }
 
 // maxDiff is the largest entrywise difference of two equal-length slices.

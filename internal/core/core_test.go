@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/assembly"
 	"repro/internal/dense"
+	"repro/internal/front"
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/parsim"
@@ -282,7 +285,9 @@ func TestFactorizeParallelOOC(t *testing.T) {
 // record in postorder, so the parallel executor — whatever order its
 // workers finish fronts in, with or without within-front tasks — writes
 // the sequential executor's spill file byte for byte (default kernel
-// family, whose factors are bitwise identical across executors).
+// family, whose factors are bitwise identical across executors). Both
+// stores share one layout: record by record, the file is the in-core
+// slab, each node's range framed by a header and a checksum word.
 func TestSpillFileMatchesAcrossExecutors(t *testing.T) {
 	for _, name := range []string{"SHIP_003", "PRE2"} {
 		p, err := workload.ByName(workload.SmallSuite(), name)
@@ -304,6 +309,13 @@ func TestSpillFileMatchesAcrossExecutors(t *testing.T) {
 		sf.Close()
 		if err != nil {
 			t.Fatal(err)
+		}
+		in, err := an.Factorize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recordsAreSlab(want, in.Front()); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 		for _, workers := range []int{2, 8} {
 			pcfg := parmf.DefaultConfig(workers)
@@ -330,6 +342,38 @@ func TestSpillFileMatchesAcrossExecutors(t *testing.T) {
 	}
 }
 
+// recordsAreSlab returns an error unless the spill file raw holds, in
+// the layout's postorder, one record per node whose block is that node's
+// range of the in-core slab, bit for bit: three header words (npiv,
+// front order, 1 when U follows), the block, a checksum word.
+func recordsAreSlab(raw []byte, in *front.Factors) error {
+	word := func(at int) uint64 { return binary.NativeEndian.Uint64(raw[8*at:]) }
+	hasU := uint64(0)
+	if in.Layout.Kind == sparse.Unsymmetric {
+		hasU = 1
+	}
+	at := 0
+	for _, ni := range in.Layout.Tree.Postorder() {
+		nd, blk := &in.Layout.Tree.Nodes[ni], in.Block(ni)
+		if 8*(at+len(blk)+4) > len(raw) {
+			return fmt.Errorf("node %d: file ends at byte %d", ni, len(raw))
+		}
+		if h := [3]uint64{word(at), word(at + 1), word(at + 2)}; h != [3]uint64{uint64(nd.NPiv()), uint64(nd.NFront()), hasU} {
+			return fmt.Errorf("node %d: record header %v", ni, h)
+		}
+		for k, v := range blk {
+			if word(at+3+k) != math.Float64bits(v) {
+				return fmt.Errorf("node %d: record word %d differs from the slab", ni, k)
+			}
+		}
+		at += len(blk) + 4
+	}
+	if 8*at != len(raw) {
+		return fmt.Errorf("%d bytes of records, file has %d", 8*at, len(raw))
+	}
+	return nil
+}
+
 func TestFactorizeParallelMatchesSequential(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	an, err := Analyze(a, DefaultConfig(order.ND, 4))
@@ -354,12 +398,10 @@ func TestFactorizeParallelMatchesSequential(t *testing.T) {
 	if pf.Stats.FactorEntries != sf.Stats.FactorEntries {
 		t.Errorf("factor entries %d vs %d", pf.Stats.FactorEntries, sf.Stats.FactorEntries)
 	}
-	for ni := 0; ni < an.Tree.Len(); ni++ {
-		sn, pn := sf.Front().Node(ni), pf.Front().Node(ni)
-		for p, v := range sn.L.A {
-			if v != pn.L.A[p] {
-				t.Fatalf("node %d: L entry %d differs: %g vs %g", ni, p, v, pn.L.A[p])
-			}
+	pslab := pf.Front().Slab()
+	for p, v := range sf.Front().Slab() {
+		if v != pslab[p] {
+			t.Fatalf("factor entry %d differs: %g vs %g", p, v, pslab[p])
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestComparatorsRejectNaN(t *testing.T) {
 	if err := difftest.CompareFactors(tree, fa.Store(), fb.Store()); err != nil {
 		t.Fatalf("equal factors rejected: %v", err)
 	}
-	la, lb := fa.Front().Node(0).L.A, fb.Front().Node(0).L.A
+	la, lb := fa.Front().Block(0), fb.Front().Block(0)
 	lb[0] = math.NaN()
 	if difftest.CompareFactors(tree, fa.Store(), fb.Store()) == nil {
 		t.Error("NaN factor entry accepted")

@@ -23,11 +23,12 @@ import (
 //
 // Matrices are zeroed on Get, not on Free, so a recycled slab can never
 // leak a previous front's values into the next assembly (Scatter and
-// extend-add accumulate into zeros). Factor blocks (NodeFactor.L/U and
-// the Rows lists) are never arena-managed: they are owned by the
-// front.Store — an out-of-core store may still be spilling them long
-// after the producing worker moved on — so they stay ordinary
-// garbage-collected allocations.
+// extend-add accumulate into zeros). Factor blocks are never
+// arena-managed: ExtractFactor copies each into memory the front.Store
+// owns — the node's range of the in-core slab, or a pooled record buffer
+// an out-of-core store may still be spilling long after the producing
+// worker moved on — so recycling a front never touches a block, and no
+// block is an allocation of its own.
 //
 // A nil *Arena is valid and falls back to plain allocation, so call sites
 // need no guards.

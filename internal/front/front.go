@@ -70,21 +70,18 @@ func NewAssembler(sh *Shared) *Assembler {
 	return a
 }
 
-// Begin stamps the front structure of node ni and returns its global row
-// list (pivot columns then CB rows). The returned slice is freshly
-// allocated and owned by the caller (it becomes NodeFactor.Rows).
-func (a *Assembler) Begin(ni int) []int {
+// Begin stamps the front structure of node ni: its pivot columns
+// [Begin, End), then its CB rows, become local indices 0..NFront-1.
+func (a *Assembler) Begin(ni int) {
 	nd := &a.sh.Tree.Nodes[ni]
-	rows := make([]int, 0, nd.NFront())
 	for j := nd.Begin; j < nd.End; j++ {
-		rows = append(rows, j)
+		a.loc[j] = j - nd.Begin
+		a.stamp[j] = ni
 	}
-	rows = append(rows, nd.Rows...)
-	for k, g := range rows {
-		a.loc[g] = k
+	for k, g := range nd.Rows {
+		a.loc[g] = nd.End - nd.Begin + k
 		a.stamp[g] = ni
 	}
-	return rows
 }
 
 // Scatter adds the original matrix entries owned by node ni into the front
@@ -194,25 +191,28 @@ func EliminateKernel(f *dense.Matrix, npiv int, kind sparse.Type, tol float64, b
 	return kern.PartialLU(f, npiv, tol, blockRows)
 }
 
-// ExtractFactor copies the factor pieces out of the eliminated front: the
-// nf x npiv lower trapezoid (diag: Cholesky=L(k,k), LU=1 implicit) and, for
-// unsymmetric matrices, the npiv x nf upper trapezoid holding the U diag.
-// Each factor row is one contiguous copy; the entries above L's diagonal
-// and left of U's stay zero.
-func ExtractFactor(f *dense.Matrix, rows []int, npiv int, kind sparse.Type) NodeFactor {
-	nf := len(rows)
-	nfac := NodeFactor{Rows: rows, NPiv: npiv}
-	nfac.L = dense.New(nf, npiv)
+// ExtractFactor writes the factor block of the eliminated front f into
+// dst as Layout lays blocks out: the nf x npiv lower trapezoid (diag:
+// Cholesky=L(k,k), LU=U(k,k), L's unit diagonal implicit) and, for
+// unsymmetric matrices, the npiv x nf upper trapezoid holding U's
+// diagonal. Each row is one contiguous copy, structural zeros written
+// too, so dst needs no clearing (a pooled record buffer is reused).
+func ExtractFactor(f *dense.Matrix, npiv int, kind sparse.Type, dst []float64) {
+	nf := f.R
+	L := dst[:nf*npiv]
 	for i := 0; i < nf; i++ {
-		copy(nfac.L.Row(i), f.Row(i)[:min(npiv, i+1)])
+		row := L[i*npiv : (i+1)*npiv]
+		n := copy(row, f.Row(i)[:min(npiv, i+1)])
+		clear(row[n:])
 	}
 	if kind == sparse.Unsymmetric {
-		nfac.U = dense.New(npiv, nf)
+		U := dst[nf*npiv : 2*nf*npiv]
 		for k := 0; k < npiv; k++ {
-			copy(nfac.U.Row(k)[k:], f.Row(k)[k:nf])
+			row := U[k*nf : (k+1)*nf]
+			clear(row[:k])
+			copy(row[k:], f.Row(k)[k:nf])
 		}
 	}
-	return nfac
 }
 
 // ExtractCB copies the contribution block (the trailing Schur complement)

@@ -20,11 +20,11 @@ func walk(t *testing.T, pa *sparse.CSC, tree *assembly.Tree) *Factors {
 		t.Fatal(err)
 	}
 	asm := NewAssembler(sh)
-	fs := NewFactors(tree, pa.Kind)
+	fs := NewFactors(NewLayout(tree, pa.Kind))
 	cbs := make([]*dense.Matrix, tree.Len())
 	for _, ni := range tree.Postorder() {
 		nd := &tree.Nodes[ni]
-		rows := asm.Begin(ni)
+		asm.Begin(ni)
 		fr := dense.New(nd.NFront(), nd.NFront())
 		if err := asm.Scatter(ni, fr); err != nil {
 			t.Fatal(err)
@@ -38,7 +38,7 @@ func walk(t *testing.T, pa *sparse.CSC, tree *assembly.Tree) *Factors {
 		if err := Eliminate(fr, nd.NPiv(), pa.Kind, 1e-12); err != nil {
 			t.Fatal(err)
 		}
-		fs.SetNode(ni, ExtractFactor(fr, rows, nd.NPiv(), pa.Kind))
+		ExtractFactor(fr, nd.NPiv(), pa.Kind, fs.Block(ni))
 		cbs[ni] = ExtractCB(nil, fr, nd.NPiv(), nd.NCB(), pa.Kind)
 	}
 	return fs
@@ -54,7 +54,7 @@ func solveCheck(t *testing.T, a *sparse.CSC, m order.Method) {
 		x0[i] = float64(i%5) - 2
 	}
 	b := a.MulVec(x0)
-	x, err := fs.SolveOriginal(b)
+	x, err := solverOf(fs).SolveOriginal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,8 @@ func TestNewSharedErrors(t *testing.T) {
 // TestExtractFactorMatchesElementwise pins the row-copy extraction
 // against an element-by-element reference on random unsymmetric and
 // symmetric fronts: L is the nf x npiv lower trapezoid, U the npiv x nf
-// upper one, and every entry outside them is zero.
+// upper one, and every entry outside them is zero — written as zero, so
+// a block extracted into a recycled buffer holds nothing of its past.
 func TestExtractFactorMatchesElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const nf, npiv = 23, 9
@@ -98,33 +99,31 @@ func TestExtractFactorMatchesElementwise(t *testing.T) {
 		for p := range f.A {
 			f.A[p] = rng.NormFloat64()
 		}
-		rows := make([]int, nf)
-		for i := range rows {
-			rows[i] = 3 * i
+		blk := make([]float64, BlockWords(nf, npiv, kind))
+		for p := range blk {
+			blk[p] = math.NaN()
 		}
-		got := ExtractFactor(f, rows, npiv, kind)
-		if got.NPiv != npiv || len(got.Rows) != nf || got.L.R != nf || got.L.C != npiv {
-			t.Fatalf("%v: factor shape NPiv %d rows %d L %dx%d", kind, got.NPiv, len(got.Rows), got.L.R, got.L.C)
-		}
+		ExtractFactor(f, npiv, kind, blk)
+		L, U := blockViews(&assembly.Node{End: npiv, Rows: make([]int, nf-npiv)}, kind, blk)
 		for i := 0; i < nf; i++ {
 			for k := 0; k < npiv; k++ {
 				want := 0.0
 				if k <= i {
 					want = f.At(i, k)
 				}
-				if math.Float64bits(got.L.At(i, k)) != math.Float64bits(want) {
-					t.Fatalf("%v: L(%d,%d) = %g, want %g", kind, i, k, got.L.At(i, k), want)
+				if math.Float64bits(L.At(i, k)) != math.Float64bits(want) {
+					t.Fatalf("%v: L(%d,%d) = %g, want %g", kind, i, k, L.At(i, k), want)
 				}
 			}
 		}
 		if kind == sparse.Symmetric {
-			if got.U != nil {
+			if len(blk) != nf*npiv {
 				t.Fatalf("symmetric front extracted a U factor")
 			}
 			continue
 		}
-		if got.U == nil || got.U.R != npiv || got.U.C != nf {
-			t.Fatalf("unsymmetric front: U %v", got.U)
+		if U.R != npiv || U.C != nf {
+			t.Fatalf("unsymmetric front: U %dx%d", U.R, U.C)
 		}
 		for k := 0; k < npiv; k++ {
 			for j := 0; j < nf; j++ {
@@ -132,8 +131,8 @@ func TestExtractFactorMatchesElementwise(t *testing.T) {
 				if j >= k {
 					want = f.At(k, j)
 				}
-				if math.Float64bits(got.U.At(k, j)) != math.Float64bits(want) {
-					t.Fatalf("U(%d,%d) = %g, want %g", k, j, got.U.At(k, j), want)
+				if math.Float64bits(U.At(k, j)) != math.Float64bits(want) {
+					t.Fatalf("U(%d,%d) = %g, want %g", k, j, U.At(k, j), want)
 				}
 			}
 		}
@@ -159,9 +158,10 @@ func TestExtractFullFront(t *testing.T) {
 	if err := Eliminate(f, n, sparse.Unsymmetric, 1e-12); err != nil {
 		t.Fatal(err)
 	}
-	rows := []int{0, 1, 2, 3, 4}
-	nf := ExtractFactor(f, rows, n, sparse.Unsymmetric)
-	if nf.U == nil {
+	blk := make([]float64, BlockWords(n, n, sparse.Unsymmetric))
+	ExtractFactor(f, n, sparse.Unsymmetric, blk)
+	L, U := blockViews(&assembly.Node{End: n}, sparse.Unsymmetric, blk)
+	if U.A == nil {
 		t.Fatal("LU extraction lost U")
 	}
 	// Recompose L*U (unit diagonal L) and compare with the original.
@@ -169,11 +169,11 @@ func TestExtractFullFront(t *testing.T) {
 		for j := 0; j < n; j++ {
 			var s float64
 			for k := 0; k <= i && k <= j; k++ {
-				l := nf.L.At(i, k)
+				l := L.At(i, k)
 				if k == i {
 					l = 1
 				}
-				s += l * nf.U.At(k, j)
+				s += l * U.At(k, j)
 			}
 			if math.Abs(s-orig.At(i, j)) > 1e-12 {
 				t.Fatalf("LU(%d,%d) = %g, want %g", i, j, s, orig.At(i, j))

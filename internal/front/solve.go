@@ -3,6 +3,7 @@ package front
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/assembly"
 	"repro/internal/dense"
@@ -10,78 +11,54 @@ import (
 	"repro/internal/sparse"
 )
 
-// NodeFactor holds the factor pieces of one front.
-type NodeFactor struct {
-	Rows []int // global front indices: pivot columns then CB rows
-	NPiv int
-	L    *dense.Matrix // f x npiv lower trapezoid (diag: Cholesky=L(k,k), LU=1 implicit)
-	U    *dense.Matrix // npiv x f upper trapezoid (LU only, holds U diag)
-}
-
-// Factors is the in-memory factor Store: per-node factor pieces held in
-// one slice. Both executors produce one unless an external Store (e.g.
-// the out-of-core file store) is supplied.
+// Factors is the in-memory factor Store: the Layout held in memory, one
+// slab with every node's block at its layout range. Both executors
+// produce one unless an external Store (e.g. the out-of-core file store)
+// is supplied; a Solver solves over it like over any Store.
 type Factors struct {
-	Tree *assembly.Tree
-	Kind sparse.Type
-	N    int
+	Layout *Layout
 
-	nodes []NodeFactor
-	meter *memory.Meter
-
-	solveOnce sync.Once
-	solver    *Solver
+	slab  []float64
+	meter *memory.Meter // nil until Bind
 }
 
-// NewFactors allocates an empty factor container for the tree. Put (or
-// SetNode) may then be called concurrently for distinct nodes.
-func NewFactors(tree *assembly.Tree, kind sparse.Type) *Factors {
-	return &Factors{
-		Tree:  tree,
-		Kind:  kind,
-		N:     tree.N,
-		nodes: make([]NodeFactor, tree.Len()),
-	}
+// NewFactors allocates the slab for lay; a block's contents are
+// undefined until its Put. Put may be called concurrently for distinct
+// nodes.
+func NewFactors(lay *Layout) *Factors {
+	return &Factors{Layout: lay, slab: uninitialized(lay.Words())}
 }
 
-// SetNode stores the factor pieces of node ni without touching the
-// resident meter. Distinct nodes may be set from different goroutines
-// without synchronization.
-func (f *Factors) SetNode(ni int, nf NodeFactor) { f.nodes[ni] = nf }
-
-// Node returns the factor pieces of node ni.
-func (f *Factors) Node(ni int) *NodeFactor { return &f.nodes[ni] }
-
-// solve returns the lazily built reusable solver over this container.
-func (f *Factors) solve() *Solver {
-	f.solveOnce.Do(func() { f.solver = NewSolver(f, f.Tree, f.Kind, dense.KernelDefault) })
-	return f.solver
+// uninitialized returns n words whose contents are undefined, on huge
+// pages where the platform has them. The slab needs no clearing —
+// ExtractFactor writes every word of every block, structural zeros
+// included — and clearing it would be a serial pass over the whole
+// factorization ahead of the parallel workers. The workers fault a fresh
+// slab in as they fill it, 2 MiB per fault instead of 4 KiB. On
+// perfbench smallfront, clearing cost 22 % of par_factor_s, small pages
+// 4 %.
+func uninitialized(n int64) []float64 {
+	s := unsafe.Slice((*float64)(mallocgc(uintptr(n)*8, nil, false)), n)
+	hugePages(s)
+	return s
 }
 
-// Solve solves A x = b for the permuted system (b and the result are in the
-// permuted index space; see SolveOriginal for the original ordering).
-// b is not modified.
-func (f *Factors) Solve(b []float64) ([]float64, error) {
-	return f.solve().SolveMulti(b, 1)
-}
+// mallocgc is the runtime's allocator; with typ nil it allocates memory
+// the garbage collector does not scan, and needzero false skips the
+// clearing. The runtime keeps this signature for linkname users.
+//
+//go:linkname mallocgc runtime.mallocgc
+func mallocgc(size uintptr, typ unsafe.Pointer, needzero bool) unsafe.Pointer
 
-// SolveMulti solves nrhs systems at once: b is n x nrhs row-major (row i
-// holds the i-th entry of every right-hand side) and the result has the
-// same shape. Each column carries the exact bits of a single-RHS Solve.
-func (f *Factors) SolveMulti(b []float64, nrhs int) ([]float64, error) {
-	return f.solve().SolveMulti(b, nrhs)
-}
+// Slab returns every block of the factorization, back to back in the
+// layout's order: two in-core factorizations of one tree are equal iff
+// their slabs are.
+func (f *Factors) Slab() []float64 { return f.slab }
 
-// SolveOriginal solves for a right-hand side given in the *original*
-// (pre-permutation) ordering, returning x in the original ordering.
-func (f *Factors) SolveOriginal(b []float64) ([]float64, error) {
-	return f.solve().SolveOriginalMulti(b, 1)
-}
-
-// SolveOriginalMulti is SolveMulti for right-hand sides given in the
-// original (pre-permutation) ordering.
-func (f *Factors) SolveOriginalMulti(b []float64, nrhs int) ([]float64, error) {
-	return f.solve().SolveOriginalMulti(b, nrhs)
+// Block returns node ni's range of the slab.
+func (f *Factors) Block(ni int) []float64 {
+	lo, hi := f.Layout.Range(ni)
+	return f.slab[lo:hi:hi]
 }
 
 // Solver is a reusable solve context over one completed factorization:
@@ -159,21 +136,21 @@ func (s *Solver) solveInPlace(x []float64, nrhs int) ([]float64, error) {
 	// Forward: y = L^{-1} b, fronts in postorder.
 	s.st.Prefetch(s.post)
 	for _, ni := range s.post {
-		nf, err := s.st.Fetch(ni)
+		blk, err := s.st.Fetch(ni)
 		if err != nil {
 			return nil, err
 		}
-		ForwardNodePanel(x, nf, s.kind, nrhs, w, s.kern)
+		ForwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
 		s.st.Release(ni)
 	}
 	// Backward: x = U^{-1} y (or L^{-T} y), reverse postorder.
 	s.st.Prefetch(s.rev)
 	for _, ni := range s.rev {
-		nf, err := s.st.Fetch(ni)
+		blk, err := s.st.Fetch(ni)
 		if err != nil {
 			return nil, err
 		}
-		BackwardNodePanel(x, nf, s.kind, nrhs, w, s.kern)
+		BackwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
 		s.st.Release(ni)
 	}
 	return x, nil
@@ -239,101 +216,65 @@ func UnpermuteRHS(perm []int, px []float64, nrhs int) []float64 {
 	return x
 }
 
-// SolveStore solves A x = b in the permuted index space by streaming the
-// factor blocks of the completed factorization out of st: the forward
-// substitution walks fronts in postorder, the backward substitution in
-// reverse postorder, each pass advising the store of its access order so
-// a file-backed store can prefetch sequentially. b is not modified.
-// Callers solving repeatedly should hold a Solver instead (this rebuilds
-// the walk orders and scratch every call).
-func SolveStore(st Store, tree *assembly.Tree, kind sparse.Type, b []float64) ([]float64, error) {
-	return SolveStoreMulti(st, tree, kind, b, 1)
-}
-
-// SolveStoreMulti is SolveStore for an n x nrhs row-major block of
-// right-hand sides, solved with one forward and one backward store pass
-// total — a file-backed store streams the factors exactly twice however
-// many right-hand sides ride along. Each column carries the exact bits
-// of a single-RHS SolveStore.
-func SolveStoreMulti(st Store, tree *assembly.Tree, kind sparse.Type, b []float64, nrhs int) ([]float64, error) {
-	if st == nil {
-		return nil, fmt.Errorf("front: nil factor store")
-	}
-	return NewSolver(st, tree, kind, dense.KernelDefault).SolveMulti(b, nrhs)
-}
-
-// SolveOriginalStore is SolveStore for a right-hand side given in the
-// *original* (pre-permutation) ordering, returning x in the original
-// ordering.
-func SolveOriginalStore(st Store, tree *assembly.Tree, kind sparse.Type, b []float64) ([]float64, error) {
-	return SolveOriginalStoreMulti(st, tree, kind, b, 1)
-}
-
-// SolveOriginalStoreMulti is SolveStoreMulti for right-hand sides in the
-// original ordering.
-func SolveOriginalStoreMulti(st Store, tree *assembly.Tree, kind sparse.Type, b []float64, nrhs int) ([]float64, error) {
-	if st == nil {
-		return nil, fmt.Errorf("front: nil factor store")
-	}
-	return NewSolver(st, tree, kind, dense.KernelDefault).SolveOriginalMulti(b, nrhs)
-}
-
-// ForwardNodePanel applies one front's part of the forward substitution
-// to the n x nrhs row-major block x: gather the front's rows into the
-// scratch panel w (at least len(nf.Rows)*nrhs), run the blocked kernel,
-// scatter every row back. With dense.KernelDefault the per-column
-// operation order is exactly the historical scalar solve's.
-func ForwardNodePanel(x []float64, nf *NodeFactor, kind sparse.Type, nrhs int, w []float64, kern dense.Kernel) {
-	f := len(nf.Rows)
-	w = w[:f*nrhs]
-	gatherPanel(x, nf.Rows, nrhs, w)
-	W := dense.Matrix{R: f, C: nrhs, A: w}
+// ForwardNodePanel applies node nd's part of the forward substitution
+// to the n x nrhs row-major block x, with blk the node's factor block:
+// copy the front's rows into the scratch panel w (at least
+// NFront*nrhs) — the pivot rows [Begin, End) as one contiguous copy, the
+// CB rows gathered — run the blocked kernel, and copy every row back.
+// With dense.KernelDefault the per-column operation order is exactly the
+// historical scalar solve's.
+func ForwardNodePanel(x []float64, nd *assembly.Node, kind sparse.Type, blk []float64, nrhs int, w []float64, kern dense.Kernel) {
+	L, _ := blockViews(nd, kind, blk)
+	W := gatherPanel(x, nd, nrhs, w)
 	if kind == sparse.Symmetric {
-		kern.SolveForwardCholesky(nf.L, nf.NPiv, &W)
+		kern.SolveForwardCholesky(&L, L.C, &W)
 	} else {
-		kern.SolveForwardLU(nf.L, nf.NPiv, &W)
+		kern.SolveForwardLU(&L, L.C, &W)
 	}
-	scatterPanel(x, nf.Rows, nrhs, w)
-}
-
-// BackwardNodePanel applies one front's part of the backward
-// substitution. Only the npiv pivot rows are scattered back: the
-// trailing CB rows are read-only inputs of the backward pass (they are
-// pivot rows of ancestors, already final), so the tree-parallel solve
-// can run sibling fronts concurrently without write overlap.
-func BackwardNodePanel(x []float64, nf *NodeFactor, kind sparse.Type, nrhs int, w []float64, kern dense.Kernel) {
-	f := len(nf.Rows)
-	w = w[:f*nrhs]
-	gatherPanel(x, nf.Rows, nrhs, w)
-	W := dense.Matrix{R: f, C: nrhs, A: w}
-	if kind == sparse.Symmetric {
-		kern.SolveBackwardCholesky(nf.L, nf.NPiv, &W)
-	} else {
-		kern.SolveBackwardLU(nf.U, nf.NPiv, &W)
-	}
-	scatterPanel(x, nf.Rows[:nf.NPiv], nrhs, w)
-}
-
-func gatherPanel(x []float64, rows []int, nrhs int, w []float64) {
+	cb := W.A[copy(x[nd.Begin*nrhs:nd.End*nrhs], W.A):]
 	if nrhs == 1 {
-		for k, g := range rows {
-			w[k] = x[g]
+		for k, g := range nd.Rows {
+			x[g] = cb[k]
 		}
 		return
 	}
-	for k, g := range rows {
-		copy(w[k*nrhs:(k+1)*nrhs], x[g*nrhs:(g+1)*nrhs])
+	for k, g := range nd.Rows {
+		copy(x[g*nrhs:(g+1)*nrhs], cb[k*nrhs:(k+1)*nrhs])
 	}
 }
 
-func scatterPanel(x []float64, rows []int, nrhs int, w []float64) {
+// BackwardNodePanel applies node nd's part of the backward substitution.
+// Only the pivot rows are copied back: the trailing CB rows are
+// read-only inputs of the backward pass (they are pivot rows of
+// ancestors, already final), so the tree-parallel solve can run sibling
+// fronts concurrently without write overlap.
+func BackwardNodePanel(x []float64, nd *assembly.Node, kind sparse.Type, blk []float64, nrhs int, w []float64, kern dense.Kernel) {
+	L, U := blockViews(nd, kind, blk)
+	W := gatherPanel(x, nd, nrhs, w)
+	if kind == sparse.Symmetric {
+		kern.SolveBackwardCholesky(&L, L.C, &W)
+	} else {
+		kern.SolveBackwardLU(&U, U.R, &W)
+	}
+	copy(x[nd.Begin*nrhs:nd.End*nrhs], W.A[:(nd.End-nd.Begin)*nrhs])
+}
+
+// gatherPanel copies node nd's front rows of x into w and returns the
+// NFront x nrhs panel over it: the pivot rows are one contiguous range
+// of x, the CB rows are gathered one by one.
+func gatherPanel(x []float64, nd *assembly.Node, nrhs int, w []float64) dense.Matrix {
+	f := nd.NFront()
+	w = w[:f*nrhs]
+	piv := copy(w, x[nd.Begin*nrhs:nd.End*nrhs])
+	cb := w[piv:]
 	if nrhs == 1 {
-		for k, g := range rows {
-			x[g] = w[k]
+		for k, g := range nd.Rows {
+			cb[k] = x[g]
 		}
-		return
+	} else {
+		for k, g := range nd.Rows {
+			copy(cb[k*nrhs:(k+1)*nrhs], x[g*nrhs:(g+1)*nrhs])
+		}
 	}
-	for k, g := range rows {
-		copy(x[g*nrhs:(g+1)*nrhs], w[k*nrhs:(k+1)*nrhs])
-	}
+	return dense.Matrix{R: f, C: nrhs, A: w}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // Direct tests of the forward/backward solve walk on hand-crafted fronts:
-// no executor, no assembly — the NodeFactor blocks are written down
+// no executor, no assembly — the factor blocks are written down
 // explicitly and the results checked against pencil-and-paper (or dense
 // reference) substitution. This pins the solve semantics the executors
 // rely on: Cholesky fronts divide by the stored diagonal in both passes,
 // LU fronts use the unit-lower L forward and U (with its diagonal)
-// backward, and each front touches exactly its Rows slice.
+// backward, and each front touches exactly its tree rows.
 
 // mat builds a dense matrix from rows.
 func mat(rows [][]float64) *dense.Matrix {
@@ -26,6 +26,20 @@ func mat(rows [][]float64) *dense.Matrix {
 		}
 	}
 	return m
+}
+
+// solverOf is the default-family Solver over the in-core store fs.
+func solverOf(fs *Factors) *Solver {
+	return NewSolver(fs, fs.Layout.Tree, fs.Layout.Kind, dense.KernelDefault)
+}
+
+// setNode writes node ni's factor block: L, then U when non-nil, as
+// Layout lays blocks out.
+func setNode(fs *Factors, ni int, L, U *dense.Matrix) {
+	n := copy(fs.Block(ni), L.A)
+	if U != nil {
+		copy(fs.Block(ni)[n:], U.A)
+	}
 }
 
 // oneNodeTree is a single front owning all n pivots.
@@ -43,13 +57,9 @@ func oneNodeTree(n int, kind sparse.Type) *assembly.Tree {
 // x = L⁻ᵀy = (1,0) — exactly representable, so the comparison is exact.
 func TestSolveCraftedCholeskySingleFront(t *testing.T) {
 	tree := oneNodeTree(2, sparse.Symmetric)
-	fs := NewFactors(tree, sparse.Symmetric)
-	fs.SetNode(0, NodeFactor{
-		Rows: []int{0, 1},
-		NPiv: 2,
-		L:    mat([][]float64{{2, 0}, {1, 1}}),
-	})
-	x, err := fs.Solve([]float64{4, 2})
+	fs := NewFactors(NewLayout(tree, sparse.Symmetric))
+	setNode(fs, 0, mat([][]float64{{2, 0}, {1, 1}}), nil)
+	x, err := solverOf(fs).Solve([]float64{4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +75,9 @@ func TestSolveCraftedCholeskySingleFront(t *testing.T) {
 // b = (2,4): y = L⁻¹b = (2,3), x = U⁻¹y = (-1,1). Exact.
 func TestSolveCraftedLUSingleFront(t *testing.T) {
 	tree := oneNodeTree(2, sparse.Unsymmetric)
-	fs := NewFactors(tree, sparse.Unsymmetric)
-	fs.SetNode(0, NodeFactor{
-		Rows: []int{0, 1},
-		NPiv: 2,
-		L:    mat([][]float64{{2, 0}, {0.5, 3}}),
-		U:    mat([][]float64{{2, 4}, {0, 3}}),
-	})
-	x, err := fs.Solve([]float64{2, 4})
+	fs := NewFactors(NewLayout(tree, sparse.Unsymmetric))
+	setNode(fs, 0, mat([][]float64{{2, 0}, {0.5, 3}}), mat([][]float64{{2, 4}, {0, 3}}))
+	x, err := solverOf(fs).Solve([]float64{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +149,11 @@ func TestSolveCraftedCholeskyTwoFronts(t *testing.T) {
 		{0.5, 3, 0},
 		{-1, 0.25, 1.5},
 	})
-	fs := NewFactors(tree, sparse.Symmetric)
-	fs.SetNode(0, NodeFactor{
-		Rows: []int{0, 1, 2},
-		NPiv: 1,
-		L:    mat([][]float64{{2}, {0.5}, {-1}}),
-	})
-	fs.SetNode(1, NodeFactor{
-		Rows: []int{1, 2},
-		NPiv: 2,
-		L:    mat([][]float64{{3, 0}, {0.25, 1.5}}),
-	})
+	fs := NewFactors(NewLayout(tree, sparse.Symmetric))
+	setNode(fs, 0, mat([][]float64{{2}, {0.5}, {-1}}), nil)
+	setNode(fs, 1, mat([][]float64{{3, 0}, {0.25, 1.5}}), nil)
 	b := []float64{3, -1, 4}
-	x, err := fs.Solve(b)
+	x, err := solverOf(fs).Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,23 +179,13 @@ func TestSolveCraftedLUTwoFronts(t *testing.T) {
 		{0, 3, 0.5},
 		{0, 0, 1.25},
 	})
-	fs := NewFactors(tree, sparse.Unsymmetric)
-	fs.SetNode(0, NodeFactor{
-		Rows: []int{0, 1, 2},
-		NPiv: 1,
-		// L diagonal holds U(0,0), as ExtractFactor stores it; the
-		// unsymmetric walk never reads it.
-		L: mat([][]float64{{2}, {0.5}, {-0.25}}),
-		U: mat([][]float64{{2, 1, -1}}),
-	})
-	fs.SetNode(1, NodeFactor{
-		Rows: []int{1, 2},
-		NPiv: 2,
-		L:    mat([][]float64{{3, 0}, {0.4, 1.25}}),
-		U:    mat([][]float64{{3, 0.5}, {0, 1.25}}),
-	})
+	fs := NewFactors(NewLayout(tree, sparse.Unsymmetric))
+	// L diagonal holds U(0,0), as ExtractFactor stores it; the
+	// unsymmetric walk never reads it.
+	setNode(fs, 0, mat([][]float64{{2}, {0.5}, {-0.25}}), mat([][]float64{{2, 1, -1}}))
+	setNode(fs, 1, mat([][]float64{{3, 0}, {0.4, 1.25}}), mat([][]float64{{3, 0.5}, {0, 1.25}}))
 	b := []float64{1, 2, -1}
-	x, err := fs.Solve(b)
+	x, err := solverOf(fs).Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +198,7 @@ func TestSolveCraftedLUTwoFronts(t *testing.T) {
 }
 
 // TestSolveOriginalCraftedPermutation checks the permutation plumbing of
-// SolveOriginalStore on a crafted front: with Perm = [2,0,1]
+// SolveOriginal on a crafted front: with Perm = [2,0,1]
 // (new -> old), a right-hand side in original order must round-trip
 // through the permuted solve and come back in original order.
 func TestSolveOriginalCraftedPermutation(t *testing.T) {
@@ -222,11 +209,11 @@ func TestSolveOriginalCraftedPermutation(t *testing.T) {
 		{0.5, 2, 0},
 		{0, -1, 1},
 	})
-	fs := NewFactors(tree, sparse.Symmetric)
-	fs.SetNode(0, NodeFactor{Rows: []int{0, 1, 2}, NPiv: 3, L: L})
+	fs := NewFactors(NewLayout(tree, sparse.Symmetric))
+	setNode(fs, 0, L, nil)
 
 	pb := []float64{2, -3, 1} // permuted-space rhs
-	px, err := fs.Solve(pb)
+	px, err := solverOf(fs).Solve(pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +224,7 @@ func TestSolveOriginalCraftedPermutation(t *testing.T) {
 		b[oldI] = pb[newI]
 		wantX[oldI] = px[newI]
 	}
-	x, err := fs.SolveOriginal(b)
+	x, err := solverOf(fs).SolveOriginal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,15 +239,15 @@ func TestSolveOriginalCraftedPermutation(t *testing.T) {
 // store-backed solves.
 func TestSolveStoreErrors(t *testing.T) {
 	tree := oneNodeTree(2, sparse.Symmetric)
-	fs := NewFactors(tree, sparse.Symmetric)
-	fs.SetNode(0, NodeFactor{Rows: []int{0, 1}, NPiv: 2, L: mat([][]float64{{1, 0}, {0, 1}})})
-	if _, err := SolveStore(nil, tree, sparse.Symmetric, []float64{1, 2}); err == nil {
+	fs := NewFactors(NewLayout(tree, sparse.Symmetric))
+	setNode(fs, 0, mat([][]float64{{1, 0}, {0, 1}}), nil)
+	if _, err := NewSolver(nil, tree, sparse.Symmetric, dense.KernelDefault).Solve([]float64{1, 2}); err == nil {
 		t.Error("nil store accepted")
 	}
-	if _, err := SolveStore(fs, tree, sparse.Symmetric, []float64{1}); err == nil {
+	if _, err := solverOf(fs).Solve([]float64{1}); err == nil {
 		t.Error("short rhs accepted")
 	}
-	if _, err := SolveOriginalStore(fs, tree, sparse.Symmetric, []float64{1, 2, 3}); err == nil {
-		t.Error("long rhs accepted by SolveOriginalStore")
+	if _, err := solverOf(fs).SolveOriginal([]float64{1, 2, 3}); err == nil {
+		t.Error("long rhs accepted by SolveOriginal")
 	}
 }

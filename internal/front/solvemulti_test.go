@@ -25,17 +25,14 @@ func chainFactors(k int) (*assembly.Tree, *Factors) {
 	nodes[k-1].Parent = -1
 	nodes[k-1].Rows = nil
 	tree := &assembly.Tree{Nodes: nodes, Roots: []int{k - 1}, N: k, Kind: sparse.Symmetric}
-	fs := NewFactors(tree, sparse.Symmetric)
+	fs := NewFactors(NewLayout(tree, sparse.Symmetric))
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < k; i++ {
-		var L *dense.Matrix
 		if i == k-1 {
-			L = mat([][]float64{{2 + rng.Float64()}})
-			fs.SetNode(i, NodeFactor{Rows: []int{i}, NPiv: 1, L: L})
+			setNode(fs, i, mat([][]float64{{2 + rng.Float64()}}), nil)
 			continue
 		}
-		L = mat([][]float64{{2 + rng.Float64()}, {rng.NormFloat64()}})
-		fs.SetNode(i, NodeFactor{Rows: []int{i, i + 1}, NPiv: 1, L: L})
+		setNode(fs, i, mat([][]float64{{2 + rng.Float64()}, {rng.NormFloat64()}}), nil)
 	}
 	return tree, fs
 }
@@ -55,7 +52,7 @@ func TestSolveMultiMatchesRepeatedSingle(t *testing.T) {
 		}
 		b[i] = rng.NormFloat64()
 	}
-	x, err := fs.SolveMulti(b, nrhs)
+	x, err := solverOf(fs).SolveMulti(b, nrhs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +61,7 @@ func TestSolveMultiMatchesRepeatedSingle(t *testing.T) {
 		for i := 0; i < n; i++ {
 			bc[i] = b[i*nrhs+c]
 		}
-		xc, err := fs.Solve(bc)
+		xc, err := solverOf(fs).Solve(bc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,27 +108,21 @@ func TestSolveEntryPointValidation(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"Factors.Solve short", func() error { _, err := fs.Solve(good[:3]); return err }},
-		{"Factors.Solve nil", func() error { _, err := fs.Solve(nil); return err }},
-		{"Factors.SolveMulti zero nrhs", func() error { _, err := fs.SolveMulti(good, 0); return err }},
-		{"Factors.SolveMulti bad len", func() error { _, err := fs.SolveMulti(good, 3); return err }},
-		{"Factors.SolveOriginal short", func() error { _, err := fs.SolveOriginal(good[:1]); return err }},
-		{"Factors.SolveOriginalMulti nil", func() error { _, err := fs.SolveOriginalMulti(nil, 2); return err }},
+		{"Solver.Solve short", func() error { _, err := s.Solve(good[:3]); return err }},
+		{"Solver.Solve nil", func() error { _, err := s.Solve(nil); return err }},
+		{"Solver.SolveMulti zero nrhs", func() error { _, err := s.SolveMulti(good, 0); return err }},
+		{"Solver.SolveMulti bad len", func() error { _, err := s.SolveMulti(good, 3); return err }},
 		{"Solver.SolveMulti negative nrhs", func() error { _, err := s.SolveMulti(good, -1); return err }},
+		{"Solver.SolveOriginal short", func() error { _, err := s.SolveOriginal(good[:1]); return err }},
+		{"Solver.SolveOriginal long", func() error { _, err := s.SolveOriginal(make([]float64, 9)); return err }},
+		{"Solver.SolveOriginalMulti nil", func() error { _, err := s.SolveOriginalMulti(nil, 2); return err }},
 		{"Solver.SolveOriginalMulti bad len", func() error { _, err := s.SolveOriginalMulti(good[:2], 1); return err }},
-		{"SolveStore nil store", func() error { _, err := SolveStore(nil, tree, sparse.Symmetric, good); return err }},
-		{"SolveStore short", func() error { _, err := SolveStore(fs, tree, sparse.Symmetric, good[:2]); return err }},
-		{"SolveStoreMulti zero nrhs", func() error { _, err := SolveStoreMulti(fs, tree, sparse.Symmetric, good, 0); return err }},
-		{"SolveOriginalStore long", func() error {
-			_, err := SolveOriginalStore(fs, tree, sparse.Symmetric, make([]float64, 9))
+		{"nil store", func() error {
+			_, err := NewSolver(nil, tree, sparse.Symmetric, dense.KernelDefault).SolveMulti(good, 1)
 			return err
 		}},
-		{"SolveOriginalStoreMulti nil store", func() error {
-			_, err := SolveOriginalStoreMulti(nil, tree, sparse.Symmetric, good, 1)
-			return err
-		}},
-		{"SolveOriginalStoreMulti nil rhs", func() error {
-			_, err := SolveOriginalStoreMulti(fs, tree, sparse.Symmetric, nil, 1)
+		{"nil store, original ordering", func() error {
+			_, err := NewSolver(nil, tree, sparse.Symmetric, dense.KernelDefault).SolveOriginalMulti(good, 1)
 			return err
 		}},
 	}

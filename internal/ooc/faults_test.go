@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/front"
 	"repro/internal/memory"
+	"repro/internal/sparse"
 )
 
 // testOptions is the base fault-test configuration: tiny backoff so
@@ -19,29 +19,25 @@ func testOptions(t *testing.T, in *faults.Injector) Options {
 	return Options{Dir: t.TempDir(), RetryBase: 50 * time.Microsecond, Faults: in}
 }
 
-// putAll spills n random blocks and returns the originals.
-func putAll(t *testing.T, s *FileStore, n int, seed int64) []front.NodeFactor {
+// putAll binds s to n random LU-shaped fronts, spills a random block
+// for each and returns the originals and the store's meter.
+func putAll(t *testing.T, s *FileStore, n int, seed int64) ([][]float64, *memory.Meter) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	orig := make([]front.NodeFactor, n)
-	for ni := range orig {
-		orig[ni] = randomBlock(rng, 2+rng.Intn(8), 1+rng.Intn(2), ni%2 == 0)
-		if err := s.Put(ni, orig[ni], int64(len(orig[ni].L.A))); err != nil {
-			t.Fatalf("Put(%d): %v", ni, err)
-		}
-	}
-	return orig
+	tree := shapeTree(sparse.Unsymmetric, n, func(int) (int, int) { return 2 + rng.Intn(8), 1 + rng.Intn(2) })
+	m := bind(t, s, tree)
+	return putBlocks(t, s, tree, indices(n), rng), m
 }
 
 // fetchAll reads every block back and checks bitwise identity.
-func fetchAll(t *testing.T, s *FileStore, orig []front.NodeFactor) {
+func fetchAll(t *testing.T, s *FileStore, orig [][]float64) {
 	t.Helper()
 	for ni := range orig {
 		got, err := s.Fetch(ni)
 		if err != nil {
 			t.Fatalf("Fetch(%d): %v", ni, err)
 		}
-		if err := sameBlock(&orig[ni], got); err != nil {
+		if err := sameBlock(orig[ni], got); err != nil {
 			t.Fatalf("node %d: %v", ni, err)
 		}
 		s.Release(ni)
@@ -58,7 +54,7 @@ func TestTransientWriteRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	orig := putAll(t, s, 10, 21)
+	orig, _ := putAll(t, s, 10, 21)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +80,7 @@ func TestShortWriteRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	orig := putAll(t, s, 8, 22)
+	orig, _ := putAll(t, s, 8, 22)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +102,7 @@ func TestPersistentWriteDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m memory.Meter
-	s.SetMeter(&m)
-	orig := putAll(t, s, 6, 23)
+	orig, m := putAll(t, s, 6, 23)
 	if err := s.Flush(); err != nil {
 		t.Fatalf("Flush after degradation: %v (degraded runs must complete)", err)
 	}
@@ -121,7 +115,7 @@ func TestPersistentWriteDegrades(t *testing.T) {
 	}
 	var want int64
 	for i := range orig {
-		want += int64(len(orig[i].L.A))
+		want += int64(len(orig[i]))
 	}
 	if st.DegradedEntries != want {
 		t.Errorf("DegradedEntries = %d, want %d", st.DegradedEntries, want)
@@ -161,8 +155,8 @@ func TestPersistentWriteNoDegradePoisonsPut(t *testing.T) {
 	}
 	defer s.Close()
 	rng := rand.New(rand.NewSource(24))
-	b := randomBlock(rng, 4, 2, false)
-	if err := s.Put(0, b, int64(len(b.L.A))); err != nil {
+	bind(t, s, shapeTree(sparse.Symmetric, 2, func(int) (int, int) { return 4, 2 }))
+	if _, err := putBlock(s, 0, rng); err != nil {
 		t.Fatalf("first Put: %v (buffer had room)", err)
 	}
 	// Flush waits for the writer to hit the failure and poison the store.
@@ -172,7 +166,7 @@ func TestPersistentWriteNoDegradePoisonsPut(t *testing.T) {
 	}
 	// The satellite contract: a subsequent Put fails immediately with the
 	// same descriptive error instead of queueing into a dead store.
-	perr := s.Put(1, b, int64(len(b.L.A)))
+	_, perr := putBlock(s, 1, rng)
 	if !errors.Is(perr, faults.ErrInjected) {
 		t.Fatalf("Put after writer failure: %v, want the writer's error", perr)
 	}
@@ -190,7 +184,7 @@ func TestTransientReadRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	orig := putAll(t, s, 4, 25)
+	orig, _ := putAll(t, s, 4, 25)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +250,7 @@ func TestWriterPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	orig := putAll(t, s, 3, 28)
+	orig, _ := putAll(t, s, 3, 28)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +281,10 @@ func TestSetContextCancelsPut(t *testing.T) {
 		cancel()
 	}()
 	rng := rand.New(rand.NewSource(29))
+	bind(t, s, shapeTree(sparse.Symmetric, 1000, func(int) (int, int) { return 8, 4 })) // 32 entries > budget/2, so Puts queue up
 	var perr error
 	for ni := 0; ni < 1000 && perr == nil; ni++ {
-		b := randomBlock(rng, 8, 4, false) // 32 entries > budget/2, so Puts queue up
-		perr = s.Put(ni, b, int64(len(b.L.A)))
+		_, perr = putBlock(s, ni, rng)
 	}
 	if !errors.Is(perr, context.Canceled) {
 		t.Fatalf("Put under cancellation: %v, want context.Canceled", perr)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/assembly"
 	"repro/internal/faults"
 	"repro/internal/front"
-	"repro/internal/memory"
 	"repro/internal/sparse"
 )
 
@@ -37,51 +36,34 @@ func layoutTree(kind sparse.Type) *assembly.Tree {
 	return t
 }
 
-// treeBlocks makes one random block per node, shaped as ExtractFactor
-// shapes it: the front's order of rows, its pivots, U for LU.
-func treeBlocks(t *assembly.Tree, seed int64) []front.NodeFactor {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]front.NodeFactor, t.Len())
-	for ni := range t.Nodes {
-		nd := &t.Nodes[ni]
-		out[ni] = randomBlock(rng, nd.NFront(), nd.NPiv(), t.Kind == sparse.Unsymmetric)
-	}
-	return out
-}
-
-// boundStore creates a store bound to tree and Puts every block in
-// reverse index order (so arrival order is not the layout order), then
-// flushes.
-func boundStore(t *testing.T, opt Options, tree *assembly.Tree, blocks []front.NodeFactor) *FileStore {
+// boundStore creates a store bound to tree and Puts a random block for
+// every node in reverse index order (so arrival order is not the layout
+// order), then flushes. It returns the store and the blocks by node.
+func boundStore(t *testing.T, opt Options, tree *assembly.Tree, seed int64) (*FileStore, [][]float64) {
 	t.Helper()
 	s, err := NewFileStore(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	s.SetMeter(new(memory.Meter))
-	s.BindTree(tree, tree.Kind)
-	for ni := len(blocks) - 1; ni >= 0; ni-- {
-		if err := s.Put(ni, blocks[ni], int64(len(blocks[ni].L.A))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	bind(t, s, tree)
+	blocks := putBlocks(t, s, tree, reversed(indices(tree.Len())), rand.New(rand.NewSource(seed)))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, blocks
 }
 
 // walk runs one solve pass over order: Prefetch, then Fetch/compare/
 // Release every node.
-func walk(s *FileStore, order []int, blocks []front.NodeFactor) error {
+func walk(s *FileStore, order []int, blocks [][]float64) error {
 	s.Prefetch(order)
 	for _, ni := range order {
 		got, err := s.Fetch(ni)
 		if err != nil {
 			return err
 		}
-		if err := sameBlock(&blocks[ni], got); err != nil {
+		if err := sameBlock(blocks[ni], got); err != nil {
 			return fmt.Errorf("node %d: %w", ni, err)
 		}
 		s.Release(ni)
@@ -105,14 +87,13 @@ func TestReservedOffsetsArePostorderPrefixSums(t *testing.T) {
 	for _, kind := range []sparse.Type{sparse.Symmetric, sparse.Unsymmetric} {
 		t.Run(kind.String(), func(t *testing.T) {
 			tree := layoutTree(kind)
-			blocks := treeBlocks(tree, 1)
-			s := boundStore(t, Options{Dir: t.TempDir()}, tree, blocks)
+			s, blocks := boundStore(t, Options{Dir: t.TempDir()}, tree, 1)
 			var off int64
 			for _, ni := range tree.Postorder() {
 				nd := &tree.Nodes[ni]
-				size, _ := recordSize(nd.NFront(), nd.NPiv(), kind == sparse.Unsymmetric)
-				if r := s.nodes[ni].rec; r.off != off || r.size != size || !r.ok {
-					t.Errorf("node %d: record at %d (%d bytes, written %v), want %d (%d bytes)", ni, r.off, r.size, r.ok, off, size)
+				size := 8 * (front.BlockWords(nd.NFront(), nd.NPiv(), kind) + recordOverhead)
+				if r, ok := s.recOf(ni), s.nodes[ni].ok; r.off != off || r.size != size || !ok {
+					t.Errorf("node %d: record at %d (%d bytes, written %v), want %d (%d bytes)", ni, r.off, r.size, ok, off, size)
 				}
 				off += size
 			}
@@ -123,15 +104,15 @@ func TestReservedOffsetsArePostorderPrefixSums(t *testing.T) {
 			if int64(len(raw)) != off || s.Stats().BytesWritten != off {
 				t.Fatalf("file %d bytes, %d written; want %d", len(raw), s.Stats().BytesWritten, off)
 			}
-			for ni, sl := range s.nodes {
-				r := sl.rec
+			for ni := range s.nodes {
+				r := s.recOf(ni)
 				w := make([]float64, r.size/8)
 				copy(wordBytes(w), raw[r.off:r.off+r.size])
-				got, err := decodeBlock(w)
+				_, got, err := decodeRecord(w)
 				if err != nil {
 					t.Fatalf("node %d: %v", ni, err)
 				}
-				if err := sameBlock(&blocks[ni], got); err != nil {
+				if err := sameBlock(blocks[ni], got); err != nil {
 					t.Errorf("node %d at its reserved offset: %v", ni, err)
 				}
 			}
@@ -147,18 +128,14 @@ func TestReservedOffsetsArePostorderPrefixSums(t *testing.T) {
 func TestExtentStream(t *testing.T) {
 	for _, kind := range []sparse.Type{sparse.Symmetric, sparse.Unsymmetric} {
 		tree := layoutTree(kind)
-		blocks := treeBlocks(tree, 2)
-		var total int64 // words in the file
-		for ni := range blocks {
-			size, _ := recordSize(len(blocks[ni].Rows), blocks[ni].NPiv, blocks[ni].U != nil)
-			total += size / 8
-		}
+		lay := front.NewLayout(tree, kind)
+		total := lay.Words() + int64(tree.Len())*recordOverhead // words in the file
 		for _, c := range []struct {
 			budget int64
 			reads  int64 // per pass
-		}{{2 * total, 1}, {2, int64(len(blocks))}} {
+		}{{2 * total, 1}, {2, int64(tree.Len())}} {
 			t.Run(fmt.Sprintf("%v/budget%d", kind, c.budget), func(t *testing.T) {
-				s := boundStore(t, Options{Dir: t.TempDir(), BufferEntries: c.budget}, tree, blocks)
+				s, blocks := boundStore(t, Options{Dir: t.TempDir(), BufferEntries: c.budget}, tree, 2)
 				post := tree.Postorder()
 				if err := s.BeginSolve(); err != nil {
 					t.Fatal(err)
@@ -186,7 +163,6 @@ func TestExtentStream(t *testing.T) {
 // store with an error naming the third block's node.
 func TestExtentReadRetriedAsWhole(t *testing.T) {
 	tree := layoutTree(sparse.Unsymmetric)
-	blocks := treeBlocks(tree, 3)
 	post := tree.Postorder()
 	for _, persistent := range []bool{false, true} {
 		rules := []faults.Rule{{Point: faults.SpillRead, Kind: faults.KindError, Nth: 3}}
@@ -197,7 +173,7 @@ func TestExtentReadRetriedAsWhole(t *testing.T) {
 		opt := testOptions(t, faults.New(rules...))
 		opt.BufferEntries = 1 << 20
 		opt.RetryMax = 2
-		s := boundStore(t, opt, tree, blocks)
+		s, blocks := boundStore(t, opt, tree, 3)
 		err := walk(s, post, blocks)
 		st := s.Stats()
 		if !persistent {
@@ -229,11 +205,10 @@ func TestExtentReadRetriedAsWhole(t *testing.T) {
 // node, never retried and never a block that decodes.
 func TestCorruptBlockFailsChecksum(t *testing.T) {
 	tree := layoutTree(sparse.Symmetric)
-	blocks := treeBlocks(tree, 4)
 	post := tree.Postorder()
 	for _, stream := range []bool{true, false} {
 		in := faults.New(faults.Rule{Point: faults.SpillRead, Kind: faults.KindCorrupt, Nth: 2})
-		s := boundStore(t, testOptions(t, in), tree, blocks)
+		s, blocks := boundStore(t, testOptions(t, in), tree, 4)
 		var err error
 		if stream {
 			err = walk(s, post, blocks)
@@ -261,60 +236,83 @@ func TestCorruptBlockFailsChecksum(t *testing.T) {
 
 // TestDecodeDetectsEveryBitFlip: CRC-32C catches any single flipped bit
 // of a record, header and checksum word included; an intact record
-// decodes with L and U aliasing the read buffer (no copy).
+// decodes with its block aliasing the read buffer (no copy).
 func TestDecodeDetectsEveryBitFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	b := randomBlock(rng, 5, 2, true)
-	enc := appendBlock(nil, &b)
+	h := header{npiv: 2, nrows: 5, kind: sparse.Unsymmetric}
+	enc := make([]float64, 20+recordOverhead)
+	b := enc[headerWords : len(enc)-1]
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	sealRecord(enc, h)
 	raw := wordBytes(enc)
 	for bit := 0; bit < 8*len(raw); bit++ {
 		w := append([]float64(nil), enc...)
 		wordBytes(w)[bit/8] ^= 1 << (bit % 8)
-		if _, err := decodeBlock(w); err == nil {
+		if _, _, err := decodeRecord(w); err == nil {
 			t.Fatalf("flip of bit %d decoded without error", bit)
 		}
 	}
-	if _, err := decodeBlock(append([]float64(nil), enc[:len(enc)-2]...)); err == nil {
+	if _, _, err := decodeRecord(append([]float64(nil), enc[:len(enc)-2]...)); err == nil {
 		t.Fatal("truncated record decoded")
 	}
 	w := append([]float64(nil), enc...)
-	got, err := decodeBlock(w)
+	gh, got, err := decodeRecord(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameBlock(&b, got); err != nil {
+	if gh != h {
+		t.Errorf("header %+v, want %+v", gh, h)
+	}
+	if err := sameBlock(b, got); err != nil {
 		t.Fatal(err)
 	}
-	if &got.L.A[0] != &w[headerWords+5] || &got.U.A[0] != &w[headerWords+5+10] {
-		t.Error("decoded L/U do not alias the record buffer")
+	if &got[0] != &w[headerWords] {
+		t.Error("decoded block does not alias the record buffer")
 	}
 }
 
-// TestMisshapenBlockPoisons: a block whose shape does not match the
-// record reserved for its node would overwrite its neighbours' records,
-// so the writer refuses it and poisons the store, naming the node,
-// instead of degrading it.
-func TestMisshapenBlockPoisons(t *testing.T) {
+// TestMisshapenRecordRejected: a block has exactly its layout range, so
+// the store refuses a Put before Bind and a node outside the bound tree;
+// a record on disk whose header frames another shape than its node's
+// fails to decode, naming the node, and is not retried.
+func TestMisshapenRecordRejected(t *testing.T) {
 	tree := layoutTree(sparse.Symmetric)
 	s, err := NewFileStore(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.BindTree(tree, tree.Kind)
-	nd := &tree.Nodes[2]
-	b := randomBlock(rand.New(rand.NewSource(9)), nd.NFront()+1, nd.NPiv(), false)
-	if err := s.Put(len(tree.Nodes), b, 1); err == nil || !strings.Contains(err.Error(), "outside the bound tree") {
+	rng := rand.New(rand.NewSource(9))
+	if _, err := putBlock(s, 0, rng); err == nil || !strings.Contains(err.Error(), "not bound") {
+		t.Errorf("Put on an unbound store: %v", err)
+	}
+	bind(t, s, tree)
+	if _, err := putBlock(s, len(tree.Nodes), rng); err == nil || !strings.Contains(err.Error(), "outside the bound tree") {
 		t.Errorf("Put of a node outside the bound tree: %v", err)
 	}
-	if err := s.Put(2, b, int64(len(b.L.A))); err != nil {
+	putBlocks(t, s, tree, indices(tree.Len()), rng)
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	err = s.Flush()
-	if err == nil || !strings.Contains(err.Error(), "node 2") || !strings.Contains(err.Error(), "reserved") {
-		t.Fatalf("Flush after a misshapen block: %v, want an error naming node 2's reserved record", err)
+	// Reframe node 2's record as a front one row larger: the checksum
+	// holds, the shape does not.
+	r, h := s.recOf(2), s.headerOf(2)
+	w := make([]float64, r.size/8)
+	if _, err := s.file.ReadAt(wordBytes(w), r.off); err != nil {
+		t.Fatal(err)
 	}
-	if st := s.Stats(); st.DegradedBlocks != 0 || st.Blocks != 0 {
-		t.Errorf("misshapen block degraded or written: %+v", st)
+	h.nrows, h.npiv = h.nrows*h.npiv, 1
+	sealRecord(w, h)
+	if _, err := s.file.WriteAt(wordBytes(w), r.off); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Fetch(2)
+	if err == nil || !strings.Contains(err.Error(), "node 2") || !strings.Contains(err.Error(), "shape") {
+		t.Fatalf("Fetch of a misshapen record: %v, want a decode error naming node 2's shape", err)
+	}
+	if st := s.Stats(); st.Retries != 0 {
+		t.Errorf("%d retries for a misshapen record, want 0", st.Retries)
 	}
 }

@@ -4,25 +4,21 @@
 // they are produced and only the stack (contribution blocks + active
 // fronts) need stay resident.
 //
-// FileStore implements front.Store over a spill file. The factorization
-// side is a bounded producer/consumer: executor workers Put factor
-// blocks into a resident buffer (budget in model entries, the units of
-// the assembly cost model) and a background writer goroutine drains the
-// buffer to disk in arrival order, discharging each block from the
-// shared resident-memory meter the moment it is durable. Put blocks only
-// while the buffer is over budget, which is what bounds the resident
-// factor footprint; a block larger than the whole budget is still
-// admitted when the buffer is empty, so progress is always possible.
-//
-// Layout: a record's size depends only on its front's order, pivot
-// count and matrix kind, so once the store is bound to the assembly
-// tree (BindTree, which front.ResolveStore calls for every executor)
-// each node's offset is reserved up front as a postorder prefix sum of
-// record sizes. The writer still drains in arrival order but writes each
-// block at its reserved offset, so the sequential and the parallel
-// executor produce the same file, laid out in the order the forward
-// solve reads it (after Agullo, Guermouche & L'Excellent, Parallel
-// Computing 34, 2008). An unbound store appends in arrival order.
+// FileStore implements front.Store over a spill file, bound to one
+// factorization's front.Layout: node ni's record is the layout's block
+// framed by a header and a checksum (codec.go). The factorization side
+// is a bounded producer/consumer: executor workers extract blocks into
+// record buffers the store hands out (pooled once written) and Put them
+// into a resident buffer (budget in model entries, the units of the
+// assembly cost model); a background writer goroutine writes each at its
+// record's offset and discharges it from the shared resident-memory
+// meter the moment it is durable. Put blocks only while the buffer is
+// over budget (a block larger than the whole budget is still admitted
+// when the buffer is empty). Records sit at the layout's offsets plus
+// the framing before them, so both executors write the same file, laid
+// out in the order the forward solve reads it (after Agullo, Guermouche
+// & L'Excellent, Parallel Computing 34, 2008): the in-core slab, record
+// by record.
 //
 // The solve side streams blocks back in extents: the solve announces its
 // walk (postorder, then reverse postorder) via Prefetch, and a reader
@@ -50,11 +46,9 @@
 // read: a mismatch is a decode error naming the node, never retried and
 // never a silently wrong solution. SetContext binds the store to a
 // context.Context so cancellation stops the spiller and prefetcher
-// promptly. Both paths are numerically invisible: retried and degraded
-// runs produce factors bitwise identical to clean ones.
-//
-// Records round-trip float bits exactly (see codec.go), so an
-// out-of-core factorization is bitwise identical to the in-core one.
+// promptly. Records round-trip float bits exactly, so an out-of-core
+// factorization — retried or degraded too — is bitwise identical to the
+// in-core one.
 package ooc
 
 import (
@@ -65,11 +59,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/assembly"
+	"repro/internal/dense"
 	"repro/internal/faults"
 	"repro/internal/front"
 	"repro/internal/memory"
-	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
@@ -78,9 +71,10 @@ type Options struct {
 	// Dir is the directory for the spill file ("" = os.TempDir()).
 	Dir string
 	// BufferEntries is the resident-buffer budget in model entries for
-	// both the write buffer and the solve-phase prefetch cache, which
-	// also drives read-ahead: one extent read holds at most half of it
-	// (0 = 1<<16 entries, i.e. 512 KiB of float64 payload).
+	// the write buffer, the pool of written record buffers (in words) and
+	// the solve-phase prefetch cache, which also drives read-ahead: one
+	// extent read holds at most half of it (0 = 1<<16 entries, i.e.
+	// 512 KiB of float64 payload).
 	BufferEntries int64
 	// RetryMax is how many times a failed spill read or write is retried
 	// before the failure counts as persistent (0 = 3, negative = none).
@@ -139,40 +133,34 @@ var ErrClosed = errors.New("ooc: store closed")
 // rec locates one node's record in the spill file.
 type rec struct {
 	off     int64 // byte offset
-	size    int64 // record bytes (recordSize)
-	entries int64 // cache charge of the decoded block (words of L and U)
-	ok      bool  // the record is on disk
+	size    int64 // record bytes
+	entries int64 // cache charge of the decoded block (its words)
 }
 
-// slot is one node's record and solve-pass state.
+// slot is one node's spill and solve-pass state.
 type slot struct {
-	rec
-	nf       *front.NodeFactor // read by the stream, not yet fetched
-	ext      *extent           // the read buffer nf aliases (nil after a direct read)
-	handed   int64             // entries Fetched and not yet Released (0: none)
-	inflight bool              // in the claimed or in-progress extent read
-	used     int               // generation that last fetched the node
+	ok       bool      // the record is on disk
+	blk      []float64 // read by the stream, not yet fetched
+	ext      *extent   // the read buffer blk aliases (nil after a direct read)
+	handed   int64     // entries Fetched and not yet Released (0: none)
+	inflight bool      // in the claimed or in-progress extent read
+	used     int       // generation that last fetched the node
 }
 
 // extent is a run of consecutive walk nodes whose records are adjacent
 // in the spill file, so one positioned read covers them all.
 type extent struct {
-	off, size int64 // the byte range covering every record
-	entries   int64 // summed cache charge
-	nodes     []int // walk order
-	recs      []rec
+	off, size int64     // the byte range covering every record
+	entries   int64     // summed cache charge
+	nodes     []int     // walk order
 	buf       []float64 // the read buffer the decoded blocks alias
 	live      int       // blocks of buf still cached or handed out
 }
 
-// errLayout marks a block that does not fit the record reserved for its
-// node: a caller bug, so it poisons the store instead of degrading.
-var errLayout = errors.New("block does not match its reserved record")
-
 // putReq is one block waiting for the writer.
 type putReq struct {
 	ni      int
-	nf      front.NodeFactor
+	buf     []float64 // the whole record, block filled in
 	entries int64
 }
 
@@ -188,11 +176,12 @@ type FileStore struct {
 	cond *sync.Cond
 
 	// Factorization side.
-	queue      []putReq       // blocks waiting for the writer, FIFO
+	lay        *front.Layout // the bound layout (nil until Bind)
+	queue      []putReq      // blocks waiting for the writer, FIFO from qhead
+	qhead      int
 	queued     int64          // entries in queue + the block being written
-	bound      bool           // nodes holds a reserved record per tree node
-	off        int64          // end of the laid-out file (next append offset when unbound)
-	nodes      []slot         // node -> spill location and solve state
+	nodes      []slot         // node -> spill and solve state
+	wfree      [][]float64    // record buffers already written, ready for reuse
 	degraded   map[int]putReq // blocks kept in-core after persistent write failure
 	writerDone bool
 	closed     bool
@@ -258,47 +247,57 @@ func (s *FileStore) Stats() Stats {
 }
 
 // FaultCounters reports the store's fault-tolerance activity: spill I/O
-// retries and blocks degraded to in-core. It satisfies the optional
-// front.FaultStatser interface the executors use to fold store
-// resilience into memory.ExecStats.
+// retries and blocks degraded to in-core.
 func (s *FileStore) FaultCounters() (retries, degradedBlocks int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats.Retries, s.stats.DegradedBlocks
 }
 
-// SetMeter installs the shared resident meter. Blocks are charged on Put
-// (and when loaded back for the solve) and discharged once spilled (and
-// on Release). Call before the first Put.
-func (s *FileStore) SetMeter(m *memory.Meter) {
-	s.mu.Lock()
-	s.meter = m
-	s.mu.Unlock()
-}
-
-// BindTree reserves every node's record in the solve's forward-pass
-// order: node ni's offset is the sum of the record sizes of the nodes
-// before it in tree.Postorder(), each size fixed by the front's order,
-// pivot count and kind (recordSize). It satisfies front.TreeBinder, so
-// both executors bind the store before their first Put. Binding a store
-// that already holds blocks is a no-op (their layout is fixed).
-func (s *FileStore) BindTree(tree *assembly.Tree, kind sparse.Type) {
-	post := tree.Postorder()
+// Bind fixes the store's layout and installs the shared resident meter,
+// charged on Put (and when blocks are loaded back for the solve) and
+// discharged once spilled (and on Release). A store holds one
+// factorization: a second Bind fails, naming the store, instead of
+// mixing a second tree's blocks into the first's records.
+func (s *FileStore) Bind(lay *front.Layout, m *memory.Meter) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.bound || s.queued > 0 || s.off > 0 || len(s.degraded) > 0 {
-		return
+	if s.lay != nil {
+		return fmt.Errorf("ooc: store %s already holds a factorization (a store binds once)", s.path)
 	}
-	s.nodes = make([]slot, tree.Len())
-	var off int64
-	for _, ni := range post {
-		nd := &tree.Nodes[ni]
-		size, entries := recordSize(nd.NFront(), nd.NPiv(), kind == sparse.Unsymmetric)
-		s.nodes[ni].rec = rec{off: off, size: size, entries: entries}
-		off += size
+	s.lay, s.meter = lay, m
+	s.nodes = make([]slot, lay.Tree.Len())
+	return nil
+}
+
+// recOf locates node ni's record: its block's layout range, moved by the
+// framing of the records before it.
+func (s *FileStore) recOf(ni int) rec {
+	lo, hi := s.lay.Range(ni)
+	frame := int64(s.lay.Rank(ni)) * recordOverhead
+	return rec{off: 8 * (lo + frame), size: 8 * (hi - lo + recordOverhead), entries: hi - lo}
+}
+
+// headerOf is the header of node ni's record.
+func (s *FileStore) headerOf(ni int) header {
+	nd := &s.lay.Tree.Nodes[ni]
+	return header{npiv: nd.NPiv(), nrows: nd.NFront(), kind: s.lay.Kind}
+}
+
+// usableLocked returns why node ni cannot take a block now, or nil;
+// callers hold s.mu.
+func (s *FileStore) usableLocked(ni int) error {
+	switch {
+	case s.err != nil:
+		return s.err
+	case s.closed:
+		return ErrClosed
+	case s.lay == nil:
+		return fmt.Errorf("ooc: store %s is not bound to a layout", s.path)
+	case ni < 0 || ni >= len(s.nodes):
+		return fmt.Errorf("ooc: node %d outside the bound tree (%d nodes)", ni, len(s.nodes))
 	}
-	s.off = off
-	s.bound = true
+	return nil
 }
 
 // SetContext binds the store's lifetime to ctx: on cancellation the
@@ -330,20 +329,30 @@ func (s *FileStore) SetContext(ctx context.Context) {
 	}()
 }
 
-// Put hands node ni's factor block to the store. It blocks while the
-// write buffer is over budget and other blocks are still draining. The
-// first writer failure (after retries, when degradation is disabled)
+// Put extracts node ni's factor block from its eliminated front fr into
+// a record buffer (the smallest pooled buffer of a written record that
+// holds it, or a new one) and queues it for the writer. It blocks while
+// the write buffer is over budget and other blocks are still draining.
+// The first writer failure (after retries, when degradation is disabled)
 // surfaces here immediately — not just at Flush/Close — so the executor
 // stops producing blocks a dead store can never drain.
-func (s *FileStore) Put(ni int, nf front.NodeFactor, entries int64) error {
-	if ni < 0 {
-		return fmt.Errorf("ooc: negative node %d", ni)
+func (s *FileStore) Put(ni int, fr *dense.Matrix, entries int64) error {
+	s.mu.Lock()
+	err := s.usableLocked(ni)
+	var buf []float64
+	if err == nil {
+		buf = takeBuffer(&s.wfree, s.recOf(ni).size/8)
 	}
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if buf == nil {
+		buf = make([]float64, s.recOf(ni).size/8)
+	}
+	front.ExtractFactor(fr, s.lay.Tree.Nodes[ni].NPiv(), s.lay.Kind, buf[headerWords:len(buf)-1])
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.bound && ni >= len(s.nodes) {
-		return fmt.Errorf("ooc: node %d outside the bound tree (%d nodes)", ni, len(s.nodes))
-	}
 	waited := false
 	for s.err == nil && !s.closed && s.queued > 0 && s.queued+entries > s.opt.BufferEntries {
 		if !waited {
@@ -362,7 +371,7 @@ func (s *FileStore) Put(ni int, nf front.NodeFactor, entries int64) error {
 	if s.queued > s.stats.BufferPeak {
 		s.stats.BufferPeak = s.queued
 	}
-	s.queue = append(s.queue, putReq{ni: ni, nf: nf, entries: entries})
+	s.queue = append(s.queue, putReq{ni: ni, buf: buf, entries: entries})
 	s.meter.Add(entries)
 	s.cond.Broadcast()
 	s.opt.Tracer.StoreInstant(trace.EvOOCPut, ni, entries*8)
@@ -370,35 +379,31 @@ func (s *FileStore) Put(ni int, nf front.NodeFactor, entries int64) error {
 }
 
 // writer drains the put queue to the spill file in arrival order, each
-// block at its reserved offset (or appended, unbound), discharging each
-// block from the meter once written (or parking it in the degraded set
-// when the write fails persistently).
+// record sealed in its buffer and written as is at its layout offset,
+// discharging each block from the meter once written (and pooling its
+// buffer) or parking it in the degraded set when the write fails
+// persistently.
 func (s *FileStore) writer() {
-	var buf []float64
 	s.mu.Lock()
 	for {
-		for len(s.queue) == 0 && !s.closed && s.err == nil {
+		for s.qhead == len(s.queue) && !s.closed && s.err == nil {
 			s.cond.Wait()
 		}
-		if len(s.queue) == 0 || s.err != nil {
+		if s.qhead == len(s.queue) || s.err != nil {
 			// Closed (or poisoned) with nothing useful left: discard any
 			// stragglers so the meter balances, then exit.
-			for _, r := range s.queue {
+			for _, r := range s.queue[s.qhead:] {
 				s.queued -= r.entries
 				s.meter.Add(-r.entries)
 			}
-			s.queue = nil
+			s.queue, s.qhead = nil, 0
 			s.writerDone = true
 			s.cond.Broadcast()
 			s.mu.Unlock()
 			return
 		}
-		r := s.queue[0]
-		s.queue = s.queue[1:]
-		at := rec{off: s.off, size: -1}
-		if s.bound {
-			at = s.nodes[r.ni].rec
-		}
+		r := s.popLocked()
+		at, h := s.recOf(r.ni), s.headerOf(r.ni)
 		s.mu.Unlock()
 
 		// Only this goroutine opens store-track spans, so they balance.
@@ -406,38 +411,29 @@ func (s *FileStore) writer() {
 		// spill-write panic or a codec bug degrades the block instead of
 		// wedging every Put waiting on writerDone).
 		s.opt.Tracer.StoreBegin(trace.SpanSpill, r.ni)
-		var werr error
-		buf, werr = func() (b []float64, err error) {
+		werr := func() (err error) {
 			defer func() {
 				if p := recover(); p != nil {
-					b = buf[:0]
 					err = fmt.Errorf("panic spilling node %d: %v", r.ni, p)
 				}
 			}()
-			b = appendBlock(buf[:0], &r.nf)
-			if at.size >= 0 && 8*int64(len(b)) != at.size {
-				return b, fmt.Errorf("%w: %d bytes, reserved %d", errLayout, 8*len(b), at.size)
-			}
-			return b, s.writeAll(wordBytes(b), at.off, r.ni)
+			sealRecord(r.buf, h)
+			return s.writeAll(wordBytes(r.buf), at.off, r.ni)
 		}()
-		size := 8 * int64(len(buf))
-		s.opt.Tracer.StoreEnd(trace.SpanSpill, r.ni, size)
+		s.opt.Tracer.StoreEnd(trace.SpanSpill, r.ni, at.size)
 
 		s.mu.Lock()
 		switch {
 		case werr == nil:
 			if s.err == nil {
-				_, entries := recordSize(len(r.nf.Rows), r.nf.NPiv, r.nf.U != nil)
-				s.slot(r.ni).rec = rec{off: at.off, size: size, entries: entries, ok: true}
-				if !s.bound {
-					s.off = at.off + size
-				}
+				s.nodes[r.ni].ok = true
 				s.stats.Blocks++
-				s.stats.BytesWritten += size
+				s.stats.BytesWritten += at.size
 			}
 			s.queued -= r.entries
 			s.meter.Add(-r.entries)
-		case s.opt.NoDegrade || s.closed || s.err != nil || errors.Is(werr, errLayout):
+			s.poolRecordLocked(r.buf)
+		case s.opt.NoDegrade || s.closed || s.err != nil:
 			if s.err == nil {
 				s.err = fmt.Errorf("ooc: spill write (node %d): %w", r.ni, werr)
 			}
@@ -507,13 +503,52 @@ func (s *FileStore) backoff(attempt int) time.Duration {
 	return d
 }
 
-// slot returns node ni's slot (ni >= 0), growing the index as needed;
-// callers hold s.mu.
-func (s *FileStore) slot(ni int) *slot {
-	if ni >= len(s.nodes) {
-		s.nodes = append(s.nodes, make([]slot, ni+1-len(s.nodes))...)
+// popLocked takes the writer's next request off the queue, whose
+// backing array is reused once drained, so a steady stream of Puts
+// appends without allocating; callers hold s.mu.
+func (s *FileStore) popLocked() putReq {
+	r := s.queue[s.qhead]
+	s.queue[s.qhead] = putReq{}
+	if s.qhead++; s.qhead == len(s.queue) {
+		s.queue, s.qhead = s.queue[:0], 0
 	}
-	return &s.nodes[ni]
+	return r
+}
+
+// pooledRecords caps the record-buffer pool: enough for the blocks in
+// flight between the executor's workers and the writer, small enough
+// that Put's best-fit scan stays short.
+const pooledRecords = 16
+
+// poolRecordLocked keeps a written record's buffer for the next Put,
+// so the writer path stops allocating once warm: at most pooledRecords
+// buffers and the buffer budget in words (but always one); callers hold
+// s.mu.
+func (s *FileStore) poolRecordLocked(b []float64) {
+	words := int64(cap(b))
+	for _, f := range s.wfree {
+		words += int64(cap(f))
+	}
+	if len(s.wfree) == 0 || len(s.wfree) < pooledRecords && words <= s.opt.BufferEntries {
+		s.wfree = append(s.wfree, b)
+	}
+}
+
+// takeBuffer removes the smallest buffer of pool that holds n words and
+// returns it resliced to n, or nil when none does.
+func takeBuffer(pool *[][]float64, n int64) []float64 {
+	best := -1
+	for i, b := range *pool {
+		if int64(cap(b)) >= n && (best < 0 || cap(b) < cap((*pool)[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := (*pool)[best]
+	*pool = append((*pool)[:best], (*pool)[best+1:]...)
+	return b[:n]
 }
 
 // onDisk reports whether node ni has a spill record; callers hold s.mu.
@@ -522,12 +557,14 @@ func (s *FileStore) onDisk(ni int) bool {
 }
 
 // Flush blocks until every block Put so far is on disk (or parked in the
-// degraded set), then syncs the spill file.
+// degraded set), drops the record-buffer pool — the factorization is
+// over — and syncs the spill file.
 func (s *FileStore) Flush() error {
 	s.mu.Lock()
 	for s.err == nil && !s.closed && s.queued > 0 {
 		s.cond.Wait()
 	}
+	s.wfree = nil
 	err := s.err
 	closed := s.closed
 	s.mu.Unlock()
@@ -604,10 +641,11 @@ func (s *FileStore) resetStreamLocked(walk []int) {
 // blocks handed out via Fetch stay charged until Release.
 func (s *FileStore) dropCacheLocked() {
 	for ni := range s.nodes {
-		if sl := &s.nodes[ni]; sl.nf != nil {
-			sl.nf = nil
-			s.cached -= sl.entries
-			s.meter.Add(-sl.entries)
+		if sl := &s.nodes[ni]; sl.blk != nil {
+			entries := int64(len(sl.blk))
+			sl.blk = nil
+			s.cached -= entries
+			s.meter.Add(-entries)
 			s.unrefLocked(sl)
 		}
 	}
@@ -637,18 +675,10 @@ func (s *FileStore) extentWords() int64 { return max(s.opt.BufferEntries/2, 1) }
 // buffer that holds n, or a new one of at least extentWords. Every word
 // is overwritten by the read, so reuse needs no clearing.
 func (s *FileStore) bufferLocked(n int64) []float64 {
-	best := -1
-	for i, b := range s.free {
-		if int64(cap(b)) >= n && (best < 0 || cap(b) < cap(s.free[best])) {
-			best = i
-		}
+	if b := takeBuffer(&s.free, n); b != nil {
+		return b
 	}
-	if best < 0 {
-		return make([]float64, max(n, s.extentWords()))[:n]
-	}
-	b := s.free[best]
-	s.free = append(s.free[:best], s.free[best+1:]...)
-	return b[:n]
+	return make([]float64, max(n, s.extentWords()))[:n]
 }
 
 // recycleLocked returns a read buffer whose blocks are all gone to the
@@ -669,7 +699,7 @@ func (s *FileStore) streamable(ni int) bool {
 		return false
 	}
 	sl := &s.nodes[ni]
-	return sl.used != s.gen && sl.nf == nil && !sl.inflight && sl.handed == 0
+	return sl.used != s.gen && sl.blk == nil && !sl.inflight && sl.handed == 0
 }
 
 // claimLocked plans the stream's next extent and claims it for the
@@ -694,14 +724,14 @@ func (s *FileStore) claimLocked() {
 	if s.next == len(s.walk) {
 		return
 	}
-	r := s.nodes[s.walk[s.next]].rec
-	e := &extent{off: r.off, size: r.size, entries: r.entries, nodes: []int{s.walk[s.next]}, recs: []rec{r}}
+	r := s.recOf(s.walk[s.next])
+	e := &extent{off: r.off, size: r.size, entries: r.entries, nodes: []int{s.walk[s.next]}}
 	dir := 0 // +1 ascending file offsets, -1 descending
 	for _, ni := range s.walk[s.next+1:] {
 		if !s.streamable(ni) {
 			break
 		}
-		r := s.nodes[ni].rec
+		r := s.recOf(ni)
 		if (e.size+r.size)/8 > capW {
 			break
 		}
@@ -716,7 +746,6 @@ func (s *FileStore) claimLocked() {
 		e.size += r.size
 		e.entries += r.entries
 		e.nodes = append(e.nodes, ni)
-		e.recs = append(e.recs, r)
 	}
 	if s.cached > 0 && s.cached+e.entries > s.opt.BufferEntries {
 		return // an oversized record waits for an empty cache
@@ -753,7 +782,7 @@ func (s *FileStore) reader(gen int) {
 		e.buf = s.bufferLocked(e.size / 8)
 		s.mu.Unlock()
 
-		blocks, err := s.readExtentSafe(e)
+		blocks, err := s.readExtent(e)
 
 		s.mu.Lock()
 		s.reading = false
@@ -772,11 +801,12 @@ func (s *FileStore) reader(gen int) {
 		if s.gen == gen {
 			for k, ni := range e.nodes {
 				sl := &s.nodes[ni]
-				sl.nf, sl.ext = blocks[k], e
+				sl.blk, sl.ext = blocks[k], e
 				e.live++
-				s.cached += sl.entries
-				s.meter.Add(sl.entries)
-				s.opt.Tracer.StoreInstant(trace.EvPrefetchRead, ni, sl.size)
+				r := s.recOf(ni)
+				s.cached += r.entries
+				s.meter.Add(r.entries)
+				s.opt.Tracer.StoreInstant(trace.EvPrefetchRead, ni, r.size)
 			}
 			s.claimLocked()
 		}
@@ -787,26 +817,22 @@ func (s *FileStore) reader(gen int) {
 	}
 }
 
-// readExtentSafe is readExtent with panic containment for the prefetcher
-// goroutine: a decode panic becomes an error that poisons the store
-// instead of killing the process.
-func (s *FileStore) readExtentSafe(e *extent) (blocks []*front.NodeFactor, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			blocks, err = nil, fmt.Errorf("ooc: panic reading node %d: %v", e.nodes[0], p)
-		}
-	}()
-	return s.readExtent(e)
-}
-
 // readExtent reads e with one positioned read into e.buf (e.size/8
 // words; no lock held) and decodes its blocks, which alias it. Every
 // block passes its spill-read fault point on each attempt; a failed
 // attempt retries the whole extent with the write path's backoff.
 // Decode errors — a failed decode fault point, a checksum mismatch, a
-// malformed record — are never retried: a record that reads back but
-// will not verify is corruption, not transience.
-func (s *FileStore) readExtent(e *extent) ([]*front.NodeFactor, error) {
+// malformed record or one framing another node's shape — are never
+// retried: a record that reads back but will not verify is corruption,
+// not transience. A decode panic becomes an error too (in the
+// prefetcher goroutine it poisons the store instead of killing the
+// process).
+func (s *FileStore) readExtent(e *extent) (blocks [][]float64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			blocks, err = nil, fmt.Errorf("ooc: panic reading node %d: %v", e.nodes[0], p)
+		}
+	}()
 	raw := wordBytes(e.buf)
 	var corrupt []int // records whose payload the fault schedule flips
 	for attempt := 0; ; attempt++ {
@@ -843,20 +869,24 @@ func (s *FileStore) readExtent(e *extent) ([]*front.NodeFactor, error) {
 	for _, k := range corrupt {
 		// Flip one bit of the record's last payload word, an L or U
 		// entry (its top mantissa bit on little-endian hosts).
-		r := e.recs[k]
+		r := s.recOf(e.nodes[k])
 		raw[r.off-e.off+r.size-16+6] ^= 0x08
 	}
-	blocks := make([]*front.NodeFactor, len(e.nodes))
+	blocks = make([][]float64, len(e.nodes))
 	for k, ni := range e.nodes {
 		if err := s.opt.Faults.Check(faults.Decode, ni); err != nil {
 			return nil, fmt.Errorf("ooc: decode (node %d): %w", ni, err)
 		}
-		lo, hi := (e.recs[k].off-e.off)/8, (e.recs[k].off-e.off+e.recs[k].size)/8
-		nf, err := decodeBlock(e.buf[lo:hi:hi])
+		r := s.recOf(ni)
+		lo, hi := (r.off-e.off)/8, (r.off-e.off+r.size)/8
+		h, blk, err := decodeRecord(e.buf[lo:hi:hi])
+		if want := s.headerOf(ni); err == nil && h != want {
+			err = fmt.Errorf("record shape %+v, want %+v", h, want)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("ooc: decode (node %d): %w", ni, err)
 		}
-		blocks[k] = nf
+		blocks[k] = blk
 	}
 	return blocks, nil
 }
@@ -866,7 +896,7 @@ func (s *FileStore) readExtent(e *extent) ([]*front.NodeFactor, error) {
 // after the read when the block's extent is being read, and by direct
 // read of its one record otherwise. It never waits for the reader to
 // make room.
-func (s *FileStore) Fetch(ni int) (*front.NodeFactor, error) {
+func (s *FileStore) Fetch(ni int) ([]float64, error) {
 	s.mu.Lock()
 	for {
 		if s.closed {
@@ -883,19 +913,18 @@ func (s *FileStore) Fetch(ni int) (*front.NodeFactor, error) {
 			// their Put; Release is a no-op for them (no handed entry) and
 			// Close credits them back.
 			s.mu.Unlock()
-			nf := d.nf
-			return &nf, nil
+			return d.buf[headerWords : len(d.buf)-1], nil
 		}
 		if !s.onDisk(ni) {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("ooc: no factor block for node %d (factorization incomplete or not flushed)", ni)
 		}
 		sl := &s.nodes[ni]
-		if nf := sl.nf; nf != nil {
+		if blk := sl.blk; blk != nil {
 			// Stays charged (cached includes handed-out blocks) until Release.
-			sl.nf, sl.used, sl.handed = nil, s.gen, sl.entries
+			sl.blk, sl.used, sl.handed = nil, s.gen, int64(len(blk))
 			s.mu.Unlock()
-			return nf, nil
+			return blk, nil
 		}
 		if !sl.inflight {
 			s.claimLocked() // the stream may reach ni now
@@ -905,13 +934,12 @@ func (s *FileStore) Fetch(ni int) (*front.NodeFactor, error) {
 		}
 		s.cond.Wait()
 	}
-	sl := &s.nodes[ni]
-	sl.used = s.gen
-	r := sl.rec
+	s.nodes[ni].used = s.gen
+	r := s.recOf(ni)
 	s.stats.DirectReads++
 	s.mu.Unlock()
 
-	blocks, err := s.readExtent(&extent{off: r.off, size: r.size, nodes: []int{ni}, recs: []rec{r}, buf: make([]float64, r.size/8)})
+	blocks, err := s.readExtent(&extent{off: r.off, size: r.size, nodes: []int{ni}, buf: make([]float64, r.size/8)})
 	if err != nil {
 		return nil, err
 	}

@@ -5,87 +5,118 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 
+	"repro/internal/assembly"
 	"repro/internal/dense"
 	"repro/internal/front"
 	"repro/internal/memory"
+	"repro/internal/sparse"
 )
 
-// randomBlock builds a NodeFactor with random payload. withU toggles the
-// LU upper trapezoid.
-func randomBlock(rng *rand.Rand, nf, npiv int, withU bool) front.NodeFactor {
-	b := front.NodeFactor{Rows: make([]int, nf), NPiv: npiv, L: dense.New(nf, npiv)}
-	for i := range b.Rows {
-		b.Rows[i] = i*3 + rng.Intn(3)
+// shapeTree is a forest of n one-front trees, node ni a front of order
+// and pivot count shape(ni): a layout of n independent blocks.
+func shapeTree(kind sparse.Type, n int, shape func(ni int) (nf, npiv int)) *assembly.Tree {
+	t := &assembly.Tree{Kind: kind}
+	for ni := 0; ni < n; ni++ {
+		nf, npiv := shape(ni)
+		t.Nodes = append(t.Nodes, assembly.Node{ID: ni, Parent: -1, Begin: t.N, End: t.N + npiv, Rows: make([]int, nf-npiv)})
+		t.Roots = append(t.Roots, ni)
+		t.N += npiv
 	}
-	for i := range b.L.A {
-		b.L.A[i] = rng.NormFloat64()
-	}
-	if withU {
-		b.U = dense.New(npiv, nf)
-		for i := range b.U.A {
-			b.U.A[i] = rng.NormFloat64()
-		}
-	}
-	return b
+	return t
 }
 
-func sameBlock(a, b *front.NodeFactor) error {
-	if a.NPiv != b.NPiv || len(a.Rows) != len(b.Rows) {
-		return fmt.Errorf("shape: npiv %d vs %d, rows %d vs %d", a.NPiv, b.NPiv, len(a.Rows), len(b.Rows))
+// bind binds s to tree's layout with a fresh meter and returns the meter.
+func bind(t *testing.T, s *FileStore, tree *assembly.Tree) *memory.Meter {
+	t.Helper()
+	m := new(memory.Meter)
+	if err := s.Bind(front.NewLayout(tree, tree.Kind), m); err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range a.Rows {
-		if b.Rows[i] != r {
-			return fmt.Errorf("row %d: %d vs %d", i, r, b.Rows[i])
+	return m
+}
+
+// putBlock Puts a random front for node ni of the bound tree (or of
+// order 2 with one pivot for a node outside it), charged its block's
+// words, and returns the block Put should have stored.
+func putBlock(s *FileStore, ni int, rng *rand.Rand) ([]float64, error) {
+	nf, npiv, kind := 2, 1, sparse.Unsymmetric
+	if s.lay != nil && ni >= 0 && ni < s.lay.Tree.Len() {
+		nd := &s.lay.Tree.Nodes[ni]
+		nf, npiv, kind = nd.NFront(), nd.NPiv(), s.lay.Kind
+	}
+	fr := dense.New(nf, nf)
+	for i := range fr.A {
+		fr.A[i] = rng.NormFloat64()
+	}
+	want := make([]float64, front.BlockWords(nf, npiv, kind))
+	front.ExtractFactor(fr, npiv, kind, want)
+	return want, s.Put(ni, fr, int64(len(want)))
+}
+
+// putBlocks Puts a random block for every node of order and returns
+// them by node.
+func putBlocks(t *testing.T, s *FileStore, tree *assembly.Tree, order []int, rng *rand.Rand) [][]float64 {
+	t.Helper()
+	out := make([][]float64, tree.Len())
+	for _, ni := range order {
+		var err error
+		if out[ni], err = putBlock(s, ni, rng); err != nil {
+			t.Fatalf("Put(%d): %v", ni, err)
 		}
 	}
-	for i, v := range a.L.A {
-		if b.L.A[i] != v {
-			return fmt.Errorf("L[%d]: %v vs %v (not bitwise identical)", i, v, b.L.A[i])
-		}
+	return out
+}
+
+// indices is 0..n-1.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	if (a.U == nil) != (b.U == nil) {
-		return fmt.Errorf("U presence mismatch")
+	return out
+}
+
+func sameBlock(a, b []float64) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("shape: %d words vs %d", len(a), len(b))
 	}
-	if a.U != nil {
-		for i, v := range a.U.A {
-			if b.U.A[i] != v {
-				return fmt.Errorf("U[%d]: %v vs %v", i, v, b.U.A[i])
-			}
+	for i, v := range a {
+		if b[i] != v {
+			return fmt.Errorf("word %d: %v vs %v (not bitwise identical)", i, v, b[i])
 		}
 	}
 	return nil
 }
 
-// TestRoundtripBitwise spills a mix of Cholesky- and LU-shaped blocks and
-// reads them back: every float must round-trip bit-for-bit.
+// TestRoundtripBitwise spills Cholesky- and LU-shaped blocks and reads
+// them back: every float must round-trip bit-for-bit.
 func TestRoundtripBitwise(t *testing.T) {
-	s, err := NewFileStore(Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(42))
-	orig := make([]front.NodeFactor, 20)
-	for ni := range orig {
-		orig[ni] = randomBlock(rng, 2+rng.Intn(10), 1+rng.Intn(2), ni%2 == 0)
-		if err := s.Put(ni, orig[ni], int64(len(orig[ni].L.A))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for ni := range orig {
-		got, err := s.Fetch(ni)
+	for _, kind := range []sparse.Type{sparse.Symmetric, sparse.Unsymmetric} {
+		s, err := NewFileStore(Options{Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameBlock(&orig[ni], got); err != nil {
-			t.Errorf("node %d: %v", ni, err)
+		defer s.Close()
+		rng := rand.New(rand.NewSource(42))
+		tree := shapeTree(kind, 20, func(int) (int, int) { return 2 + rng.Intn(10), 1 + rng.Intn(2) })
+		bind(t, s, tree)
+		orig := putBlocks(t, s, tree, indices(20), rng)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		s.Release(ni)
+		for ni := range orig {
+			got, err := s.Fetch(ni)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameBlock(orig[ni], got); err != nil {
+				t.Errorf("%v node %d: %v", kind, ni, err)
+			}
+			s.Release(ni)
+		}
 	}
 }
 
@@ -102,12 +133,9 @@ func TestBudgetBoundsBuffer(t *testing.T) {
 	defer s.Close()
 	rng := rand.New(rand.NewSource(7))
 	n := 50
-	for ni := 0; ni < n; ni++ {
-		b := randomBlock(rng, 8, 4, false) // 32 entries each
-		if err := s.Put(ni, b, int64(len(b.L.A))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tree := shapeTree(sparse.Symmetric, n, func(int) (int, int) { return 8, 4 }) // 32 entries each
+	bind(t, s, tree)
+	putBlocks(t, s, tree, indices(n), rng)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +160,9 @@ func TestOversizedBlockAdmitted(t *testing.T) {
 	}
 	defer s.Close()
 	rng := rand.New(rand.NewSource(9))
-	b := randomBlock(rng, 20, 10, true) // 400 entries >> 4
-	if err := s.Put(0, b, int64(len(b.L.A))); err != nil {
-		t.Fatal(err)
-	}
+	tree := shapeTree(sparse.Unsymmetric, 1, func(int) (int, int) { return 20, 10 }) // 400 entries >> 4
+	bind(t, s, tree)
+	putBlocks(t, s, tree, []int{0}, rng)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,15 +180,10 @@ func TestMeterBalances(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var m memory.Meter
-	s.SetMeter(&m)
+	tree := shapeTree(sparse.Symmetric, 10, func(int) (int, int) { return 6, 3 })
+	m := bind(t, s, tree)
 	rng := rand.New(rand.NewSource(3))
-	for ni := 0; ni < 10; ni++ {
-		b := randomBlock(rng, 6, 3, false)
-		if err := s.Put(ni, b, int64(len(b.L.A))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	putBlocks(t, s, tree, indices(10), rng)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +193,12 @@ func TestMeterBalances(t *testing.T) {
 	if m.Peak() == 0 {
 		t.Error("meter never charged during buffering")
 	}
-	nf, err := s.Fetch(4)
+	blk, err := s.Fetch(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur := m.Cur(); cur != int64(len(nf.L.A)) {
-		t.Errorf("meter %d while holding a %d-entry block", cur, len(nf.L.A))
+	if cur := m.Cur(); cur != int64(len(blk)) {
+		t.Errorf("meter %d while holding a %d-entry block", cur, len(blk))
 	}
 	s.Release(4)
 	if cur := m.Cur(); cur != 0 {
@@ -192,19 +214,12 @@ func TestPrefetchStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var m memory.Meter
-	s.SetMeter(&m)
 	rng := rand.New(rand.NewSource(11))
 	n := 30
-	orig := make([]front.NodeFactor, n)
-	order := make([]int, n)
-	for ni := 0; ni < n; ni++ {
-		orig[ni] = randomBlock(rng, 4+rng.Intn(4), 2, ni%3 == 0)
-		order[ni] = ni
-		if err := s.Put(ni, orig[ni], int64(len(orig[ni].L.A))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tree := shapeTree(sparse.Unsymmetric, n, func(int) (int, int) { return 4 + rng.Intn(4), 2 })
+	m := bind(t, s, tree)
+	order := indices(n)
+	orig := putBlocks(t, s, tree, order, rng)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +230,7 @@ func TestPrefetchStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameBlock(&orig[ni], got); err != nil {
+			if err := sameBlock(orig[ni], got); err != nil {
 				t.Errorf("pass %d node %d: %v", pass, ni, err)
 			}
 			s.Release(ni)
@@ -251,17 +266,16 @@ func TestClosedStore(t *testing.T) {
 	}
 	path := s.Path()
 	rng := rand.New(rand.NewSource(1))
-	b := randomBlock(rng, 4, 2, false)
-	if err := s.Put(0, b, int64(len(b.L.A))); err != nil {
-		t.Fatal(err)
-	}
+	tree := shapeTree(sparse.Symmetric, 2, func(int) (int, int) { return 4, 2 })
+	bind(t, s, tree)
+	putBlocks(t, s, tree, []int{0}, rng)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("spill file still exists after Close: %v", err)
 	}
-	if err := s.Put(1, b, 8); !errors.Is(err, ErrClosed) {
+	if _, err := putBlock(s, 1, rng); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put after Close: %v, want ErrClosed", err)
 	}
 	if err := s.Flush(); !errors.Is(err, ErrClosed) {
@@ -283,16 +297,16 @@ func TestConcurrentPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var m memory.Meter
-	s.SetMeter(&m)
 	const workers, per = 8, 25
+	shapes := rand.New(rand.NewSource(12))
+	tree := shapeTree(sparse.Unsymmetric, workers*per, func(int) (int, int) { return 4 + shapes.Intn(6), 2 })
+	m := bind(t, s, tree)
 	errc := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < per; i++ {
-				b := randomBlock(rng, 4+rng.Intn(6), 2, w%2 == 0)
-				if err := s.Put(w*per+i, b, int64(len(b.L.A))); err != nil {
+				if _, err := putBlock(s, w*per+i, rng); err != nil {
 					errc <- err
 					return
 				}
@@ -313,5 +327,45 @@ func TestConcurrentPut(t *testing.T) {
 	}
 	if cur := m.Cur(); cur != 0 {
 		t.Errorf("meter %d after flush, want 0", cur)
+	}
+}
+
+// TestWriterReusesRecordBuffers: once warm, the writer path allocates no
+// record buffer per block — Put extracts into the buffer of a record
+// already written, and the put queue reuses its backing array.
+func TestWriterReusesRecordBuffers(t *testing.T) {
+	s, err := NewFileStore(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 200
+	tree := shapeTree(sparse.Unsymmetric, n, func(int) (int, int) { return 9, 3 })
+	bind(t, s, tree)
+	fr := dense.New(9, 9)
+	for i := range fr.A {
+		fr.A[i] = float64(i)
+	}
+	next := 0
+	put := func() {
+		if err := s.Put(next, fr, 54); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		for s.Stats().QueuedEntries > 0 { // let the writer pool the buffer
+			runtime.Gosched()
+		}
+	}
+	for range 10 {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(n-20, put); allocs != 0 {
+		t.Errorf("%.0f allocations per block once warm, want 0", allocs)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Blocks != next {
+		t.Errorf("%d blocks written, want %d", st.Blocks, next)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/memory"
+	"repro/internal/sparse"
 )
 
 // TestOverlappingSolveRejected is the regression test for the solve-pass
@@ -19,14 +19,10 @@ func TestOverlappingSolveRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SetMeter(new(memory.Meter))
 	rng := rand.New(rand.NewSource(5))
-	for ni := 0; ni < 4; ni++ {
-		b := randomBlock(rng, 4, 2, true)
-		if err := s.Put(ni, b, int64(len(b.L.A))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tree := shapeTree(sparse.Unsymmetric, 4, func(int) (int, int) { return 4, 2 })
+	bind(t, s, tree)
+	putBlocks(t, s, tree, indices(4), rng)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +69,11 @@ func TestEndSolveDropsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	m := new(memory.Meter)
-	s.SetMeter(m)
 	rng := rand.New(rand.NewSource(6))
-	order := make([]int, 6)
-	for ni := range order {
-		order[ni] = ni
-		b := randomBlock(rng, 5, 2, false)
-		if err := s.Put(ni, b, int64(len(b.L.A))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tree := shapeTree(sparse.Symmetric, 6, func(int) (int, int) { return 5, 2 })
+	m := bind(t, s, tree)
+	order := indices(6)
+	putBlocks(t, s, tree, order, rng)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -221,8 +221,8 @@ type Factors struct {
 	solver    *TreeSolver
 }
 
-// Front exposes the in-memory per-node factor container (cross-validation
-// against seqmf compares node factors through it); nil when the
+// Front exposes the in-memory store, one slab of factor blocks
+// (cross-validation against seqmf compares the slabs); nil when the
 // factorization ran into an external store.
 func (f *Factors) Front() *front.Factors { return f.fs }
 
@@ -375,8 +375,10 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 		faults: opt.Faults,
 	}
 	var meter *memory.Meter
-	f.store, f.fs, meter = front.ResolveStore(cfg.Store, tree, pa.Kind)
-	front.BindStoreContext(ctx, f.store)
+	if f.store, f.fs, meter, err = front.ResolveStore(cfg.Store, tree, pa.Kind); err != nil {
+		return nil, fmt.Errorf("parmf: %w", err)
+	}
+	f.store.SetContext(ctx)
 	st := &state{
 		unfin:   make([]int, tree.Len()),
 		cbs:     make([]*dense.Matrix, tree.Len()),
@@ -470,7 +472,7 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 		return nil, fmt.Errorf("parmf: flush factor store: %w", err)
 	}
 	f.Stats = st.stats
-	f.Stats.Retries, f.Stats.DegradedBlocks = front.StoreFaultCounters(f.store)
+	f.Stats.Retries, f.Stats.DegradedBlocks = f.store.FaultCounters()
 	f.Stats.ResidentPeak = meter.Peak()
 	for w := 0; w < cfg.Workers; w++ {
 		f.Stats.WorkerPeaks = append(f.Stats.WorkerPeaks, tracker.ActivePeak(w))
@@ -821,7 +823,7 @@ func (w worker) processNode(ni int, r *taskResult) error {
 	nd := &tree.Nodes[ni]
 	npiv := nd.NPiv()
 	nf := nd.NFront()
-	rows := w.asm.Begin(ni)
+	w.asm.Begin(ni)
 
 	split := w.splitFront(ni)
 	fe := assembly.FrontEntries(nd, tree.Kind)
@@ -877,11 +879,11 @@ func (w worker) processNode(ni int, r *taskResult) error {
 		return err
 	}
 
-	// The block becomes store-owned (an out-of-core store releases its
-	// memory once the background writer has spilled it; Put may briefly
+	// The store extracts the block into its own memory (an out-of-core
+	// store releases it once the writer has spilled it; Put may briefly
 	// block this worker while the write buffer is over budget).
 	facE := assembly.FactorEntries(nd, tree.Kind)
-	if err := w.out.Put(ni, front.ExtractFactor(fr, rows, npiv, tree.Kind), facE); err != nil {
+	if err := w.out.Put(ni, fr, facE); err != nil {
 		return fmt.Errorf("parmf: node %d: %w", ni, err)
 	}
 	w.tr.Instant(w.id, trace.EvPut, ni, facE*8)

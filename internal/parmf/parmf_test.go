@@ -1,12 +1,14 @@
 package parmf_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/assembly"
 	"repro/internal/dense"
 	"repro/internal/difftest"
 	"repro/internal/front"
+	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
 	"repro/internal/seqmf"
@@ -101,6 +103,54 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := f.SolveOriginal(make([]float64, 3)); err == nil {
 		t.Error("short rhs accepted by SolveOriginal")
+	}
+}
+
+// TestSecondBindFails: a store holds one factorization. Handing a file
+// store that already holds blocks (or an in-core store that already
+// holds factors) to a second factorization fails with an error naming
+// the store, before any block moves, and the first factorization still
+// solves to the same bits.
+func TestSecondBindFails(t *testing.T) {
+	a := sparse.Grid3D(5, 5, 5)
+	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
+	fs, err := ooc.NewFileStore(ooc.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	cfg := parmf.DefaultConfig(2)
+	cfg.Store = fs
+	f, err := parmf.Factorize(pa, tree, cfg, front.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := difftest.RHSBlock(a.N, 1, 3)
+	want, err := f.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parmf.Factorize(pa, tree, cfg, front.Options{}); err == nil || !strings.Contains(err.Error(), fs.Path()) {
+		t.Errorf("second parallel factorization into one file store: %v, want an error naming %s", err, fs.Path())
+	}
+	if _, err := seqmf.Factorize(pa, tree, front.Options{}, fs); err == nil || !strings.Contains(err.Error(), fs.Path()) {
+		t.Errorf("second sequential factorization into one file store: %v, want an error naming %s", err, fs.Path())
+	}
+	x, err := f.Solve(b)
+	if err == nil {
+		err = difftest.SameBits("x after the refused binds", x, want)
+	}
+	if err != nil {
+		t.Error(err)
+	}
+
+	in, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(2), front.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = in.Front()
+	if _, err := parmf.Factorize(pa, tree, cfg, front.Options{}); err == nil || !strings.Contains(err.Error(), "in-core store") {
+		t.Errorf("second factorization into one in-core store: %v", err)
 	}
 }
 

@@ -185,17 +185,17 @@ func (s *TreeSolver) solveInPlace(ctx context.Context, x []float64, nrhs int) ([
 		return nil, err
 	}
 	defer s.st.EndSolve()
-	front.BindStoreContext(ctx, s.st)
+	s.st.SetContext(ctx)
 	s.st.Prefetch(s.post)
-	err := s.runPass(ctx, s.post, nrhs, trace.SpanSolveFwd, s.fwdIndeg, s.fwdSuccs, func(ni int, nf *front.NodeFactor, w []float64) {
-		front.ForwardNodePanel(x, nf, s.kind, nrhs, w, s.kern)
+	err := s.runPass(ctx, s.post, nrhs, trace.SpanSolveFwd, s.fwdIndeg, s.fwdSuccs, func(ni int, blk, w []float64) {
+		front.ForwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.st.Prefetch(s.rev)
-	err = s.runPass(ctx, s.rev, nrhs, trace.SpanSolveBwd, s.bwdIndeg, s.bwdSuccs, func(ni int, nf *front.NodeFactor, w []float64) {
-		front.BackwardNodePanel(x, nf, s.kind, nrhs, w, s.kern)
+	err = s.runPass(ctx, s.rev, nrhs, trace.SpanSolveBwd, s.bwdIndeg, s.bwdSuccs, func(ni int, blk, w []float64) {
+		front.BackwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
 	})
 	if err != nil {
 		return nil, err
@@ -237,7 +237,7 @@ func (s *TreeSolver) SolveOriginalMultiCtx(ctx context.Context, b []float64, nrh
 // with a per-worker scratch, and finish under the lock, releasing
 // successors. The claim/finish mutex handoff is the happens-before edge
 // between a row's consecutive touchers.
-func (s *TreeSolver) runPass(ctx context.Context, order []int, nrhs int, span string, indeg []int32, succs [][]int32, apply func(ni int, nf *front.NodeFactor, w []float64)) error {
+func (s *TreeSolver) runPass(ctx context.Context, order []int, nrhs int, span string, indeg []int32, succs [][]int32, apply func(ni int, blk, w []float64)) error {
 	deg := append([]int32(nil), indeg...)
 	ready := make([]int, 0, len(order))
 	for i := len(order) - 1; i >= 0; i-- {
@@ -307,11 +307,11 @@ func (s *TreeSolver) runPass(ctx context.Context, order []int, nrhs int, span st
 					if err := s.faults.Check(faults.Solve, ni); err != nil {
 						return fmt.Errorf("parmf: solve node %d: %w", ni, err)
 					}
-					nf, err := s.st.Fetch(ni)
+					blk, err := s.st.Fetch(ni)
 					if err != nil {
 						return err
 					}
-					apply(ni, nf, buf)
+					apply(ni, blk, buf)
 					s.st.Release(ni)
 					return nil
 				}()

@@ -55,8 +55,8 @@ type Factors struct {
 	solver    *front.Solver
 }
 
-// Front exposes the in-memory per-node factor container (used by the
-// parallel executor's cross-validation tests); nil when the
+// Front exposes the in-memory store, one slab of factor blocks (used by
+// the parallel executor's cross-validation tests); nil when the
 // factorization ran into an external store.
 func (f *Factors) Front() *front.Factors { return f.fs }
 
@@ -98,8 +98,10 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 	f.kern = kern
 	f.Stats.Kernel = kern.String()
 	var meter *memory.Meter
-	f.store, f.fs, meter = front.ResolveStore(st, tree, pa.Kind)
-	front.BindStoreContext(ctx, f.store)
+	if f.store, f.fs, meter, err = front.ResolveStore(st, tree, pa.Kind); err != nil {
+		return nil, fmt.Errorf("seqmf: %w", err)
+	}
+	f.store.SetContext(ctx)
 	tr := opt.Tracer
 	if tr != nil {
 		// The whole walk runs on one goroutine: all spans land on worker
@@ -137,7 +139,7 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 		nd := &tree.Nodes[ni]
 		npiv := nd.NPiv()
 		nf := nd.NFront()
-		rows := asm.Begin(ni)
+		asm.Begin(ni)
 
 		fr := arena.Matrix(nf, nf)
 		frontEntries := assembly.FrontEntries(nd, tree.Kind)
@@ -181,10 +183,10 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 			return fmt.Errorf("seqmf: node %d (front %d, npiv %d): %w", ni, nf, npiv, err)
 		}
 
-		// The factor block becomes store-owned: resident until the store
-		// lets go of it (never for in-memory, once spilled for OOC).
+		// The store extracts the factor block into its own memory: resident
+		// until the store lets go of it (never in-core, once spilled OOC).
 		fe := assembly.FactorEntries(nd, tree.Kind)
-		if err := f.store.Put(ni, front.ExtractFactor(fr, rows, npiv, pa.Kind), fe); err != nil {
+		if err := f.store.Put(ni, fr, fe); err != nil {
 			return fmt.Errorf("seqmf: node %d: %w", ni, err)
 		}
 		tr.Instant(0, trace.EvPut, ni, fe*8)
@@ -221,7 +223,7 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 	if err := f.store.Flush(); err != nil {
 		return nil, fmt.Errorf("seqmf: flush factor store: %w", err)
 	}
-	f.Stats.Retries, f.Stats.DegradedBlocks = front.StoreFaultCounters(f.store)
+	f.Stats.Retries, f.Stats.DegradedBlocks = f.store.FaultCounters()
 	f.Stats.ResidentPeak = meter.Peak()
 	return f, nil
 }

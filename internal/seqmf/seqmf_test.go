@@ -10,6 +10,7 @@ import (
 	"repro/internal/front"
 	"repro/internal/order"
 	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 // elementWise runs the walk on the element-wise reference kernels.
@@ -228,5 +229,35 @@ func TestSolvePropertyRandomSPD(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFactorizeAllocsPerFront pins what the in-core store's one slab
+// saves: before it, each front allocated a row list (Begin) and its L —
+// and U when unsymmetric — as a matrix header plus its entries
+// (ExtractFactor). parent is Factorize's allocation count on the same
+// input then (go1.24, amd64); the slab must take at least perFront
+// allocations per front off it.
+func TestFactorizeAllocsPerFront(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		parent   float64
+		perFront float64
+	}{{"SHIP_003", 862, 2}, {"PRE2", 2159, 3}} {
+		p, err := workload.ByName(workload.SmallSuite(), c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, pa := assembly.Analyze(p.NumericMatrix(), assembly.DefaultOptions(order.ND))
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := Factorize(pa, tree, front.Options{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := c.parent - c.perFront*float64(tree.Len()); allocs > want {
+			t.Errorf("%s: %.0f allocations over %d fronts, want at most %.0f (%.0f before, less %.0f per front)",
+				c.name, allocs, tree.Len(), want, c.parent, c.perFront)
+		}
+		t.Logf("%s: %.0f allocations over %d fronts (%.0f before)", c.name, allocs, tree.Len(), c.parent)
 	}
 }
