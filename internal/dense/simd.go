@@ -216,26 +216,28 @@ func choleskyUpdateTileSIMD(f *Matrix, k0, k1, r0, r1, c0, c1 int) {
 	}
 }
 
-// The SIMD triangular solves compute each panel element as one fused
-// chain held in registers: w = fma(-l_k, src_k[c], w) over the sources k
-// in ascending order (pivot rows forward, solved rows backward), then the
-// division by a stored diagonal where there is one. Column c of the panel
-// never meets another column, so a multi-RHS solve gives each column the
-// bits of a single-RHS one, and the vector and portable paths agree bit
-// for bit.
+// The SIMD triangular solves compute each element as one fused chain
+// held in registers: w = fma(-l_k, src_k[c], w) over the sources k in
+// ascending front order (pivot rows forward; later pivot rows, then CB
+// rows, backward), then the division by a stored diagonal where there is
+// one. Column c never meets another column, so a multi-RHS solve gives
+// each column the bits of a single-RHS one, and the vector and portable
+// paths agree bit for bit.
 
 // solveForwardSIMD is the forward substitution of both factor kinds; chol
 // divides each pivot row by the stored diagonal after its chain. Rows go
-// four at a time through fnmaChain4, each L row read contiguously: the
-// four rows' chains first run over the sources above the group, then a
-// pivot group finishes inside its own 4x4 diagonal block, row by row, so
-// every element still sees its sources in ascending order.
-func solveForwardSIMD(L *Matrix, npiv int, W *Matrix, chol bool) {
-	n, m, lc := W.R, W.C, L.C
-	w, l := W.A, L.A
+// four at a time through fnmaRows, each L row read contiguously. A pivot
+// group's chains first run over the pivot rows above it, then the group
+// finishes inside its own 4x4 diagonal block, row by row, so every
+// element still sees its sources in ascending order. The CB rows are
+// updated where they lie in x, all of them in one fnmaRows call.
+func solveForwardSIMD(L, P *Matrix, x []float64, rows []int, chol bool) {
+	npiv, m, lc := P.R, P.C, L.C
+	w, l := P.A, L.A
 	i := 0
 	for ; i+3 < npiv; i += 4 {
-		fnmaChain4(w[i*m:], m, w, m, l[i*lc:], lc, i, m)
+		grp := [4]int{i, i + 1, i + 2, i + 3}
+		fnmaRows(w, grp[:], m, w, m, l[i*lc:], lc, i)
 		for r := i; r < i+4; r++ {
 			wr := w[r*m : r*m+m : r*m+m]
 			fnmaChain1(wr, w[i*m:], m, l[r*lc+i:], 1, r-i)
@@ -251,40 +253,30 @@ func solveForwardSIMD(L *Matrix, npiv int, W *Matrix, chol bool) {
 			divSpan(wi, l[i*lc+i])
 		}
 	}
-	for ; i+3 < n; i += 4 {
-		fnmaChain4(w[i*m:], m, w, m, l[i*lc:], lc, npiv, m)
-	}
-	for ; i < n; i++ {
-		fnmaChain1(w[i*m:i*m+m:i*m+m], w, m, l[i*lc:], 1, npiv)
+	if len(rows) > 0 {
+		fnmaRows(x, rows, m, w, m, l[npiv*lc:], lc, npiv)
 	}
 }
 
-// solveBackwardLUSIMD solves the pivot rows bottom up, one row at a time
-// (each needs the one below it): row k's chain runs over the solved rows
-// k+1..n-1 with U row k as coefficients, then divides by U(k,k).
-func solveBackwardLUSIMD(U *Matrix, npiv int, W *Matrix) {
-	n, m, uc := W.R, W.C, U.C
-	w, u := W.A, U.A
+// solveBackwardSIMD is the backward substitution of both factor kinds:
+// the coefficient of front row j in pivot row k's chain is a[k*rs+j*cs]
+// (U row k for LU, L column k for Cholesky). Pivot rows are solved
+// bottom up, one at a time (each needs the ones below it): row k's chain
+// runs over the solved pivot rows k+1..npiv-1 in P, then on over the CB
+// rows in C — one ascending chain, cut in two where its sources change
+// panel — and divides by the diagonal.
+func solveBackwardSIMD(a []float64, rs, cs int, P, C *Matrix) {
+	npiv, m, ncb := P.R, P.C, C.R
+	w := P.A
 	for k := npiv - 1; k >= 0; k-- {
 		wk := w[k*m : k*m+m : k*m+m]
-		if k+1 < n {
-			fnmaChain1(wk, w[(k+1)*m:], m, u[k*uc+k+1:], 1, n-k-1)
+		if k+1 < npiv {
+			fnmaChain1(wk, w[(k+1)*m:], m, a[k*rs+(k+1)*cs:], cs, npiv-k-1)
 		}
-		divSpan(wk, u[k*uc+k])
-	}
-}
-
-// solveBackwardCholeskySIMD is solveBackwardLUSIMD over column k of L
-// (row k of L^T): the coefficients are L.C apart.
-func solveBackwardCholeskySIMD(L *Matrix, npiv int, W *Matrix) {
-	n, m, lc := W.R, W.C, L.C
-	w, l := W.A, L.A
-	for k := npiv - 1; k >= 0; k-- {
-		wk := w[k*m : k*m+m : k*m+m]
-		if k+1 < n {
-			fnmaChain1(wk, w[(k+1)*m:], m, l[(k+1)*lc+k:], lc, n-k-1)
+		if ncb > 0 {
+			fnmaChain1(wk, C.A, m, a[k*rs+npiv*cs:], cs, ncb)
 		}
-		divSpan(wk, l[k*lc+k])
+		divSpan(wk, a[k*rs+k*cs])
 	}
 }
 

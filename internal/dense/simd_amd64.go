@@ -28,7 +28,7 @@ func fnmaSpan4Asm(d, a, b, c, e *float64, n int, la, lb, lc, ld float64)
 func fnmaChain1Asm(d, src *float64, ss int, coef *float64, cs, nk, n int)
 
 //go:noescape
-func fnmaChain4Asm(d *float64, ds int, src *float64, ss int, coef *float64, cs, nk, n int)
+func fnmaRows4Asm(x *float64, rows *int, ngroups, m int, src *float64, ss int, coef *float64, cs, nk int)
 
 //go:noescape
 func dot1Asm(p, q *float64, n int) float64
@@ -117,19 +117,30 @@ func fnmaChain1(d, src []float64, ss int, coef []float64, cs, nk int) {
 	fnmaChain1Go(d, src, ss, coef, cs, nk)
 }
 
-// fnmaChain4 is fnmaChain4Go through the vector unit when available.
-func fnmaChain4(d []float64, ds int, src []float64, ss int, coef []float64, cs, nk, n int) {
-	if nk == 0 || n == 0 {
+// fnmaRows is fnmaRowsGo through the vector unit when available: the
+// groups of four rows in one assembly call, which walks the row list
+// itself, then one chain per leftover row. Every row is index-checked up
+// front, so a bad row index panics before the assembly reads past x.
+func fnmaRows(x []float64, rows []int, m int, src []float64, ss int, coef []float64, cs, nk int) {
+	if nk == 0 || m == 0 || len(rows) == 0 {
 		return
 	}
-	_ = d[3*ds+n-1]
-	_ = src[(nk-1)*ss+n-1]
-	_ = coef[3*cs+nk-1]
-	if simdEnabled {
-		fnmaChain4Asm(&d[0], ds, &src[0], ss, &coef[0], cs, nk, n)
+	if !simdEnabled {
+		fnmaRowsGo(x, rows, m, src, ss, coef, cs, nk)
 		return
 	}
-	fnmaChain4Go(d, ds, src, ss, coef, cs, nk, n)
+	for _, g := range rows {
+		_ = x[g*m : g*m+m]
+	}
+	_ = src[(nk-1)*ss+m-1]
+	_ = coef[(len(rows)-1)*cs+nk-1]
+	r := len(rows) &^ 3
+	if r > 0 {
+		fnmaRows4Asm(&x[0], &rows[0], r/4, m, &src[0], ss, &coef[0], cs, nk)
+	}
+	for ; r < len(rows); r++ {
+		fnmaChain1Asm(&x[rows[r]*m], &src[0], ss, &coef[r*cs], 1, nk, m)
+	}
 }
 
 func dotOne(p, q []float64) float64 {

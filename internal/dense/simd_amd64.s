@@ -579,27 +579,41 @@ c1done:
 	VZEROUPPER
 	RET
 
-// func fnmaChain4Asm(d *float64, ds int, src *float64, ss int, coef *float64, cs, nk, n int)
-// fnmaChain1Asm over four rows at once (d rows ds apart, coefficient rows
-// cs apart and contiguous in t): each source row src[t*ss:] is loaded
-// once per column block and feeds all four rows' chains. Column blocks
-// of 8 (4 rows x 2 YMM = 8 accumulators) and 4, then four scalar chains
-// per tail column. Per element the operations are exactly those of
-// fnmaChain4Go. Requires nk >= 1.
-TEXT ·fnmaChain4Asm(SB), NOSPLIT, $0-64
-	MOVQ d+0(FP), DI
-	MOVQ ds+8(FP), R12
-	SHLQ $3, R12
-	LEAQ (R12)(R12*2), R13      // 3 d rows
-	MOVQ src+16(FP), SI
-	MOVQ ss+24(FP), R8
+// func fnmaRows4Asm(x *float64, rows *int, ngroups, m int, src *float64, ss int, coef *float64, cs, nk int)
+// fnmaChain1Asm over ngroups groups of four rows at once: row r of the
+// 4*ngroups rows is x[rows[r]*m:] (m elements, anywhere in x, addressed
+// as the group's first row plus a byte offset each), its coefficients
+// coef[r*cs+t] (contiguous in t). Within a group each source row
+// src[t*ss:] is loaded once per column block and feeds all four rows'
+// chains. Column blocks of 8 (4 rows x 2 YMM = 8 accumulators) and 4,
+// then four scalar chains per tail column. Per element the operations
+// are exactly those of fnmaChain4Go. Requires nk >= 1 and ngroups >= 1.
+TEXT ·fnmaRows4Asm(SB), NOSPLIT, $0-72
+	MOVQ rows+8(FP), R11        // the group's row indices
+	MOVQ ss+40(FP), R8
 	SHLQ $3, R8
-	MOVQ coef+32(FP), R9
-	MOVQ cs+40(FP), R10
+	MOVQ coef+48(FP), R9
+	MOVQ cs+56(FP), R10
 	SHLQ $3, R10
 	LEAQ (R10)(R10*2), R14      // 3 coefficient rows
-	MOVQ nk+48(FP), R11
-	MOVQ n+56(FP), CX
+
+r4group:
+	MOVQ  m+24(FP), DX
+	SHLQ  $3, DX                // row bytes
+	MOVQ  (R11), DI
+	MOVQ  8(R11), R12
+	MOVQ  16(R11), R15
+	MOVQ  24(R11), R13
+	SUBQ  DI, R12
+	SUBQ  DI, R15
+	SUBQ  DI, R13
+	IMULQ DX, DI
+	IMULQ DX, R12               // row 1 - row 0, in bytes
+	IMULQ DX, R15               // row 2 - row 0
+	IMULQ DX, R13               // row 3 - row 0
+	ADDQ  x+0(FP), DI
+	MOVQ  src+32(FP), SI
+	MOVQ  m+24(FP), CX
 
 c4blk8:
 	CMPQ    CX, $8
@@ -608,13 +622,13 @@ c4blk8:
 	VMOVUPD 32(DI), Y1
 	VMOVUPD (DI)(R12*1), Y2
 	VMOVUPD 32(DI)(R12*1), Y3
-	VMOVUPD (DI)(R12*2), Y4
-	VMOVUPD 32(DI)(R12*2), Y5
+	VMOVUPD (DI)(R15*1), Y4
+	VMOVUPD 32(DI)(R15*1), Y5
 	VMOVUPD (DI)(R13*1), Y6
 	VMOVUPD 32(DI)(R13*1), Y7
 	MOVQ    SI, AX
 	MOVQ    R9, BX
-	MOVQ    R11, DX
+	MOVQ    nk+64(FP), DX
 
 c4k8:
 	VMOVUPD      (AX), Y8
@@ -639,8 +653,8 @@ c4k8:
 	VMOVUPD      Y1, 32(DI)
 	VMOVUPD      Y2, (DI)(R12*1)
 	VMOVUPD      Y3, 32(DI)(R12*1)
-	VMOVUPD      Y4, (DI)(R12*2)
-	VMOVUPD      Y5, 32(DI)(R12*2)
+	VMOVUPD      Y4, (DI)(R15*1)
+	VMOVUPD      Y5, 32(DI)(R15*1)
 	VMOVUPD      Y6, (DI)(R13*1)
 	VMOVUPD      Y7, 32(DI)(R13*1)
 	ADDQ         $64, DI
@@ -653,11 +667,11 @@ c4blk4:
 	JLT     c4tail
 	VMOVUPD (DI), Y0
 	VMOVUPD (DI)(R12*1), Y2
-	VMOVUPD (DI)(R12*2), Y4
+	VMOVUPD (DI)(R15*1), Y4
 	VMOVUPD (DI)(R13*1), Y6
 	MOVQ    SI, AX
 	MOVQ    R9, BX
-	MOVQ    R11, DX
+	MOVQ    nk+64(FP), DX
 
 c4k4:
 	VMOVUPD      (AX), Y8
@@ -675,7 +689,7 @@ c4k4:
 	JNE          c4k4
 	VMOVUPD      Y0, (DI)
 	VMOVUPD      Y2, (DI)(R12*1)
-	VMOVUPD      Y4, (DI)(R12*2)
+	VMOVUPD      Y4, (DI)(R15*1)
 	VMOVUPD      Y6, (DI)(R13*1)
 	ADDQ         $32, DI
 	ADDQ         $32, SI
@@ -686,11 +700,11 @@ c4tail:
 	JE     c4done
 	VMOVSD (DI), X0
 	VMOVSD (DI)(R12*1), X2
-	VMOVSD (DI)(R12*2), X4
+	VMOVSD (DI)(R15*1), X4
 	VMOVSD (DI)(R13*1), X6
 	MOVQ   SI, AX
 	MOVQ   R9, BX
-	MOVQ   R11, DX
+	MOVQ   nk+64(FP), DX
 
 c4k1:
 	VMOVSD       (AX), X8
@@ -708,7 +722,7 @@ c4k1:
 	JNE          c4k1
 	VMOVSD       X0, (DI)
 	VMOVSD       X2, (DI)(R12*1)
-	VMOVSD       X4, (DI)(R12*2)
+	VMOVSD       X4, (DI)(R15*1)
 	VMOVSD       X6, (DI)(R13*1)
 	ADDQ         $8, DI
 	ADDQ         $8, SI
@@ -716,5 +730,12 @@ c4k1:
 	JMP          c4tail
 
 c4done:
+	ADDQ $32, R11
+	LEAQ (R9)(R10*4), R9        // the next group's coefficient rows
+	MOVQ ngroups+16(FP), AX
+	SHLQ $5, AX
+	ADDQ rows+8(FP), AX
+	CMPQ R11, AX
+	JB   r4group
 	VZEROUPPER
 	RET

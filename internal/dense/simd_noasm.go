@@ -24,8 +24,8 @@ func fnmaChain1(d, src []float64, ss int, coef []float64, cs, nk int) {
 	fnmaChain1Go(d, src, ss, coef, cs, nk)
 }
 
-func fnmaChain4(d []float64, ds int, src []float64, ss int, coef []float64, cs, nk, n int) {
-	fnmaChain4Go(d, ds, src, ss, coef, cs, nk, n)
+func fnmaRows(x []float64, rows []int, m int, src []float64, ss int, coef []float64, cs, nk int) {
+	fnmaRowsGo(x, rows, m, src, ss, coef, cs, nk)
 }
 
 func dotOne(p, q []float64) float64 { return dotOneGo(p, q) }

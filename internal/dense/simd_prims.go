@@ -85,17 +85,20 @@ func fnmaChain1Go(d, src []float64, ss int, coef []float64, cs, nk int) {
 	}
 }
 
-// fnmaChain4Go is fnmaChain1Go over four rows of n elements, ds apart
-// in d, sharing the sources: row r's coefficients are coef[r*cs+t]
-// (contiguous in t). Each source element is read once for the four
-// rows' chains — the 4-row step of the forward solve.
-func fnmaChain4Go(d []float64, ds int, src []float64, ss int, coef []float64, cs, nk, n int) {
+// fnmaChain4Go is fnmaChain1Go over four rows d0..d3 of len(d0)
+// elements each, anywhere in memory, sharing the sources: row r's
+// coefficients are coef[r*cs+t] (contiguous in t). Each source element
+// is read once for the four rows' chains — the 4-row step of
+// fnmaRowsGo.
+func fnmaChain4Go(d0, d1, d2, d3, src []float64, ss int, coef []float64, cs, nk int) {
+	n := len(d0)
+	d1, d2, d3 = d1[:n:n], d2[:n:n], d3[:n:n]
 	l0 := coef[:nk:nk]
 	l1 := coef[cs : cs+nk : cs+nk]
 	l2 := coef[2*cs : 2*cs+nk : 2*cs+nk]
 	l3 := coef[3*cs : 3*cs+nk : 3*cs+nk]
 	for c := 0; c < n; c++ {
-		w0, w1, w2, w3 := d[c], d[ds+c], d[2*ds+c], d[3*ds+c]
+		w0, w1, w2, w3 := d0[c], d1[c], d2[c], d3[c]
 		for t := range l0 {
 			s := src[t*ss+c]
 			w0 = math.FMA(-l0[t], s, w0)
@@ -103,7 +106,25 @@ func fnmaChain4Go(d []float64, ds int, src []float64, ss int, coef []float64, cs
 			w2 = math.FMA(-l2[t], s, w2)
 			w3 = math.FMA(-l3[t], s, w3)
 		}
-		d[c], d[ds+c], d[2*ds+c], d[3*ds+c] = w0, w1, w2, w3
+		d0[c], d1[c], d2[c], d3[c] = w0, w1, w2, w3
+	}
+}
+
+// fnmaRowsGo runs the chains of the rows x[g*m:(g+1)*m], g in rows, over
+// nk shared sources (src rows ss apart), row r's coefficients
+// coef[r*cs+t] (contiguous in t): four rows at a time through
+// fnmaChain4Go wherever they lie in x, then one chain per leftover row.
+// Every element's chain is fnmaChain1Go's, so the grouping changes no
+// bit.
+func fnmaRowsGo(x []float64, rows []int, m int, src []float64, ss int, coef []float64, cs, nk int) {
+	r := 0
+	for ; r+3 < len(rows); r += 4 {
+		g0, g1, g2, g3 := rows[r]*m, rows[r+1]*m, rows[r+2]*m, rows[r+3]*m
+		fnmaChain4Go(x[g0:g0+m], x[g1:g1+m], x[g2:g2+m], x[g3:g3+m], src, ss, coef[r*cs:], cs, nk)
+	}
+	for ; r < len(rows); r++ {
+		g := rows[r] * m
+		fnmaChain1Go(x[g:g+m], src, ss, coef[r*cs:], 1, nk)
 	}
 }
 

@@ -90,23 +90,24 @@ func TestSIMDPrimitivesMatchPortable(t *testing.T) {
 			check("fnmaChain1",
 				func(dst []float64) { fnmaChain1(dst, src, ss, coef, cs, nk) },
 				func(dst []float64) { fnmaChain1Go(dst, src, ss, coef, cs, nk) })
-			rows := func(asm bool) []float64 {
-				const ds = 71
-				d4 := make([]float64, 3*ds+n)
-				for r := 0; r < 4; r++ {
-					copy(d4[r*ds:], d)
+			// The row chains: 1-9 rows of the span's length, scattered
+			// out of order over a block twice their count (so the
+			// assembly's offsets from a group's first row run both ways),
+			// and every leftover count after the groups of four.
+			for nr := 1; nr <= 9; nr++ {
+				rows := rng.Perm(2 * nr)[:nr]
+				coefR := randSpan(rng, nr*(cs+nk))
+				run := func(f func(x []float64)) []float64 {
+					x := randSpan(rand.New(rand.NewSource(int64(nr))), 2*nr*n)
+					f(x)
+					return x
 				}
-				if asm {
-					fnmaChain4(d4, ds, src, ss, coef, cs+nk, nk, n)
-				} else {
-					fnmaChain4Go(d4, ds, src, ss, coef, cs+nk, nk, n)
-				}
-				return d4
-			}
-			dAsm, dRef := rows(true), rows(false)
-			for j := range dAsm {
-				if math.Float64bits(dAsm[j]) != math.Float64bits(dRef[j]) {
-					t.Fatalf("fnmaChain4 n=%d nk=%d: element %d differs: asm %v ref %v", n, nk, j, dAsm[j], dRef[j])
+				dAsm := run(func(x []float64) { fnmaRows(x, rows, n, src, ss, coefR, cs+nk, nk) })
+				dRef := run(func(x []float64) { fnmaRowsGo(x, rows, n, src, ss, coefR, cs+nk, nk) })
+				for j := range dAsm {
+					if math.Float64bits(dAsm[j]) != math.Float64bits(dRef[j]) {
+						t.Fatalf("fnmaRows n=%d nk=%d rows=%d: element %d differs: asm %v ref %v", n, nk, nr, j, dAsm[j], dRef[j])
+					}
 				}
 			}
 		}
@@ -178,9 +179,34 @@ func TestSIMDPrimitivesZeroAlloc(t *testing.T) {
 		addSpanFast(d, a)
 		scatterRuns4(d, d, d, d, a, a, a, a, runs[:1])
 		fnmaChain1(d[:16], a, 16, a[48:], 1, 3)
-		fnmaChain4(d, 16, a, 16, a[32:], 8, 2, 8)
+		fnmaRows(d, []int{2, 0, 3, 1, 4}, 8, a, 16, a[32:], 4, 2)
 	})
 	if allocs != 0 {
 		t.Fatalf("primitives allocate %v per run, want 0", allocs)
+	}
+}
+
+// TestFnmaRowsChecksRows: a row index past the block panics in the
+// dispatch wrapper, on both paths, before the assembly could write
+// outside x.
+func TestFnmaRowsChecksRows(t *testing.T) {
+	for _, path := range []struct {
+		name  string
+		force func(*testing.T)
+	}{{"vector", forceVector}, {"portable", forcePortable}} {
+		t.Run(path.name, func(t *testing.T) {
+			path.force(t)
+			x, src, coef := make([]float64, 4*8), make([]float64, 8), make([]float64, 8)
+			for _, rows := range [][]int{{0, 1, 2, 4}, {0, 1, 2, 3, -1}, {5}} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("rows %v on a 4-row block did not panic", rows)
+						}
+					}()
+					fnmaRows(x, rows, 8, src, 8, coef, 1, 1)
+				}()
+			}
+		})
 	}
 }

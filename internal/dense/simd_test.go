@@ -302,22 +302,15 @@ func TestKernelSIMDSolveKernels(t *testing.T) {
 		W0.A[i] = rng.NormFloat64()
 	}
 
-	type solveFn func(kern Kernel, M *Matrix, W *Matrix)
 	kernels := []struct {
 		name string
 		m    *Matrix
-		run  solveFn
-	}{
-		{"fwdLU", L, func(k Kernel, M, W *Matrix) { k.SolveForwardLU(M, npiv, W) }},
-		{"fwdChol", L, func(k Kernel, M, W *Matrix) { k.SolveForwardCholesky(M, npiv, W) }},
-		{"bwdLU", U, func(k Kernel, M, W *Matrix) { k.SolveBackwardLU(M, npiv, W) }},
-		{"bwdChol", L, func(k Kernel, M, W *Matrix) { k.SolveBackwardCholesky(M, npiv, W) }},
-	}
+	}{{"fwdLU", L}, {"fwdChol", L}, {"bwdLU", U}, {"bwdChol", L}}
 	for _, kc := range kernels {
 		def := cloneM(W0)
-		kc.run(KernelDefault, kc.m, def)
+		solveKernel(t, rng, KernelDefault, kc.name, kc.m, npiv, def)
 		simd := cloneM(W0)
-		kc.run(KernelSIMD, kc.m, simd)
+		solveKernel(t, rng, KernelSIMD, kc.name, kc.m, npiv, simd)
 		for i := range def.A {
 			if d := math.Abs(def.A[i] - simd.A[i]); d > 1e-9*(1+math.Abs(def.A[i])) {
 				t.Fatalf("%s: element %d: simd %g default %g", kc.name, i, simd.A[i], def.A[i])
@@ -329,7 +322,7 @@ func TestKernelSIMDSolveKernels(t *testing.T) {
 			for i := 0; i < f; i++ {
 				w1.A[i] = W0.At(i, c)
 			}
-			kc.run(KernelSIMD, kc.m, w1)
+			solveKernel(t, rng, KernelSIMD, kc.name, kc.m, npiv, w1)
 			for i := 0; i < f; i++ {
 				if math.Float64bits(w1.A[i]) != math.Float64bits(simd.At(i, c)) {
 					t.Fatalf("%s: col %d row %d differs single-RHS vs batch", kc.name, c, i)
@@ -411,15 +404,14 @@ func checkSolveChains(t *testing.T, rng *rand.Rand, f, npiv int) {
 	}
 	cases := []struct {
 		name            string
-		run             func(W *Matrix)
+		m               *Matrix
 		forward, divide bool
 		coef            func(i, k int) float64
 	}{
-		{"fwdLU", func(W *Matrix) { KernelSIMD.SolveForwardLU(L, npiv, W) }, true, false, L.At},
-		{"fwdChol", func(W *Matrix) { KernelSIMD.SolveForwardCholesky(L, npiv, W) }, true, true, L.At},
-		{"bwdLU", func(W *Matrix) { KernelSIMD.SolveBackwardLU(U, npiv, W) }, false, true, U.At},
-		{"bwdChol", func(W *Matrix) { KernelSIMD.SolveBackwardCholesky(L, npiv, W) }, false, true,
-			func(i, k int) float64 { return L.At(k, i) }},
+		{"fwdLU", L, true, false, L.At},
+		{"fwdChol", L, true, true, L.At},
+		{"bwdLU", U, false, true, U.At},
+		{"bwdChol", L, false, true, func(i, k int) float64 { return L.At(k, i) }},
 	}
 	for nrhs := 1; nrhs <= 17; nrhs++ {
 		W0 := New(f, nrhs)
@@ -428,7 +420,7 @@ func checkSolveChains(t *testing.T, rng *rand.Rand, f, npiv int) {
 		}
 		for _, kc := range cases {
 			got, want := cloneM(W0), cloneM(W0)
-			kc.run(got)
+			solveKernel(t, rng, KernelSIMD, kc.name, kc.m, npiv, got)
 			chainSolveRef(want, npiv, kc.forward, kc.divide, kc.coef)
 			for i := range got.A {
 				if math.Float64bits(got.A[i]) != math.Float64bits(want.A[i]) {
@@ -458,13 +450,24 @@ func TestKernelSIMDZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	CholeskyScaleRows(ch, 0, npiv, npiv, n)
-	var panels []*Matrix
+	// Each panel in the solve's layout: the pivot rows on top of a block
+	// whose CB rows lie in runs with gaps, and the CB rows gathered.
+	type solvePanel struct {
+		P, C Matrix
+		x    []float64
+		rows []int
+	}
+	var panels []solvePanel
 	for _, nrhs := range []int{1, 8, 16} {
 		W := New(n, nrhs)
 		for i := range W.A {
 			W.A[i] = rng.NormFloat64()
 		}
-		panels = append(panels, W)
+		x, rows := spread(rng, W, npiv)
+		panels = append(panels, solvePanel{
+			P: Matrix{R: npiv, C: nrhs, A: x[:npiv*nrhs]}, C: Matrix{R: n - npiv, C: nrhs, A: W.A[npiv*nrhs:]},
+			x: x, rows: rows,
+		})
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		copy(master.A, front.A)
@@ -481,11 +484,12 @@ func TestKernelSIMDZeroAlloc(t *testing.T) {
 		KernelSIMD.LUUpdateTile(lu, 0, npiv, npiv, n, npiv, n)
 		KernelSIMD.CholeskyUpdateRows(ch, 0, npiv, npiv, n)
 		KernelSIMD.CholeskyUpdateTile(ch, 0, npiv, npiv, n, npiv+4, n-4)
-		for _, W := range panels {
-			KernelSIMD.SolveForwardLU(lu, npiv, W)
-			KernelSIMD.SolveBackwardLU(lu, npiv, W)
-			KernelSIMD.SolveForwardCholesky(ch, npiv, W)
-			KernelSIMD.SolveBackwardCholesky(ch, npiv, W)
+		for i := range panels {
+			sp := &panels[i]
+			KernelSIMD.SolveForwardLU(lu, &sp.P, sp.x, sp.rows)
+			KernelSIMD.SolveBackwardLU(lu, &sp.P, &sp.C)
+			KernelSIMD.SolveForwardCholesky(ch, &sp.P, sp.x, sp.rows)
+			KernelSIMD.SolveBackwardCholesky(ch, &sp.P, &sp.C)
 		}
 	})
 	if allocs != 0 {

@@ -25,22 +25,27 @@ type Factors struct {
 // NewFactors allocates the slab for lay; a block's contents are
 // undefined until its Put. Put may be called concurrently for distinct
 // nodes.
-func NewFactors(lay *Layout) *Factors {
-	return &Factors{Layout: lay, slab: uninitialized(lay.Words())}
-}
-
-// uninitialized returns n words whose contents are undefined, on huge
-// pages where the platform has them. The slab needs no clearing —
-// ExtractFactor writes every word of every block, structural zeros
-// included — and clearing it would be a serial pass over the whole
-// factorization ahead of the parallel workers. The workers fault a fresh
-// slab in as they fill it, 2 MiB per fault instead of 4 KiB. On
+//
+// The slab is neither cleared — ExtractFactor writes every word of every
+// block, structural zeros included, and clearing would be a serial pass
+// over the whole factorization ahead of the parallel workers — nor on
+// small pages where the platform has huge ones: the workers fault a
+// fresh slab in as they fill it, 2 MiB per fault instead of 4 KiB. On
 // perfbench smallfront, clearing cost 22 % of par_factor_s, small pages
 // 4 %.
-func uninitialized(n int64) []float64 {
-	s := unsafe.Slice((*float64)(mallocgc(uintptr(n)*8, nil, false)), n)
-	hugePages(s)
-	return s
+func NewFactors(lay *Layout) *Factors {
+	slab := Uninitialized(lay.Words())
+	hugePages(slab)
+	return &Factors{Layout: lay, slab: slab}
+}
+
+// Uninitialized returns n words whose contents are undefined: memory the
+// garbage collector does not scan, allocated without the clearing make
+// does. It is for buffers whose every word is written before it is read
+// — the factor slab, spill records, spill-file read buffers — where
+// clearing is a pass over memory that buys nothing.
+func Uninitialized(n int64) []float64 {
+	return unsafe.Slice((*float64)(mallocgc(uintptr(n)*8, nil, false)), n)
 }
 
 // mallocgc is the runtime's allocator; with typ nil it allocates memory
@@ -63,8 +68,10 @@ func (f *Factors) Block(ni int) []float64 {
 
 // Solver is a reusable solve context over one completed factorization:
 // it caches the postorder walks and one scratch panel sized to the
-// largest front, so a solve allocates nothing per front — only the
-// result block. A Solver serializes its own solves (the scratch is
+// largest contribution block — the backward pass gathers a front's CB
+// rows there; everything else is solved in place in the right-hand-side
+// block — so a solve allocates nothing per front, only the result
+// block. A Solver serializes its own solves (the scratch is
 // shared); create one per goroutine for concurrent solving against an
 // in-memory store (a file store allows one solve at a time regardless).
 type Solver struct {
@@ -76,7 +83,7 @@ type Solver struct {
 	mu      sync.Mutex
 	post    []int
 	rev     []int
-	maxF    int
+	maxCB   int
 	scratch []float64
 }
 
@@ -91,17 +98,15 @@ func NewSolver(st Store, tree *assembly.Tree, kind sparse.Type, kern dense.Kerne
 		s.rev[len(s.post)-1-i] = ni
 	}
 	for i := range tree.Nodes {
-		if f := tree.Nodes[i].NFront(); f > s.maxF {
-			s.maxF = f
-		}
+		s.maxCB = max(s.maxCB, len(tree.Nodes[i].Rows))
 	}
 	return s
 }
 
-// panel returns the scratch panel for nrhs columns, growing it at most
-// once per distinct width.
+// panel returns the CB scratch panel for nrhs columns, growing it at
+// most once per distinct width.
 func (s *Solver) panel(nrhs int) []float64 {
-	need := s.maxF * nrhs
+	need := s.maxCB * nrhs
 	if cap(s.scratch) < need {
 		s.scratch = make([]float64, need)
 	}
@@ -132,7 +137,6 @@ func (s *Solver) solveInPlace(x []float64, nrhs int) ([]float64, error) {
 		return nil, err
 	}
 	defer s.st.EndSolve()
-	w := s.panel(nrhs)
 	// Forward: y = L^{-1} b, fronts in postorder.
 	s.st.Prefetch(s.post)
 	for _, ni := range s.post {
@@ -140,10 +144,11 @@ func (s *Solver) solveInPlace(x []float64, nrhs int) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		ForwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
+		ForwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, s.kern)
 		s.st.Release(ni)
 	}
 	// Backward: x = U^{-1} y (or L^{-T} y), reverse postorder.
+	w := s.panel(nrhs)
 	s.st.Prefetch(s.rev)
 	for _, ni := range s.rev {
 		blk, err := s.st.Fetch(ni)
@@ -217,64 +222,57 @@ func UnpermuteRHS(perm []int, px []float64, nrhs int) []float64 {
 }
 
 // ForwardNodePanel applies node nd's part of the forward substitution
-// to the n x nrhs row-major block x, with blk the node's factor block:
-// copy the front's rows into the scratch panel w (at least
-// NFront*nrhs) — the pivot rows [Begin, End) as one contiguous copy, the
-// CB rows gathered — run the blocked kernel, and copy every row back.
-// With dense.KernelDefault the per-column operation order is exactly the
+// in place on the n x nrhs row-major block x, with blk the node's factor
+// block. The kernel solves the pivot rows [Begin, End) where they lie —
+// one contiguous npiv x nrhs panel of x — and updates each CB row
+// nd.Rows[k] where it lies in x: nothing is copied. With
+// dense.KernelDefault the per-column operation order is exactly the
 // historical scalar solve's.
-func ForwardNodePanel(x []float64, nd *assembly.Node, kind sparse.Type, blk []float64, nrhs int, w []float64, kern dense.Kernel) {
+func ForwardNodePanel(x []float64, nd *assembly.Node, kind sparse.Type, blk []float64, nrhs int, kern dense.Kernel) {
 	L, _ := blockViews(nd, kind, blk)
-	W := gatherPanel(x, nd, nrhs, w)
+	P := pivotPanel(x, nd, nrhs)
 	if kind == sparse.Symmetric {
-		kern.SolveForwardCholesky(&L, L.C, &W)
+		kern.SolveForwardCholesky(&L, &P, x, nd.Rows)
 	} else {
-		kern.SolveForwardLU(&L, L.C, &W)
-	}
-	cb := W.A[copy(x[nd.Begin*nrhs:nd.End*nrhs], W.A):]
-	if nrhs == 1 {
-		for k, g := range nd.Rows {
-			x[g] = cb[k]
-		}
-		return
-	}
-	for k, g := range nd.Rows {
-		copy(x[g*nrhs:(g+1)*nrhs], cb[k*nrhs:(k+1)*nrhs])
+		kern.SolveForwardLU(&L, &P, x, nd.Rows)
 	}
 }
 
-// BackwardNodePanel applies node nd's part of the backward substitution.
-// Only the pivot rows are copied back: the trailing CB rows are
-// read-only inputs of the backward pass (they are pivot rows of
-// ancestors, already final), so the tree-parallel solve can run sibling
-// fronts concurrently without write overlap.
+// BackwardNodePanel applies node nd's part of the backward substitution
+// in place on x. The CB rows are read-only inputs here (pivot rows of
+// ancestors, already final): they are gathered into w (at least
+// len(nd.Rows)*nrhs words) one run of consecutive rows per copy, and
+// only the pivot rows are written, where they lie. So the tree-parallel
+// solve can run sibling fronts concurrently without write overlap.
 func BackwardNodePanel(x []float64, nd *assembly.Node, kind sparse.Type, blk []float64, nrhs int, w []float64, kern dense.Kernel) {
 	L, U := blockViews(nd, kind, blk)
-	W := gatherPanel(x, nd, nrhs, w)
+	P := pivotPanel(x, nd, nrhs)
+	C := gatherRows(x, nd.Rows, nrhs, w)
 	if kind == sparse.Symmetric {
-		kern.SolveBackwardCholesky(&L, L.C, &W)
+		kern.SolveBackwardCholesky(&L, &P, &C)
 	} else {
-		kern.SolveBackwardLU(&U, U.R, &W)
+		kern.SolveBackwardLU(&U, &P, &C)
 	}
-	copy(x[nd.Begin*nrhs:nd.End*nrhs], W.A[:(nd.End-nd.Begin)*nrhs])
 }
 
-// gatherPanel copies node nd's front rows of x into w and returns the
-// NFront x nrhs panel over it: the pivot rows are one contiguous range
-// of x, the CB rows are gathered one by one.
-func gatherPanel(x []float64, nd *assembly.Node, nrhs int, w []float64) dense.Matrix {
-	f := nd.NFront()
-	w = w[:f*nrhs]
-	piv := copy(w, x[nd.Begin*nrhs:nd.End*nrhs])
-	cb := w[piv:]
-	if nrhs == 1 {
-		for k, g := range nd.Rows {
-			cb[k] = x[g]
+// pivotPanel returns node nd's pivot rows of x as an npiv x nrhs panel
+// over x itself.
+func pivotPanel(x []float64, nd *assembly.Node, nrhs int) dense.Matrix {
+	lo, hi := nd.Begin*nrhs, nd.End*nrhs
+	return dense.Matrix{R: nd.End - nd.Begin, C: nrhs, A: x[lo:hi:hi]}
+}
+
+// gatherRows copies rows of x into w and returns the len(rows) x nrhs
+// panel over it, one copy per run of consecutive rows.
+func gatherRows(x []float64, rows []int, nrhs int, w []float64) dense.Matrix {
+	w = w[:len(rows)*nrhs]
+	for k := 0; k < len(rows); {
+		e := k + 1
+		for e < len(rows) && rows[e] == rows[e-1]+1 {
+			e++
 		}
-	} else {
-		for k, g := range nd.Rows {
-			copy(cb[k*nrhs:(k+1)*nrhs], x[g*nrhs:(g+1)*nrhs])
-		}
+		copy(w[k*nrhs:e*nrhs], x[rows[k]*nrhs:(rows[e-1]+1)*nrhs])
+		k = e
 	}
-	return dense.Matrix{R: f, C: nrhs, A: w}
+	return dense.Matrix{R: len(rows), C: nrhs, A: w}
 }

@@ -3,14 +3,17 @@ package ooc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/assembly"
+	"repro/internal/dense"
 	"repro/internal/faults"
 	"repro/internal/front"
+	"repro/internal/memory"
 	"repro/internal/sparse"
 )
 
@@ -153,6 +156,93 @@ func TestExtentStream(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRecycledBuffersNeedNoClearing: read buffers are allocated and
+// reused without clearing, so every word a block decodes from must come
+// from the read. Each pooled read buffer is filled with NaN, over its
+// whole capacity, before the next pass reuses it; every pass — extents
+// at a budget of a few records, then direct reads — must still give the
+// in-core slab's blocks bit for bit.
+func TestRecycledBuffersNeedNoClearing(t *testing.T) {
+	for _, kind := range []sparse.Type{sparse.Symmetric, sparse.Unsymmetric} {
+		t.Run(kind.String(), func(t *testing.T) {
+			tree := layoutTree(kind)
+			lay := front.NewLayout(tree, kind)
+			s, err := NewFileStore(Options{Dir: t.TempDir(), BufferEntries: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			bind(t, s, tree)
+			mem := front.NewFactors(lay)
+			if err := mem.Bind(lay, new(memory.Meter)); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(4))
+			for _, ni := range reversed(indices(tree.Len())) {
+				nd := &tree.Nodes[ni]
+				fr := dense.New(nd.NFront(), nd.NFront())
+				for i := range fr.A {
+					fr.A[i] = rng.NormFloat64()
+				}
+				entries := front.BlockWords(nd.NFront(), nd.NPiv(), kind)
+				if err := s.Put(ni, fr, entries); err != nil {
+					t.Fatal(err)
+				}
+				if err := mem.Put(ni, fr, entries); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			slab := make([][]float64, tree.Len())
+			for ni := range slab {
+				slab[ni] = mem.Block(ni)
+			}
+			poison := func() int {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				for _, b := range s.free {
+					b = b[:cap(b)]
+					for i := range b {
+						b[i] = math.NaN()
+					}
+				}
+				return len(s.free)
+			}
+			if err := s.BeginSolve(); err != nil {
+				t.Fatal(err)
+			}
+			post := tree.Postorder()
+			poisoned := 0
+			for pass, order := range [][]int{post, reversed(post), post} {
+				if err := walk(s, order, slab); err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+				poisoned += poison()
+			}
+			if poisoned == 0 {
+				t.Fatal("no read buffer was pooled for reuse")
+			}
+			s.EndSolve()
+			// Direct reads: Fetch with no walk announced.
+			for _, ni := range post {
+				got, err := s.Fetch(ni)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameBlock(slab[ni], got); err != nil {
+					t.Errorf("direct read of node %d: %v", ni, err)
+				}
+				s.Release(ni)
+			}
+			if st := s.Stats(); st.DirectReads != int64(len(post)) {
+				t.Errorf("%d direct reads, want %d", st.DirectReads, len(post))
+			}
+		})
 	}
 }
 

@@ -348,7 +348,7 @@ func (s *FileStore) Put(ni int, fr *dense.Matrix, entries int64) error {
 		return err
 	}
 	if buf == nil {
-		buf = make([]float64, s.recOf(ni).size/8)
+		buf = front.Uninitialized(s.recOf(ni).size / 8)
 	}
 	front.ExtractFactor(fr, s.lay.Tree.Nodes[ni].NPiv(), s.lay.Kind, buf[headerWords:len(buf)-1])
 	s.mu.Lock()
@@ -673,12 +673,13 @@ func (s *FileStore) extentWords() int64 { return max(s.opt.BufferEntries/2, 1) }
 
 // bufferLocked returns a read buffer of n words: the smallest pooled
 // buffer that holds n, or a new one of at least extentWords. Every word
-// is overwritten by the read, so reuse needs no clearing.
+// is overwritten by the read before a block decodes from it, so neither
+// a new nor a reused buffer is cleared.
 func (s *FileStore) bufferLocked(n int64) []float64 {
 	if b := takeBuffer(&s.free, n); b != nil {
 		return b
 	}
-	return make([]float64, max(n, s.extentWords()))[:n]
+	return front.Uninitialized(max(n, s.extentWords()))[:n]
 }
 
 // recycleLocked returns a read buffer whose blocks are all gone to the
@@ -939,7 +940,7 @@ func (s *FileStore) Fetch(ni int) ([]float64, error) {
 	s.stats.DirectReads++
 	s.mu.Unlock()
 
-	blocks, err := s.readExtent(&extent{off: r.off, size: r.size, nodes: []int{ni}, buf: make([]float64, r.size/8)})
+	blocks, err := s.readExtent(&extent{off: r.off, size: r.size, nodes: []int{ni}, buf: front.Uninitialized(r.size / 8)})
 	if err != nil {
 		return nil, err
 	}

@@ -49,11 +49,11 @@ type TreeSolver struct {
 	tr      *trace.Tracer    // nil when untraced
 	faults  *faults.Injector // nil when unarmed
 
-	mu   sync.Mutex
-	prep bool
-	post []int
-	rev  []int
-	maxF int
+	mu    sync.Mutex
+	prep  bool
+	post  []int
+	rev   []int
+	maxCB int // largest contribution block: the backward pass's scratch rows
 	// Forward-pass DAG: per-row postorder chains, deduplicated.
 	fwdIndeg []int32
 	fwdSuccs [][]int32
@@ -119,9 +119,7 @@ func (s *TreeSolver) prepare() {
 	}
 	for _, ni := range s.post {
 		nd := &tree.Nodes[ni]
-		if f := nd.NFront(); f > s.maxF {
-			s.maxF = f
-		}
+		s.maxCB = max(s.maxCB, len(nd.Rows))
 		chain := func(g int) {
 			if p := lastIn[g]; p >= 0 && int(p) != ni && edge[p] != int32(ni) {
 				edge[p] = int32(ni)
@@ -187,14 +185,14 @@ func (s *TreeSolver) solveInPlace(ctx context.Context, x []float64, nrhs int) ([
 	defer s.st.EndSolve()
 	s.st.SetContext(ctx)
 	s.st.Prefetch(s.post)
-	err := s.runPass(ctx, s.post, nrhs, trace.SpanSolveFwd, s.fwdIndeg, s.fwdSuccs, func(ni int, blk, w []float64) {
-		front.ForwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
+	err := s.runPass(ctx, s.post, 0, trace.SpanSolveFwd, s.fwdIndeg, s.fwdSuccs, func(ni int, blk, _ []float64) {
+		front.ForwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, s.kern)
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.st.Prefetch(s.rev)
-	err = s.runPass(ctx, s.rev, nrhs, trace.SpanSolveBwd, s.bwdIndeg, s.bwdSuccs, func(ni int, blk, w []float64) {
+	err = s.runPass(ctx, s.rev, s.maxCB*nrhs, trace.SpanSolveBwd, s.bwdIndeg, s.bwdSuccs, func(ni int, blk, w []float64) {
 		front.BackwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
 	})
 	if err != nil {
@@ -234,10 +232,10 @@ func (s *TreeSolver) SolveOriginalMultiCtx(ctx context.Context, b []float64, nrh
 // runPass executes one substitution pass: workers claim indegree-zero
 // fronts from a shared ready stack (seeded in reverse walk order so the
 // top is the walk's next front), run the node's panel outside the lock
-// with a per-worker scratch, and finish under the lock, releasing
-// successors. The claim/finish mutex handoff is the happens-before edge
-// between a row's consecutive touchers.
-func (s *TreeSolver) runPass(ctx context.Context, order []int, nrhs int, span string, indeg []int32, succs [][]int32, apply func(ni int, blk, w []float64)) error {
+// with a per-worker scratch of scratch words, and finish under the lock,
+// releasing successors. The claim/finish mutex handoff is the
+// happens-before edge between a row's consecutive touchers.
+func (s *TreeSolver) runPass(ctx context.Context, order []int, scratch int, span string, indeg []int32, succs [][]int32, apply func(ni int, blk, w []float64)) error {
 	deg := append([]int32(nil), indeg...)
 	ready := make([]int, 0, len(order))
 	for i := len(order) - 1; i >= 0; i-- {
@@ -271,7 +269,6 @@ func (s *TreeSolver) runPass(ctx context.Context, order []int, nrhs int, span st
 			}
 		}()
 	}
-	scratch := s.maxF * nrhs
 	workers := s.workers
 	if workers > remaining && remaining > 0 {
 		workers = remaining
