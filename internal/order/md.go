@@ -1,8 +1,8 @@
 package order
 
 import (
-	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -17,17 +17,36 @@ import (
 // from p are absorbed. Indistinguishable variables (identical quotient
 // adjacency) are merged into supervariables, which is what makes minimum
 // degree practical on matrices with large cliques.
+//
+// Degrees are exact: a variable's score is computed from its weighted
+// external degree, the total weight of the distinct supervariables it
+// reaches through its variables and elements. There is no
+// Amestoy–Davis–Duff degree bound and no aggressive absorption (ROADMAP
+// item 4(b) is the approximate version). After eliminating p, only the
+// members of L_p change degree. L_p's surviving supervariables are
+// stamped once, so each member's degree is their total weight W minus its
+// own, plus the weight it reaches outside L_p; L_p itself is never
+// rescanned per member. Each older element's weight outside L_p is known
+// per pivot, so the degree alone skips elements wholly inside L_p and
+// needs no scan at all when one element is a member's only way out.
 
-// ScoreFunc computes the selection score of a variable from its external
-// degree d (sum of supervariable weights of its quotient neighborhood) and
-// the sizes of its adjacent elements' boundaries. Lower scores are
-// eliminated first. elemBoundaries is scratch, valid only during the call.
-type ScoreFunc func(d int, nv int, elemBoundaries []int) int64
-
-// ScoreAMD is the approximate-minimum-degree score: the external degree.
-func ScoreAMD(d, nv int, elemBoundaries []int) int64 {
-	return int64(d)
+// ScoreFunc is a variable-selection score. Fn computes the score of a
+// variable from its external degree d (sum of supervariable weights of its
+// quotient neighborhood), its own weight nv and, when ReadsBoundaries is
+// set, the weighted sizes of its adjacent elements' boundaries (itself
+// excluded). Lower scores are eliminated first. elemBoundaries is scratch,
+// valid only during the call; the engine computes it only for a score that
+// reads it.
+type ScoreFunc struct {
+	Fn              func(d, nv int, elemBoundaries []int) int64
+	ReadsBoundaries bool
 }
+
+// ScoreAMD is the minimum-degree score: the exact external degree. The
+// ordering is named AMD after the paper's, which MUMPS computes with the
+// approximate degree of Amestoy, Davis and Duff; ROADMAP item 4(b) is
+// that version.
+var ScoreAMD = ScoreFunc{Fn: scoreAMD}
 
 // ScoreAMF is the approximate-minimum-fill score (Rothberg/Eisenstat
 // style): d(d-1)/2 minus the clique area already covered by adjacent
@@ -37,7 +56,13 @@ func ScoreAMD(d, nv int, elemBoundaries []int) int64 {
 // (their neighborhood is covered by existing cliques), and breaking
 // those ties by degree instead of by vertex id is what keeps AMF's fill
 // near AMD's rather than degenerating toward the natural order.
-func ScoreAMF(d, nv int, elemBoundaries []int) int64 {
+var ScoreAMF = ScoreFunc{Fn: scoreAMF, ReadsBoundaries: true}
+
+func scoreAMD(d, nv int, elemBoundaries []int) int64 {
+	return int64(d)
+}
+
+func scoreAMF(d, nv int, elemBoundaries []int) int64 {
 	fill := int64(d) * int64(d-1) / 2
 	for _, b := range elemBoundaries {
 		eb := int64(b)
@@ -49,75 +74,94 @@ func ScoreAMF(d, nv int, elemBoundaries []int) int64 {
 	return fill*(1<<20) + int64(d)
 }
 
-// mdHeap is an indexed binary min-heap of variables keyed by (score, v):
+// mdKey is a heap entry: a variable with its current score.
+type mdKey struct {
+	score int64
+	v     int
+}
+
+func (a mdKey) less(b mdKey) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return a.v < b.v // deterministic tie-breaking
+}
+
+// mdHeap is an indexed 4-ary min-heap of variables keyed by (score, v):
 // every live variable sits in it exactly once, and rescoring moves the
 // variable in place (decrease- or increase-key), so the heap never holds
-// more than n entries. The minimum over distinct (score, v) keys is
-// unique, so the pop order is fully determined by the scores.
+// more than n entries. The keys sit in the heap array itself, so
+// comparisons read no per-variable state, and a position's four children
+// are 64 contiguous bytes in a tree half as deep as a binary one. The
+// minimum over distinct (score, v) keys is unique, so the pop order is
+// fully determined by the scores.
 type mdHeap struct {
-	score []int64 // current score per variable
 	pos   []int   // heap position per variable, -1 when absent
-	items []int   // heap array of variables
+	items []mdKey // heap array
 }
 
-func (h *mdHeap) less(a, b int) bool {
-	if h.score[a] != h.score[b] {
-		return h.score[a] < h.score[b]
+func newMDHeap(n int) mdHeap {
+	h := mdHeap{pos: make([]int, n), items: make([]mdKey, 0, n)}
+	for v := range h.pos {
+		h.pos[v] = -1
 	}
-	return a < b // deterministic tie-breaking
+	return h
 }
 
-func (h *mdHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i]] = i
-	h.pos[h.items[j]] = j
+// place stores k at heap position i.
+func (h *mdHeap) place(i int, k mdKey) {
+	h.items[i] = k
+	h.pos[k.v] = i
 }
 
-func (h *mdHeap) up(i int) {
+// up sifts k from position i toward the root.
+func (h *mdHeap) up(i int, k mdKey) {
 	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(h.items[i], h.items[p]) {
-			return
+		p := (i - 1) / 4
+		if !k.less(h.items[p]) {
+			break
 		}
-		h.swap(i, p)
+		h.place(i, h.items[p])
 		i = p
 	}
+	h.place(i, k)
 }
 
-func (h *mdHeap) down(i int) {
+// down sifts k from position i toward the leaves.
+func (h *mdHeap) down(i int, k mdKey) {
 	n := len(h.items)
 	for {
-		c := 2*i + 1
+		c := 4*i + 1
 		if c >= n {
-			return
+			break
 		}
-		if r := c + 1; r < n && h.less(h.items[r], h.items[c]) {
-			c = r
+		for x, end := c+1, min(c+4, n); x < end; x++ {
+			if h.items[x].less(h.items[c]) {
+				c = x
+			}
 		}
-		if !h.less(h.items[c], h.items[i]) {
-			return
+		if !h.items[c].less(k) {
+			break
 		}
-		h.swap(i, c)
+		h.place(i, h.items[c])
 		i = c
 	}
+	h.place(i, k)
 }
 
 // set inserts v with the given score, or moves it to its new score.
 func (h *mdHeap) set(v int, score int64) {
+	k := mdKey{score, v}
 	i := h.pos[v]
 	if i < 0 {
-		h.score[v] = score
-		h.pos[v] = len(h.items)
-		h.items = append(h.items, v)
-		h.up(len(h.items) - 1)
+		h.items = append(h.items, k)
+		h.up(len(h.items)-1, k)
 		return
 	}
-	old := h.score[v]
-	h.score[v] = score
-	if score < old {
-		h.up(i)
+	if score < h.items[i].score {
+		h.up(i, k)
 	} else {
-		h.down(i)
+		h.down(i, k)
 	}
 }
 
@@ -127,13 +171,17 @@ func (h *mdHeap) remove(v int) {
 	if i < 0 {
 		return
 	}
-	last := len(h.items) - 1
-	h.swap(i, last)
-	h.items = h.items[:last]
 	h.pos[v] = -1
-	if i < last {
-		h.down(i)
-		h.up(i)
+	last := len(h.items) - 1
+	k := h.items[last]
+	h.items = h.items[:last]
+	if i == last {
+		return
+	}
+	if k.less(h.items[i]) {
+		h.up(i, k)
+	} else {
+		h.down(i, k)
 	}
 }
 
@@ -142,7 +190,7 @@ func (h *mdHeap) pop() int {
 	if len(h.items) == 0 {
 		return -1
 	}
-	v := h.items[0]
+	v := h.items[0].v
 	h.remove(v)
 	return v
 }
@@ -153,6 +201,7 @@ type mdState struct {
 	elems   [][]int // element id -> boundary variables (stale-tolerant)
 	vars    []mdVar // per-variable state, packed for locality
 	elemOK  []bool  // element not yet absorbed
+	elemOut []mdOut // element id -> weight outside the newest element
 	// Supervariable members as linked lists, representative first:
 	// next[v] follows v (-1 ends the list), tail[r] is r's last member.
 	next, tail []int
@@ -161,10 +210,11 @@ type mdState struct {
 	h          mdHeap
 
 	// Scratch reused across pivots.
-	lp         []int       // L_p under construction
-	elemBounds []int       // externalDegree's element boundary sizes
-	buckets    []hashedVar // mergeIndistinguishable's candidates
-	live       [4][]int    // sameAdjacency's live element/variable lists
+	lp         []int    // L_p under construction
+	lpCount    []int    // entries of L_p per representative, for boundaries
+	elemBounds []int    // boundary sizes handed to the score
+	buckets    []uint64 // mergeIndistinguishable's sort keys
+	live       [4][]int // sameAdjacency's live element/variable lists
 }
 
 // mdVar is the state of one variable. The degree scans touch all four
@@ -176,16 +226,23 @@ type mdVar struct {
 	alive  bool  // not yet eliminated or absorbed
 }
 
-// hashedVar is a supervariable candidate with its quotient-adjacency hash.
-type hashedVar struct {
-	h uint64
-	v int
+// mdOut is an element's total weight and, under the stamp mark, the part
+// of it outside the newest element. The total never changes while the
+// element lives: its members leave only by elimination, which absorbs
+// it, and merging two members keeps their weight.
+type mdOut struct {
+	weight, outside int
+	mark            int32
 }
 
 // MinimumDegree runs the quotient-graph minimum-degree algorithm on g with
 // the given scoring function and returns the elimination order
 // (new -> old). Supervariables expand to consecutive positions.
 func MinimumDegree(g *graph.Graph, score ScoreFunc) []int {
+	return newMDState(g, score).run()
+}
+
+func newMDState(g *graph.Graph, score ScoreFunc) *mdState {
 	n := g.N
 	s := &mdState{
 		adjVar:  make([][]int, n),
@@ -194,11 +251,10 @@ func MinimumDegree(g *graph.Graph, score ScoreFunc) []int {
 		next:    make([]int, n),
 		tail:    make([]int, n),
 		score:   score,
-		h: mdHeap{
-			score: make([]int64, n),
-			pos:   make([]int, n),
-			items: make([]int, 0, n),
-		},
+		h:       newMDHeap(n),
+	}
+	if score.ReadsBoundaries {
+		s.lpCount = make([]int, n)
 	}
 	// Variable lists start as capacity-capped windows of one copy of the
 	// adjacency; cleaning only ever shrinks them in place.
@@ -209,10 +265,19 @@ func MinimumDegree(g *graph.Graph, score ScoreFunc) []int {
 		s.vars[v] = mdVar{parent: -1, nv: 1, alive: true}
 		s.next[v] = -1
 		s.tail[v] = v
-		s.h.pos[v] = -1
 	}
+	return s
+}
+
+func (s *mdState) run() []int {
+	n := len(s.vars)
 	for v := 0; v < n; v++ {
-		s.rescore(v)
+		// No elements yet: v's degree is its number of distinct
+		// neighbors, v itself excluded by its own stamp.
+		m := s.nextMark(1)
+		s.vars[v].mark = m
+		d := s.outerDegree(v, nil, m)
+		s.h.set(v, s.score.Fn(d, 1, s.elemBounds))
 	}
 
 	perm := make([]int, 0, n)
@@ -237,26 +302,39 @@ func MinimumDegree(g *graph.Graph, score ScoreFunc) []int {
 		s.elemOK = append(s.elemOK, true)
 
 		// Clean each i in L_p: drop edges covered by the new element, drop
-		// absorbed elements, attach e.
-		m := s.nextMark()
+		// absorbed elements, attach e. The stamp lpm marks L_p until every
+		// member is rescored, so it must survive one stamp per member.
+		lpm := s.nextMark(len(lp))
+		weight := 0 // W: total weight of L_p, kept by merging
 		for _, i := range lp {
-			s.vars[i].mark = m
+			s.vars[i].mark = lpm
+			weight += int(s.vars[i].nv)
 		}
+		s.elemOut = append(s.elemOut, mdOut{weight: weight})
 		for _, i := range lp {
 			av := s.adjVar[i][:0]
 			for _, w := range s.adjVar[i] {
 				w = s.find(w)
-				if w == i || !s.vars[w].alive || s.vars[w].mark == m {
+				if w == i || !s.vars[w].alive || s.vars[w].mark == lpm {
 					continue // covered by element e or gone
 				}
 				av = append(av, w)
 			}
 			s.adjVar[i] = dedupInts(av)
+			// An older element's weight outside L_p is its weight less
+			// that of its members in L_p, which merging below keeps.
+			nv := int(s.vars[i].nv)
 			ae := s.adjElem[i][:0]
 			for _, e := range s.adjElem[i] {
-				if s.elemOK[e] {
-					ae = append(ae, e)
+				if !s.elemOK[e] {
+					continue
 				}
+				ae = append(ae, e)
+				o := &s.elemOut[e]
+				if o.mark != lpm {
+					o.mark, o.outside = lpm, o.weight
+				}
+				o.outside -= nv
 			}
 			s.adjElem[i] = append(ae, eid)
 		}
@@ -264,11 +342,36 @@ func MinimumDegree(g *graph.Graph, score ScoreFunc) []int {
 		// Supervariable detection among L_p: hash quotient adjacency.
 		s.mergeIndistinguishable(lp)
 
-		// Rescore surviving members of L_p.
-		for _, i := range lp {
-			if s.vars[i].alive {
-				s.rescore(i)
+		// L_p's boundary seen from member i is B − cnt(i)·nv(i): B is
+		// the weight of L_p's entries, each counted at its
+		// representative's weight, and cnt(i) is i plus the entries
+		// merged into it above.
+		bound := 0
+		if s.score.ReadsBoundaries {
+			for _, w := range lp {
+				s.lpCount[w] = 0
 			}
+			for _, w := range lp {
+				r := s.find(w)
+				s.lpCount[r]++
+				bound += int(s.vars[r].nv)
+			}
+		}
+
+		// Rescore surviving members of L_p; e is the last of their
+		// elements and is accounted for by W and B.
+		for _, i := range lp {
+			vi := s.vars[i]
+			if !vi.alive {
+				continue
+			}
+			ae := s.adjElem[i]
+			nv := int(vi.nv)
+			d := weight - nv + s.outerDegree(i, ae[:len(ae)-1], lpm)
+			if s.score.ReadsBoundaries {
+				s.elemBounds = append(s.elemBounds, bound-s.lpCount[i]*nv)
+			}
+			s.h.set(i, s.score.Fn(d, nv, s.elemBounds))
 		}
 	}
 	return perm
@@ -293,12 +396,17 @@ func (s *mdState) find(v int) int {
 	return v
 }
 
-// nextMark returns a fresh visit stamp, clearing every stamp when the
-// counter would overflow.
-func (s *mdState) nextMark() int32 {
-	if s.curMark == math.MaxInt32 {
+// nextMark returns a fresh visit stamp and guarantees that the next
+// reserve stamps follow it without a reset: every stamp is cleared first
+// when the counter would otherwise overflow within them, so a stamp taken
+// here stays distinct from all later ones until they are used up.
+func (s *mdState) nextMark(reserve int) int32 {
+	if int64(s.curMark)+int64(reserve) >= math.MaxInt32 {
 		for v := range s.vars {
 			s.vars[v].mark = 0
+		}
+		for e := range s.elemOut {
+			s.elemOut[e].mark = 0
 		}
 		s.curMark = 0
 	}
@@ -310,7 +418,7 @@ func (s *mdState) nextMark() int32 {
 // boundaries of p's elements, excluding eliminated variables and p itself,
 // sorted ascending. Elements of p are absorbed.
 func (s *mdState) buildElement(p int) []int {
-	m := s.nextMark()
+	m := s.nextMark(0)
 	s.vars[p].mark = m
 	lp := s.lp[:0]
 	add := func(w int) {
@@ -340,57 +448,105 @@ func (s *mdState) buildElement(p int) []int {
 	return append([]int(nil), lp...)
 }
 
-// externalDegree computes the weighted external degree of i and collects
-// the boundary sizes (excluding i) of its adjacent elements for AMF into
-// the reused s.elemBounds.
-func (s *mdState) externalDegree(i int) (d int, elemBounds []int) {
-	m := s.nextMark()
-	s.vars[i].mark = m
+// outerDegree returns the weight i reaches outside the variables stamped
+// lpm (i itself carries that stamp) through its variables and the given
+// elements. When the score reads boundaries, it also leaves each element's
+// boundary size, i excluded, in s.elemBounds; entries of one
+// supervariable listed more than once in an element count once each, as
+// they always have. i's variable list holds live representatives outside
+// L_p only: cleaning resolved it and merging touches L_p alone.
+//
+// A live element lists no eliminated variable (eliminating one absorbs
+// every element listing it), so an entry is a live representative or a
+// variable absorbed since it was listed, which is replaced by its
+// representative as it is scanned.
+func (s *mdState) outerDegree(i int, elems []int, lpm int32) (d int) {
+	vars := s.vars
+	m := s.nextMark(0)
+	s.elemBounds = s.elemBounds[:0]
 	for _, w := range s.adjVar[i] {
-		if vw := &s.vars[s.find(w)]; vw.alive && vw.mark != m {
+		if vw := &vars[w]; vw.mark != lpm && vw.mark != m {
 			vw.mark = m
 			d += int(vw.nv)
 		}
 	}
-	elemBounds = s.elemBounds[:0]
-	for _, e := range s.adjElem[i] {
-		if !s.elemOK[e] {
-			continue
-		}
-		b := 0
-		for _, w := range s.elems[e] {
-			w = s.find(w)
-			vw := &s.vars[w]
-			if !vw.alive || w == i {
-				continue
+	if !s.score.ReadsBoundaries {
+		if len(s.adjVar[i]) == 0 {
+			if o, ok := s.soleOutside(elems); ok {
+				return o
 			}
-			b += int(vw.nv)
-			if vw.mark != m {
+		}
+		for _, e := range elems {
+			if s.elemOut[e].outside == 0 {
+				continue // wholly inside L_p
+			}
+			list := s.elems[e]
+			for k, w := range list {
+				vw := &vars[w]
+				if vw.parent >= 0 {
+					w = s.find(w)
+					list[k], vw = w, &vars[w]
+				}
+				if vw.mark != lpm && vw.mark != m {
+					vw.mark = m
+					d += int(vw.nv)
+				}
+			}
+		}
+		return d
+	}
+	for _, e := range elems {
+		list := s.elems[e]
+		b := 0
+		for k, w := range list {
+			vw := &vars[w]
+			if vw.parent >= 0 {
+				w = s.find(w)
+				list[k], vw = w, &vars[w]
+			}
+			if w != i {
+				b += int(vw.nv)
+			}
+			if vw.mark != lpm && vw.mark != m {
 				vw.mark = m
 				d += int(vw.nv)
 			}
 		}
-		elemBounds = append(elemBounds, b)
+		s.elemBounds = append(s.elemBounds, b)
 	}
-	s.elemBounds = elemBounds
-	return d, elemBounds
+	return d
 }
 
-// rescore computes v's score and places v in the heap under it.
-func (s *mdState) rescore(v int) {
-	d, eb := s.externalDegree(v)
-	s.h.set(v, s.score(d, int(s.vars[v].nv), eb))
+// soleOutside reports the outside weight of the one element of elems
+// that reaches outside L_p, if exactly one does: for a variable with no
+// variable neighbors, that weight is its whole outer degree.
+func (s *mdState) soleOutside(elems []int) (int, bool) {
+	o := 0
+	for _, e := range elems {
+		if w := s.elemOut[e].outside; w > 0 {
+			if o > 0 {
+				return 0, false
+			}
+			o = w
+		}
+	}
+	return o, o > 0
 }
 
 // mergeIndistinguishable merges variables of lp with identical quotient
 // adjacency into supervariables. Candidates are grouped by a hash of
-// their adjacency; lp is sorted, so within a group the lower variable
-// absorbs the higher. Merging inside one group never changes the
-// adjacency of another group's variables (lp members carry no variable
-// edges to each other after cleaning), so the groups are independent.
+// their adjacency, packed with their position in lp into one sort key;
+// lp is sorted, so within a group the lower variable absorbs the higher.
+// Merging inside one group never changes the adjacency of another group's
+// variables (lp members carry no variable edges to each other after
+// cleaning), so the groups are independent. Indistinguishable variables
+// always share a group, so a coarser hash only adds comparisons: each
+// class of indistinguishable variables still merges into its lowest
+// member, in ascending order.
 func (s *mdState) mergeIndistinguishable(lp []int) {
-	cand := s.buckets[:0]
-	for _, i := range lp {
+	posBits := uint64(1)<<bits.Len(uint(len(lp))) - 1
+	keys := s.buckets[:0]
+	for x, i := range lp {
 		if !s.vars[i].alive {
 			continue
 		}
@@ -403,29 +559,24 @@ func (s *mdState) mergeIndistinguishable(lp []int) {
 				h = h*37 + uint64(e)*40503
 			}
 		}
-		cand = append(cand, hashedVar{h, i})
+		keys = append(keys, h&^posBits|uint64(x))
 	}
-	s.buckets = cand
-	slices.SortFunc(cand, func(a, b hashedVar) int {
-		if a.h != b.h {
-			return cmp.Compare(a.h, b.h)
-		}
-		return cmp.Compare(a.v, b.v)
-	})
-	for lo := 0; lo < len(cand); {
+	s.buckets = keys
+	slices.Sort(keys)
+	for lo := 0; lo < len(keys); {
 		hi := lo + 1
-		for hi < len(cand) && cand[hi].h == cand[lo].h {
+		for hi < len(keys) && keys[hi]&^posBits == keys[lo]&^posBits {
 			hi++
 		}
-		group := cand[lo:hi]
+		group := keys[lo:hi]
 		lo = hi
 		for x := 0; x < len(group); x++ {
-			i := group[x].v
+			i := lp[group[x]&posBits]
 			if !s.vars[i].alive {
 				continue
 			}
 			for y := x + 1; y < len(group); y++ {
-				j := group[y].v
+				j := lp[group[y]&posBits]
 				if !s.vars[j].alive || !s.sameAdjacency(i, j) {
 					continue
 				}

@@ -29,7 +29,7 @@ func NestedDissection(g *graph.Graph, opt NDOptions) []int {
 	if opt.LeafSize < 2 {
 		opt.LeafSize = 2
 	}
-	if opt.LeafScore == nil {
+	if opt.LeafScore.Fn == nil {
 		opt.LeafScore = ScoreAMD
 	}
 	if opt.MaxDepth <= 0 {

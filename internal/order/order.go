@@ -1,7 +1,12 @@
 // Package order implements the fill-reducing orderings used in the paper's
-// evaluation: AMD (approximate minimum degree), AMF (approximate minimum
-// fill), ND (nested dissection, standing in for METIS) and PORD (a hybrid
+// evaluation: AMD (minimum degree), AMF (approximate minimum fill), ND
+// (nested dissection, standing in for METIS) and PORD (a hybrid
 // bottom-up/top-down ordering, standing in for Schulze's PORD), plus RCM.
+//
+// AMD and AMF come from one quotient-graph minimum-degree engine with
+// supervariables that computes exact weighted external degrees. It has no
+// Amestoy–Davis–Duff approximate degree bound: the AMD the paper's solver
+// uses is that approximation, ROADMAP item 4(b).
 //
 // The paper runs every experiment under all four orderings because the
 // assembly-tree topology — deep and unbalanced for AMD/AMF, wide and
@@ -20,9 +25,9 @@ import (
 type Method int
 
 const (
-	// AMD is the approximate minimum (external) degree ordering.
+	// AMD is the minimum (external) degree ordering, with exact degrees.
 	AMD Method = iota
-	// AMF is the approximate minimum fill ordering.
+	// AMF is the approximate minimum fill ordering, with exact degrees.
 	AMF
 	// ND is nested dissection (METIS stand-in).
 	ND
