@@ -231,8 +231,7 @@ type mdVar struct {
 // element lives: its members leave only by elimination, which absorbs
 // it, and merging two members keeps their weight.
 type mdOut struct {
-	weight, outside int
-	mark            int32
+	weight, outside, mark int32
 }
 
 // MinimumDegree runs the quotient-graph minimum-degree algorithm on g with
@@ -252,6 +251,7 @@ func newMDState(g *graph.Graph, score ScoreFunc) *mdState {
 		tail:    make([]int, n),
 		score:   score,
 		h:       newMDHeap(n),
+		elemOut: make([]mdOut, 0, n), // one element per pivot at most
 	}
 	if score.ReadsBoundaries {
 		s.lpCount = make([]int, n)
@@ -310,7 +310,7 @@ func (s *mdState) run() []int {
 			s.vars[i].mark = lpm
 			weight += int(s.vars[i].nv)
 		}
-		s.elemOut = append(s.elemOut, mdOut{weight: weight})
+		s.elemOut = append(s.elemOut, mdOut{weight: int32(weight)})
 		for _, i := range lp {
 			av := s.adjVar[i][:0]
 			for _, w := range s.adjVar[i] {
@@ -323,7 +323,7 @@ func (s *mdState) run() []int {
 			s.adjVar[i] = dedupInts(av)
 			// An older element's weight outside L_p is its weight less
 			// that of its members in L_p, which merging below keeps.
-			nv := int(s.vars[i].nv)
+			nv := s.vars[i].nv
 			ae := s.adjElem[i][:0]
 			for _, e := range s.adjElem[i] {
 				if !s.elemOK[e] {
@@ -523,7 +523,7 @@ func (s *mdState) outerDegree(i int, elems []int, lpm int32) (d int) {
 func (s *mdState) soleOutside(elems []int) (int, bool) {
 	o := 0
 	for _, e := range elems {
-		if w := s.elemOut[e].outside; w > 0 {
+		if w := int(s.elemOut[e].outside); w > 0 {
 			if o > 0 {
 				return 0, false
 			}
