@@ -11,6 +11,13 @@
 // allocation per event (vmpi recycles its message deliveries this way).
 // One event may do the work of several logical ones — vmpi delivers every
 // same-time copy of a broadcast from a single event.
+//
+// Some deliveries need no event at all: a state that is only ever read
+// can be keyed like an event (its arrival time and a sequence number from
+// Reserve) and compared with the running event's key when it is read.
+// Passed makes that comparison; it is exact because events run in key
+// order, so an event keyed before the running one has run and an event
+// keyed after it has not. vmpi delivers published views this way.
 package des
 
 // Time is virtual time in nanoseconds.
@@ -44,7 +51,8 @@ func (ev *event) before(o *event) bool {
 // time run in scheduling order (stable).
 type Engine struct {
 	now    Time
-	seq    int64
+	cur    int64   // sequence number of the running event (0 before the first)
+	seq    int64   // last sequence number handed out
 	events []event // binary min-heap on (t, seq)
 	count  int64
 }
@@ -54,6 +62,21 @@ func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Reserve hands out the next sequence number without scheduling anything.
+// A key (t, Reserve()) orders like an event scheduled at t now: after
+// every event scheduled so far and before every event scheduled later.
+func (e *Engine) Reserve() int64 {
+	e.seq++
+	return e.seq
+}
+
+// Passed reports whether an event keyed (t, seq) runs before the running
+// event, keyed (Now, its sequence number) — had it been scheduled, it
+// would have run by now. Before the first event, nothing has.
+func (e *Engine) Passed(t Time, seq int64) bool {
+	return t < e.now || t == e.now && seq < e.cur
+}
 
 // Processed returns the number of events executed so far. It counts
 // events, not the logical work they carry: one event may deliver a
@@ -68,8 +91,7 @@ func (e *Engine) Schedule(t Time, a Action) {
 	if t < e.now {
 		panic("des: scheduling event in the past")
 	}
-	e.seq++
-	e.push(event{t: t, seq: e.seq, a: a})
+	e.push(event{t: t, seq: e.Reserve(), a: a})
 }
 
 // After schedules fn dt after the current time.
@@ -95,7 +117,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.pop()
-	e.now = ev.t
+	e.now, e.cur = ev.t, ev.seq
 	e.count++
 	ev.a.Fire()
 	return true

@@ -88,3 +88,34 @@ func TestStep(t *testing.T) {
 		t.Error("clamped event did not run")
 	}
 }
+
+// TestPassedRunningKey: inside an event, Passed is true exactly for the
+// keys before the running event's own, and a reserved key orders after
+// it.
+func TestPassedRunningKey(t *testing.T) {
+	e := New()
+	if e.Passed(0, 1) {
+		t.Fatal("Passed(0, 1) before the first event")
+	}
+	e.At(5, func() {})
+	e.At(5, func() {
+		now, seq := e.Now(), int64(2) // the second event scheduled
+		for _, c := range []struct {
+			t    Time
+			seq  int64
+			want bool
+		}{
+			{now, seq, false},
+			{now, seq - 1, true},
+			{now, seq + 1, false},
+			{now - 1, seq + 100, true},
+			{now + 1, 0, false},
+			{now, e.Reserve(), false},
+		} {
+			if got := e.Passed(c.t, c.seq); got != c.want {
+				t.Errorf("Passed(%d, %d) = %v inside (%d, %d)", c.t, c.seq, got, now, seq)
+			}
+		}
+	})
+	e.Run()
+}

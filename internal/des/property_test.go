@@ -159,3 +159,62 @@ func TestPropertyHeapPopsInTimeSeqOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropertyPassedMatchesScheduled: a key taken with Reserve is Passed
+// exactly when an event scheduled at the same point instead would have
+// run. Every event checks its keys against a twin engine that schedules
+// a real marker event wherever the first one reserves a key; the two
+// engines run the same script, so their events correspond one to one.
+func TestPropertyPassedMatchesScheduled(t *testing.T) {
+	type key struct {
+		t   Time
+		seq int64
+	}
+	prop := func(seed int64) bool {
+		run := func(reserve bool) (seen []bool) {
+			rng := rand.New(rand.NewSource(seed))
+			e := New()
+			var keys []key // reserved keys (reserve)
+			var ran []bool // whether each marker event ran (!reserve)
+			var body func()
+			body = func() {
+				for _, k := range keys {
+					seen = append(seen, e.Passed(k.t, k.seq))
+				}
+				seen = append(seen, ran...)
+				for c := rng.Intn(4); c > 0; c-- {
+					at := e.Now() + Time(rng.Intn(3))
+					switch {
+					case rng.Intn(2) == 0 && e.Now() < 20:
+						e.At(at, body)
+					case reserve:
+						keys = append(keys, key{at, e.Reserve()})
+					default:
+						k := len(ran)
+						ran = append(ran, false)
+						e.At(at, func() { ran[k] = true })
+					}
+				}
+			}
+			for i := 0; i < 5; i++ {
+				e.At(Time(rng.Intn(3)), body)
+			}
+			e.Run()
+			return seen
+		}
+		a, b := run(true), run(false)
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(15))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}

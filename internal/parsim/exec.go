@@ -12,17 +12,22 @@ import (
 )
 
 // allocFront and freeFront wrap the memory tracker, keeping the per-proc
-// live-allocation map used by peak snapshots in sync.
+// live-allocation map that peak snapshots read in sync when
+// Config.Snapshot is set.
 func (s *sim) allocFront(q, node int, entries int64) {
-	s.procs[q].open[node] += entries
+	if s.cfg.Snapshot {
+		s.procs[q].open[node] += entries
+	}
 	s.mem.AllocFront(q, entries)
 }
 
 func (s *sim) freeFront(q, node int, entries int64) {
-	if v := s.procs[q].open[node] - entries; v > 0 {
-		s.procs[q].open[node] = v
-	} else {
-		delete(s.procs[q].open, node)
+	if s.cfg.Snapshot {
+		if v := s.procs[q].open[node] - entries; v > 0 {
+			s.procs[q].open[node] = v
+		} else {
+			delete(s.procs[q].open, node)
+		}
 	}
 	s.mem.FreeFront(q, entries)
 }
@@ -70,10 +75,9 @@ func (s *sim) asmDur(ops int64) des.Time {
 	return des.Time(float64(ops) / s.cfg.Params.AsmRate * 1e9)
 }
 
-// metricFor builds the slave-selection metric of processor q's view,
-// honoring the Section 5.1 toggles.
-func (s *sim) metricFor(q int) func(r int) int64 {
-	v := s.procs[q].view
+// metricFor builds the slave-selection metric of view v, honoring the
+// Section 5.1 toggles.
+func (s *sim) metricFor(v *sched.View) func(r int) int64 {
 	st := s.cfg.Strategy
 	return func(r int) int64 {
 		return v.Metric(r, st.UseSubtreeInfo, st.UsePrediction)
@@ -133,13 +137,13 @@ func (s *sim) execType2Master(q, node int) {
 	}
 	s.slaveSelections++
 	var allocs []sched.Allocation
-	v := s.procs[q].view
+	v := s.viewOf(q)
 	switch {
 	case s.cfg.Strategy.HybridSlaveSelection:
-		allocs = sched.SelectSlavesHybrid(cands, s.metricFor(q), v.Load[q],
+		allocs = sched.SelectSlavesHybrid(cands, s.metricFor(v), v.Load[q],
 			v.Load, nfront, ncb, s.mem.MaxActivePeak())
 	case s.cfg.Strategy.MemorySlaveSelection:
-		allocs = sched.SelectSlavesMemory(cands, s.metricFor(q), nfront, ncb,
+		allocs = sched.SelectSlavesMemory(cands, s.metricFor(v), nfront, ncb,
 			s.mem.MaxActivePeak())
 	default:
 		allocs = sched.SelectSlavesWorkload(cands, v.Load[q], v.Load,

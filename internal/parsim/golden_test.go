@@ -21,8 +21,8 @@ const goldenPath = "testdata/golden_results.json"
 
 // goldenStrategies are the strategy/machine variants the golden file pins:
 // the three named strategies, the subtree-peak-first initial order, and a
-// zero-latency network (every view broadcast of one instant lands at the
-// same time, the densest same-time delivery case).
+// zero-latency network (every view publication of one instant arrives at
+// the same time, the densest same-time delivery case).
 func goldenStrategies() []struct {
 	name string
 	st   Strategy

@@ -13,18 +13,27 @@ import (
 )
 
 type procState struct {
-	rank         int
-	pool         sched.Pool
-	view         *sched.View
-	slaveQ       []slaveTask
-	rootQ        []int // pending type-3 share nodes
-	busy         bool
-	curSubtree   int
-	subBase      int64 // active memory at entry of the current subtree
-	lastIncoming int64
-	lastSubtree  int64
-	open         map[int]int64 // live front allocations by node (diagnostics)
+	rank int
+	pool sched.Pool
+	// view holds q's eager entries: the base loads, the msgAssign
+	// increments and q's own values. viewOf adds what the others
+	// published to it.
+	view       *sched.View
+	pub        viewState // what q has published about itself so far
+	slaveQ     []slaveTask
+	rootQ      []int // pending type-3 share nodes
+	busy       bool
+	curSubtree int
+	subBase    int64         // active memory at entry of the current subtree
+	open       map[int]int64 // live front allocations by node (Config.Snapshot only)
 }
+
+// viewState is what a processor publishes about itself, cumulative over
+// all it has published: the sums of its memory and workload increments,
+// its projected subtree level and its incoming-master prediction. The
+// newest one another processor has received is what the four delta and
+// level messages of the paper's view maintenance would have told it.
+type viewState struct{ mem, load, subtree, incoming int64 }
 
 type sim struct {
 	cfg   Config
@@ -32,6 +41,8 @@ type sim struct {
 	mp    *assembly.Mapping
 	eng   *des.Engine
 	world *vmpi.World
+	board *vmpi.Board[viewState]
+	seen  *sched.View // viewOf's result, rebuilt at every read
 	mem   *memory.Tracker
 	procs []procState
 	nodes []nodeState
@@ -80,6 +91,8 @@ func simulate(cfg Config) (*Result, int64, error) {
 	}
 	p := cfg.Map.P
 	s.world = vmpi.New(s.eng, p, cfg.Params.Comm)
+	s.board = vmpi.NewBoard[viewState](s.world)
+	s.seen = sched.NewView(p)
 	s.mem = memory.NewTracker(s.eng, p)
 	s.procs = make([]procState, p)
 	n := s.tree.Len()
@@ -128,13 +141,13 @@ func simulate(cfg Config) (*Result, int64, error) {
 		MemCost:   s.memCostOnOwner,
 	}
 	for q := 0; q < p; q++ {
-		s.procs[q] = procState{rank: q, view: sched.NewView(p), curSubtree: -1,
-			open: map[int]int64{}}
+		s.procs[q] = procState{rank: q, view: sched.NewView(p), curSubtree: -1}
 		if cfg.Trace {
 			s.mem.Procs[q].EnableTrace()
 		}
 		q := q
 		if cfg.Snapshot {
+			s.procs[q].open = map[int]int64{}
 			s.mem.SetSnapshot(q, func() string { return s.snapshot(q) })
 		}
 		s.world.Register(q, func(from int, payload any) { s.handle(q, from, payload) })
@@ -174,7 +187,7 @@ func simulate(cfg Config) (*Result, int64, error) {
 		MaxStackPeak:    s.mem.MaxStackPeak(),
 		MaxTotalPeak:    s.mem.MaxTotalPeak(),
 		AvgActivePeak:   s.mem.AvgActivePeak(),
-		Makespan:        s.eng.Now(),
+		Makespan:        max(s.eng.Now(), s.world.LastArrival()),
 		TotalFactors:    s.mem.TotalFactors(),
 		Messages:        s.world.Messages,
 		Bytes:           s.world.Bytes,
@@ -264,7 +277,7 @@ func (s *sim) markReady(i int) {
 		// Subtree work was pre-counted in the initial loads.
 		s.loadDelta(owner, s.ownerFlops(i))
 	}
-	s.updateIncoming(owner)
+	s.updateIncoming(owner, i, true)
 	s.tryStart(owner)
 }
 
@@ -341,18 +354,45 @@ func (s *sim) tryStart(q int) {
 	} else {
 		node = ps.pool.PopTop()
 	}
-	s.updateIncoming(q)
+	s.updateIncoming(q, node, false)
 	s.execMaster(q, node)
 }
 
-// ---- view broadcasts -------------------------------------------------
+// ---- view publications ----------------------------------------------
+
+// publish makes q's current state visible to the others (see viewOf).
+func (s *sim) publish(q int) { s.board.Publish(q, 0, s.procs[q].pub) }
+
+// viewOf returns processor q's view at the running event: its eager
+// entries plus, for every other processor r, the newest state r published
+// that has reached q. Channels are FIFO, so that state holds every delta
+// and level of r's that a message-fed view would have applied by now.
+func (s *sim) viewOf(q int) *sched.View {
+	own, v := s.procs[q].view, s.seen
+	copy(v.Mem, own.Mem)
+	copy(v.Load, own.Load)
+	copy(v.Subtree, own.Subtree)
+	copy(v.Incoming, own.Incoming)
+	for r := range s.procs {
+		if r == q {
+			continue
+		}
+		st := s.board.Read(r, q)
+		v.Mem[r] += st.mem
+		v.Load[r] += st.load
+		v.Subtree[r] = st.subtree
+		v.Incoming[r] = st.incoming
+	}
+	return v
+}
 
 func (s *sim) loadDelta(q int, delta int64) {
 	if delta == 0 {
 		return
 	}
 	s.procs[q].view.AddLoad(q, delta)
-	s.world.Broadcast(q, 0, msgLoadDelta{delta})
+	s.procs[q].pub.load += delta
+	s.publish(q)
 }
 
 // usesMemoryViews reports whether remote memory views must be maintained
@@ -367,27 +407,43 @@ func (s *sim) memDelta(q int, delta int64) {
 	}
 	s.procs[q].view.AddMem(q, delta)
 	if s.usesMemoryViews() {
-		s.world.Broadcast(q, 0, msgMemDelta{delta})
+		s.procs[q].pub.mem += delta
+		s.publish(q)
 	}
 }
 
-func (s *sim) updateIncoming(q int) {
+// updateIncoming keeps q's incoming-master prediction, the largest owner
+// cost in its pool, current after node was pushed onto the pool (push) or
+// popped from it. A push can only raise the maximum, and a pop lowers it
+// only when node held it, so only then is the pool rescanned.
+func (s *sim) updateIncoming(q, node int, push bool) {
 	if !s.cfg.Strategy.UsePrediction {
 		return
 	}
+	ps := &s.procs[q]
+	c := s.memCostOnOwner(node)
 	var max int64
-	pool := &s.procs[q].pool
-	for k := 0; k < pool.Len(); k++ {
-		if c := s.memCostOnOwner(pool.At(k)); c > max {
-			max = c
+	switch {
+	case push:
+		if c <= ps.pub.incoming {
+			return
+		}
+		max = c
+	case c < ps.pub.incoming:
+		return
+	default:
+		for k := 0; k < ps.pool.Len(); k++ {
+			if c := s.memCostOnOwner(ps.pool.At(k)); c > max {
+				max = c
+			}
+		}
+		if max == ps.pub.incoming {
+			return
 		}
 	}
-	if max == s.procs[q].lastIncoming {
-		return
-	}
-	s.procs[q].lastIncoming = max
-	s.procs[q].view.SetIncoming(q, max)
-	s.world.Broadcast(q, 0, msgIncoming{max})
+	ps.view.SetIncoming(q, max)
+	ps.pub.incoming = max
+	s.publish(q)
 }
 
 func (s *sim) setSubtree(q int, sub int) {
@@ -402,18 +458,18 @@ func (s *sim) setSubtree(q int, sub int) {
 	if !s.cfg.Strategy.UseSubtreeInfo {
 		return
 	}
-	// Broadcast the projected absolute level (entry memory + subtree
+	// Publish the projected absolute level (entry memory + subtree
 	// peak); see sched.View for why this is not the bare peak.
 	var level int64
 	if sub >= 0 {
 		level = ps.subBase + s.mp.SubPeak[sub]
 	}
-	if level == ps.lastSubtree {
+	if level == ps.pub.subtree {
 		return
 	}
-	ps.lastSubtree = level
 	ps.view.SetSubtree(q, level)
-	s.world.Broadcast(q, 0, msgSubtree{peak: level})
+	ps.pub.subtree = level
+	s.publish(q)
 }
 
 // ---- message handling ------------------------------------------------
@@ -439,7 +495,7 @@ func (s *sim) handle(q, from int, payload any) {
 		// A master announced its slave selection: fold the assigned memory
 		// and work into this processor's view of the chosen slaves. The
 		// view increments here pair with the decrements the slaves
-		// broadcast themselves when they finish (execSlave); memory views
+		// publish themselves when they finish (execSlave); memory views
 		// are only maintained under the memory strategy (as the
 		// decrements are).
 		for k, r := range m.procs {
@@ -463,14 +519,6 @@ func (s *sim) handle(q, from int, payload any) {
 		st := &s.nodes[m.node]
 		st.slavesLeft--
 		s.maybeCompleteType2(q, m.node)
-	case msgMemDelta:
-		s.procs[q].view.AddMem(from, m.delta)
-	case msgLoadDelta:
-		s.procs[q].view.AddLoad(from, m.delta)
-	case msgSubtree:
-		s.procs[q].view.SetSubtree(from, m.peak)
-	case msgIncoming:
-		s.procs[q].view.SetIncoming(from, m.cost)
 	case msgRootStart:
 		share := s.frontEnt[m.node] / int64(s.mp.P)
 		s.allocFront(q, m.node, share)

@@ -7,10 +7,14 @@
 //     type-2 fronts (Section 3),
 //   - dynamic slave selection: workload-based (the MUMPS baseline) or
 //     memory-based Algorithm 1, optionally with the Section 5.1
-//     subtree-peak and incoming-master-prediction broadcasts,
+//     subtree-peak and incoming-master-prediction publications,
 //   - memory-aware task selection (Algorithm 2),
 //   - message-based views of remote memory/workload with latency, which
-//     reproduces the stale-view hazard of Figure 5.
+//     reproduces the stale-view hazard of Figure 5. The memory and
+//     workload deltas, subtree levels and incoming-master predictions are
+//     published on a vmpi.Board and read when a master selects slaves,
+//     not delivered as events; a read sees exactly what the delivered
+//     messages would have told the reader by then.
 //
 // The simulator moves front *sizes* and flop counts, not numerical values:
 // the paper's metrics (per-processor stack peaks, factorization time) are
@@ -30,10 +34,10 @@ type Strategy struct {
 	// MemorySlaveSelection uses Algorithm 1 instead of the workload-based
 	// slave selection for type-2 fronts.
 	MemorySlaveSelection bool
-	// UseSubtreeInfo broadcasts the peak of the subtree a processor starts
+	// UseSubtreeInfo publishes the peak of the subtree a processor starts
 	// and folds it into the slave-selection metric (Section 5.1).
 	UseSubtreeInfo bool
-	// UsePrediction broadcasts the cost of the largest ready master task of
+	// UsePrediction publishes the cost of the largest ready master task of
 	// each processor and folds it into the metric (Section 5.1).
 	UsePrediction bool
 	// MemoryTaskSelection uses Algorithm 2 for the local pool instead of
@@ -146,7 +150,9 @@ type Result struct {
 	// PeakNote describes the allocations making up the peak (only when
 	// Config.Snapshot was set).
 	PeakNote string
-	// Makespan is the simulated factorization time.
+	// Makespan is the simulated factorization time: the time of the last
+	// message delivery, view publications included, so it may end after
+	// the last front completes.
 	Makespan des.Time
 	// TotalFactors is the factor entries produced (must match the model).
 	TotalFactors int64
@@ -238,10 +244,6 @@ type (
 		mem   []int64
 		load  []int64
 	}
-	msgMemDelta  struct{ delta int64 }
-	msgLoadDelta struct{ delta int64 }
-	msgSubtree   struct{ peak int64 }
-	msgIncoming  struct{ cost int64 }
 	msgRootStart struct{ node int }
 	msgRootDone  struct{ node int }
 )

@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -126,128 +127,242 @@ func TestBadRankAndMissingHandlerPanic(t *testing.T) {
 	}
 }
 
-// oracleMsg is the payload of the Broadcast oracle scripts.
+// oracleMsg is the payload of the oracle scripts' real messages.
 type oracleMsg struct{ id, hop int }
 
-// delivery log entry of an oracle run.
+// pubDelta is a publication sent as a plain message, in the looped run.
+type pubDelta struct{ delta int64 }
+
+// pubState is the state the oracle scripts publish: the sum of the
+// publisher's deltas and the number of its publications, so a read that
+// sees a stale or a too-new publication differs in n.
+type pubState struct {
+	sum int64
+	n   int
+}
+
+// logged is a real-message delivery of an oracle run.
 type logged struct {
 	t        des.Time
 	src, dst int
 	m        oracleMsg
 }
 
-// oracleOp is one message issued by a script at a fixed virtual time.
-type oracleOp struct {
-	at    des.Time
-	src   int
-	dst   int // -1: broadcast
-	size  int64
-	relay bool
+// readLog is what one reader saw of one publisher at one instant.
+type readLog struct {
+	t           des.Time
+	src, reader int
+	st          pubState
 }
 
-// oracleScript is a random message pattern: several ops per instant (so
-// broadcasts from one sender collide at the same time and on busy
-// channels), occasional large messages that congest channels, degenerate
-// latency/bandwidth, and handlers that send or broadcast again.
+// oracle op kinds.
+const (
+	opSend = iota
+	opBroadcast
+	opPublish
+	opRead
+)
+
+// oracleOp is one action a script takes at a fixed virtual time.
+type oracleOp struct {
+	at    des.Time
+	kind  int
+	src   int   // sender, publisher or reader
+	dst   int   // opSend
+	size  int64 // message size in entries
+	delta int64 // opPublish
+	relay bool  // opSend, opBroadcast: receivers act again (see run)
+}
+
+// oracleScript is a message pattern: several ops per instant (so
+// broadcasts and publications from one sender collide at the same time
+// and on busy channels), large messages that congest channels, degenerate
+// latency/bandwidth, and handlers that send, broadcast, publish and read
+// again.
 type oracleScript struct {
 	p   int
 	cfg Config
 	ops []oracleOp
 }
 
-func randomScript(rng *rand.Rand) oracleScript {
-	sc := oracleScript{p: 1 + rng.Intn(7)}
-	sc.cfg = Config{
-		Latency:   []des.Time{0, 1, 200, 20_000}[rng.Intn(4)],
-		BytesPerE: 8,
-		Bandwidth: []int64{0, 1e6, 20e9}[rng.Intn(3)],
+// decodeScript builds a script from arbitrary bytes: two header bytes
+// pick the rank count and the network, then every four bytes are an op.
+// Every input decodes to a valid script, so it also serves the fuzzer.
+func decodeScript(data []byte) oracleScript {
+	var sc oracleScript
+	if len(data) < 2 {
+		data = append(append([]byte(nil), data...), 0, 0) // not in the caller's array
 	}
-	for i, n := 0, rng.Intn(40); i < n; i++ {
+	sc.p = 1 + int(data[0]%8)
+	sc.cfg = Config{
+		Latency:   []des.Time{0, 1, 200, 20_000}[data[1]%4],
+		BytesPerE: 8,
+		Bandwidth: []int64{0, 1e6, 20e9}[data[1]/4%3],
+	}
+	for data = data[2:]; len(data) >= 4 && len(sc.ops) < 64; data = data[4:] {
 		op := oracleOp{
-			at:    des.Time(rng.Intn(4) * 100),
-			src:   rng.Intn(sc.p),
-			dst:   -1,
-			relay: rng.Intn(3) == 0,
+			kind:  int(data[0] % 4),
+			relay: data[0]&0x80 != 0,
+			at:    des.Time(data[1]%4) * 100,
+			src:   int(data[1]/4) % sc.p,
+			dst:   int(data[2]) % sc.p,
+			delta: int64(int8(data[2])),
 		}
-		if rng.Intn(3) == 0 {
-			op.dst = rng.Intn(sc.p)
-		}
-		switch rng.Intn(4) {
+		switch data[3] % 4 {
 		case 0:
-			op.size = int64(rng.Intn(200_000)) // congests the channel
+			op.size = int64(data[3]) * 800 // congests the channel
 		case 1:
-			op.size = int64(rng.Intn(100))
+			op.size = int64(data[3] % 100)
 		}
 		sc.ops = append(sc.ops, op)
 	}
 	return sc
 }
 
-// run replays the script, broadcasting through Broadcast (grouped) or
-// through a loop of Send to every other rank in ascending order.
-func (sc oracleScript) run(grouped bool) (log []logged, messages, bytes int64) {
+func randomScript(rng *rand.Rand) oracleScript {
+	data := make([]byte, 2+4*rng.Intn(41))
+	rng.Read(data)
+	return decodeScript(data)
+}
+
+// oracleRun is everything a script run observes.
+type oracleRun struct {
+	log             []logged
+	reads           []readLog
+	messages, bytes int64
+	end             des.Time // when the last message arrived
+}
+
+// run replays the script. With grouped set it broadcasts through
+// Broadcast and publishes on a Board; otherwise both become a loop of
+// Send to every other rank in ascending order, and each receiver folds
+// the publication messages it is handed into its own copy of the
+// publisher's state — the eager delivery the Board must be equal to.
+func (sc oracleScript) run(grouped bool) oracleRun {
+	var out oracleRun
 	eng := des.New()
 	w := New(eng, sc.p, sc.cfg)
+	board := NewBoard[pubState](w)
+	own := make([]pubState, sc.p)      // what each rank has published
+	folded := make([][]pubState, sc.p) // looped: [reader][src]
+	for r := range folded {
+		folded[r] = make([]pubState, sc.p)
+	}
+	loop := func(src int, size int64, payload any) {
+		for dst := 0; dst < w.P; dst++ {
+			if dst != src {
+				w.Send(src, dst, size, payload)
+			}
+		}
+	}
 	bcast := func(src int, size int64, m oracleMsg) {
 		if grouped {
 			w.Broadcast(src, size, m)
-			return
+		} else {
+			loop(src, size, m)
 		}
-		for dst := 0; dst < w.P; dst++ {
-			if dst != src {
-				w.Send(src, dst, size, m)
+	}
+	publish := func(src int, size, delta int64) {
+		own[src].sum += delta
+		own[src].n++
+		if grouped {
+			board.Publish(src, size, own[src])
+		} else {
+			loop(src, size, pubDelta{delta})
+		}
+	}
+	read := func(reader int) {
+		for src := 0; src < sc.p; src++ {
+			if src == reader {
+				continue
 			}
+			st := folded[reader][src]
+			if grouped {
+				st = board.Read(src, reader)
+			}
+			out.reads = append(out.reads, readLog{eng.Now(), src, reader, st})
 		}
 	}
 	for r := 0; r < sc.p; r++ {
 		r := r
 		w.Register(r, func(from int, p any) {
-			m := p.(oracleMsg)
-			log = append(log, logged{eng.Now(), from, r, m})
-			if !sc.ops[m.id].relay || m.hop >= 2 {
+			if d, ok := p.(pubDelta); ok {
+				folded[r][from].sum += d.delta
+				folded[r][from].n++
 				return
 			}
-			// Relay from the receiver: a broadcast, a send to the next
-			// rank and a send back, all at the delivery instant.
+			m := p.(oracleMsg)
+			out.log = append(out.log, logged{eng.Now(), from, r, m})
+			op := sc.ops[m.id]
+			if !op.relay || m.hop >= 2 {
+				return
+			}
+			// Relay from the receiver, all at the delivery instant: a
+			// read, a publication, a broadcast, a send to the next rank,
+			// a send back and a second read.
 			next := oracleMsg{id: m.id, hop: m.hop + 1}
-			bcast(r, sc.ops[m.id].size/2, next)
+			read(r)
+			publish(r, op.size/4, int64(m.id+1))
+			bcast(r, op.size/2, next)
 			w.Send(r, (r+1)%sc.p, 0, next)
 			w.Send(r, from, 1, next)
+			read(r)
 		})
 	}
 	for i, op := range sc.ops {
 		i, op := i, op
 		eng.At(op.at, func() {
-			if op.dst < 0 {
-				bcast(op.src, op.size, oracleMsg{id: i})
-			} else {
+			switch op.kind {
+			case opSend:
 				w.Send(op.src, op.dst, op.size, oracleMsg{id: i})
+			case opBroadcast:
+				bcast(op.src, op.size, oracleMsg{id: i})
+			case opPublish:
+				publish(op.src, op.size, op.delta)
+			case opRead:
+				read(op.src)
 			}
 		})
 	}
 	eng.Run()
-	return log, w.Messages, w.Bytes
+	out.messages, out.bytes = w.Messages, w.Bytes
+	out.end = max(eng.Now(), w.LastArrival())
+	return out
+}
+
+// checkOracle runs sc both ways and reports the first difference: the
+// grouped broadcasts and the board must give exactly the deliveries (time,
+// sender, receiver, payload, in delivery order), the reads, the message
+// and byte counts and the end time of a loop of Send to every other rank.
+func checkOracle(sc oracleScript) string {
+	g, l := sc.run(true), sc.run(false)
+	switch {
+	case g.messages != l.messages || g.bytes != l.bytes || g.end != l.end:
+		return fmt.Sprintf("%d msgs %d bytes end %d, looped %d %d %d",
+			g.messages, g.bytes, g.end, l.messages, l.bytes, l.end)
+	case len(g.log) != len(l.log) || len(g.reads) != len(l.reads):
+		return fmt.Sprintf("%d deliveries %d reads, looped %d %d", len(g.log), len(g.reads), len(l.log), len(l.reads))
+	}
+	for i := range g.log {
+		if g.log[i] != l.log[i] {
+			return fmt.Sprintf("delivery %d is %+v, looped Send gives %+v", i, g.log[i], l.log[i])
+		}
+	}
+	for i := range g.reads {
+		if g.reads[i] != l.reads[i] {
+			return fmt.Sprintf("read %d is %+v, folded looped Sends give %+v", i, g.reads[i], l.reads[i])
+		}
+	}
+	return ""
 }
 
 // TestPropertyBroadcastMatchesLoopedSend is the oracle for the grouped
-// broadcast: on random scripts it must produce exactly the delivery log
-// (time, sender, receiver, payload, in delivery order) and the message and
-// byte counts of a loop of Send to every other rank.
+// broadcast and the board, on random scripts (see checkOracle).
 func TestPropertyBroadcastMatchesLoopedSend(t *testing.T) {
 	prop := func(seed int64) bool {
-		sc := randomScript(rand.New(rand.NewSource(seed)))
-		gLog, gMsgs, gBytes := sc.run(true)
-		lLog, lMsgs, lBytes := sc.run(false)
-		if gMsgs != lMsgs || gBytes != lBytes || len(gLog) != len(lLog) {
-			t.Logf("seed %d: %d msgs %d bytes %d deliveries, looped %d %d %d",
-				seed, gMsgs, gBytes, len(gLog), lMsgs, lBytes, len(lLog))
+		if diff := checkOracle(randomScript(rand.New(rand.NewSource(seed)))); diff != "" {
+			t.Logf("seed %d: %s", seed, diff)
 			return false
-		}
-		for i := range gLog {
-			if gLog[i] != lLog[i] {
-				t.Logf("seed %d: delivery %d is %+v, looped Send gives %+v", seed, i, gLog[i], lLog[i])
-				return false
-			}
 		}
 		return true
 	}
@@ -255,6 +370,17 @@ func TestPropertyBroadcastMatchesLoopedSend(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzPublish drives the same oracle from fuzzed scripts (decodeScript).
+// Its seed corpus in testdata/fuzz/FuzzPublish covers a zero-latency
+// burst, channels congested by large sends and two relaying ranks.
+func FuzzPublish(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if diff := checkOracle(decodeScript(data)); diff != "" {
+			t.Fatal(diff)
+		}
+	})
 }
 
 // TestBroadcastMissingHandlerPanics: a broadcast to a rank without a

@@ -111,21 +111,71 @@ func TestBadRankPanics(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocs: once the recycled deliveries exist, neither
-// Broadcast nor Send allocates per message — no closure, no heap boxing.
+// Broadcast nor Send allocates per message — no closure, no heap boxing —
+// and once every rank has received a Board's publications, the board
+// drops them instead of growing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	e, w := newWorld(32, DefaultConfig())
 	for r := 0; r < 32; r++ {
 		w.Register(r, func(int, any) {})
 	}
+	b := NewBoard[[4]int64](w)
+	var st [4]int64
 	round := func() {
 		w.Broadcast(0, 0, nil)
 		w.Broadcast(0, 10, nil) // same instant: busy channels, a second time
 		w.Send(1, 2, 0, nil)
 		w.Send(3, 3, 0, nil)
+		for k := range 8 {
+			st[k%4]++
+			b.Publish(k%2, 0, st)
+		}
 		e.Run()
+		if got := b.Read(1, 5); got != st {
+			t.Fatalf("read %v after the run, published %v", got, st)
+		}
 	}
 	round()
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
-		t.Errorf("%.1f allocations per round of 2 broadcasts + 2 sends", allocs)
+		t.Errorf("%.1f allocations per round of 2 broadcasts + 2 sends + 8 publications", allocs)
+	}
+	// At most two rounds of publications are in flight when a round
+	// publishes (the engine's clock stops at the last event, before the
+	// previous round's publications arrive), and compaction keeps at most
+	// as many dropped ones. Rank 1's publications lag on the channel its
+	// Send went down.
+	for r, p := range b.logs[:2] {
+		if len(p.log) > 20 || len(p.lags) > 20 {
+			t.Errorf("rank %d keeps %d publications and %d lagging arrivals after 51 rounds", r, len(p.log), len(p.lags))
+		}
+	}
+}
+
+// TestBoardReadsInFlight: a publication is invisible until it arrives on
+// the reader's channel — later on a channel a large Send congests — and
+// then stays visible.
+func TestBoardReadsInFlight(t *testing.T) {
+	e, w := newWorld(3, Config{Latency: 100, BytesPerE: 8, Bandwidth: 8e9})
+	for r := range 3 {
+		w.Register(r, func(int, any) {})
+	}
+	b := NewBoard[int](w)
+	w.Send(0, 2, 1000, nil) // channel 0->2 is busy until 1100
+	b.Publish(0, 0, 7)      // arrives at 100 on 0->1, at 1101 on 0->2
+	var got [][2]int
+	// The reads are scheduled after the publication, so they order after
+	// a delivery at the same instant, as they would after a looped Send's.
+	for _, at := range []des.Time{0, 99, 100, 1100, 1101} {
+		e.At(at, func() { got = append(got, [2]int{b.Read(0, 1), b.Read(0, 2)}) })
+	}
+	e.Run()
+	want := [][2]int{{0, 0}, {0, 0}, {7, 0}, {7, 0}, {7, 7}}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reads %v, want %v", got, want)
+		}
+	}
+	if w.LastArrival() != 1101 || w.Messages != 3 {
+		t.Errorf("last arrival %d, %d messages; want 1101, 3", w.LastArrival(), w.Messages)
 	}
 }
