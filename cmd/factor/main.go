@@ -254,8 +254,8 @@ func report(ctx context.Context, fl *flags, a *sparse.CSC, cfg core.Config, pcfg
 	incore := m
 	if file {
 		sp := m.spill
-		fmt.Fprintf(w, "  spill            %d blocks, %.1f MiB; buffer peak %d entries, %d put waits, %d block reads in %d reads, %d direct\n",
-			sp.Blocks, float64(sp.BytesWritten)/(1<<20), sp.BufferPeak, sp.PutWaits, sp.BlocksRead, sp.Reads, sp.DirectReads)
+		fmt.Fprintf(w, "  spill            %d blocks, %.1f MiB; buffer peak %d entries, %d put waits, %d block reads in %d reads, %d direct; %d bytes written, %d read\n",
+			sp.Blocks, float64(sp.BytesWritten)/(1<<20), sp.BufferPeak, sp.PutWaits, sp.BlocksRead, sp.Reads, sp.DirectReads, sp.BytesWritten, sp.BytesRead)
 		if incore, err = r.factorize(ctx, fl.Workers, false); err != nil {
 			return memory.ExecStats{}, err
 		}

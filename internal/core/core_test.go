@@ -342,31 +342,30 @@ func TestSpillFileMatchesAcrossExecutors(t *testing.T) {
 	}
 }
 
-// recordsAreSlab returns an error unless the spill file raw holds, in
-// the layout's postorder, one record per node whose block is that node's
-// range of the in-core slab, bit for bit: three header words (npiv,
-// front order, 1 when U follows), the block, a checksum word.
+// recordsAreSlab returns an error unless the spill file raw holds the
+// layout's regions — every node's L record in postorder, then for
+// unsymmetric matrices every node's U record in postorder — each record
+// framing that node's part of the in-core slab, bit for bit: three
+// header words (npiv, front order, part), the part, a checksum word.
 func recordsAreSlab(raw []byte, in *front.Factors) error {
 	word := func(at int) uint64 { return binary.NativeEndian.Uint64(raw[8*at:]) }
-	hasU := uint64(0)
-	if in.Layout.Kind == sparse.Unsymmetric {
-		hasU = 1
-	}
 	at := 0
-	for _, ni := range in.Layout.Tree.Postorder() {
-		nd, blk := &in.Layout.Tree.Nodes[ni], in.Block(ni)
-		if 8*(at+len(blk)+4) > len(raw) {
-			return fmt.Errorf("node %d: file ends at byte %d", ni, len(raw))
-		}
-		if h := [3]uint64{word(at), word(at + 1), word(at + 2)}; h != [3]uint64{uint64(nd.NPiv()), uint64(nd.NFront()), hasU} {
-			return fmt.Errorf("node %d: record header %v", ni, h)
-		}
-		for k, v := range blk {
-			if word(at+3+k) != math.Float64bits(v) {
-				return fmt.Errorf("node %d: record word %d differs from the slab", ni, k)
+	for p := range front.Part(front.Parts(in.Layout.Kind)) {
+		for _, ni := range in.Layout.Tree.Postorder() {
+			nd, blk := &in.Layout.Tree.Nodes[ni], in.Block(ni, p)
+			if 8*(at+len(blk)+4) > len(raw) {
+				return fmt.Errorf("node %d part %v: file ends at byte %d", ni, p, len(raw))
 			}
+			if h := [3]uint64{word(at), word(at + 1), word(at + 2)}; h != [3]uint64{uint64(nd.NPiv()), uint64(nd.NFront()), uint64(p)} {
+				return fmt.Errorf("node %d part %v: record header %v", ni, p, h)
+			}
+			for k, v := range blk {
+				if word(at+3+k) != math.Float64bits(v) {
+					return fmt.Errorf("node %d part %v: record word %d differs from the slab", ni, p, k)
+				}
+			}
+			at += len(blk) + 4
 		}
-		at += len(blk) + 4
 	}
 	if 8*at != len(raw) {
 		return fmt.Errorf("%d bytes of records, file has %d", 8*at, len(raw))

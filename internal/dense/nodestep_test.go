@@ -34,11 +34,12 @@ func randomNode(rng *rand.Rand, f, npiv int) (*assembly.Node, int) {
 	return nd, g + rng.Intn(3)
 }
 
-// randomBlock returns a factor block of kind for an f x npiv front in
-// the store's layout (L f x npiv, then U npiv x f when unsymmetric), a
-// fifth of its entries exact zeros and every diagonal a safe divisor.
-func randomBlock(rng *rand.Rand, f, npiv int, kind sparse.Type) (blk []float64, L, U dense.Matrix) {
-	blk = make([]float64, front.BlockWords(f, npiv, kind))
+// randomBlock returns the parts of a factor block of kind for an f x
+// npiv front in the store's layout (L f x npiv, and U npiv x f when
+// unsymmetric), a fifth of its entries exact zeros and every diagonal a
+// safe divisor.
+func randomBlock(rng *rand.Rand, f, npiv int, kind sparse.Type) (L, U dense.Matrix) {
+	blk := make([]float64, front.PartWords(f, npiv)*int64(front.Parts(kind)))
 	for i := range blk {
 		if rng.Intn(5) > 0 {
 			blk[i] = rng.NormFloat64()
@@ -54,7 +55,7 @@ func randomBlock(rng *rand.Rand, f, npiv int, kind sparse.Type) (blk []float64, 
 			U.Set(k, k, 2+rng.Float64())
 		}
 	}
-	return blk, L, U
+	return L, U
 }
 
 // gather copies node nd's front rows of x — pivot rows, then CB rows —
@@ -115,7 +116,7 @@ func TestNodeStepsMatchGatherScatter(t *testing.T) {
 func checkNodeStep(t *testing.T, rng *rand.Rand, name string, kern dense.Kernel, kind sparse.Type, f, npiv, nrhs int) {
 	t.Helper()
 	nd, n := randomNode(rng, f, npiv)
-	blk, L, U := randomBlock(rng, f, npiv, kind)
+	L, U := randomBlock(rng, f, npiv, kind)
 	chol := kind == sparse.Symmetric
 	bwd := &U
 	if chol {
@@ -141,7 +142,7 @@ func checkNodeStep(t *testing.T, rng *rand.Rand, name string, kern dense.Kernel,
 	kern.PanelForward(chol, &L, npiv, W)
 	scatter(want, nd, W, f)
 	got := append([]float64(nil), x0...)
-	front.ForwardNodePanel(got, nd, kind, blk, nrhs, kern)
+	front.ForwardNodePanel(got, nd, kind, L.A, nrhs, kern)
 	same("forward", got, want)
 
 	want = append(want[:0], x0...)
@@ -149,6 +150,6 @@ func checkNodeStep(t *testing.T, rng *rand.Rand, name string, kern dense.Kernel,
 	kern.PanelBackward(chol, bwd, npiv, W)
 	scatter(want, nd, W, npiv)
 	got = append(got[:0], x0...)
-	front.BackwardNodePanel(got, nd, kind, blk, nrhs, make([]float64, len(nd.Rows)*nrhs), kern)
+	front.BackwardNodePanel(got, nd, kind, bwd.A, nrhs, make([]float64, len(nd.Rows)*nrhs), kern)
 	same("backward", got, want)
 }

@@ -565,22 +565,24 @@ func SameBits(what string, got, want []float64) error {
 }
 
 // CompareFactors returns an error unless got holds want's factorization
-// of tree bit for bit: the same factor block, L and U with their
+// of tree bit for bit: the same factor parts, L and U with their
 // structural zeros as front.Layout lays them out, on every front.
 func CompareFactors(tree *assembly.Tree, want, got front.Store) error {
-	for ni := range tree.Nodes {
-		w, err := want.Fetch(ni)
-		if err != nil {
-			return fmt.Errorf("node %d: %w", ni, err)
-		}
-		g, err := got.Fetch(ni)
-		if err == nil {
-			err = SameBits("block", g, w)
-			got.Release(ni)
-		}
-		want.Release(ni)
-		if err != nil {
-			return fmt.Errorf("node %d: %w", ni, err)
+	for p := range front.Part(front.Parts(tree.Kind)) {
+		for ni := range tree.Nodes {
+			w, err := want.Fetch(ni, p)
+			if err != nil {
+				return fmt.Errorf("node %d: %w", ni, err)
+			}
+			g, err := got.Fetch(ni, p)
+			if err == nil {
+				err = SameBits(p.String(), g, w)
+				got.Release(ni, p)
+			}
+			want.Release(ni, p)
+			if err != nil {
+				return fmt.Errorf("node %d: %w", ni, err)
+			}
 		}
 	}
 	return nil

@@ -29,7 +29,7 @@ func TestComparatorsRejectNaN(t *testing.T) {
 	if err := difftest.CompareFactors(tree, fa.Store(), fb.Store()); err != nil {
 		t.Fatalf("equal factors rejected: %v", err)
 	}
-	la, lb := fa.Front().Block(0), fb.Front().Block(0)
+	la, lb := fa.Front().Block(0, front.PartL), fb.Front().Block(0, front.PartL)
 	lb[0] = math.NaN()
 	if difftest.CompareFactors(tree, fa.Store(), fb.Store()) == nil {
 		t.Error("NaN factor entry accepted")

@@ -192,21 +192,22 @@ func EliminateKernel(f *dense.Matrix, npiv int, kind sparse.Type, tol float64, b
 }
 
 // ExtractFactor writes the factor block of the eliminated front f into
-// dst as Layout lays blocks out: the nf x npiv lower trapezoid (diag:
-// Cholesky=L(k,k), LU=U(k,k), L's unit diagonal implicit) and, for
-// unsymmetric matrices, the npiv x nf upper trapezoid holding U's
-// diagonal. Each row is one contiguous copy, structural zeros written
-// too, so dst needs no clearing (a pooled record buffer is reused).
-func ExtractFactor(f *dense.Matrix, npiv int, kind sparse.Type, dst []float64) {
+// its two parts as Layout lays them out: L gets the nf x npiv lower
+// trapezoid (diag: Cholesky=L(k,k), LU=U(k,k), L's unit diagonal
+// implicit) and, for unsymmetric matrices, U the npiv x nf upper
+// trapezoid holding U's diagonal (U is unused for symmetric ones). Each
+// row is one contiguous copy, structural zeros written too, so neither
+// destination needs clearing (a pooled record buffer is reused).
+func ExtractFactor(f *dense.Matrix, npiv int, kind sparse.Type, L, U []float64) {
 	nf := f.R
-	L := dst[:nf*npiv]
+	L = L[:nf*npiv]
 	for i := 0; i < nf; i++ {
 		row := L[i*npiv : (i+1)*npiv]
 		n := copy(row, f.Row(i)[:min(npiv, i+1)])
 		clear(row[n:])
 	}
 	if kind == sparse.Unsymmetric {
-		U := dst[nf*npiv : 2*nf*npiv]
+		U = U[:nf*npiv]
 		for k := 0; k < npiv; k++ {
 			row := U[k*nf : (k+1)*nf]
 			clear(row[:k])

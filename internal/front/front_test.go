@@ -38,7 +38,11 @@ func walk(t *testing.T, pa *sparse.CSC, tree *assembly.Tree) *Factors {
 		if err := Eliminate(fr, nd.NPiv(), pa.Kind, 1e-12); err != nil {
 			t.Fatal(err)
 		}
-		ExtractFactor(fr, nd.NPiv(), pa.Kind, fs.Block(ni))
+		var U []float64
+		if pa.Kind == sparse.Unsymmetric {
+			U = fs.Block(ni, PartU)
+		}
+		ExtractFactor(fr, nd.NPiv(), pa.Kind, fs.Block(ni, PartL), U)
 		cbs[ni] = ExtractCB(nil, fr, nd.NPiv(), nd.NCB(), pa.Kind)
 	}
 	return fs
@@ -99,12 +103,16 @@ func TestExtractFactorMatchesElementwise(t *testing.T) {
 		for p := range f.A {
 			f.A[p] = rng.NormFloat64()
 		}
-		blk := make([]float64, BlockWords(nf, npiv, kind))
+		blk := make([]float64, PartWords(nf, npiv)*int64(Parts(kind)))
 		for p := range blk {
 			blk[p] = math.NaN()
 		}
-		ExtractFactor(f, npiv, kind, blk)
-		L, U := blockViews(&assembly.Node{End: npiv, Rows: make([]int, nf-npiv)}, kind, blk)
+		ExtractFactor(f, npiv, kind, blk[:nf*npiv], blk[nf*npiv:])
+		nd := &assembly.Node{End: npiv, Rows: make([]int, nf-npiv)}
+		L, U := partView(nd, PartL, blk), dense.Matrix{}
+		if kind == sparse.Unsymmetric {
+			U = partView(nd, PartU, blk[nf*npiv:])
+		}
 		for i := 0; i < nf; i++ {
 			for k := 0; k < npiv; k++ {
 				want := 0.0
@@ -158,9 +166,10 @@ func TestExtractFullFront(t *testing.T) {
 	if err := Eliminate(f, n, sparse.Unsymmetric, 1e-12); err != nil {
 		t.Fatal(err)
 	}
-	blk := make([]float64, BlockWords(n, n, sparse.Unsymmetric))
-	ExtractFactor(f, n, sparse.Unsymmetric, blk)
-	L, U := blockViews(&assembly.Node{End: n}, sparse.Unsymmetric, blk)
+	blk := make([]float64, 2*PartWords(n, n))
+	ExtractFactor(f, n, sparse.Unsymmetric, blk[:n*n], blk[n*n:])
+	nd := &assembly.Node{End: n}
+	L, U := partView(nd, PartL, blk), partView(nd, PartU, blk[n*n:])
 	if U.A == nil {
 		t.Fatal("LU extraction lost U")
 	}

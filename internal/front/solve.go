@@ -12,7 +12,8 @@ import (
 )
 
 // Factors is the in-memory factor Store: the Layout held in memory, one
-// slab with every node's block at its layout range. Both executors
+// slab with every node's parts at their layout ranges (the L region,
+// then for unsymmetric matrices the U region). Both executors
 // produce one unless an external Store (e.g. the out-of-core file store)
 // is supplied; a Solver solves over it like over any Store.
 type Factors struct {
@@ -55,14 +56,13 @@ func Uninitialized(n int64) []float64 {
 //go:linkname mallocgc runtime.mallocgc
 func mallocgc(size uintptr, typ unsafe.Pointer, needzero bool) unsafe.Pointer
 
-// Slab returns every block of the factorization, back to back in the
-// layout's order: two in-core factorizations of one tree are equal iff
-// their slabs are.
+// Slab returns every block of the factorization in the layout's order:
+// two in-core factorizations of one tree are equal iff their slabs are.
 func (f *Factors) Slab() []float64 { return f.slab }
 
-// Block returns node ni's range of the slab.
-func (f *Factors) Block(ni int) []float64 {
-	lo, hi := f.Layout.Range(ni)
+// Block returns node ni's part p: its range of the slab.
+func (f *Factors) Block(ni int, p Part) []float64 {
+	lo, hi := f.Layout.Range(ni, p)
 	return f.slab[lo:hi:hi]
 }
 
@@ -137,26 +137,28 @@ func (s *Solver) solveInPlace(x []float64, nrhs int) ([]float64, error) {
 		return nil, err
 	}
 	defer s.st.EndSolve()
-	// Forward: y = L^{-1} b, fronts in postorder.
-	s.st.Prefetch(s.post)
+	// Forward: y = L^{-1} b, fronts in postorder over the L region.
+	s.st.Prefetch(s.post, PartL)
 	for _, ni := range s.post {
-		blk, err := s.st.Fetch(ni)
+		blk, err := s.st.Fetch(ni, PartL)
 		if err != nil {
 			return nil, err
 		}
 		ForwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, s.kern)
-		s.st.Release(ni)
+		s.st.Release(ni, PartL)
 	}
-	// Backward: x = U^{-1} y (or L^{-T} y), reverse postorder.
+	// Backward: x = U^{-1} y (or L^{-T} y), reverse postorder over the
+	// U region (the L region for symmetric matrices).
 	w := s.panel(nrhs)
-	s.st.Prefetch(s.rev)
+	bp := BackwardPart(s.kind)
+	s.st.Prefetch(s.rev, bp)
 	for _, ni := range s.rev {
-		blk, err := s.st.Fetch(ni)
+		blk, err := s.st.Fetch(ni, bp)
 		if err != nil {
 			return nil, err
 		}
 		BackwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
-		s.st.Release(ni)
+		s.st.Release(ni, bp)
 	}
 	return x, nil
 }
@@ -222,36 +224,37 @@ func UnpermuteRHS(perm []int, px []float64, nrhs int) []float64 {
 }
 
 // ForwardNodePanel applies node nd's part of the forward substitution
-// in place on the n x nrhs row-major block x, with blk the node's factor
-// block. The kernel solves the pivot rows [Begin, End) where they lie —
-// one contiguous npiv x nrhs panel of x — and updates each CB row
+// in place on the n x nrhs row-major block x, with L the node's L part.
+// The kernel solves the pivot rows [Begin, End) where they lie — one
+// contiguous npiv x nrhs panel of x — and updates each CB row
 // nd.Rows[k] where it lies in x: nothing is copied. With
 // dense.KernelDefault the per-column operation order is exactly the
 // historical scalar solve's.
-func ForwardNodePanel(x []float64, nd *assembly.Node, kind sparse.Type, blk []float64, nrhs int, kern dense.Kernel) {
-	L, _ := blockViews(nd, kind, blk)
+func ForwardNodePanel(x []float64, nd *assembly.Node, kind sparse.Type, L []float64, nrhs int, kern dense.Kernel) {
+	Lm := partView(nd, PartL, L)
 	P := pivotPanel(x, nd, nrhs)
 	if kind == sparse.Symmetric {
-		kern.SolveForwardCholesky(&L, &P, x, nd.Rows)
+		kern.SolveForwardCholesky(&Lm, &P, x, nd.Rows)
 	} else {
-		kern.SolveForwardLU(&L, &P, x, nd.Rows)
+		kern.SolveForwardLU(&Lm, &P, x, nd.Rows)
 	}
 }
 
 // BackwardNodePanel applies node nd's part of the backward substitution
-// in place on x. The CB rows are read-only inputs here (pivot rows of
-// ancestors, already final): they are gathered into w (at least
-// len(nd.Rows)*nrhs words) one run of consecutive rows per copy, and
-// only the pivot rows are written, where they lie. So the tree-parallel
-// solve can run sibling fronts concurrently without write overlap.
+// in place on x, with blk the node's BackwardPart(kind). The CB rows are
+// read-only inputs here (pivot rows of ancestors, already final): they
+// are gathered into w (at least len(nd.Rows)*nrhs words) one run of
+// consecutive rows per copy, and only the pivot rows are written, where
+// they lie. So the tree-parallel solve can run sibling fronts
+// concurrently without write overlap.
 func BackwardNodePanel(x []float64, nd *assembly.Node, kind sparse.Type, blk []float64, nrhs int, w []float64, kern dense.Kernel) {
-	L, U := blockViews(nd, kind, blk)
+	F := partView(nd, BackwardPart(kind), blk)
 	P := pivotPanel(x, nd, nrhs)
 	C := gatherRows(x, nd.Rows, nrhs, w)
 	if kind == sparse.Symmetric {
-		kern.SolveBackwardCholesky(&L, &P, &C)
+		kern.SolveBackwardCholesky(&F, &P, &C)
 	} else {
-		kern.SolveBackwardLU(&U, &P, &C)
+		kern.SolveBackwardLU(&F, &P, &C)
 	}
 }
 

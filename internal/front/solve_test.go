@@ -33,12 +33,11 @@ func solverOf(fs *Factors) *Solver {
 	return NewSolver(fs, fs.Layout.Tree, fs.Layout.Kind, dense.KernelDefault)
 }
 
-// setNode writes node ni's factor block: L, then U when non-nil, as
-// Layout lays blocks out.
+// setNode writes node ni's factor parts: L, and U when non-nil.
 func setNode(fs *Factors, ni int, L, U *dense.Matrix) {
-	n := copy(fs.Block(ni), L.A)
+	copy(fs.Block(ni, PartL), L.A)
 	if U != nil {
-		copy(fs.Block(ni)[n:], U.A)
+		copy(fs.Block(ni, PartU), U.A)
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 // Store owns completed factor blocks, each laid out by the Layout the
 // store is bound to. The numeric executors hand every eliminated front
 // to the store (Put), which extracts its block into the store's memory;
-// the solve phases stream the blocks back (Fetch). *Factors in this
-// package is the layout held in memory, one slab (the classic in-core
-// execution); ooc.FileStore spills each block as it is produced, so only
+// each solve pass streams back the part of every block it uses (Fetch
+// of PartL forward, of BackwardPart backward). *Factors in this package
+// is the layout held in memory, one slab (the classic in-core
+// execution); ooc.FileStore spills each part as it is produced, so only
 // a bounded buffer stays resident.
 //
 // Put may be called concurrently for distinct nodes (the parallel
@@ -59,15 +60,17 @@ type Store interface {
 	// EndSolve marks the end of the solve begun by the matching
 	// BeginSolve, releasing any prefetch state the passes left behind.
 	EndSolve()
-	// Prefetch advises the store that subsequent Fetch calls will follow
-	// order, letting it stream blocks ahead of the solve walk. Advisory:
-	// Fetch stays correct in any order.
-	Prefetch(order []int)
-	// Fetch returns node ni's block for the solve phase, valid until the
-	// matching Release (a file store reuses its memory afterwards).
-	Fetch(ni int) ([]float64, error)
-	// Release ends the caller's use of the block returned by Fetch.
-	Release(ni int)
+	// Prefetch advises the store that subsequent Fetch calls will ask
+	// for part p of the nodes of order, in that order, letting it stream
+	// them ahead of the solve walk. Advisory: Fetch stays correct in any
+	// order and for any part.
+	Prefetch(order []int, p Part)
+	// Fetch returns part p of node ni's block for the solve phase, valid
+	// until the matching Release (a file store reuses its memory
+	// afterwards).
+	Fetch(ni int, p Part) ([]float64, error)
+	// Release ends the caller's use of the part returned by Fetch.
+	Release(ni int, p Part)
 	// Close releases the store's resources (spill files, goroutines).
 	Close() error
 }
@@ -110,10 +113,14 @@ func (f *Factors) Bind(lay *Layout, m *memory.Meter) error {
 	return nil
 }
 
-// Put extracts node ni's block into its range of the slab (workers fill
-// disjoint ranges concurrently) and charges it to the meter.
+// Put extracts node ni's block into its ranges of the slab (workers
+// fill disjoint ranges concurrently) and charges it to the meter.
 func (f *Factors) Put(ni int, fr *dense.Matrix, entries int64) error {
-	ExtractFactor(fr, f.Layout.Tree.Nodes[ni].NPiv(), f.Layout.Kind, f.Block(ni))
+	var U []float64
+	if f.Layout.Kind == sparse.Unsymmetric {
+		U = f.Block(ni, PartU)
+	}
+	ExtractFactor(fr, f.Layout.Tree.Nodes[ni].NPiv(), f.Layout.Kind, f.Block(ni, PartL), U)
 	f.meter.Add(entries)
 	return nil
 }
@@ -135,13 +142,13 @@ func (f *Factors) BeginSolve() error { return nil }
 func (f *Factors) EndSolve() {}
 
 // Prefetch is a no-op: every block is already resident.
-func (f *Factors) Prefetch([]int) {}
+func (f *Factors) Prefetch([]int, Part) {}
 
-// Fetch returns node ni's block.
-func (f *Factors) Fetch(ni int) ([]float64, error) { return f.Block(ni), nil }
+// Fetch returns part p of node ni's block.
+func (f *Factors) Fetch(ni int, p Part) ([]float64, error) { return f.Block(ni, p), nil }
 
 // Release is a no-op.
-func (f *Factors) Release(int) {}
+func (f *Factors) Release(int, Part) {}
 
 // Close is a no-op.
 func (f *Factors) Close() error { return nil }

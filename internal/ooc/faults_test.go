@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/front"
 	"repro/internal/memory"
 	"repro/internal/sparse"
 )
@@ -33,14 +34,13 @@ func putAll(t *testing.T, s *FileStore, n int, seed int64) ([][]float64, *memory
 func fetchAll(t *testing.T, s *FileStore, orig [][]float64) {
 	t.Helper()
 	for ni := range orig {
-		got, err := s.Fetch(ni)
+		got, err := fetchNode(s, ni)
 		if err != nil {
 			t.Fatalf("Fetch(%d): %v", ni, err)
 		}
 		if err := sameBlock(orig[ni], got); err != nil {
 			t.Fatalf("node %d: %v", ni, err)
 		}
-		s.Release(ni)
 	}
 }
 
@@ -209,7 +209,7 @@ func TestPersistentReadFails(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, ferr := s.Fetch(0)
+	_, ferr := s.Fetch(0, front.PartL)
 	if !errors.Is(ferr, faults.ErrInjected) {
 		t.Fatalf("Fetch: %v, want injected read error", ferr)
 	}
@@ -231,7 +231,7 @@ func TestDecodeErrorNotRetried(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, ferr := s.Fetch(0)
+	_, ferr := s.Fetch(0, front.PartU)
 	if ferr == nil || !strings.Contains(ferr.Error(), "decode") {
 		t.Fatalf("Fetch: %v, want decode error", ferr)
 	}

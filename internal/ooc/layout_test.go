@@ -57,21 +57,27 @@ func boundStore(t *testing.T, opt Options, tree *assembly.Tree, seed int64) (*Fi
 	return s, blocks
 }
 
-// walk runs one solve pass over order: Prefetch, then Fetch/compare/
-// Release every node.
-func walk(s *FileStore, order []int, blocks [][]float64) error {
-	s.Prefetch(order)
+// walk runs one solve pass over part p of order: Prefetch, then Fetch/
+// compare/Release every node against its whole block in blocks.
+func walk(s *FileStore, order []int, p front.Part, blocks [][]float64) error {
+	s.Prefetch(order, p)
 	for _, ni := range order {
-		got, err := s.Fetch(ni)
+		got, err := s.Fetch(ni, p)
 		if err != nil {
 			return err
 		}
-		if err := sameBlock(blocks[ni], got); err != nil {
-			return fmt.Errorf("node %d: %w", ni, err)
+		if err := sameBlock(partOf(blocks[ni], s.parts, p), got); err != nil {
+			return fmt.Errorf("node %d part %v: %w", ni, p, err)
 		}
-		s.Release(ni)
+		s.Release(ni, p)
 	}
 	return nil
+}
+
+// passes are the parts a solve's two passes read for kind: L forward,
+// then BackwardPart.
+func passes(kind sparse.Type) [2]front.Part {
+	return [2]front.Part{front.PartL, front.BackwardPart(kind)}
 }
 
 func reversed(order []int) []int {
@@ -83,22 +89,25 @@ func reversed(order []int) []int {
 }
 
 // TestReservedOffsetsArePostorderPrefixSums: binding reserves node ni's
-// record at the summed record sizes of the nodes before it in postorder,
-// and the writer puts each block there whatever order it arrives in, so
-// the file reads back in forward-pass order.
+// record of each part at the summed record sizes of the records before
+// it — the part's region, after the L region for U, in postorder — and
+// the writer puts each record there whatever order its node arrives in,
+// so each region reads back in forward-pass order.
 func TestReservedOffsetsArePostorderPrefixSums(t *testing.T) {
 	for _, kind := range []sparse.Type{sparse.Symmetric, sparse.Unsymmetric} {
 		t.Run(kind.String(), func(t *testing.T) {
 			tree := layoutTree(kind)
 			s, blocks := boundStore(t, Options{Dir: t.TempDir()}, tree, 1)
 			var off int64
-			for _, ni := range tree.Postorder() {
-				nd := &tree.Nodes[ni]
-				size := 8 * (front.BlockWords(nd.NFront(), nd.NPiv(), kind) + recordOverhead)
-				if r, ok := s.recOf(ni), s.nodes[ni].ok; r.off != off || r.size != size || !ok {
-					t.Errorf("node %d: record at %d (%d bytes, written %v), want %d (%d bytes)", ni, r.off, r.size, ok, off, size)
+			for p := range front.Part(front.Parts(kind)) {
+				for _, ni := range tree.Postorder() {
+					nd := &tree.Nodes[ni]
+					size := 8 * (front.PartWords(nd.NFront(), nd.NPiv()) + recordOverhead)
+					if r, ok := s.recOf(ni, p), s.spilled[ni]; r.off != off || r.size != size || !ok {
+						t.Errorf("node %d part %v: record at %d (%d bytes, written %v), want %d (%d bytes)", ni, p, r.off, r.size, ok, off, size)
+					}
+					off += size
 				}
-				off += size
 			}
 			raw, err := os.ReadFile(s.Path())
 			if err != nil {
@@ -107,16 +116,18 @@ func TestReservedOffsetsArePostorderPrefixSums(t *testing.T) {
 			if int64(len(raw)) != off || s.Stats().BytesWritten != off {
 				t.Fatalf("file %d bytes, %d written; want %d", len(raw), s.Stats().BytesWritten, off)
 			}
-			for ni := range s.nodes {
-				r := s.recOf(ni)
-				w := make([]float64, r.size/8)
-				copy(wordBytes(w), raw[r.off:r.off+r.size])
-				_, got, err := decodeRecord(w)
-				if err != nil {
-					t.Fatalf("node %d: %v", ni, err)
-				}
-				if err := sameBlock(blocks[ni], got); err != nil {
-					t.Errorf("node %d at its reserved offset: %v", ni, err)
+			for p := range front.Part(front.Parts(kind)) {
+				for ni := range s.spilled {
+					r := s.recOf(ni, p)
+					w := make([]float64, r.size/8)
+					copy(wordBytes(w), raw[r.off:r.off+r.size])
+					_, got, err := decodeRecord(w, p)
+					if err != nil {
+						t.Fatalf("node %d part %v: %v", ni, p, err)
+					}
+					if err := sameBlock(partOf(blocks[ni], s.parts, p), got); err != nil {
+						t.Errorf("node %d part %v at its reserved offset: %v", ni, p, err)
+					}
 				}
 			}
 		})
@@ -124,10 +135,11 @@ func TestReservedOffsetsArePostorderPrefixSums(t *testing.T) {
 }
 
 // TestExtentStream: a forward and a reverse pass over a bound store read
-// each block exactly once per pass and never directly — every Fetch
-// finds its block cached or waits for the extent read carrying it. With
-// a budget of twice the file's words each pass is one read; with a
-// budget smaller than any record it takes one read per block.
+// each record of the pass's part exactly once and never directly —
+// every Fetch finds its record cached or waits for the extent read
+// carrying it. With a budget of twice the file's words each pass is one
+// read; with a budget smaller than any record it takes one read per
+// record.
 func TestExtentStream(t *testing.T) {
 	for _, kind := range []sparse.Type{sparse.Symmetric, sparse.Unsymmetric} {
 		tree := layoutTree(kind)
@@ -143,8 +155,8 @@ func TestExtentStream(t *testing.T) {
 				if err := s.BeginSolve(); err != nil {
 					t.Fatal(err)
 				}
-				for _, order := range [][]int{post, reversed(post)} {
-					if err := walk(s, order, blocks); err != nil {
+				for pass, order := range [][]int{post, reversed(post)} {
+					if err := walk(s, order, passes(kind)[pass], blocks); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -187,7 +199,7 @@ func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 				for i := range fr.A {
 					fr.A[i] = rng.NormFloat64()
 				}
-				entries := front.BlockWords(nd.NFront(), nd.NPiv(), kind)
+				entries := front.PartWords(nd.NFront(), nd.NPiv()) * int64(front.Parts(kind))
 				if err := s.Put(ni, fr, entries); err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +212,9 @@ func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 			}
 			slab := make([][]float64, tree.Len())
 			for ni := range slab {
-				slab[ni] = mem.Block(ni)
+				for p := range front.Part(front.Parts(kind)) {
+					slab[ni] = append(slab[ni], mem.Block(ni, p)...)
+				}
 			}
 			poison := func() int {
 				s.mu.Lock()
@@ -219,7 +233,7 @@ func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 			post := tree.Postorder()
 			poisoned := 0
 			for pass, order := range [][]int{post, reversed(post), post} {
-				if err := walk(s, order, slab); err != nil {
+				if err := walk(s, order, passes(kind)[pass%2], slab); err != nil {
 					t.Fatalf("pass %d: %v", pass, err)
 				}
 				poisoned += poison()
@@ -230,17 +244,16 @@ func TestRecycledBuffersNeedNoClearing(t *testing.T) {
 			s.EndSolve()
 			// Direct reads: Fetch with no walk announced.
 			for _, ni := range post {
-				got, err := s.Fetch(ni)
+				got, err := fetchNode(s, ni)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := sameBlock(slab[ni], got); err != nil {
 					t.Errorf("direct read of node %d: %v", ni, err)
 				}
-				s.Release(ni)
 			}
-			if st := s.Stats(); st.DirectReads != int64(len(post)) {
-				t.Errorf("%d direct reads, want %d", st.DirectReads, len(post))
+			if st, want := s.Stats(), int64(len(post)*front.Parts(kind)); st.DirectReads != want {
+				t.Errorf("%d direct reads, want %d", st.DirectReads, want)
 			}
 		})
 	}
@@ -264,7 +277,7 @@ func TestExtentReadRetriedAsWhole(t *testing.T) {
 		opt.BufferEntries = 1 << 20
 		opt.RetryMax = 2
 		s, blocks := boundStore(t, opt, tree, 3)
-		err := walk(s, post, blocks)
+		err := walk(s, post, front.PartL, blocks)
 		st := s.Stats()
 		if !persistent {
 			if err != nil {
@@ -284,7 +297,7 @@ func TestExtentReadRetriedAsWhole(t *testing.T) {
 		if st.Retries != 2 {
 			t.Errorf("%d retries, want RetryMax 2", st.Retries)
 		}
-		if _, ferr := s.Fetch(post[0]); ferr == nil || ferr.Error() != err.Error() {
+		if _, ferr := s.Fetch(post[0], front.PartL); ferr == nil || ferr.Error() != err.Error() {
 			t.Errorf("store not poisoned: later Fetch returned %v", ferr)
 		}
 	}
@@ -301,13 +314,13 @@ func TestCorruptBlockFailsChecksum(t *testing.T) {
 		s, blocks := boundStore(t, testOptions(t, in), tree, 4)
 		var err error
 		if stream {
-			err = walk(s, post, blocks)
+			err = walk(s, post, front.PartL, blocks)
 		} else {
 			for _, ni := range post {
-				if _, err = s.Fetch(ni); err != nil {
+				if _, err = s.Fetch(ni, front.PartL); err != nil {
 					break
 				}
-				s.Release(ni)
+				s.Release(ni, front.PartL)
 			}
 		}
 		if err == nil {
@@ -329,8 +342,8 @@ func TestCorruptBlockFailsChecksum(t *testing.T) {
 // decodes with its block aliasing the read buffer (no copy).
 func TestDecodeDetectsEveryBitFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	h := header{npiv: 2, nrows: 5, kind: sparse.Unsymmetric}
-	enc := make([]float64, 20+recordOverhead)
+	h := header{npiv: 2, nrows: 5, part: front.PartU}
+	enc := make([]float64, 10+recordOverhead)
 	b := enc[headerWords : len(enc)-1]
 	for i := range b {
 		b[i] = rng.NormFloat64()
@@ -340,15 +353,15 @@ func TestDecodeDetectsEveryBitFlip(t *testing.T) {
 	for bit := 0; bit < 8*len(raw); bit++ {
 		w := append([]float64(nil), enc...)
 		wordBytes(w)[bit/8] ^= 1 << (bit % 8)
-		if _, _, err := decodeRecord(w); err == nil {
+		if _, _, err := decodeRecord(w, front.PartU); err == nil {
 			t.Fatalf("flip of bit %d decoded without error", bit)
 		}
 	}
-	if _, _, err := decodeRecord(append([]float64(nil), enc[:len(enc)-2]...)); err == nil {
+	if _, _, err := decodeRecord(append([]float64(nil), enc[:len(enc)-2]...), front.PartU); err == nil {
 		t.Fatal("truncated record decoded")
 	}
 	w := append([]float64(nil), enc...)
-	gh, got, err := decodeRecord(w)
+	gh, got, err := decodeRecord(w, front.PartU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +401,7 @@ func TestMisshapenRecordRejected(t *testing.T) {
 	}
 	// Reframe node 2's record as a front one row larger: the checksum
 	// holds, the shape does not.
-	r, h := s.recOf(2), s.headerOf(2)
+	r, h := s.recOf(2, front.PartL), s.headerOf(2, front.PartL)
 	w := make([]float64, r.size/8)
 	if _, err := s.file.ReadAt(wordBytes(w), r.off); err != nil {
 		t.Fatal(err)
@@ -398,7 +411,7 @@ func TestMisshapenRecordRejected(t *testing.T) {
 	if _, err := s.file.WriteAt(wordBytes(w), r.off); err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Fetch(2)
+	_, err = s.Fetch(2, front.PartL)
 	if err == nil || !strings.Contains(err.Error(), "node 2") || !strings.Contains(err.Error(), "shape") {
 		t.Fatalf("Fetch of a misshapen record: %v, want a decode error naming node 2's shape", err)
 	}

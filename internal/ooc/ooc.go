@@ -5,41 +5,50 @@
 // fronts) need stay resident.
 //
 // FileStore implements front.Store over a spill file, bound to one
-// factorization's front.Layout: node ni's record is the layout's block
-// framed by a header and a checksum (codec.go). The factorization side
-// is a bounded producer/consumer: executor workers extract blocks into
-// record buffers the store hands out (pooled once written) and Put them
-// into a resident buffer (budget in model entries, the units of the
-// assembly cost model); a background writer goroutine writes each at its
-// record's offset and discharges it from the shared resident-memory
-// meter the moment it is durable. Put blocks only while the buffer is
-// over budget (a block larger than the whole budget is still admitted
-// when the buffer is empty). Records sit at the layout's offsets plus
-// the framing before them, so both executors write the same file, laid
-// out in the order the forward solve reads it (after Agullo, Guermouche
-// & L'Excellent, Parallel Computing 34, 2008): the in-core slab, record
-// by record.
+// factorization's front.Layout: each part of a node's block (L, and U
+// for unsymmetric matrices) is one record, the layout's range framed by
+// a header naming the part and a checksum (codec.go). The records sit at
+// the layout's offsets plus the framing before them, so the file has the
+// layout's regions: every L record in postorder, then every U record in
+// postorder. Both executors write the same file, and each solve pass
+// reads one region in its walk order (after Agullo, Guermouche &
+// L'Excellent, Parallel Computing 34, 2008): the forward pass the L
+// region front to back, the backward pass the U region back to front
+// (the L region again for symmetric matrices), so a pass reads only the
+// half of the factors it uses.
 //
-// The solve side streams blocks back in extents: the solve announces its
-// walk (postorder, then reverse postorder) via Prefetch, and a reader
-// goroutine joins consecutive walk nodes whose records sit next to each
-// other in the file into one extent, read with one positioned read into
-// one []float64 that the decoded blocks alias (zero-copy; see codec.go).
-// An extent holds at most half the entry budget, so the reader loads the
-// next extent while the solve consumes the current one, and the backward
-// pass walks the same extents in reverse. A Fetch for a block of the
-// extent being read waits for that read; a Fetch the stream does not
-// cover (the tree-parallel solve's out-of-order claims) falls back to a
-// direct read of the one record, so correctness never depends on the
-// prefetch keeping up. One solve may run at a time — BeginSolve enforces
-// it by rejecting an overlapping solve (which would silently cancel the
-// running solve's prefetch stream mid-pass); within one solve, Fetch and
-// Release of distinct nodes may come from concurrent workers.
+// The factorization side is a bounded producer/consumer: executor
+// workers extract blocks into record buffers the store hands out (both
+// of a node's records in one buffer, pooled once written) and Put them
+// into a resident buffer (budget in model entries, the units of the
+// assembly cost model); a background writer goroutine takes the queued
+// nodes in batches of at most half the budget and writes each run of
+// file-adjacent records with one positioned vectored write (pwritev on
+// Linux), discharging each block from the shared resident-memory meter
+// the moment it is durable. Put blocks only while the buffer is over
+// budget (a block larger than the whole budget is still admitted when
+// the buffer is empty).
+//
+// The solve side streams records back in extents: the solve announces
+// its walk and the part it reads via Prefetch, and a reader goroutine
+// joins consecutive walk nodes whose records sit next to each other in
+// the file into one extent, read with one positioned read into one
+// []float64 that the decoded blocks alias (zero-copy; see codec.go). An
+// extent holds at most half the entry budget, so the reader loads the
+// next extent while the solve consumes the current one. A Fetch for a
+// record of the extent being read waits for that read; a Fetch the
+// stream does not cover (the tree-parallel solve's out-of-order claims)
+// falls back to a direct read of the one record, so correctness never
+// depends on the prefetch keeping up. One solve may run at a time —
+// BeginSolve enforces it by rejecting an overlapping solve (which would
+// silently cancel the running solve's prefetch stream mid-pass); within
+// one solve, Fetch and Release of distinct nodes may come from
+// concurrent workers.
 //
 // Fault tolerance: spill I/O retries transient errors (including short
-// writes — WriteAt at a fixed offset is idempotent, so a retry rewrites
-// the whole block; a failed extent read is retried as a whole) with
-// exponential backoff, and a block whose write keeps failing is by
+// writes — a write at a fixed offset is idempotent, so a retry rewrites
+// the node's records whole; a failed extent read is retried as a whole)
+// with exponential backoff, and a block whose write keeps failing is by
 // default retained in-core under the meter budget (Stats.DegradedBlocks)
 // instead of failing the run — a dying disk slows a factorization, it
 // does not kill it. Every record carries a CRC-32C, checked on every
@@ -52,10 +61,12 @@
 package ooc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -105,13 +116,18 @@ type Options struct {
 
 // Stats reports what the store did.
 type Stats struct {
-	Blocks       int   // factor blocks spilled
+	Blocks       int   // factor blocks spilled: nodes, whatever their number of parts
 	BytesWritten int64 // spill-file bytes
 	BufferPeak   int64 // peak resident write-buffer occupation (entries)
 	PutWaits     int64 // Put calls that blocked on the buffer budget
 	DirectReads  int64 // solve-phase Fetches served outside the prefetch stream
-	BlocksRead   int64 // blocks read back (extent reads count each block they cover)
+	BlocksRead   int64 // records read back (extent reads count each record they cover)
 	Reads        int64 // positioned spill-file reads: one per extent, one per direct Fetch
+	// BytesRead counts the spill-file bytes read back, by extents and by
+	// direct reads: a sequential solve of an unsymmetric factorization
+	// reads each written byte once, one of a symmetric factorization
+	// twice (both passes read the one region).
+	BytesRead int64
 	// Retries counts spill I/O attempts repeated after a transient error
 	// or short write; nonzero Retries with zero DegradedBlocks means the
 	// backoff absorbed every fault.
@@ -130,38 +146,46 @@ type Stats struct {
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("ooc: store closed")
 
-// rec locates one node's record in the spill file.
+// rec locates one record in the spill file.
 type rec struct {
 	off     int64 // byte offset
 	size    int64 // record bytes
-	entries int64 // cache charge of the decoded block (its words)
+	entries int64 // cache charge of the decoded part (its words)
 }
 
-// slot is one node's spill and solve-pass state.
+// slot is one record's solve-pass state.
 type slot struct {
-	ok       bool      // the record is on disk
 	blk      []float64 // read by the stream, not yet fetched
 	ext      *extent   // the read buffer blk aliases (nil after a direct read)
 	handed   int64     // entries Fetched and not yet Released (0: none)
 	inflight bool      // in the claimed or in-progress extent read
-	used     int       // generation that last fetched the node
+	used     int       // generation that last fetched the record
 }
 
-// extent is a run of consecutive walk nodes whose records are adjacent
-// in the spill file, so one positioned read covers them all.
+// extent is a run of consecutive walk nodes whose records of one part
+// are adjacent in the spill file, so one positioned read covers them all.
 type extent struct {
-	off, size int64     // the byte range covering every record
-	entries   int64     // summed cache charge
-	nodes     []int     // walk order
-	buf       []float64 // the read buffer the decoded blocks alias
-	live      int       // blocks of buf still cached or handed out
+	off, size int64      // the byte range covering every record
+	entries   int64      // summed cache charge
+	part      front.Part // the part every record holds
+	nodes     []int      // walk order
+	buf       []float64  // the read buffer the decoded blocks alias
+	live      int        // blocks of buf still cached or handed out
 }
 
-// putReq is one block waiting for the writer.
+// putReq is one node waiting for the writer.
 type putReq struct {
 	ni      int
-	buf     []float64 // the whole record, block filled in
+	buf     []float64 // the node's records back to back (L, then U), blocks filled in
 	entries int64
+}
+
+// piece is one record of a writer batch: its node's batch position, its
+// file offset and its bytes.
+type piece struct {
+	k   int
+	off int64
+	b   []byte
 }
 
 // FileStore is the file-backed front.Store. Create with NewFileStore and
@@ -177,10 +201,12 @@ type FileStore struct {
 
 	// Factorization side.
 	lay        *front.Layout // the bound layout (nil until Bind)
-	queue      []putReq      // blocks waiting for the writer, FIFO from qhead
+	parts      int           // records per node: front.Parts of the layout's kind
+	queue      []putReq      // nodes waiting for the writer, FIFO from qhead
 	qhead      int
-	queued     int64          // entries in queue + the block being written
-	nodes      []slot         // node -> spill and solve state
+	queued     int64          // entries in queue + the batch being written
+	spilled    []bool         // node -> its records are on disk
+	slots      []slot         // record (part * nodes + node) -> solve state
 	wfree      [][]float64    // record buffers already written, ready for reuse
 	degraded   map[int]putReq // blocks kept in-core after persistent write failure
 	writerDone bool
@@ -189,10 +215,19 @@ type FileStore struct {
 	stats      Stats
 	ctxStop    chan struct{} // closes the SetContext watcher
 
+	// Writer scratch, used by the writer goroutine only.
+	rw     runWriter
+	batch  []putReq
+	errs   []error
+	rerun  []bool // batch position -> a vectored write of the node's records failed
+	pieces []piece
+	bufs   [][]byte
+
 	// Solve side, reset by each Prefetch.
 	solving bool        // a BeginSolve/EndSolve bracket is open
 	gen     int         // prefetch generation; bumping it cancels the reader
 	walk    []int       // the current pass's walk order (nil: no stream)
+	part    front.Part  // the part the current pass reads
 	next    int         // first walk position the reader has not planned
 	claimed *extent     // claimed for the reader, not yet picked up
 	reading bool        // an extent read is in progress
@@ -226,6 +261,7 @@ func NewFileStore(opt Options) (*FileStore, error) {
 		opt:      opt,
 		file:     f,
 		path:     f.Name(),
+		rw:       newRunWriter(f),
 		degraded: map[int]putReq{},
 		gen:      1, // slot.used == 0 means never fetched
 	}
@@ -266,22 +302,33 @@ func (s *FileStore) Bind(lay *front.Layout, m *memory.Meter) error {
 		return fmt.Errorf("ooc: store %s already holds a factorization (a store binds once)", s.path)
 	}
 	s.lay, s.meter = lay, m
-	s.nodes = make([]slot, lay.Tree.Len())
+	s.parts = front.Parts(lay.Kind)
+	s.spilled = make([]bool, lay.Tree.Len())
+	s.slots = make([]slot, s.parts*lay.Tree.Len())
 	return nil
 }
 
-// recOf locates node ni's record: its block's layout range, moved by the
-// framing of the records before it.
-func (s *FileStore) recOf(ni int) rec {
-	lo, hi := s.lay.Range(ni)
-	frame := int64(s.lay.Rank(ni)) * recordOverhead
+// recOf locates node ni's record of part p: the part's layout range,
+// moved by the framing of the records before it.
+func (s *FileStore) recOf(ni int, p front.Part) rec {
+	lo, hi := s.lay.Range(ni, p)
+	frame := int64(s.lay.Rank(ni, p)) * recordOverhead
 	return rec{off: 8 * (lo + frame), size: 8 * (hi - lo + recordOverhead), entries: hi - lo}
 }
 
-// headerOf is the header of node ni's record.
-func (s *FileStore) headerOf(ni int) header {
+// headerOf is the header of node ni's record of part p.
+func (s *FileStore) headerOf(ni int, p front.Part) header {
 	nd := &s.lay.Tree.Nodes[ni]
-	return header{npiv: nd.NPiv(), nrows: nd.NFront(), kind: s.lay.Kind}
+	return header{npiv: nd.NPiv(), nrows: nd.NFront(), part: p}
+}
+
+// slot is node ni's solve state for part p.
+func (s *FileStore) slot(ni int, p front.Part) *slot { return &s.slots[int(p)*len(s.spilled)+ni] }
+
+// record is part p's record in a node's record buffer.
+func (s *FileStore) record(buf []float64, p front.Part) []float64 {
+	n := len(buf) / s.parts
+	return buf[int(p)*n : (int(p)+1)*n]
 }
 
 // usableLocked returns why node ni cannot take a block now, or nil;
@@ -294,8 +341,8 @@ func (s *FileStore) usableLocked(ni int) error {
 		return ErrClosed
 	case s.lay == nil:
 		return fmt.Errorf("ooc: store %s is not bound to a layout", s.path)
-	case ni < 0 || ni >= len(s.nodes):
-		return fmt.Errorf("ooc: node %d outside the bound tree (%d nodes)", ni, len(s.nodes))
+	case ni < 0 || ni >= len(s.spilled):
+		return fmt.Errorf("ooc: node %d outside the bound tree (%d nodes)", ni, len(s.spilled))
 	}
 	return nil
 }
@@ -330,27 +377,34 @@ func (s *FileStore) SetContext(ctx context.Context) {
 }
 
 // Put extracts node ni's factor block from its eliminated front fr into
-// a record buffer (the smallest pooled buffer of a written record that
-// holds it, or a new one) and queues it for the writer. It blocks while
-// the write buffer is over budget and other blocks are still draining.
-// The first writer failure (after retries, when degradation is disabled)
-// surfaces here immediately — not just at Flush/Close — so the executor
-// stops producing blocks a dead store can never drain.
+// a record buffer holding its records back to back (the smallest pooled
+// buffer of a written node that holds them, or a new one) and queues it
+// for the writer. It blocks while the write buffer is over budget and
+// other blocks are still draining. The first writer failure (after
+// retries, when degradation is disabled) surfaces here immediately —
+// not just at Flush/Close — so the executor stops producing blocks a
+// dead store can never drain.
 func (s *FileStore) Put(ni int, fr *dense.Matrix, entries int64) error {
 	s.mu.Lock()
 	err := s.usableLocked(ni)
 	var buf []float64
+	var words int64
 	if err == nil {
-		buf = takeBuffer(&s.wfree, s.recOf(ni).size/8)
+		words = s.recOf(ni, front.PartL).size / 8 * int64(s.parts)
+		buf = takeBuffer(&s.wfree, words)
 	}
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	if buf == nil {
-		buf = front.Uninitialized(s.recOf(ni).size / 8)
+		buf = front.Uninitialized(words)
 	}
-	front.ExtractFactor(fr, s.lay.Tree.Nodes[ni].NPiv(), s.lay.Kind, buf[headerWords:len(buf)-1])
+	var U []float64
+	if s.parts == 2 {
+		U = payload(s.record(buf, front.PartU))
+	}
+	front.ExtractFactor(fr, s.lay.Tree.Nodes[ni].NPiv(), s.lay.Kind, payload(s.record(buf, front.PartL)), U)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	waited := false
@@ -378,8 +432,7 @@ func (s *FileStore) Put(ni int, fr *dense.Matrix, entries int64) error {
 	return nil
 }
 
-// writer drains the put queue to the spill file in arrival order, each
-// record sealed in its buffer and written as is at its layout offset,
+// writer drains the put queue to the spill file in batches (writeBatch),
 // discharging each block from the meter once written (and pooling its
 // buffer) or parking it in the degraded set when the write fails
 // persistently.
@@ -402,79 +455,182 @@ func (s *FileStore) writer() {
 			s.mu.Unlock()
 			return
 		}
-		r := s.popLocked()
-		at, h := s.recOf(r.ni), s.headerOf(r.ni)
+		batch := s.takeBatchLocked()
 		s.mu.Unlock()
 
 		// Only this goroutine opens store-track spans, so they balance.
-		// The write section runs unlocked and contains panics (an injected
-		// spill-write panic or a codec bug degrades the block instead of
-		// wedging every Put waiting on writerDone).
-		s.opt.Tracer.StoreBegin(trace.SpanSpill, r.ni)
-		werr := func() (err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					err = fmt.Errorf("panic spilling node %d: %v", r.ni, p)
-				}
-			}()
-			sealRecord(r.buf, h)
-			return s.writeAll(wordBytes(r.buf), at.off, r.ni)
-		}()
-		s.opt.Tracer.StoreEnd(trace.SpanSpill, r.ni, at.size)
+		s.opt.Tracer.StoreBegin(trace.SpanSpill, batch[0].ni)
+		bytes := s.writeBatch(batch)
+		s.opt.Tracer.StoreEnd(trace.SpanSpill, batch[0].ni, bytes)
 
 		s.mu.Lock()
-		switch {
-		case werr == nil:
-			if s.err == nil {
-				s.nodes[r.ni].ok = true
-				s.stats.Blocks++
-				s.stats.BytesWritten += at.size
+		for k, r := range batch {
+			switch werr := s.errs[k]; {
+			case werr == nil:
+				if s.err == nil {
+					s.spilled[r.ni] = true
+					s.stats.Blocks++
+					s.stats.BytesWritten += int64(8 * len(r.buf))
+				}
+				s.queued -= r.entries
+				s.meter.Add(-r.entries)
+				s.poolRecordLocked(r.buf)
+			case s.opt.NoDegrade || s.closed || s.err != nil:
+				if s.err == nil {
+					s.err = fmt.Errorf("ooc: spill write (node %d): %w", r.ni, werr)
+				}
+				s.queued -= r.entries
+				s.meter.Add(-r.entries)
+			default:
+				// Graceful degradation: the disk would not take this block, so
+				// it stays resident — still charged to the meter, served from
+				// memory at solve time — and the run continues.
+				s.degraded[r.ni] = r
+				s.stats.DegradedBlocks++
+				s.stats.DegradedEntries += r.entries
+				s.queued -= r.entries
+				s.opt.Tracer.StoreInstant(trace.EvOOCDegrade, r.ni, r.entries*8)
 			}
-			s.queued -= r.entries
-			s.meter.Add(-r.entries)
-			s.poolRecordLocked(r.buf)
-		case s.opt.NoDegrade || s.closed || s.err != nil:
-			if s.err == nil {
-				s.err = fmt.Errorf("ooc: spill write (node %d): %w", r.ni, werr)
-			}
-			s.queued -= r.entries
-			s.meter.Add(-r.entries)
-		default:
-			// Graceful degradation: the disk would not take this block, so
-			// it stays resident — still charged to the meter, served from
-			// memory at solve time — and the run continues.
-			s.degraded[r.ni] = r
-			s.stats.DegradedBlocks++
-			s.stats.DegradedEntries += r.entries
-			s.queued -= r.entries
-			s.opt.Tracer.StoreInstant(trace.EvOOCDegrade, r.ni, r.entries*8)
+			batch[k] = putReq{}
 		}
 		s.cond.Broadcast()
 	}
 }
 
-// writeAll writes buf at offset off, retrying transient failures —
-// including short writes, which WriteAt's fixed offset makes safe to
-// repair by rewriting the whole block — with exponential backoff. It
-// returns the last error once retries are exhausted or the store is
-// poisoned/closed mid-retry.
-func (s *FileStore) writeAll(buf []byte, off int64, ni int) error {
-	for attempt := 0; ; attempt++ {
-		n, err := s.opt.Faults.CheckWrite(faults.SpillWrite, ni, len(buf))
+// takeBatchLocked moves the writer's next batch off the queue: the
+// queued nodes in arrival order, as many as fit in half the entry budget
+// (at least one), so Put refills the other half while the batch is
+// written; callers hold s.mu.
+func (s *FileStore) takeBatchLocked() []putReq {
+	half := max(s.opt.BufferEntries/2, 1)
+	batch, entries := s.batch[:0], int64(0)
+	for s.qhead < len(s.queue) && (len(batch) == 0 || entries+s.queue[s.qhead].entries <= half) {
+		r := s.popLocked()
+		batch = append(batch, r)
+		entries += r.entries
+	}
+	s.batch = batch
+	return batch
+}
+
+// writeBatch spills the records of batch, leaves each node's write error
+// in s.errs and returns the batch's record bytes. Every node passes its
+// spill-write fault point once per attempt in batch order, and a node
+// that fails its first attempt runs its retries before the next node's
+// first, so a fault schedule hits the same nodes as a writer spilling one
+// node at a time. The records of the nodes whose first attempt passes
+// are then sorted by offset, and each run of file-adjacent records is
+// written with one vectored write; the nodes of a run that fails are
+// retried on their own.
+func (s *FileStore) writeBatch(batch []putReq) (bytes int64) {
+	s.errs, s.rerun, s.pieces = s.errs[:0], s.rerun[:0], s.pieces[:0]
+	for k, r := range batch {
+		bytes += int64(8 * len(r.buf))
+		final, err := s.firstAttempt(r)
 		if err == nil {
-			var wn int
-			wn, err = s.file.WriteAt(buf[:n], off)
-			if err == nil && n == len(buf) {
-				return nil
+			for p := range front.Part(s.parts) {
+				rec := s.record(r.buf, p)
+				s.pieces = append(s.pieces, piece{k: k, off: s.recOf(r.ni, p).off, b: wordBytes(rec)})
 			}
-			if err == nil {
-				err = fmt.Errorf("short write (%d of %d bytes)", wn, len(buf))
+		} else if !final {
+			err = s.retry(r, err)
+		}
+		s.errs = append(s.errs, err)
+		s.rerun = append(s.rerun, false)
+	}
+	slices.SortFunc(s.pieces, func(a, b piece) int { return cmp.Compare(a.off, b.off) })
+	for lo := 0; lo < len(s.pieces); {
+		hi := lo + 1
+		for hi < len(s.pieces) && s.pieces[hi].off == s.pieces[hi-1].off+int64(len(s.pieces[hi-1].b)) {
+			hi++
+		}
+		s.bufs = s.bufs[:0]
+		for _, pc := range s.pieces[lo:hi] {
+			s.bufs = append(s.bufs, pc.b)
+		}
+		if err := s.rw.write(s.pieces[lo].off, s.bufs); err != nil {
+			for _, pc := range s.pieces[lo:hi] {
+				s.errs[pc.k], s.rerun[pc.k] = err, true
 			}
 		}
+		lo = hi
+	}
+	for k, r := range batch {
+		if s.rerun[k] {
+			s.errs[k] = s.retry(r, s.errs[k])
+		}
+	}
+	clear(s.pieces)
+	clear(s.bufs)
+	return bytes
+}
+
+// firstAttempt seals node r's records and passes its first spill-write
+// fault point; an injected short write writes the records' prefix. A
+// panic (an injected spill-write panic or a codec bug) is a final error,
+// which is not retried: the block degrades instead of wedging every Put
+// waiting on writerDone.
+func (s *FileStore) firstAttempt(r putReq) (final bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			final, err = true, fmt.Errorf("panic spilling node %d: %v", r.ni, p)
+		}
+	}()
+	for p := range front.Part(s.parts) {
+		sealRecord(s.record(r.buf, p), s.headerOf(r.ni, p))
+	}
+	return false, s.shortWrite(r)
+}
+
+// shortWrite passes node r's spill-write fault point and, when it
+// injects a short write, writes that prefix of the records and reports
+// the short write.
+func (s *FileStore) shortWrite(r putReq) error {
+	total := 8 * len(r.buf)
+	n, err := s.opt.Faults.CheckWrite(faults.SpillWrite, r.ni, total)
+	if err == nil && n < total {
+		if err = s.writeNode(r, n); err == nil {
+			err = fmt.Errorf("short write (%d of %d bytes)", n, total)
+		}
+	}
+	return err
+}
+
+// writeNode writes the first n bytes of node r's records, each record
+// with one WriteAt at its offset.
+func (s *FileStore) writeNode(r putReq, n int) error {
+	for p := range front.Part(s.parts) {
+		b := wordBytes(s.record(r.buf, p))
+		b = b[:min(len(b), n)]
+		if _, err := s.file.WriteAt(b, s.recOf(r.ni, p).off); err != nil {
+			return err
+		}
+		n -= len(b)
+	}
+	return nil
+}
+
+// retry repeats node r's write after an attempt failed with err, with
+// exponential backoff, rewriting its records whole — a short write is
+// safe to repair at a fixed offset. It returns nil once an attempt
+// succeeds, and the last error once retries are exhausted, the store is
+// poisoned or closed mid-retry, or an attempt panics.
+func (s *FileStore) retry(r putReq, err error) (rerr error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rerr = fmt.Errorf("panic spilling node %d: %v", r.ni, p)
+		}
+	}()
+	for attempt := 0; ; attempt++ {
 		if attempt >= s.opt.RetryMax || !s.noteRetry() {
 			return err
 		}
 		time.Sleep(s.backoff(attempt))
+		if err = s.shortWrite(r); err == nil {
+			if err = s.writeNode(r, 8*len(r.buf)); err == nil {
+				return nil
+			}
+		}
 	}
 }
 
@@ -520,7 +676,7 @@ func (s *FileStore) popLocked() putReq {
 // that Put's best-fit scan stays short.
 const pooledRecords = 16
 
-// poolRecordLocked keeps a written record's buffer for the next Put,
+// poolRecordLocked keeps a written record buffer for the next Put,
 // so the writer path stops allocating once warm: at most pooledRecords
 // buffers and the buffer budget in words (but always one); callers hold
 // s.mu.
@@ -551,9 +707,10 @@ func takeBuffer(pool *[][]float64, n int64) []float64 {
 	return b[:n]
 }
 
-// onDisk reports whether node ni has a spill record; callers hold s.mu.
+// onDisk reports whether node ni has its spill records; callers hold
+// s.mu.
 func (s *FileStore) onDisk(ni int) bool {
-	return ni >= 0 && ni < len(s.nodes) && s.nodes[ni].ok
+	return ni >= 0 && ni < len(s.spilled) && s.spilled[ni]
 }
 
 // Flush blocks until every block Put so far is on disk (or parked in the
@@ -601,20 +758,20 @@ func (s *FileStore) BeginSolve() error {
 func (s *FileStore) EndSolve() {
 	s.mu.Lock()
 	s.solving = false
-	s.resetStreamLocked(nil)
+	s.resetStreamLocked(nil, front.PartL)
 	s.free = nil
 	s.mu.Unlock()
 }
 
-// Prefetch starts streaming the given walk's blocks into the solve
-// cache in extents, cancelling any previous stream and resetting the
-// per-pass consumed marks (the backward pass re-reads every block the
-// forward pass already used). The first extent is claimed before
-// Prefetch returns, so the walk's first Fetch waits for it rather than
-// racing the reader goroutine into a direct read.
-func (s *FileStore) Prefetch(order []int) {
+// Prefetch starts streaming part p of the given walk's blocks into the
+// solve cache in extents, cancelling any previous stream and resetting
+// the per-pass consumed marks (a symmetric backward pass re-reads every
+// record the forward pass already used). The first extent is claimed
+// before Prefetch returns, so the walk's first Fetch waits for it rather
+// than racing the reader goroutine into a direct read.
+func (s *FileStore) Prefetch(order []int, p front.Part) {
 	s.mu.Lock()
-	s.resetStreamLocked(append([]int(nil), order...))
+	s.resetStreamLocked(append([]int(nil), order...), p)
 	s.claimLocked()
 	gen := s.gen
 	s.mu.Unlock()
@@ -624,24 +781,27 @@ func (s *FileStore) Prefetch(order []int) {
 // resetStreamLocked starts a new generation: it cancels the running
 // stream (a claimed extent no reader has picked up yet is dropped; one
 // already being read finishes and is discarded), drops the cache and
-// installs walk as the new stream.
-func (s *FileStore) resetStreamLocked(walk []int) {
+// installs walk over part p as the new stream.
+func (s *FileStore) resetStreamLocked(walk []int, p front.Part) {
 	s.gen++
 	if e := s.claimed; e != nil {
 		for _, ni := range e.nodes {
-			s.nodes[ni].inflight = false
+			s.slot(ni, e.part).inflight = false
 		}
 		s.claimed = nil
 	}
-	s.walk, s.next = walk, 0
+	if int(p) >= s.parts {
+		walk = nil // no such part: every Fetch of it fails
+	}
+	s.walk, s.part, s.next = walk, p, 0
 	s.dropCacheLocked()
 }
 
 // dropCacheLocked discards un-Fetched cached blocks, crediting the meter;
 // blocks handed out via Fetch stay charged until Release.
 func (s *FileStore) dropCacheLocked() {
-	for ni := range s.nodes {
-		if sl := &s.nodes[ni]; sl.blk != nil {
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.blk != nil {
 			entries := int64(len(sl.blk))
 			sl.blk = nil
 			s.cached -= entries
@@ -691,26 +851,28 @@ func (s *FileStore) recycleLocked(b []float64) {
 	}
 }
 
-// streamable reports whether the reader may still load node ni in this
-// pass: it has a spill record (degraded blocks are served from memory)
-// and is neither fetched, cached, already being read nor still held
-// from an earlier pass (a slot refers to at most one read buffer).
+// streamable reports whether the reader may still load node ni's record
+// of the pass's part: the node has spill records (degraded blocks are
+// served from memory) and the record is neither fetched, cached, already
+// being read nor still held from an earlier pass (a slot refers to at
+// most one read buffer).
 func (s *FileStore) streamable(ni int) bool {
 	if !s.onDisk(ni) {
 		return false
 	}
-	sl := &s.nodes[ni]
+	sl := s.slot(ni, s.part)
 	return sl.used != s.gen && sl.blk == nil && !sl.inflight && sl.handed == 0
 }
 
 // claimLocked plans the stream's next extent and claims it for the
 // reader when the cache has room: the longest run of streamable walk
-// nodes from s.next whose records are adjacent in the file (ascending
-// for the forward pass, descending for the backward one), at most
-// extentWords words. A record larger than that is an extent of its own,
-// admitted once the cache is empty. At most one extent is claimed or
-// being read at a time; claiming marks its nodes in flight, so a Fetch
-// for one of them waits for the read instead of reading it again.
+// nodes from s.next whose records of the pass's part are adjacent in the
+// file (ascending for the forward pass, descending for the backward
+// one), at most extentWords words. A record larger than that is an
+// extent of its own, admitted once the cache is empty. At most one
+// extent is claimed or being read at a time; claiming marks its records
+// in flight, so a Fetch for one of them waits for the read instead of
+// reading it again.
 func (s *FileStore) claimLocked() {
 	if s.claimed != nil || s.reading || s.closed || s.err != nil {
 		return
@@ -725,14 +887,14 @@ func (s *FileStore) claimLocked() {
 	if s.next == len(s.walk) {
 		return
 	}
-	r := s.recOf(s.walk[s.next])
-	e := &extent{off: r.off, size: r.size, entries: r.entries, nodes: []int{s.walk[s.next]}}
+	r := s.recOf(s.walk[s.next], s.part)
+	e := &extent{off: r.off, size: r.size, entries: r.entries, part: s.part, nodes: []int{s.walk[s.next]}}
 	dir := 0 // +1 ascending file offsets, -1 descending
 	for _, ni := range s.walk[s.next+1:] {
 		if !s.streamable(ni) {
 			break
 		}
-		r := s.recOf(ni)
+		r := s.recOf(ni, s.part)
 		if (e.size+r.size)/8 > capW {
 			break
 		}
@@ -752,7 +914,7 @@ func (s *FileStore) claimLocked() {
 		return // an oversized record waits for an empty cache
 	}
 	for _, ni := range e.nodes {
-		s.nodes[ni].inflight = true
+		s.slot(ni, e.part).inflight = true
 	}
 	s.next += len(e.nodes)
 	s.claimed = e
@@ -779,7 +941,7 @@ func (s *FileStore) reader(gen int) {
 		if !s.live(gen) || e == nil {
 			return
 		}
-		s.claimed, s.reading = nil, true // its nodes stay in flight
+		s.claimed, s.reading = nil, true // its records stay in flight
 		e.buf = s.bufferLocked(e.size / 8)
 		s.mu.Unlock()
 
@@ -790,7 +952,7 @@ func (s *FileStore) reader(gen int) {
 		s.stats.Reads++
 		s.stats.BlocksRead += int64(len(e.nodes))
 		for _, ni := range e.nodes {
-			s.nodes[ni].inflight = false
+			s.slot(ni, e.part).inflight = false
 		}
 		if err != nil {
 			if s.err == nil {
@@ -799,12 +961,13 @@ func (s *FileStore) reader(gen int) {
 			s.cond.Broadcast()
 			return
 		}
+		s.stats.BytesRead += e.size
 		if s.gen == gen {
 			for k, ni := range e.nodes {
-				sl := &s.nodes[ni]
+				sl := s.slot(ni, e.part)
 				sl.blk, sl.ext = blocks[k], e
 				e.live++
-				r := s.recOf(ni)
+				r := s.recOf(ni, e.part)
 				s.cached += r.entries
 				s.meter.Add(r.entries)
 				s.opt.Tracer.StoreInstant(trace.EvPrefetchRead, ni, r.size)
@@ -820,14 +983,14 @@ func (s *FileStore) reader(gen int) {
 
 // readExtent reads e with one positioned read into e.buf (e.size/8
 // words; no lock held) and decodes its blocks, which alias it. Every
-// block passes its spill-read fault point on each attempt; a failed
+// record passes its spill-read fault point on each attempt; a failed
 // attempt retries the whole extent with the write path's backoff.
 // Decode errors — a failed decode fault point, a checksum mismatch, a
-// malformed record or one framing another node's shape — are never
-// retried: a record that reads back but will not verify is corruption,
-// not transience. A decode panic becomes an error too (in the
-// prefetcher goroutine it poisons the store instead of killing the
-// process).
+// malformed record, one holding the other part or one framing another
+// node's shape — are never retried: a record that reads back but will
+// not verify is corruption, not transience. A decode panic becomes an
+// error too (in the prefetcher goroutine it poisons the store instead of
+// killing the process).
 func (s *FileStore) readExtent(e *extent) (blocks [][]float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -870,7 +1033,7 @@ func (s *FileStore) readExtent(e *extent) (blocks [][]float64, err error) {
 	for _, k := range corrupt {
 		// Flip one bit of the record's last payload word, an L or U
 		// entry (its top mantissa bit on little-endian hosts).
-		r := s.recOf(e.nodes[k])
+		r := s.recOf(e.nodes[k], e.part)
 		raw[r.off-e.off+r.size-16+6] ^= 0x08
 	}
 	blocks = make([][]float64, len(e.nodes))
@@ -878,10 +1041,10 @@ func (s *FileStore) readExtent(e *extent) (blocks [][]float64, err error) {
 		if err := s.opt.Faults.Check(faults.Decode, ni); err != nil {
 			return nil, fmt.Errorf("ooc: decode (node %d): %w", ni, err)
 		}
-		r := s.recOf(ni)
+		r := s.recOf(ni, e.part)
 		lo, hi := (r.off-e.off)/8, (r.off-e.off+r.size)/8
-		h, blk, err := decodeRecord(e.buf[lo:hi:hi])
-		if want := s.headerOf(ni); err == nil && h != want {
+		h, blk, err := decodeRecord(e.buf[lo:hi:hi], e.part)
+		if want := s.headerOf(ni, e.part); err == nil && h != want {
 			err = fmt.Errorf("record shape %+v, want %+v", h, want)
 		}
 		if err != nil {
@@ -892,12 +1055,12 @@ func (s *FileStore) readExtent(e *extent) (blocks [][]float64, err error) {
 	return blocks, nil
 }
 
-// Fetch returns node ni's factor block: from memory when the block was
-// degraded, from the prefetch cache when the reader got there first,
-// after the read when the block's extent is being read, and by direct
-// read of its one record otherwise. It never waits for the reader to
-// make room.
-func (s *FileStore) Fetch(ni int) ([]float64, error) {
+// Fetch returns part p of node ni's factor block: from memory when the
+// block was degraded, from the prefetch cache when the reader got there
+// first, after the read when the record's extent is being read, and by
+// direct read of its one record otherwise. It never waits for the reader
+// to make room.
+func (s *FileStore) Fetch(ni int, p front.Part) ([]float64, error) {
 	s.mu.Lock()
 	for {
 		if s.closed {
@@ -909,18 +1072,22 @@ func (s *FileStore) Fetch(ni int) ([]float64, error) {
 			s.mu.Unlock()
 			return nil, err
 		}
+		if p < 0 || int(p) >= max(s.parts, 1) {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("ooc: node %d has no %v part (%d parts per block)", ni, p, s.parts)
+		}
 		if d, ok := s.degraded[ni]; ok {
 			// Degraded blocks are already resident and meter-charged since
 			// their Put; Release is a no-op for them (no handed entry) and
 			// Close credits them back.
 			s.mu.Unlock()
-			return d.buf[headerWords : len(d.buf)-1], nil
+			return payload(s.record(d.buf, p)), nil
 		}
 		if !s.onDisk(ni) {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("ooc: no factor block for node %d (factorization incomplete or not flushed)", ni)
 		}
-		sl := &s.nodes[ni]
+		sl := s.slot(ni, p)
 		if blk := sl.blk; blk != nil {
 			// Stays charged (cached includes handed-out blocks) until Release.
 			sl.blk, sl.used, sl.handed = nil, s.gen, int64(len(blk))
@@ -935,12 +1102,12 @@ func (s *FileStore) Fetch(ni int) ([]float64, error) {
 		}
 		s.cond.Wait()
 	}
-	s.nodes[ni].used = s.gen
-	r := s.recOf(ni)
+	s.slot(ni, p).used = s.gen
+	r := s.recOf(ni, p)
 	s.stats.DirectReads++
 	s.mu.Unlock()
 
-	blocks, err := s.readExtent(&extent{off: r.off, size: r.size, nodes: []int{ni}, buf: front.Uninitialized(r.size / 8)})
+	blocks, err := s.readExtent(&extent{off: r.off, size: r.size, part: p, nodes: []int{ni}, buf: front.Uninitialized(r.size / 8)})
 	if err != nil {
 		return nil, err
 	}
@@ -948,19 +1115,20 @@ func (s *FileStore) Fetch(ni int) ([]float64, error) {
 	s.mu.Lock()
 	s.stats.Reads++
 	s.stats.BlocksRead++
-	s.nodes[ni].handed = r.entries
+	s.stats.BytesRead += r.size
+	s.slot(ni, p).handed = r.entries
 	s.cached += r.entries
 	s.meter.Add(r.entries)
 	s.mu.Unlock()
 	return blocks[0], nil
 }
 
-// Release ends the caller's use of a Fetched block, crediting the cache
+// Release ends the caller's use of a Fetched part, crediting the cache
 // budget and the meter; the block's memory may be reused afterwards.
-func (s *FileStore) Release(ni int) {
+func (s *FileStore) Release(ni int, p front.Part) {
 	s.mu.Lock()
-	if ni >= 0 && ni < len(s.nodes) && s.nodes[ni].handed > 0 {
-		sl := &s.nodes[ni]
+	if ni >= 0 && ni < len(s.spilled) && p >= 0 && int(p) < s.parts && s.slot(ni, p).handed > 0 {
+		sl := s.slot(ni, p)
 		s.cached -= sl.handed
 		s.meter.Add(-sl.handed)
 		sl.handed = 0
@@ -985,12 +1153,12 @@ func (s *FileStore) Close() error {
 		close(s.ctxStop)
 		s.ctxStop = nil
 	}
-	s.resetStreamLocked(nil) // cancel any reader
+	s.resetStreamLocked(nil, front.PartL) // cancel any reader
 	for !s.writerDone {
 		s.cond.Wait()
 	}
-	for ni := range s.nodes {
-		if sl := &s.nodes[ni]; sl.handed > 0 {
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.handed > 0 {
 			s.cached -= sl.handed
 			s.meter.Add(-sl.handed)
 			sl.handed = 0

@@ -51,9 +51,30 @@ func putBlock(s *FileStore, ni int, rng *rand.Rand) ([]float64, error) {
 	for i := range fr.A {
 		fr.A[i] = rng.NormFloat64()
 	}
-	want := make([]float64, front.BlockWords(nf, npiv, kind))
-	front.ExtractFactor(fr, npiv, kind, want)
+	want := make([]float64, front.PartWords(nf, npiv)*int64(front.Parts(kind)))
+	front.ExtractFactor(fr, npiv, kind, want[:nf*npiv], want[nf*npiv:])
 	return want, s.Put(ni, fr, int64(len(want)))
+}
+
+// fetchNode fetches every part of node ni, releasing each, and returns
+// them back to back: the whole block, as putBlock returns it.
+func fetchNode(s *FileStore, ni int) ([]float64, error) {
+	var blk []float64
+	for p := range front.Part(max(s.parts, 1)) {
+		b, err := s.Fetch(ni, p)
+		if err != nil {
+			return nil, err
+		}
+		blk = append(blk, b...)
+		s.Release(ni, p)
+	}
+	return blk, nil
+}
+
+// partOf is part p of the whole block blk of a front with parts parts.
+func partOf(blk []float64, parts int, p front.Part) []float64 {
+	n := len(blk) / parts
+	return blk[int(p)*n : (int(p)+1)*n]
 }
 
 // putBlocks Puts a random block for every node of order and returns
@@ -108,14 +129,13 @@ func TestRoundtripBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ni := range orig {
-			got, err := s.Fetch(ni)
+			got, err := fetchNode(s, ni)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := sameBlock(orig[ni], got); err != nil {
 				t.Errorf("%v node %d: %v", kind, ni, err)
 			}
-			s.Release(ni)
 		}
 	}
 }
@@ -166,10 +186,9 @@ func TestOversizedBlockAdmitted(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Fetch(0); err != nil {
+	if _, err := fetchNode(s, 0); err != nil {
 		t.Fatal(err)
 	}
-	s.Release(0)
 }
 
 // TestMeterBalances checks the shared meter: charged while blocks are
@@ -193,21 +212,22 @@ func TestMeterBalances(t *testing.T) {
 	if m.Peak() == 0 {
 		t.Error("meter never charged during buffering")
 	}
-	blk, err := s.Fetch(4)
+	blk, err := s.Fetch(4, front.PartL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cur := m.Cur(); cur != int64(len(blk)) {
 		t.Errorf("meter %d while holding a %d-entry block", cur, len(blk))
 	}
-	s.Release(4)
+	s.Release(4, front.PartL)
 	if cur := m.Cur(); cur != 0 {
 		t.Errorf("meter %d after release, want 0", cur)
 	}
 }
 
-// TestPrefetchStream walks blocks in the announced order (forward then
-// reverse, like the solves) and checks contents and meter balance.
+// TestPrefetchStream walks the L parts in the announced order, then the
+// U parts in reverse, like the solves, and checks contents and meter
+// balance.
 func TestPrefetchStream(t *testing.T) {
 	s, err := NewFileStore(Options{Dir: t.TempDir(), BufferEntries: 256})
 	if err != nil {
@@ -223,17 +243,17 @@ func TestPrefetchStream(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for pass := 0; pass < 2; pass++ {
-		s.Prefetch(order)
+	for _, p := range []front.Part{front.PartL, front.PartU} {
+		s.Prefetch(order, p)
 		for _, ni := range order {
-			got, err := s.Fetch(ni)
+			got, err := s.Fetch(ni, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameBlock(orig[ni], got); err != nil {
-				t.Errorf("pass %d node %d: %v", pass, ni, err)
+			if err := sameBlock(partOf(orig[ni], 2, p), got); err != nil {
+				t.Errorf("part %v node %d: %v", p, ni, err)
 			}
-			s.Release(ni)
+			s.Release(ni, p)
 		}
 		// Reverse for the second pass, as the backward solve does.
 		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
@@ -252,7 +272,7 @@ func TestFetchUnknownNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Fetch(5); err == nil {
+	if _, err := s.Fetch(5, front.PartL); err == nil {
 		t.Error("Fetch of never-Put node succeeded")
 	}
 }
@@ -281,7 +301,7 @@ func TestClosedStore(t *testing.T) {
 	if err := s.Flush(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Flush after Close: %v, want ErrClosed", err)
 	}
-	if _, err := s.Fetch(0); !errors.Is(err, ErrClosed) {
+	if _, err := s.Fetch(0, front.PartL); !errors.Is(err, ErrClosed) {
 		t.Errorf("Fetch after Close: %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {

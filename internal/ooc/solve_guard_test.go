@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/front"
 	"repro/internal/sparse"
 )
 
@@ -36,12 +37,12 @@ func TestOverlappingSolveRejected(t *testing.T) {
 		t.Fatalf("overlapping BeginSolve: unhelpful error %q", err)
 	}
 	// The running solve is unaffected by the rejected attempt.
-	s.Prefetch([]int{0, 1, 2, 3})
+	s.Prefetch([]int{0, 1, 2, 3}, front.PartL)
 	for ni := 0; ni < 4; ni++ {
-		if _, err := s.Fetch(ni); err != nil {
+		if _, err := s.Fetch(ni, front.PartL); err != nil {
 			t.Fatalf("fetch %d during solve: %v", ni, err)
 		}
-		s.Release(ni)
+		s.Release(ni, front.PartL)
 	}
 	s.EndSolve()
 
@@ -80,11 +81,11 @@ func TestEndSolveDropsCache(t *testing.T) {
 	if err := s.BeginSolve(); err != nil {
 		t.Fatal(err)
 	}
-	s.Prefetch(order)
-	if _, err := s.Fetch(0); err != nil { // let the pass start
+	s.Prefetch(order, front.PartL)
+	if _, err := s.Fetch(0, front.PartL); err != nil { // let the pass start
 		t.Fatal(err)
 	}
-	s.Release(0)
+	s.Release(0, front.PartL)
 	s.EndSolve()
 	if got := m.Cur(); got != 0 {
 		t.Fatalf("meter holds %d entries after EndSolve; want 0", got)

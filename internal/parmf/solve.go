@@ -184,15 +184,16 @@ func (s *TreeSolver) solveInPlace(ctx context.Context, x []float64, nrhs int) ([
 	}
 	defer s.st.EndSolve()
 	s.st.SetContext(ctx)
-	s.st.Prefetch(s.post)
-	err := s.runPass(ctx, s.post, 0, trace.SpanSolveFwd, s.fwdIndeg, s.fwdSuccs, func(ni int, blk, _ []float64) {
+	s.st.Prefetch(s.post, front.PartL)
+	err := s.runPass(ctx, s.post, front.PartL, 0, trace.SpanSolveFwd, s.fwdIndeg, s.fwdSuccs, func(ni int, blk, _ []float64) {
 		front.ForwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, s.kern)
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.st.Prefetch(s.rev)
-	err = s.runPass(ctx, s.rev, s.maxCB*nrhs, trace.SpanSolveBwd, s.bwdIndeg, s.bwdSuccs, func(ni int, blk, w []float64) {
+	bp := front.BackwardPart(s.kind)
+	s.st.Prefetch(s.rev, bp)
+	err = s.runPass(ctx, s.rev, bp, s.maxCB*nrhs, trace.SpanSolveBwd, s.bwdIndeg, s.bwdSuccs, func(ni int, blk, w []float64) {
 		front.BackwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
 	})
 	if err != nil {
@@ -229,18 +230,22 @@ func (s *TreeSolver) SolveOriginalMultiCtx(ctx context.Context, b []float64, nrh
 	return front.UnpermuteRHS(perm, px, nrhs), nil
 }
 
-// runPass executes one substitution pass: workers claim indegree-zero
-// fronts from a shared ready stack (seeded in reverse walk order so the
-// top is the walk's next front), run the node's panel outside the lock
-// with a per-worker scratch of scratch words, and finish under the lock,
-// releasing successors. The claim/finish mutex handoff is the
-// happens-before edge between a row's consecutive touchers.
-func (s *TreeSolver) runPass(ctx context.Context, order []int, scratch int, span string, indeg []int32, succs [][]int32, apply func(ni int, blk, w []float64)) error {
+// runPass executes one substitution pass over part p of the factors:
+// workers claim indegree-zero fronts from a shared ready set, always the
+// one earliest in the walk, run the node's panel outside the lock with a
+// per-worker scratch of scratch words, and finish under the lock,
+// releasing successors. Claiming in walk order keeps the workers' Fetches
+// on the store's prefetch stream, which reads the part's region in walk
+// order. The claim/finish mutex handoff is the happens-before edge
+// between a row's consecutive touchers.
+func (s *TreeSolver) runPass(ctx context.Context, order []int, p front.Part, scratch int, span string, indeg []int32, succs [][]int32, apply func(ni int, blk, w []float64)) error {
 	deg := append([]int32(nil), indeg...)
-	ready := make([]int, 0, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		if ni := order[i]; deg[ni] == 0 {
-			ready = append(ready, ni)
+	pos := make([]int32, len(order)) // node -> walk position
+	ready := make(walkHeap, 0, len(order))
+	for i, ni := range order {
+		pos[ni] = int32(i)
+		if deg[ni] == 0 {
+			ready = append(ready, int32(i)) // ascending: already a heap
 		}
 	}
 	var (
@@ -287,8 +292,7 @@ func (s *TreeSolver) runPass(ctx context.Context, order []int, scratch int, span
 					mu.Unlock()
 					return
 				}
-				ni := ready[len(ready)-1]
-				ready = ready[:len(ready)-1]
+				ni := order[ready.pop()]
 				mu.Unlock()
 
 				// The panel runs unlocked with panic containment, mirroring
@@ -304,12 +308,12 @@ func (s *TreeSolver) runPass(ctx context.Context, order []int, scratch int, span
 					if err := s.faults.Check(faults.Solve, ni); err != nil {
 						return fmt.Errorf("parmf: solve node %d: %w", ni, err)
 					}
-					blk, err := s.st.Fetch(ni)
+					blk, err := s.st.Fetch(ni, p)
 					if err != nil {
 						return err
 					}
 					apply(ni, blk, buf)
-					s.st.Release(ni)
+					s.st.Release(ni, p)
 					return nil
 				}()
 				s.tr.End(id, span, ni)
@@ -322,7 +326,7 @@ func (s *TreeSolver) runPass(ctx context.Context, order []int, scratch int, span
 				for _, succ := range succs[ni] {
 					deg[succ]--
 					if deg[succ] == 0 {
-						ready = append(ready, int(succ))
+						ready.push(pos[succ])
 					}
 				}
 				cond.Broadcast()
@@ -331,4 +335,45 @@ func (s *TreeSolver) runPass(ctx context.Context, order []int, scratch int, span
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// walkHeap is a binary min-heap of walk positions: the ready set of a
+// solve pass, which hands out the ready front that comes first in the
+// walk.
+type walkHeap []int32
+
+func (h *walkHeap) push(v int32) {
+	*h = append(*h, v)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		up := (i - 1) / 2
+		if a[up] <= a[i] {
+			break
+		}
+		a[up], a[i] = a[i], a[up]
+		i = up
+	}
+}
+
+func (h *walkHeap) pop() int32 {
+	a := *h
+	top, last := a[0], len(a)-1
+	a[0] = a[last]
+	a = a[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(a) {
+			break
+		}
+		if c+1 < len(a) && a[c+1] < a[c] {
+			c++
+		}
+		if a[i] <= a[c] {
+			break
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
+	*h = a
+	return top
 }

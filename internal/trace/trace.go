@@ -65,7 +65,7 @@ const (
 	SpanSolveBwd = "solve-bwd"
 
 	// OOC store events (internal/ooc), on the store track.
-	SpanSpill      = "spill-write"   // background writer spilling one block
+	SpanSpill      = "spill-write"   // background writer spilling one batch of blocks
 	EvOOCPut       = "ooc-put"       // instant: block queued for spilling
 	EvPrefetchRead = "prefetch-read" // instant: solve-pass read-ahead load
 	EvDirectRead   = "direct-read"   // instant: solve fetch that outran the reader
