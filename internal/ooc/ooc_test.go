@@ -60,7 +60,7 @@ func putBlock(s *FileStore, ni int, rng *rand.Rand) ([]float64, error) {
 // them back to back: the whole block, as putBlock returns it.
 func fetchNode(s *FileStore, ni int) ([]float64, error) {
 	var blk []float64
-	for p := range front.Part(max(s.parts, 1)) {
+	for p := range front.Part(s.parts) {
 		b, err := s.Fetch(ni, p)
 		if err != nil {
 			return nil, err
