@@ -11,6 +11,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/front"
 	"repro/internal/order"
+	"repro/internal/parmf"
 	"repro/internal/seqmf"
 	"repro/internal/sparse"
 )
@@ -44,8 +45,9 @@ func regionBytes(s *FileStore, p front.Part) int64 {
 // every spilled byte exactly once: its forward pass reads the L region
 // and its backward pass the U region, each whole and nothing else. A
 // symmetric solve reads every byte exactly twice, the one region per
-// pass. Direct reads of every record read every byte once more. The
-// solution is the in-core one, bit for bit.
+// pass. A one-worker tree-parallel solve reads the same, with no direct
+// read, and direct reads of every record read every byte once more. The
+// solutions are the in-core one, bit for bit.
 func TestSolveReadsEachRegionOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, a := range []*sparse.CSC{sparse.Grid3D(6, 6, 6), sparse.Grid3DUnsym(6, 6, 6, rng)} {
@@ -105,6 +107,22 @@ func TestSolveReadsEachRegionOnce(t *testing.T) {
 					st.BytesRead, st.BlocksRead, st.DirectReads, reads, st.BytesWritten, 2*n)
 			}
 
+			// One tree-parallel worker claims the ready front earliest in
+			// the walk, which is the walk itself: it stays on the stream.
+			x, err = parmf.NewTreeSolver(fs, tree, a.Kind, 1, dense.KernelDefault).SolveMulti(b, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("tree solve: x[%d] = %v from the file, %v in core", i, x[i], want[i])
+				}
+			}
+			tr := fs.Stats()
+			if got := tr.BytesRead - st.BytesRead; got != reads || tr.DirectReads != 0 {
+				t.Errorf("one-worker tree solve read %d bytes, %d direct; want %d bytes, 0 direct", got, tr.DirectReads, reads)
+			}
+
 			for ni := range tree.Nodes {
 				if _, err := fetchNode(fs, ni); err != nil {
 					t.Fatal(err)
@@ -114,7 +132,7 @@ func TestSolveReadsEachRegionOnce(t *testing.T) {
 			if got, records := after.DirectReads, n*int64(front.Parts(a.Kind)); got != records {
 				t.Errorf("%d direct reads, want one per record (%d)", got, records)
 			}
-			if got := after.BytesRead - st.BytesRead; got != st.BytesWritten {
+			if got := after.BytesRead - tr.BytesRead; got != st.BytesWritten {
 				t.Errorf("direct reads of every record read %d bytes, want %d", got, st.BytesWritten)
 			}
 		})
