@@ -25,7 +25,7 @@ import (
 // leak a previous front's values into the next assembly (Scatter and
 // extend-add accumulate into zeros). Factor blocks are never
 // arena-managed: ExtractFactor copies each into memory the front.Store
-// owns — the node's range of the in-core slab, or a pooled record buffer
+// owns — the node's range of the in-core slab, or the chunks of a record
 // an out-of-core store may still be spilling long after the producing
 // worker moved on — so recycling a front never touches a block, and no
 // block is an allocation of its own.

@@ -121,7 +121,7 @@ func TestFactorBlocksNeverArenaManaged(t *testing.T) {
 		fr.A[i] = rng.NormFloat64()
 	}
 	blk := make([]float64, 2*PartWords(10, 4))
-	ExtractFactor(fr, 4, sparse.Unsymmetric, blk[:40], blk[40:])
+	extract(fr, 4, sparse.Unsymmetric, blk[:40], blk[40:])
 	snap := append([]float64(nil), blk...)
 
 	// Recycle the front and scribble over the reused slab.

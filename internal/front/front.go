@@ -191,28 +191,39 @@ func EliminateKernel(f *dense.Matrix, npiv int, kind sparse.Type, tol float64, b
 	return kern.PartialLU(f, npiv, tol, blockRows)
 }
 
-// ExtractFactor writes the factor block of the eliminated front f into
-// its two parts as Layout lays them out: L gets the nf x npiv lower
-// trapezoid (diag: Cholesky=L(k,k), LU=U(k,k), L's unit diagonal
-// implicit) and, for unsymmetric matrices, U the npiv x nf upper
-// trapezoid holding U's diagonal (U is unused for symmetric ones). Each
-// row is one contiguous copy, structural zeros written too, so neither
-// destination needs clearing (a pooled record buffer is reused).
-func ExtractFactor(f *dense.Matrix, npiv int, kind sparse.Type, L, U []float64) {
-	nf := f.R
-	L = L[:nf*npiv]
-	for i := 0; i < nf; i++ {
-		row := L[i*npiv : (i+1)*npiv]
-		n := copy(row, f.Row(i)[:min(npiv, i+1)])
-		clear(row[n:])
+// ExtractFactor writes words [lo, lo+len(dst)) of part p of the factor
+// block of the eliminated front f, as Layout lays it out, into dst: L is
+// the nf x npiv lower trapezoid (diag: Cholesky=L(k,k), LU=U(k,k), L's
+// unit diagonal implicit), U the npiv x nf upper trapezoid holding U's
+// diagonal (unsymmetric matrices only). Structural zeros are written
+// too, so dst needs no clearing, and a part can be extracted one buffer
+// at a time. Each row is one contiguous copy and one run of zeros.
+func ExtractFactor(f *dense.Matrix, npiv int, p Part, lo int, dst []float64) {
+	if len(dst) == 0 {
+		return
 	}
-	if kind == sparse.Unsymmetric {
-		U = U[:nf*npiv]
-		for k := 0; k < npiv; k++ {
-			row := U[k*nf : (k+1)*nf]
-			clear(row[:k])
-			copy(row[k:], f.Row(k)[k:nf])
+	width := npiv
+	if p == PartU {
+		width = f.R
+	}
+	i, j := 0, 0
+	if lo > 0 { // spares the whole-part call a division
+		i, j = lo/width, lo%width
+	}
+	if p == PartL { // row i: f's row i up to its diagonal, then zeros
+		for ; len(dst) > 0; i, j = i+1, 0 {
+			n := min(npiv-j, len(dst))
+			row := f.Row(i)
+			clear(dst[copy(dst, row[j:max(j, min(npiv, i+1))]):n])
+			dst = dst[n:]
 		}
+		return
+	}
+	for ; len(dst) > 0; i, j = i+1, 0 { // zeros, then f's row i from its diagonal
+		z := min(max(i-j, 0), len(dst))
+		clear(dst[:z])
+		n := z + copy(dst[z:], f.Row(i)[j+z:])
+		dst = dst[n:]
 	}
 }
 

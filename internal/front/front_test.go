@@ -42,7 +42,7 @@ func walk(t *testing.T, pa *sparse.CSC, tree *assembly.Tree) *Factors {
 		if pa.Kind == sparse.Unsymmetric {
 			U = fs.Block(ni, PartU)
 		}
-		ExtractFactor(fr, nd.NPiv(), pa.Kind, fs.Block(ni, PartL), U)
+		extract(fr, nd.NPiv(), pa.Kind, fs.Block(ni, PartL), U)
 		cbs[ni] = ExtractCB(nil, fr, nd.NPiv(), nd.NCB(), pa.Kind)
 	}
 	return fs
@@ -90,6 +90,14 @@ func TestNewSharedErrors(t *testing.T) {
 	}
 }
 
+// extract writes the factor block of f, both parts for kind, into L and
+// U.
+func extract(f *dense.Matrix, npiv int, kind sparse.Type, L, U []float64) {
+	for p, dst := range [][]float64{L, U}[:Parts(kind)] {
+		ExtractFactor(f, npiv, Part(p), 0, dst[:f.R*npiv])
+	}
+}
+
 // TestExtractFactorMatchesElementwise pins the row-copy extraction
 // against an element-by-element reference on random unsymmetric and
 // symmetric fronts: L is the nf x npiv lower trapezoid, U the npiv x nf
@@ -107,7 +115,7 @@ func TestExtractFactorMatchesElementwise(t *testing.T) {
 		for p := range blk {
 			blk[p] = math.NaN()
 		}
-		ExtractFactor(f, npiv, kind, blk[:nf*npiv], blk[nf*npiv:])
+		extract(f, npiv, kind, blk[:nf*npiv], blk[nf*npiv:])
 		nd := &assembly.Node{End: npiv, Rows: make([]int, nf-npiv)}
 		L, U := partView(nd, PartL, blk), dense.Matrix{}
 		if kind == sparse.Unsymmetric {
@@ -147,6 +155,41 @@ func TestExtractFactorMatchesElementwise(t *testing.T) {
 	}
 }
 
+// TestExtractFactorPiecewise: a part extracted piece by piece, cut
+// anywhere (inside a row, on a row edge, one word at a time), has
+// exactly the words of the part extracted in one call, over fronts whose
+// pivots fill none, some or all of the rows.
+func TestExtractFactorPiecewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 200; trial++ {
+		nf := 1 + rng.Intn(12)
+		npiv := []int{1, nf, 1 + rng.Intn(nf)}[trial%3]
+		f := dense.New(nf, nf)
+		for p := range f.A {
+			f.A[p] = rng.NormFloat64()
+		}
+		n := nf * npiv
+		whole := make([]float64, 2*n)
+		extract(f, npiv, sparse.Unsymmetric, whole[:n], whole[n:])
+		for p, want := range [][]float64{whole[:n], whole[n:]} {
+			got := make([]float64, n)
+			for i := range got {
+				got[i] = math.NaN()
+			}
+			for lo := 0; lo < n; {
+				hi := min(n, lo+1+rng.Intn([]int{1, 3, n}[rng.Intn(3)]))
+				ExtractFactor(f, npiv, Part(p), lo, got[lo:hi])
+				lo = hi
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("nf %d npiv %d part %v: word %d is %g, want %g", nf, npiv, Part(p), i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestExtractFullFront checks that a front with npiv == n reproduces the
 // plain dense factorization (L, and U for LU).
 func TestExtractFullFront(t *testing.T) {
@@ -167,7 +210,7 @@ func TestExtractFullFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	blk := make([]float64, 2*PartWords(n, n))
-	ExtractFactor(f, n, sparse.Unsymmetric, blk[:n*n], blk[n*n:])
+	extract(f, n, sparse.Unsymmetric, blk[:n*n], blk[n*n:])
 	nd := &assembly.Node{End: n}
 	L, U := partView(nd, PartL, blk), partView(nd, PartU, blk[n*n:])
 	if U.A == nil {

@@ -39,9 +39,11 @@ type Store interface {
 	// size in model units (assembly.FactorEntries). Put may block while
 	// the store's resident buffer is over budget.
 	Put(ni int, fr *dense.Matrix, entries int64) error
-	// Flush blocks until every block Put so far is durably owned by the
-	// store (for a file-backed store: written to the spill area). The
-	// executors call it once at the end of the factorization.
+	// Flush blocks until the store holds every block Put so far where the
+	// solve will read it (for a file-backed store: written to the spill
+	// file, which is process-private scratch, never fsynced; a crash
+	// loses it by design). The executors call it once at the end of the
+	// factorization.
 	Flush() error
 	// FaultCounters reports spill I/O retries and blocks kept in memory
 	// after persistent write failures; the executors fold them into
@@ -116,16 +118,14 @@ func (f *Factors) Bind(lay *Layout, m *memory.Meter) error {
 // Put extracts node ni's block into its ranges of the slab (workers
 // fill disjoint ranges concurrently) and charges it to the meter.
 func (f *Factors) Put(ni int, fr *dense.Matrix, entries int64) error {
-	var U []float64
-	if f.Layout.Kind == sparse.Unsymmetric {
-		U = f.Block(ni, PartU)
+	for p := range Part(Parts(f.Layout.Kind)) {
+		ExtractFactor(fr, f.Layout.Tree.Nodes[ni].NPiv(), p, 0, f.Block(ni, p))
 	}
-	ExtractFactor(fr, f.Layout.Tree.Nodes[ni].NPiv(), f.Layout.Kind, f.Block(ni, PartL), U)
 	f.meter.Add(entries)
 	return nil
 }
 
-// Flush is a no-op: in-memory blocks are durable on Put.
+// Flush is a no-op: a block is in the slab once Put returns.
 func (f *Factors) Flush() error { return nil }
 
 // FaultCounters is zero: the in-memory store does no I/O.

@@ -26,9 +26,10 @@ import (
 // The block is the in-core slab's range for the node's part, word for
 // word (front.Layout); the part word tells an L record from a U record
 // of the same shape, so a record read from the wrong region fails to
-// decode. A node's records are filled in place: ExtractFactor writes
-// both parts into one record buffer, and the writer seals the headers
-// and checksums around them and spills the records as they are. A run of
+// decode. A node's records are filled in place: the file store carves
+// them out of fixed-size chunks, ExtractFactor writes the blocks chunk
+// by chunk, and the writer seals the headers and checksums around them
+// and spills each chunk's piece of a record as it is. A run of
 // records read into one []float64 decodes without copying (the blocks
 // alias the read buffer). The checksum turns a flipped bit on the media
 // into a decode error naming the node instead of a silently wrong
@@ -63,13 +64,26 @@ func payload(rec []float64) []float64 {
 	return rec[headerWords:n:n]
 }
 
-// sealRecord writes h and the checksum around the block already in
-// payload(rec).
-func sealRecord(rec []float64, h header) {
-	for i, v := range [...]uint64{uint64(h.npiv), uint64(h.nrows), uint64(h.part)} {
-		rec[i] = math.Float64frombits(v)
+// sealRecord writes h and the checksum around the block already in a
+// record that lies in the non-empty pieces ps, back to back: the header
+// may straddle piece edges, and the checksum runs across the pieces with
+// crc32.Update, so the bytes are those of the record sealed in one piece.
+func sealRecord(ps []piece, h header) {
+	hdr := [headerWords]uint64{uint64(h.npiv), uint64(h.nrows), uint64(h.part)}
+	i := 0
+	for _, pc := range ps {
+		for j := 0; j < len(pc.w) && i < headerWords; j++ {
+			pc.w[j] = math.Float64frombits(hdr[i])
+			i++
+		}
 	}
-	rec[len(rec)-1] = math.Float64frombits(uint64(crc32.Checksum(wordBytes(rec[:len(rec)-1]), castagnoli)))
+	var sum uint32
+	for _, pc := range ps[:len(ps)-1] {
+		sum = crc32.Update(sum, castagnoli, wordBytes(pc.w))
+	}
+	last := ps[len(ps)-1].w
+	sum = crc32.Update(sum, castagnoli, wordBytes(last[:len(last)-1]))
+	last[len(last)-1] = math.Float64frombits(uint64(sum))
 }
 
 // decodeRecord parses one record of part want. w must hold exactly one

@@ -348,7 +348,7 @@ func TestDecodeDetectsEveryBitFlip(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	sealRecord(enc, h)
+	sealFlat(enc, h)
 	raw := wordBytes(enc)
 	for bit := 0; bit < 8*len(raw); bit++ {
 		w := append([]float64(nil), enc...)
@@ -407,7 +407,7 @@ func TestMisshapenRecordRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.nrows, h.npiv = h.nrows*h.npiv, 1
-	sealRecord(w, h)
+	sealFlat(w, h)
 	if _, err := s.file.WriteAt(wordBytes(w), r.off); err != nil {
 		t.Fatal(err)
 	}

@@ -17,17 +17,20 @@
 // (the L region again for symmetric matrices), so a pass reads only the
 // half of the factors it uses.
 //
-// The factorization side is a bounded producer/consumer: executor
-// workers extract blocks into record buffers the store hands out (both
-// of a node's records in one buffer, pooled once written) and Put them
-// into a resident buffer (budget in model entries, the units of the
-// assembly cost model); a background writer goroutine takes the queued
-// nodes in batches of at most half the budget and writes each run of
-// file-adjacent records with one positioned vectored write (pwritev on
-// Linux), discharging each block from the shared resident-memory meter
-// the moment it is durable. Put blocks only while the buffer is over
-// budget (a block larger than the whole budget is still admitted when
-// the buffer is empty).
+// The factorization side is a bounded producer/consumer: Put extracts
+// a node's block straight into its records, carved out of a fixed slab
+// of chunks (chunks.go) so that records of any size reuse the same
+// memory, and queues the node in a resident buffer (budget in model
+// entries, the units of the assembly cost model); a background writer
+// goroutine takes the queued nodes in batches of at most half the budget
+// and writes each run of file-adjacent record pieces with one positioned
+// vectored write (pwritev on Linux), discharging each block from the
+// shared resident-memory meter the moment it is written. Put blocks only
+// while the buffer is over budget (a block larger than the whole budget
+// is still admitted when the buffer is empty) or the chunks are taken.
+// The spill file is process-private scratch: nothing else reads it,
+// Close deletes it, and it is never fsynced — the solve reads it back
+// through the same page cache, and a crash loses it by design.
 //
 // The solve side streams records back in extents: the solve announces
 // its walk and the part it reads via Prefetch, and a reader goroutine
@@ -82,10 +85,11 @@ type Options struct {
 	// Dir is the directory for the spill file ("" = os.TempDir()).
 	Dir string
 	// BufferEntries is the resident-buffer budget in model entries for
-	// the write buffer, the pool of written record buffers (in words) and
-	// the solve-phase prefetch cache, which also drives read-ahead: one
-	// extent read holds at most half of it (0 = 1<<16 entries, i.e.
-	// 512 KiB of float64 payload).
+	// the write buffer and the solve-phase prefetch cache, which also
+	// drives read-ahead: one extent read holds at most half of it (0 =
+	// 1<<16 entries, i.e. 512 KiB of float64 payload). Queued records
+	// live in chunks of half of it, from one slab of BufferEntries plus
+	// the largest node's record words, allocated once per factorization.
 	BufferEntries int64
 	// RetryMax is how many times a failed spill read or write is retried
 	// before the failure counts as persistent (0 = 3, negative = none).
@@ -173,19 +177,24 @@ type extent struct {
 	live      int        // blocks of buf still cached or handed out
 }
 
-// putReq is one node waiting for the writer.
+// putReq is one node waiting for the writer, and its state in the
+// writer's batch.
 type putReq struct {
 	ni      int
-	buf     []float64 // the node's records back to back (L, then U), blocks filled in
+	start   int64 // stream position of its records (L, then U) in the chunk arena
 	entries int64
+	buf     []float64 // a degraded node's records, copied out of the arena
+	at      [3]int    // its record of part p is the batch's pieces[at[p]:at[p+1]]
+	err     error     // its write's outcome
+	rerun   bool      // a vectored write of its records failed
 }
 
-// piece is one record of a writer batch: its node's batch position, its
-// file offset and its bytes.
+// piece is the part of one record of a writer batch that lies in one
+// chunk: its node's batch position, its file offset and its words.
 type piece struct {
 	k   int
 	off int64
-	b   []byte
+	w   []float64
 }
 
 // FileStore is the file-backed front.Store. Create with NewFileStore and
@@ -207,7 +216,7 @@ type FileStore struct {
 	queued     int64          // entries in queue + the batch being written
 	spilled    []bool         // node -> its records are on disk
 	slots      []slot         // record (part * nodes + node) -> solve state
-	wfree      [][]float64    // record buffers already written, ready for reuse
+	arena      chunkArena     // the memory queued nodes' records are carved from
 	degraded   map[int]putReq // blocks kept in-core after persistent write failure
 	writerDone bool
 	closed     bool
@@ -218,9 +227,8 @@ type FileStore struct {
 	// Writer scratch, used by the writer goroutine only.
 	rw     runWriter
 	batch  []putReq
-	errs   []error
-	rerun  []bool // batch position -> a vectored write of the node's records failed
-	pieces []piece
+	pieces []piece // the batch's records chunk by chunk, in batch order
+	runs   []piece // the pieces of the nodes a vectored write writes, by offset
 	bufs   [][]byte
 
 	// Solve side, reset by each Prefetch.
@@ -305,6 +313,17 @@ func (s *FileStore) Bind(lay *front.Layout, m *memory.Meter) error {
 	s.parts = front.Parts(lay.Kind)
 	s.spilled = make([]bool, lay.Tree.Len())
 	s.slots = make([]slot, s.parts*lay.Tree.Len())
+	var most int64
+	for ni := range s.spilled {
+		most = max(most, s.nodeWords(ni))
+	}
+	s.arena.size = s.extentWords()
+	s.arena.chunks = (s.opt.BufferEntries+most+s.arena.size-1)/s.arena.size + 1
+	// The writer's scratch, sized once so a warm write path allocates
+	// nothing: a batch's records cross at most every chunk edge once.
+	pieces := s.parts*maxBatch + int(s.arena.chunks)
+	s.queue, s.batch = make([]putReq, 0, 4*maxBatch), make([]putReq, 0, maxBatch)
+	s.pieces, s.runs, s.bufs = make([]piece, 0, pieces), make([]piece, 0, pieces), make([][]byte, 0, pieces)
 	return nil
 }
 
@@ -316,6 +335,11 @@ func (s *FileStore) recOf(ni int, p front.Part) rec {
 	return rec{off: 8 * (lo + frame), size: 8 * (hi - lo + recordOverhead), entries: hi - lo}
 }
 
+// nodeWords is the size in words of node ni's records, all parts.
+func (s *FileStore) nodeWords(ni int) int64 {
+	return s.recOf(ni, front.PartL).size / 8 * int64(s.parts)
+}
+
 // headerOf is the header of node ni's record of part p.
 func (s *FileStore) headerOf(ni int, p front.Part) header {
 	nd := &s.lay.Tree.Nodes[ni]
@@ -324,12 +348,6 @@ func (s *FileStore) headerOf(ni int, p front.Part) header {
 
 // slot is node ni's solve state for part p.
 func (s *FileStore) slot(ni int, p front.Part) *slot { return &s.slots[int(p)*len(s.spilled)+ni] }
-
-// record is part p's record in a node's record buffer.
-func (s *FileStore) record(buf []float64, p front.Part) []float64 {
-	n := len(buf) / s.parts
-	return buf[int(p)*n : (int(p)+1)*n]
-}
 
 // usableLocked returns why node ni cannot take a block now, or nil;
 // callers hold s.mu.
@@ -376,66 +394,74 @@ func (s *FileStore) SetContext(ctx context.Context) {
 	}()
 }
 
-// Put extracts node ni's factor block from its eliminated front fr into
-// a record buffer holding its records back to back (the smallest pooled
-// buffer of a written node that holds them, or a new one) and queues it
-// for the writer. It blocks while the write buffer is over budget and
+// Put reserves node ni's records in the chunk arena, extracts its
+// factor block from its eliminated front fr into them and queues the
+// node for the writer. It blocks while the arena's chunks are held by
+// records not yet written, and while the write buffer is over budget and
 // other blocks are still draining. The first writer failure (after
 // retries, when degradation is disabled) surfaces here immediately —
 // not just at Flush/Close — so the executor stops producing blocks a
 // dead store can never drain.
 func (s *FileStore) Put(ni int, fr *dense.Matrix, entries int64) error {
 	s.mu.Lock()
-	err := s.usableLocked(ni)
-	var buf []float64
-	var words int64
-	if err == nil {
-		words = s.recOf(ni, front.PartL).size / 8 * int64(s.parts)
-		buf = takeBuffer(&s.wfree, words)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if buf == nil {
-		buf = front.Uninitialized(words)
-	}
-	var U []float64
-	if s.parts == 2 {
-		U = payload(s.record(buf, front.PartU))
-	}
-	front.ExtractFactor(fr, s.lay.Tree.Nodes[ni].NPiv(), s.lay.Kind, payload(s.record(buf, front.PartL)), U)
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	waited := false
-	for s.err == nil && !s.closed && s.queued > 0 && s.queued+entries > s.opt.BufferEntries {
+	var start, words int64
+	reserved, waited := false, false
+	for {
+		if err := s.usableLocked(ni); err != nil {
+			if reserved {
+				s.arena.release(start, words)
+				s.cond.Broadcast()
+			}
+			return err
+		}
+		if !reserved {
+			words = s.nodeWords(ni)
+			if start, reserved = s.arena.reserve(words); reserved {
+				s.mu.Unlock()
+				s.extract(ni, fr, start)
+				s.mu.Lock()
+				continue
+			}
+		} else if s.queued == 0 || s.queued+entries <= s.opt.BufferEntries {
+			break
+		}
 		if !waited {
 			s.stats.PutWaits++
 			waited = true
 		}
 		s.cond.Wait()
 	}
-	if s.err != nil {
-		return s.err
-	}
-	if s.closed {
-		return ErrClosed
-	}
 	s.queued += entries
 	if s.queued > s.stats.BufferPeak {
 		s.stats.BufferPeak = s.queued
 	}
-	s.queue = append(s.queue, putReq{ni: ni, buf: buf, entries: entries})
+	s.queue = append(s.queue, putReq{ni: ni, start: start, entries: entries})
 	s.meter.Add(entries)
 	s.cond.Broadcast()
 	s.opt.Tracer.StoreInstant(trace.EvOOCPut, ni, entries*8)
 	return nil
 }
 
+// extract writes node ni's blocks from its eliminated front fr into the
+// payloads of its records, reserved at stream position start, one chunk
+// at a time.
+func (s *FileStore) extract(ni int, fr *dense.Matrix, start int64) {
+	npiv, rw := s.lay.Tree.Nodes[ni].NPiv(), s.recOf(ni, front.PartL).size/8
+	for p := range front.Part(s.parts) {
+		at := start + int64(p)*rw + headerWords
+		for w, n := int64(0), rw-recordOverhead; w < n; {
+			dst := s.arena.span(at+w, n-w)
+			front.ExtractFactor(fr, npiv, p, int(w), dst)
+			w += int64(len(dst))
+		}
+	}
+}
+
 // writer drains the put queue to the spill file in batches (writeBatch),
-// discharging each block from the meter once written (and pooling its
-// buffer) or parking it in the degraded set when the write fails
-// persistently.
+// discharging each block from the meter once written or parking it in
+// the degraded set when the write fails persistently, and frees its
+// chunks either way.
 func (s *FileStore) writer() {
 	s.mu.Lock()
 	for {
@@ -448,6 +474,7 @@ func (s *FileStore) writer() {
 			for _, r := range s.queue[s.qhead:] {
 				s.queued -= r.entries
 				s.meter.Add(-r.entries)
+				s.arena.release(r.start, s.nodeWords(r.ni))
 			}
 			s.queue, s.qhead = nil, 0
 			s.writerDone = true
@@ -465,16 +492,16 @@ func (s *FileStore) writer() {
 
 		s.mu.Lock()
 		for k, r := range batch {
-			switch werr := s.errs[k]; {
+			words := s.nodeWords(r.ni)
+			switch werr := r.err; {
 			case werr == nil:
 				if s.err == nil {
 					s.spilled[r.ni] = true
 					s.stats.Blocks++
-					s.stats.BytesWritten += int64(8 * len(r.buf))
+					s.stats.BytesWritten += 8 * words
 				}
 				s.queued -= r.entries
 				s.meter.Add(-r.entries)
-				s.poolRecordLocked(r.buf)
 			case s.opt.NoDegrade || s.closed || s.err != nil:
 				if s.err == nil {
 					s.err = fmt.Errorf("ooc: spill write (node %d): %w", r.ni, werr)
@@ -484,28 +511,52 @@ func (s *FileStore) writer() {
 			default:
 				// Graceful degradation: the disk would not take this block, so
 				// it stays resident — still charged to the meter, served from
-				// memory at solve time — and the run continues.
+				// memory at solve time — and the run continues. Its records
+				// move out of the arena into a buffer of their own.
+				r.buf = make([]float64, 0, words)
+				for _, pc := range s.nodePieces(&r) {
+					r.buf = append(r.buf, pc.w...)
+				}
 				s.degraded[r.ni] = r
 				s.stats.DegradedBlocks++
 				s.stats.DegradedEntries += r.entries
 				s.queued -= r.entries
 				s.opt.Tracer.StoreInstant(trace.EvOOCDegrade, r.ni, r.entries*8)
 			}
+			s.arena.release(r.start, words)
 			batch[k] = putReq{}
 		}
+		clear(s.pieces)
 		s.cond.Broadcast()
 	}
 }
 
+// maxBatch caps the nodes of one writer batch, so the writer's scratch
+// has a fixed size.
+const maxBatch = 128
+
 // takeBatchLocked moves the writer's next batch off the queue: the
 // queued nodes in arrival order, as many as fit in half the entry budget
-// (at least one), so Put refills the other half while the batch is
-// written; callers hold s.mu.
+// (at least one, at most maxBatch), so Put refills the other half while
+// the batch is written. It cuts each node's records into pieces at the
+// arena's chunk edges; callers hold s.mu.
 func (s *FileStore) takeBatchLocked() []putReq {
 	half := max(s.opt.BufferEntries/2, 1)
 	batch, entries := s.batch[:0], int64(0)
-	for s.qhead < len(s.queue) && (len(batch) == 0 || entries+s.queue[s.qhead].entries <= half) {
+	s.pieces = s.pieces[:0]
+	for s.qhead < len(s.queue) && len(batch) < maxBatch && (len(batch) == 0 || entries+s.queue[s.qhead].entries <= half) {
 		r := s.popLocked()
+		for p := range front.Part(s.parts) {
+			rc := s.recOf(r.ni, p)
+			r.at[p] = len(s.pieces)
+			at, n := r.start+int64(p)*rc.size/8, rc.size/8
+			for w := int64(0); w < n; {
+				c := s.arena.span(at+w, n-w)
+				s.pieces = append(s.pieces, piece{k: len(batch), off: rc.off + 8*w, w: c})
+				w += int64(len(c))
+			}
+		}
+		r.at[s.parts] = len(s.pieces)
 		batch = append(batch, r)
 		entries += r.entries
 	}
@@ -513,71 +564,71 @@ func (s *FileStore) takeBatchLocked() []putReq {
 	return batch
 }
 
-// writeBatch spills the records of batch, leaves each node's write error
-// in s.errs and returns the batch's record bytes. Every node passes its
-// spill-write fault point once per attempt in batch order, and a node
-// that fails its first attempt runs its retries before the next node's
-// first, so a fault schedule hits the same nodes as a writer spilling one
-// node at a time. The records of the nodes whose first attempt passes
-// are then sorted by offset, and each run of file-adjacent records is
-// written with one vectored write; the nodes of a run that fails are
-// retried on their own.
+// writeBatch spills the records of batch and leaves each node's write
+// error in its err, returning the batch's record bytes. Every node
+// passes its spill-write fault point once per attempt in batch order,
+// and a node that fails its first attempt runs its retries before the
+// next node's first, so a fault schedule hits the same nodes as a writer
+// spilling one node at a time. The pieces of the nodes whose first
+// attempt passes are then sorted by offset, and each run of
+// file-adjacent pieces is written with one vectored write; the nodes of
+// a run that fails are retried on their own.
 func (s *FileStore) writeBatch(batch []putReq) (bytes int64) {
-	s.errs, s.rerun, s.pieces = s.errs[:0], s.rerun[:0], s.pieces[:0]
-	for k, r := range batch {
-		bytes += int64(8 * len(r.buf))
+	s.runs = s.runs[:0]
+	for k := range batch {
+		r := &batch[k]
+		bytes += 8 * s.nodeWords(r.ni)
 		final, err := s.firstAttempt(r)
 		if err == nil {
-			for p := range front.Part(s.parts) {
-				rec := s.record(r.buf, p)
-				s.pieces = append(s.pieces, piece{k: k, off: s.recOf(r.ni, p).off, b: wordBytes(rec)})
-			}
+			s.runs = append(s.runs, s.nodePieces(r)...)
 		} else if !final {
 			err = s.retry(r, err)
 		}
-		s.errs = append(s.errs, err)
-		s.rerun = append(s.rerun, false)
+		r.err = err
 	}
-	slices.SortFunc(s.pieces, func(a, b piece) int { return cmp.Compare(a.off, b.off) })
-	for lo := 0; lo < len(s.pieces); {
+	slices.SortFunc(s.runs, func(a, b piece) int { return cmp.Compare(a.off, b.off) })
+	for lo := 0; lo < len(s.runs); {
 		hi := lo + 1
-		for hi < len(s.pieces) && s.pieces[hi].off == s.pieces[hi-1].off+int64(len(s.pieces[hi-1].b)) {
+		for hi < len(s.runs) && s.runs[hi].off == s.runs[hi-1].off+int64(8*len(s.runs[hi-1].w)) {
 			hi++
 		}
 		s.bufs = s.bufs[:0]
-		for _, pc := range s.pieces[lo:hi] {
-			s.bufs = append(s.bufs, pc.b)
+		for _, pc := range s.runs[lo:hi] {
+			s.bufs = append(s.bufs, wordBytes(pc.w))
 		}
-		if err := s.rw.write(s.pieces[lo].off, s.bufs); err != nil {
-			for _, pc := range s.pieces[lo:hi] {
-				s.errs[pc.k], s.rerun[pc.k] = err, true
+		if err := s.rw.write(s.runs[lo].off, s.bufs); err != nil {
+			for _, pc := range s.runs[lo:hi] {
+				batch[pc.k].err, batch[pc.k].rerun = err, true
 			}
 		}
 		lo = hi
 	}
-	for k, r := range batch {
-		if s.rerun[k] {
-			s.errs[k] = s.retry(r, s.errs[k])
+	for k := range batch {
+		if r := &batch[k]; r.rerun {
+			r.err = s.retry(r, r.err)
 		}
 	}
-	clear(s.pieces)
+	clear(s.runs)
 	clear(s.bufs)
 	return bytes
 }
+
+// nodePieces are the pieces of batch node r's records, L then U.
+func (s *FileStore) nodePieces(r *putReq) []piece { return s.pieces[r.at[0]:r.at[s.parts]] }
 
 // firstAttempt seals node r's records and passes its first spill-write
 // fault point; an injected short write writes the records' prefix. A
 // panic (an injected spill-write panic or a codec bug) is a final error,
 // which is not retried: the block degrades instead of wedging every Put
 // waiting on writerDone.
-func (s *FileStore) firstAttempt(r putReq) (final bool, err error) {
+func (s *FileStore) firstAttempt(r *putReq) (final bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			final, err = true, fmt.Errorf("panic spilling node %d: %v", r.ni, p)
 		}
 	}()
 	for p := range front.Part(s.parts) {
-		sealRecord(s.record(r.buf, p), s.headerOf(r.ni, p))
+		sealRecord(s.pieces[r.at[p]:r.at[p+1]], s.headerOf(r.ni, p))
 	}
 	return false, s.shortWrite(r)
 }
@@ -585,8 +636,8 @@ func (s *FileStore) firstAttempt(r putReq) (final bool, err error) {
 // shortWrite passes node r's spill-write fault point and, when it
 // injects a short write, writes that prefix of the records and reports
 // the short write.
-func (s *FileStore) shortWrite(r putReq) error {
-	total := 8 * len(r.buf)
+func (s *FileStore) shortWrite(r *putReq) error {
+	total := 8 * int(s.nodeWords(r.ni))
 	n, err := s.opt.Faults.CheckWrite(faults.SpillWrite, r.ni, total)
 	if err == nil && n < total {
 		if err = s.writeNode(r, n); err == nil {
@@ -596,13 +647,13 @@ func (s *FileStore) shortWrite(r putReq) error {
 	return err
 }
 
-// writeNode writes the first n bytes of node r's records, each record
+// writeNode writes the first n bytes of node r's records, each piece
 // with one WriteAt at its offset.
-func (s *FileStore) writeNode(r putReq, n int) error {
-	for p := range front.Part(s.parts) {
-		b := wordBytes(s.record(r.buf, p))
+func (s *FileStore) writeNode(r *putReq, n int) error {
+	for _, pc := range s.nodePieces(r) {
+		b := wordBytes(pc.w)
 		b = b[:min(len(b), n)]
-		if _, err := s.file.WriteAt(b, s.recOf(r.ni, p).off); err != nil {
+		if _, err := s.file.WriteAt(b, pc.off); err != nil {
 			return err
 		}
 		n -= len(b)
@@ -615,7 +666,7 @@ func (s *FileStore) writeNode(r putReq, n int) error {
 // safe to repair at a fixed offset. It returns nil once an attempt
 // succeeds, and the last error once retries are exhausted, the store is
 // poisoned or closed mid-retry, or an attempt panics.
-func (s *FileStore) retry(r putReq, err error) (rerr error) {
+func (s *FileStore) retry(r *putReq, err error) (rerr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rerr = fmt.Errorf("panic spilling node %d: %v", r.ni, p)
@@ -627,7 +678,7 @@ func (s *FileStore) retry(r putReq, err error) (rerr error) {
 		}
 		time.Sleep(s.backoff(attempt))
 		if err = s.shortWrite(r); err == nil {
-			if err = s.writeNode(r, 8*len(r.buf)); err == nil {
+			if err = s.writeNode(r, 8*int(s.nodeWords(r.ni))); err == nil {
 				return nil
 			}
 		}
@@ -659,52 +710,18 @@ func (s *FileStore) backoff(attempt int) time.Duration {
 	return d
 }
 
-// popLocked takes the writer's next request off the queue, whose
-// backing array is reused once drained, so a steady stream of Puts
-// appends without allocating; callers hold s.mu.
+// popLocked takes the writer's next request off the queue. Once half of
+// the queue's backing array is taken, the waiting requests move to its
+// front, so a steady stream of Puts appends without allocating even when
+// the queue never drains; callers hold s.mu.
 func (s *FileStore) popLocked() putReq {
 	r := s.queue[s.qhead]
-	s.queue[s.qhead] = putReq{}
-	if s.qhead++; s.qhead == len(s.queue) {
-		s.queue, s.qhead = s.queue[:0], 0
+	if s.qhead++; 2*s.qhead >= len(s.queue) {
+		n := copy(s.queue, s.queue[s.qhead:])
+		clear(s.queue[n:])
+		s.queue, s.qhead = s.queue[:n], 0
 	}
 	return r
-}
-
-// pooledRecords caps the record-buffer pool: enough for the blocks in
-// flight between the executor's workers and the writer, small enough
-// that Put's best-fit scan stays short.
-const pooledRecords = 16
-
-// poolRecordLocked keeps a written record buffer for the next Put,
-// so the writer path stops allocating once warm: at most pooledRecords
-// buffers and the buffer budget in words (but always one); callers hold
-// s.mu.
-func (s *FileStore) poolRecordLocked(b []float64) {
-	words := int64(cap(b))
-	for _, f := range s.wfree {
-		words += int64(cap(f))
-	}
-	if len(s.wfree) == 0 || len(s.wfree) < pooledRecords && words <= s.opt.BufferEntries {
-		s.wfree = append(s.wfree, b)
-	}
-}
-
-// takeBuffer removes the smallest buffer of pool that holds n words and
-// returns it resliced to n, or nil when none does.
-func takeBuffer(pool *[][]float64, n int64) []float64 {
-	best := -1
-	for i, b := range *pool {
-		if int64(cap(b)) >= n && (best < 0 || cap(b) < cap((*pool)[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	b := (*pool)[best]
-	*pool = append((*pool)[:best], (*pool)[best+1:]...)
-	return b[:n]
 }
 
 // onDisk reports whether node ni has its spill records; callers hold
@@ -713,25 +730,29 @@ func (s *FileStore) onDisk(ni int) bool {
 	return ni >= 0 && ni < len(s.spilled) && s.spilled[ni]
 }
 
-// Flush blocks until every block Put so far is on disk (or parked in the
-// degraded set), drops the record-buffer pool — the factorization is
-// over — and syncs the spill file.
+// Flush blocks until every block Put so far is written to the spill file
+// (or parked in the degraded set) and, the factorization being over,
+// hands the arena's slab to the read buffers: three of one extent, and
+// the rest, which holds the largest record. It does not sync the file:
+// the spill file is process-private scratch that Close deletes, the
+// solve reads it back through the same page cache, and a crash loses it
+// by design.
 func (s *FileStore) Flush() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for s.err == nil && !s.closed && s.queued > 0 {
 		s.cond.Wait()
 	}
-	s.wfree = nil
-	err := s.err
-	closed := s.closed
-	s.mu.Unlock()
-	if err != nil {
-		return err
+	if slab, w := s.arena.drop(), s.arena.size; slab != nil {
+		s.free = append(s.free, slab[:0:w], slab[w:w:2*w], slab[2*w:2*w:3*w], slab[3*w:3*w])
 	}
-	if closed {
+	if s.err != nil {
+		return s.err
+	}
+	if s.closed {
 		return ErrClosed
 	}
-	return s.file.Sync()
+	return nil
 }
 
 // BeginSolve opens a solve pass sequence. A second solve against the
@@ -753,13 +774,12 @@ func (s *FileStore) BeginSolve() error {
 
 // EndSolve closes the solve begun by the matching BeginSolve, cancelling
 // its reader and dropping whatever it still had cached (crediting the
-// meter) and its pooled read buffers, so the store is quiescent for the
-// next solve.
+// meter), so the store is quiescent for the next solve; the pooled read
+// buffers stay for it.
 func (s *FileStore) EndSolve() {
 	s.mu.Lock()
 	s.solving = false
 	s.resetStreamLocked(nil, front.PartL)
-	s.free = nil
 	s.mu.Unlock()
 }
 
@@ -832,21 +852,30 @@ func (s *FileStore) unrefLocked(sl *slot) {
 func (s *FileStore) extentWords() int64 { return max(s.opt.BufferEntries/2, 1) }
 
 // bufferLocked returns a read buffer of n words: the smallest pooled
-// buffer that holds n, or a new one of at least extentWords. Every word
+// buffer that holds n, or a new one of at least fresh words. Every word
 // is overwritten by the read before a block decodes from it, so neither
 // a new nor a reused buffer is cleared.
-func (s *FileStore) bufferLocked(n int64) []float64 {
-	if b := takeBuffer(&s.free, n); b != nil {
-		return b
+func (s *FileStore) bufferLocked(n, fresh int64) []float64 {
+	best := -1
+	for i, b := range s.free {
+		if int64(cap(b)) >= n && (best < 0 || cap(b) < cap(s.free[best])) {
+			best = i
+		}
 	}
-	return front.Uninitialized(max(n, s.extentWords()))[:n]
+	if best < 0 {
+		return front.Uninitialized(max(n, fresh))[:n]
+	}
+	b := s.free[best]
+	s.free = append(s.free[:best], s.free[best+1:]...)
+	return b[:n]
 }
 
 // recycleLocked returns a read buffer whose blocks are all gone to the
-// pool, which keeps up to four: the extent being read, the one being
-// consumed, and room for records larger than an extent.
+// pool, which keeps up to four that can hold an extent: the extent being
+// read, the one being consumed, and room for records larger than an
+// extent.
 func (s *FileStore) recycleLocked(b []float64) {
-	if len(s.free) < 4 {
+	if len(s.free) < 4 && int64(cap(b)) >= s.extentWords() {
 		s.free = append(s.free, b[:0])
 	}
 }
@@ -942,7 +971,7 @@ func (s *FileStore) reader(gen int) {
 			return
 		}
 		s.claimed, s.reading = nil, true // its records stay in flight
-		e.buf = s.bufferLocked(e.size / 8)
+		e.buf = s.bufferLocked(e.size/8, s.extentWords())
 		s.mu.Unlock()
 
 		blocks, err := s.readExtent(e)
@@ -1058,8 +1087,8 @@ func (s *FileStore) readExtent(e *extent) (blocks [][]float64, err error) {
 // Fetch returns part p of node ni's factor block: from memory when the
 // block was degraded, from the prefetch cache when the reader got there
 // first, after the read when the record's extent is being read, and by
-// direct read of its one record otherwise. It never waits for the reader
-// to make room.
+// direct read of its one record, into a pooled read buffer, otherwise.
+// It never waits for the reader to make room.
 func (s *FileStore) Fetch(ni int, p front.Part) ([]float64, error) {
 	s.mu.Lock()
 	for {
@@ -1081,7 +1110,8 @@ func (s *FileStore) Fetch(ni int, p front.Part) ([]float64, error) {
 			// their Put; Release is a no-op for them (no handed entry) and
 			// Close credits them back.
 			s.mu.Unlock()
-			return payload(s.record(d.buf, p)), nil
+			n := len(d.buf) / s.parts
+			return payload(d.buf[int(p)*n : int(p+1)*n]), nil
 		}
 		if !s.onDisk(ni) {
 			s.mu.Unlock()
@@ -1105,21 +1135,25 @@ func (s *FileStore) Fetch(ni int, p front.Part) ([]float64, error) {
 	s.slot(ni, p).used = s.gen
 	r := s.recOf(ni, p)
 	s.stats.DirectReads++
+	e := &extent{off: r.off, size: r.size, entries: r.entries, part: p, nodes: []int{ni}, buf: s.bufferLocked(r.size/8, 0)}
 	s.mu.Unlock()
 
-	blocks, err := s.readExtent(&extent{off: r.off, size: r.size, part: p, nodes: []int{ni}, buf: front.Uninitialized(r.size / 8)})
+	blocks, err := s.readExtent(e)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err != nil {
+		s.recycleLocked(e.buf)
 		return nil, err
 	}
 	s.opt.Tracer.StoreInstant(trace.EvDirectRead, ni, r.size)
-	s.mu.Lock()
 	s.stats.Reads++
 	s.stats.BlocksRead++
 	s.stats.BytesRead += r.size
-	s.slot(ni, p).handed = r.entries
+	// A one-record extent: Release recycles its pooled read buffer.
+	sl := s.slot(ni, p)
+	sl.handed, sl.ext, e.live = r.entries, e, 1
 	s.cached += r.entries
 	s.meter.Add(r.entries)
-	s.mu.Unlock()
 	return blocks[0], nil
 }
 

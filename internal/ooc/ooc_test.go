@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"repro/internal/assembly"
@@ -52,8 +54,17 @@ func putBlock(s *FileStore, ni int, rng *rand.Rand) ([]float64, error) {
 		fr.A[i] = rng.NormFloat64()
 	}
 	want := make([]float64, front.PartWords(nf, npiv)*int64(front.Parts(kind)))
-	front.ExtractFactor(fr, npiv, kind, want[:nf*npiv], want[nf*npiv:])
+	extract(fr, npiv, kind, want)
 	return want, s.Put(ni, fr, int64(len(want)))
+}
+
+// extract writes the factor block of the eliminated front fr, both parts
+// for kind, into blk back to back.
+func extract(fr *dense.Matrix, npiv int, kind sparse.Type, blk []float64) {
+	n := fr.R * npiv
+	for p := range front.Part(front.Parts(kind)) {
+		front.ExtractFactor(fr, npiv, p, 0, blk[int(p)*n:int(p+1)*n])
+	}
 }
 
 // fetchNode fetches every part of node ni, releasing each, and returns
@@ -350,42 +361,99 @@ func TestConcurrentPut(t *testing.T) {
 	}
 }
 
-// TestWriterReusesRecordBuffers: once warm, the writer path allocates no
-// record buffer per block — Put extracts into the buffer of a record
-// already written, and the put queue reuses its backing array.
+// TestWriterReusesRecordBuffers: once warm, the write path allocates
+// nothing per block — every record, whatever its size, is carved out of
+// the store's one slab of chunks, and the put queue and the writer's
+// batch scratch reuse their backing arrays — for both kinds, over a mixed stream of blocks
+// under half the budget, between half and all of it, and above it, from
+// one producer and from two concurrent ones (the parallel executor's
+// workers). The blocks still read back bitwise.
 func TestWriterReusesRecordBuffers(t *testing.T) {
-	s, err := NewFileStore(Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	const budget, n, warm = 1024, 1000, 600
+	shapes := map[sparse.Type][3][2]int{ // (front order, pivots)
+		sparse.Unsymmetric: {{12, 4}, {24, 14}, {40, 30}}, // 96, 672 and 2400 words
+		sparse.Symmetric:   {{12, 4}, {30, 20}, {50, 40}}, // 48, 600 and 2000 words
 	}
-	defer s.Close()
-	const n = 200
-	tree := shapeTree(sparse.Unsymmetric, n, func(int) (int, int) { return 9, 3 })
-	bind(t, s, tree)
-	fr := dense.New(9, 9)
-	for i := range fr.A {
-		fr.A[i] = float64(i)
-	}
-	next := 0
-	put := func() {
-		if err := s.Put(next, fr, 54); err != nil {
-			t.Fatal(err)
+	pick := func(ni int) int { return [...]int{0, 1, 0, 2, 0, 0, 1, 0, 2}[ni%9] }
+	for _, kind := range []sparse.Type{sparse.Unsymmetric, sparse.Symmetric} {
+		for _, producers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/%d", kind, producers), func(t *testing.T) {
+				s, err := NewFileStore(Options{Dir: t.TempDir(), BufferEntries: budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				sh := shapes[kind]
+				tree := shapeTree(kind, n, func(ni int) (int, int) { return sh[pick(ni)][0], sh[pick(ni)][1] })
+				bind(t, s, tree)
+				var fronts [3]*dense.Matrix
+				var entries [3]int64
+				for k, shape := range sh {
+					fronts[k] = dense.New(shape[0], shape[0])
+					for i := range fronts[k].A {
+						fronts[k].A[i] = float64(k*10000 + i)
+					}
+					entries[k] = front.PartWords(shape[0], shape[1]) * int64(front.Parts(kind))
+				}
+				if entries[0] >= budget/2 || entries[1] < budget/2 || entries[1] > budget || entries[2] <= budget {
+					t.Fatalf("block sizes %v do not straddle the budget %d", entries, budget)
+				}
+				put := func(ni int) {
+					if err := s.Put(ni, fronts[pick(ni)], entries[pick(ni)]); err != nil {
+						t.Error(err)
+					}
+				}
+				// putRange puts nodes [lo, hi), split round-robin over the
+				// producers, and returns the allocations meanwhile.
+				putRange := func(lo, hi int) uint64 {
+					var before, after runtime.MemStats
+					start := make(chan struct{})
+					var wg sync.WaitGroup
+					for w := range producers {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							<-start
+							for ni := lo + w; ni < hi; ni += producers {
+								put(ni)
+							}
+						}()
+					}
+					runtime.ReadMemStats(&before)
+					close(start)
+					wg.Wait()
+					runtime.ReadMemStats(&after)
+					return after.Mallocs - before.Mallocs
+				}
+				// As in testing.AllocsPerRun, one P: the runtime's wait
+				// records (sudogs) are cached per P and emptied by a GC, so
+				// goroutines blocking on one P and waking on another, or a
+				// GC after warm-up, would make it allocate new ones.
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				putRange(0, warm)
+				if allocs := putRange(warm, n); allocs > 0 {
+					t.Errorf("%d allocations over %d blocks once warm, want 0", allocs, n-warm)
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if st := s.Stats(); st.Blocks != n {
+					t.Fatalf("%d blocks written, want %d", st.Blocks, n)
+				}
+				for ni := range n {
+					k := pick(ni)
+					want := make([]float64, entries[k])
+					extract(fronts[k], sh[k][1], kind, want)
+					got, err := fetchNode(s, ni)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameBlock(want, got); err != nil {
+						t.Fatalf("node %d: %v", ni, err)
+					}
+				}
+			})
 		}
-		next++
-		for s.Stats().QueuedEntries > 0 { // let the writer pool the buffer
-			runtime.Gosched()
-		}
-	}
-	for range 10 {
-		put()
-	}
-	if allocs := testing.AllocsPerRun(n-20, put); allocs != 0 {
-		t.Errorf("%.0f allocations per block once warm, want 0", allocs)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Blocks != next {
-		t.Errorf("%d blocks written, want %d", st.Blocks, next)
 	}
 }

@@ -149,7 +149,7 @@ func TestWrongPartRejected(t *testing.T) {
 	for i := range payload(rec) {
 		payload(rec)[i] = float64(i + 1)
 	}
-	sealRecord(rec, header{npiv: 2, nrows: 3, part: front.PartU})
+	sealFlat(rec, header{npiv: 2, nrows: 3, part: front.PartU})
 	if _, _, err := decodeRecord(rec, front.PartU); err != nil {
 		t.Fatalf("intact U record: %v", err)
 	}
