@@ -292,7 +292,7 @@ func BenchmarkFigure7Pool(b *testing.B) {
 			p.Push(i)
 		}
 		for !p.Empty() {
-			p.PopTop()
+			p.PopAt(0)
 		}
 	}
 }
@@ -310,7 +310,7 @@ func BenchmarkFigure8TaskSelection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for b.Loop() {
-		sched.SelectMemoryAware(&p, info, 5e5, 1e6)
+		sched.SelectTask(&p, info, 5e5, 1e6, true, false)
 	}
 }
 

@@ -414,8 +414,8 @@ func (p *problem) check(t *testing.T, r row) {
 		t.Errorf("%d factor entries through %q kernels, reference %d through %q",
 			f.exec.FactorEntries, f.exec.Kernel, ref.f.Stats.FactorEntries, ref.f.Stats.Kernel)
 	}
-	if s := f.par; s != nil && r.workers == 1 && (s.Deviations != 0 || s.Forced != 0) {
-		t.Errorf("1-worker run deviated: %d deviations, %d forced", s.Deviations, s.Forced)
+	if s := f.par; s != nil && r.workers == 1 && (s.Deviations != 0 || s.Forced != 0 || s.Waits != 0) {
+		t.Errorf("1-worker run deviated: %d deviations, %d waits, %d forced", s.Deviations, s.Waits, s.Forced)
 	}
 	if s := f.par; s != nil && r.workers > 1 {
 		if err := p.pathsRan(r.part, s); err != nil {

@@ -11,16 +11,16 @@
 // (the Geist-Ng layer L0 amortizes scheduling over the cheap bottom of the
 // tree), while every node above the subtree layer is an individual task.
 // Ready tasks live in one shared pool (sched.Pool, LIFO so the default
-// traversal is depth-first), and a worker looking for work applies the
-// memory-aware policy of Algorithm 2 (sched.SelectMemoryAware) against its
-// *own* CB-stack occupation — it prefers the topmost task that keeps its
-// active memory under the sequential peak bound, and otherwise falls back
-// off-top. Shared memory affords one luxury the message-passing setting
-// lacks: when no pool task fits and other workers are still busy, the
-// worker waits for the state to change instead of blowing the bound. An
-// over-bound (peak-raising) activation happens — and is counted in
-// Stats.Forced — only for subtree work, which Algorithm 2 takes
-// unconditionally, or when the whole worker fleet has gone idle.
+// traversal is depth-first), and a worker looking for work takes the
+// decision of sched.SelectTask, the simulator's rule, with its own inputs:
+// under the memory-aware policy (Algorithm 2) it prefers the topmost task
+// that keeps its *own* CB-stack occupation under the sequential peak
+// bound, and otherwise falls back off-top. Shared memory affords one luxury
+// the message-passing setting lacks: when no pool task fits and other
+// workers are still busy, the worker waits for the state to change instead
+// of blowing the bound. An over-bound (peak-raising) activation happens —
+// and is counted in Stats.Forced — only for subtree work, which Algorithm 2
+// takes unconditionally, or when the whole worker fleet has gone idle.
 //
 // Because pivoting is static and each front is assembled by exactly one
 // worker in deterministic child order, the factors are bitwise identical to
@@ -195,7 +195,7 @@ type ScheduleStats struct {
 	WorkerPeaks      []int64 // per-worker (stack + front) peaks
 	WorkerStackPeaks []int64 // per-worker CB-stack-only peaks
 	Deviations       int64   // off-top pool selections (Algorithm 2 deviations)
-	Waits            int64   // idle episodes where nothing fit the bound
+	Waits            int64   // idle episodes where tasks were ready but none fit the bound (an empty pool is not one)
 	Forced           int64   // peak-raising activations over the worker's effective bound
 	SlaveSteals      int64   // slave tile tasks run by a worker other than the preferred one
 	RootFrontNs      int64   // max wall-clock ns spent factoring one split root front
@@ -323,6 +323,7 @@ type plan struct {
 	taskNodes [][]int // subtree root -> member nodes in postorder (nil otherwise)
 	peaks     []int64 // sequential subtree peaks (task memory cost for subtrees)
 	flops     []int64 // per task root/node: elimination flops (workload accounting)
+	info      sched.TaskInfo
 }
 
 // Factorize factors the permuted matrix pa over its assembly tree with a
@@ -532,16 +533,18 @@ func buildPlan(tree *assembly.Tree, roots []int, peaks []int64) (*plan, error) {
 		}
 		pl.flops[r] = s
 	}
-	return pl, nil
-}
-
-// taskCost returns the memory Algorithm 2 charges a task with: the whole
-// sequential subtree peak for a subtree task, the front size for a node.
-func (pl *plan) taskCost(task int, tree *assembly.Tree) int64 {
-	if pl.taskOf[task] == task {
-		return pl.peaks[task]
+	// Algorithm 2 charges a subtree task its whole sequential peak and a
+	// node its front.
+	pl.info = sched.TaskInfo{
+		InSubtree: func(task int) bool { return pl.taskOf[task] == task },
+		MemCost: func(task int) int64 {
+			if pl.taskOf[task] == task {
+				return pl.peaks[task]
+			}
+			return assembly.FrontEntries(&tree.Nodes[task], tree.Kind)
+		},
 	}
-	return assembly.FrontEntries(&tree.Nodes[task], tree.Kind)
+	return pl, nil
 }
 
 // taskFlops returns the elimination flops a task adds to its worker's
@@ -601,14 +604,14 @@ func (w worker) run() {
 				w.runBlockLocked(job, i)
 				continue
 			}
-			t, ok := w.selectLocked()
-			if ok {
+			t, wait := w.selectLocked()
+			if t >= 0 {
 				task = t
 				break
 			}
 			// One idle episode counts once, however many broadcasts wake
 			// and re-block the worker before work appears.
-			if !waited {
+			if wait && !waited {
 				st.stats.Waits++
 				waited = true
 			}
@@ -721,60 +724,27 @@ func (w worker) completeLocked(r *taskResult) {
 	}
 }
 
-// selectLocked picks the next task under st.mu, returning (task, true) or
-// (0, false) when the worker should wait. The memory-aware policy runs
-// Algorithm 2 with this worker's stack as the current occupation; when the
-// chosen task would exceed the bound it is only activated if it is subtree
-// work (Algorithm 2 takes those unconditionally) or no other work is in
-// flight anywhere (otherwise waiting is safe and cheaper).
-func (w worker) selectLocked() (int, bool) {
+// selectLocked pops the task sched.SelectTask chooses under st.mu, or
+// returns -1 when the pool is empty or the decision is to wait. The inputs
+// are this worker's stack as the current memory and the bound, raised to
+// the worker's own observed peak (a task under it cannot raise this
+// worker's peak); waiting is allowed while other work is in flight, as
+// headroom will appear when someone finishes.
+func (w worker) selectLocked() (task int, wait bool) {
 	st := w.st
-	if st.pool.Empty() {
-		return 0, false
+	ref := max(w.cfg.PeakBound, w.tracker.ActivePeak(w.id))
+	d := sched.SelectTask(&st.pool, w.pl.info, w.tracker.Stack(w.id), ref,
+		w.cfg.Policy == MemoryAware, st.inFlight > 0)
+	if d.K < 0 || d.Wait {
+		return -1, d.Wait
 	}
-	if w.cfg.Policy == DepthFirst {
-		return st.pool.PopTop(), true
-	}
-	tree := w.sh.Tree
-	myStack := w.tracker.Stack(w.id)
-	bound := w.cfg.PeakBound
-	if p := w.tracker.ActivePeak(w.id); p > bound {
-		bound = p
-	}
-	inSubtree := func(task int) bool {
-		return w.pl.taskOf[task] == task
-	}
-	cost := func(task int) int64 { return w.pl.taskCost(task, tree) }
-
-	// Fast path: Algorithm 2 returns the top task when it is subtree work
-	// or fits the bound; skip the pool scan in that case.
-	top := st.pool.Peek()
-	k := 0
-	if !inSubtree(top) && myStack+cost(top) > bound {
-		k = sched.SelectMemoryAware(&st.pool, sched.TaskInfo{
-			InSubtree: inSubtree,
-			MemCost:   cost,
-		}, myStack, bound)
-	}
-	task := top
-	if k > 0 {
-		task = st.pool.At(k)
-	}
-	// Gate against the same effective bound the scan used: a task under the
-	// raised (observed-peak) bound cannot raise this worker's peak, so it
-	// is neither worth waiting out nor a forced over-bound activation.
-	over := myStack+cost(task) > bound
-	if over && !inSubtree(task) && st.inFlight > 0 {
-		return 0, false // headroom will appear when someone finishes
-	}
-	st.pool.PopAt(k)
-	if k > 0 {
+	if d.K > 0 {
 		st.stats.Deviations++
 	}
-	if over {
+	if d.Over {
 		st.stats.Forced++
 	}
-	return task, true
+	return st.pool.PopAt(d.K), false
 }
 
 // processTask runs a task without holding st.mu: a single node, or a whole

@@ -85,9 +85,37 @@ func TestPropertyPeakBoundAndSeqEquivalence(t *testing.T) {
 				if got, want := pf.Stats.Seq(), sf.Stats; got != want {
 					t.Errorf("seed %d: 1-worker stats %+v != seq %+v", seed, got, want)
 				}
-				if pf.Stats.Deviations != 0 || pf.Stats.Forced != 0 || pf.Stats.PeakStack > bound {
+				if pf.Stats.Deviations != 0 || pf.Stats.Forced != 0 || pf.Stats.Waits != 0 || pf.Stats.PeakStack > bound {
 					t.Errorf("seed %d: 1-worker run deviated: %+v", seed, pf.Stats)
 				}
+			}
+		}
+	}
+}
+
+// TestPropertyDepthFirstCountersZero: depth-first selection has no bound,
+// so at any worker count and in any goroutine schedule it never deviates
+// from the top, never waits on memory (an empty pool is no wait) and never
+// forces an activation over a bound.
+func TestPropertyDepthFirstCountersZero(t *testing.T) {
+	seeds := int64(12)
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		a := randomProblem(seed)
+		tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
+		assembly.SortChildrenLiu(tree)
+		for _, workers := range []int{2, 4} {
+			cfg := parmf.DefaultConfig(workers)
+			cfg.Policy = parmf.DepthFirst
+			pf, err := parmf.Factorize(pa, tree, cfg, front.Options{})
+			if err != nil {
+				t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
+			}
+			if s := pf.Stats; s.Deviations != 0 || s.Waits != 0 || s.Forced != 0 {
+				t.Errorf("seed %d, %d workers: depth-first run reports %d deviations, %d waits, %d forced",
+					seed, workers, s.Deviations, s.Waits, s.Forced)
 			}
 		}
 	}

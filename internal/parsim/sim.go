@@ -328,32 +328,32 @@ func (s *sim) tryStart(q int) {
 	if ps.pool.Empty() {
 		return
 	}
-	var node int
-	if s.cfg.Strategy.MemoryTaskSelection {
+	memoryAware := s.cfg.Strategy.MemoryTaskSelection
+	var cur, ref int64
+	if memoryAware { // depth-first reads neither, and ref costs O(P)
 		// Current memory "including peak of subtree" (Algorithm 2): while
 		// inside a subtree the memory will still rise to the subtree's
 		// peak above its entry level, so use whichever is higher.
-		cur := s.mem.Procs[q].Active()
+		cur = s.mem.Procs[q].Active()
 		if ps.curSubtree >= 0 {
-			if proj := ps.subBase + s.mp.SubPeak[ps.curSubtree]; proj > cur {
-				cur = proj
-			}
+			cur = max(cur, ps.subBase+s.mp.SubPeak[ps.curSubtree])
 		}
 		// The reference is the *global* peak observed since the beginning
 		// of the factorization: activating a task that keeps this
 		// processor under it cannot raise the solver's peak. (Using the
 		// processor's own peak instead makes the test so strict that the
-		// pool constantly deviates from depth-first order, which the
-		// paper warns "could tend to increase the number of branches of
-		// the tree active simultaneously".)
-		k := sched.SelectMemoryAware(&ps.pool, s.taskInfo, cur, s.mem.MaxActivePeak())
-		if k != 0 {
-			s.alg2Deviations++
-		}
-		node = ps.pool.PopAt(k)
-	} else {
-		node = ps.pool.PopTop()
+		// pool constantly deviates from depth-first order, which the paper
+		// warns "could tend to increase the number of branches of the tree
+		// active simultaneously".)
+		ref = s.mem.MaxActivePeak()
 	}
+	// As in the paper, a processor never waits: when nothing fits, it
+	// takes the top task.
+	d := sched.SelectTask(&ps.pool, s.taskInfo, cur, ref, memoryAware, false)
+	if d.K > 0 {
+		s.alg2Deviations++
+	}
+	node := ps.pool.PopAt(d.K)
 	s.updateIncoming(q, node, false)
 	s.execMaster(q, node)
 }

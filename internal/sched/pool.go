@@ -18,14 +18,6 @@ func (p *Pool) Len() int { return len(p.items) }
 // Empty reports whether the pool has no tasks.
 func (p *Pool) Empty() bool { return len(p.items) == 0 }
 
-// Peek returns the top task without removing it (-1 if empty).
-func (p *Pool) Peek() int {
-	if len(p.items) == 0 {
-		return -1
-	}
-	return p.items[len(p.items)-1]
-}
-
 // At returns the task at depth k from the top (0 = top) without removing
 // it (-1 if out of range).
 func (p *Pool) At(k int) int {
@@ -34,17 +26,6 @@ func (p *Pool) At(k int) int {
 		return -1
 	}
 	return p.items[idx]
-}
-
-// PopTop removes and returns the top task (the MUMPS default policy).
-func (p *Pool) PopTop() int {
-	n := len(p.items)
-	if n == 0 {
-		return -1
-	}
-	v := p.items[n-1]
-	p.items = p.items[:n-1]
-	return v
 }
 
 // PopAt removes and returns the task at depth k from the top (0 = top),
@@ -60,15 +41,6 @@ func (p *Pool) PopAt(k int) int {
 	return v
 }
 
-// Items returns the tasks from top to bottom (a copy).
-func (p *Pool) Items() []int {
-	out := make([]int, len(p.items))
-	for k := range p.items {
-		out[k] = p.items[len(p.items)-1-k]
-	}
-	return out
-}
-
 // TaskInfo provides the per-node facts Algorithm 2 needs.
 type TaskInfo struct {
 	// InSubtree reports whether the node belongs to a leaf subtree.
@@ -78,34 +50,68 @@ type TaskInfo struct {
 	MemCost func(node int) int64
 }
 
-// SelectMemoryAware is Algorithm 2 of the paper. Given the processor's
-// current memory occupation (including the remaining peak of the subtree
-// being processed) and the memory peak observed since the beginning of the
-// factorization, it returns the pool index (depth from top) of the task to
-// activate:
+// Reason names the branch of SelectTask that made a Decision.
+type Reason uint8
+
+const (
+	TopFits  Reason = iota // the top task fits (depth-first: always, it has no bound)
+	Subtree                // a leaf-subtree task, taken whatever its cost
+	Deviated               // an off-top task fits
+	Waited                 // nothing fits, and the caller may wait
+	Forced                 // nothing fits, so the top goes over the bound
+)
+
+// Decision is the outcome of SelectTask.
+type Decision struct {
+	K      int  // pool depth (0 = top) of the chosen task; -1 for an empty pool
+	Wait   bool // activate nothing now (Reason Waited)
+	Over   bool // the chosen task takes memory above the reference peak
+	Reason Reason
+}
+
+// SelectTask is the task selection from a processor's pool, one rule for
+// the simulator and the executor. Depth-first selection (memoryAware
+// false) takes the top. Memory-aware selection is Algorithm 2 of the
+// paper: given the processor's current memory cur (including the
+// remaining peak of the subtree being processed) and the reference peak
+// ref, it
 //
-//  1. if the top task is inside a subtree, take it (subtrees are
+//  1. takes the top task if it is inside a subtree (subtrees are
 //     expensive; stay depth-first);
-//  2. otherwise scan from the top: take the first task that fits under the
-//     observed peak, or the first subtree task encountered;
-//  3. if nothing qualifies, fall back to the top task.
-func SelectMemoryAware(p *Pool, info TaskInfo, currentMem, observedPeak int64) int {
-	if p.Empty() {
-		return -1
+//  2. otherwise scans from the top and takes the first task that fits
+//     under ref, or the first subtree task encountered;
+//  3. if nothing qualifies, waits when canWait is set, and otherwise
+//     falls back to the top task over the bound.
+//
+// A task is over the bound when cost + cur > ref; only subtree tasks and
+// the fallback top can be.
+func SelectTask(p *Pool, info TaskInfo, cur, ref int64, memoryAware, canWait bool) Decision {
+	n := len(p.items)
+	if n == 0 {
+		return Decision{K: -1}
 	}
-	if info.InSubtree(p.Peek()) {
-		return 0
+	if !memoryAware {
+		return Decision{}
+	}
+	if top := p.items[n-1]; info.InSubtree(top) {
+		return Decision{Over: info.MemCost(top)+cur > ref, Reason: Subtree}
 	}
 	// Scan top to bottom in place: this runs on every activation (under
 	// the executor's pool lock in parmf), so it must not copy the pool.
-	for k := range len(p.items) {
-		node := p.items[len(p.items)-1-k]
-		if info.MemCost(node)+currentMem <= observedPeak {
-			return k
-		}
-		if info.InSubtree(node) {
-			return k
+	for k := range n {
+		node := p.items[n-1-k]
+		switch {
+		case info.MemCost(node)+cur <= ref:
+			if k == 0 {
+				return Decision{Reason: TopFits}
+			}
+			return Decision{K: k, Reason: Deviated}
+		case info.InSubtree(node):
+			return Decision{K: k, Over: true, Reason: Subtree}
 		}
 	}
-	return 0
+	if canWait {
+		return Decision{Wait: true, Over: true, Reason: Waited}
+	}
+	return Decision{Over: true, Reason: Forced}
 }

@@ -225,30 +225,38 @@ func TestPoolPropertyPopAtPreservesOthers(t *testing.T) {
 	}
 }
 
-// TestSelectMemoryAwarePropertySafeOrSubtreeOrTop: Algorithm 2 returns
-// either (a) a task that fits under the observed peak, (b) a subtree
-// task, or (c) the top of the pool — never anything else; and it never
-// skips a *fitting* task for a later non-subtree one.
-func TestSelectMemoryAwarePropertySafeOrSubtreeOrTop(t *testing.T) {
-	prop := func(itemsRaw []uint16, cur, peak uint32, subMask uint8) bool {
+// TestSelectTaskPropertySafeOrSubtreeOrTop: Algorithm 2 returns either
+// (a) a task that fits under the reference peak, (b) a subtree task, or
+// (c) the top of the pool — never anything else; it never skips a
+// *fitting* task for a later non-subtree one; and it flags exactly the
+// picks over the bound, waiting only on a non-subtree one when allowed.
+func TestSelectTaskPropertySafeOrSubtreeOrTop(t *testing.T) {
+	prop := func(itemsRaw []uint16, cur, peak uint32, subMask uint8, canWait bool) bool {
 		var p Pool
 		for _, v := range itemsRaw {
 			p.Push(int(v) % 1000)
 		}
 		if p.Empty() {
-			return SelectMemoryAware(&p, TaskInfo{}, int64(cur), int64(peak)) == -1
+			return SelectTask(&p, TaskInfo{}, int64(cur), int64(peak), true, canWait) == Decision{K: -1}
 		}
 		info := TaskInfo{
 			InSubtree: func(n int) bool { return n%int(subMask%7+2) == 0 },
 			MemCost:   func(n int) int64 { return int64(n) * 100 },
 		}
-		k := SelectMemoryAware(&p, info, int64(cur), int64(peak))
+		d := SelectTask(&p, info, int64(cur), int64(peak), true, canWait)
 		items := p.Items()
+		k := d.K
 		if k < 0 || k >= len(items) {
 			return false
 		}
 		picked := items[k]
 		fits := func(n int) bool { return info.MemCost(n)+int64(cur) <= int64(peak) }
+		if d.Over == fits(picked) {
+			return false
+		}
+		if d.Wait != (d.Over && canWait && !info.InSubtree(picked)) {
+			return false
+		}
 		if k == 0 {
 			return true // top is always legal (rules 1 and fallback)
 		}

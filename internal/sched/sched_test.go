@@ -161,18 +161,27 @@ func TestViewMetric(t *testing.T) {
 	}
 }
 
+// Items returns the tasks from top to bottom (a copy).
+func (p *Pool) Items() []int {
+	out := make([]int, len(p.items))
+	for k := range p.items {
+		out[k] = p.items[len(p.items)-1-k]
+	}
+	return out
+}
+
 func TestPoolStackSemantics(t *testing.T) {
 	var p Pool
 	p.Push(1)
 	p.Push(2)
 	p.Push(3)
-	if p.Peek() != 3 {
-		t.Fatalf("peek %d", p.Peek())
+	if p.At(0) != 3 {
+		t.Fatalf("top %d", p.At(0))
 	}
-	if p.PopTop() != 3 || p.PopTop() != 2 || p.PopTop() != 1 {
+	if p.PopAt(0) != 3 || p.PopAt(0) != 2 || p.PopAt(0) != 1 {
 		t.Fatal("LIFO order broken")
 	}
-	if p.PopTop() != -1 || p.Peek() != -1 {
+	if p.PopAt(0) != -1 || p.At(0) != -1 {
 		t.Fatal("empty pool sentinel")
 	}
 }
@@ -194,89 +203,6 @@ func TestPoolPopAt(t *testing.T) {
 	}
 	if p.PopAt(7) != -1 {
 		t.Error("out-of-range PopAt should return -1")
-	}
-}
-
-func TestAlgorithm2SubtreeTopPriority(t *testing.T) {
-	var p Pool
-	p.Push(10) // bottom: big type-2 node
-	p.Push(5)  // top: subtree node
-	info := TaskInfo{
-		InSubtree: func(n int) bool { return n == 5 },
-		MemCost:   func(n int) int64 { return int64(n) * 100 },
-	}
-	// Even with zero headroom, the subtree top is taken unconditionally.
-	if k := SelectMemoryAware(&p, info, 1<<40, 0); k != 0 {
-		t.Errorf("subtree top not selected: depth %d", k)
-	}
-}
-
-func TestAlgorithm2DelaysLargeNode(t *testing.T) {
-	// Figure 8 scenario: top of pool is a huge type-2 master; below it a
-	// small upper-tree task that fits. Algorithm 2 must skip the big one.
-	var p Pool
-	p.Push(1) // bottom: small task (cost 100)
-	p.Push(9) // top: big task (cost 9000)
-	info := TaskInfo{
-		InSubtree: func(n int) bool { return false },
-		MemCost: func(n int) int64 {
-			if n == 9 {
-				return 9000
-			}
-			return 100
-		},
-	}
-	current, peak := int64(500), int64(1000)
-	if k := SelectMemoryAware(&p, info, current, peak); k != 1 {
-		t.Errorf("big node not delayed: depth %d", k)
-	}
-	// Default policy would take the top.
-	if p.Peek() != 9 {
-		t.Error("pool mutated")
-	}
-}
-
-func TestAlgorithm2PrefersSubtreeWhenNothingFits(t *testing.T) {
-	var p Pool
-	p.Push(7) // bottom: subtree node, cost 700
-	p.Push(8) // middle: upper node, cost 800
-	p.Push(9) // top: upper node, cost 900
-	info := TaskInfo{
-		InSubtree: func(n int) bool { return n == 7 },
-		MemCost:   func(n int) int64 { return int64(n) * 100 },
-	}
-	// Peak leaves no headroom: scan hits the subtree node at depth 2.
-	if k := SelectMemoryAware(&p, info, 10000, 0); k != 2 {
-		t.Errorf("subtree node not preferred: depth %d", k)
-	}
-}
-
-func TestAlgorithm2FallbackTop(t *testing.T) {
-	var p Pool
-	p.Push(8)
-	p.Push(9)
-	info := TaskInfo{
-		InSubtree: func(n int) bool { return false },
-		MemCost:   func(n int) int64 { return 1 << 30 },
-	}
-	if k := SelectMemoryAware(&p, info, 1<<31, 0); k != 0 {
-		t.Errorf("fallback should take top, got depth %d", k)
-	}
-	if k := SelectMemoryAware(&Pool{}, info, 0, 0); k != -1 {
-		t.Errorf("empty pool should return -1, got %d", k)
-	}
-}
-
-func TestAlgorithm2TakesTopWhenItFits(t *testing.T) {
-	var p Pool
-	p.Push(1)
-	p.Push(2)
-	info := TaskInfo{
-		InSubtree: func(n int) bool { return false },
-		MemCost:   func(n int) int64 { return 10 },
-	}
-	if k := SelectMemoryAware(&p, info, 0, 1000); k != 0 {
-		t.Errorf("fitting top not selected: depth %d", k)
 	}
 }
 
@@ -428,29 +354,5 @@ func TestPoolAt(t *testing.T) {
 	}
 	if p.At(3) != -1 || p.At(-1) != -1 {
 		t.Error("out-of-range At not -1")
-	}
-}
-
-// TestSelectMemoryAwareZeroAllocs pins Algorithm 2 at zero allocations:
-// it scans the pool in place on every activation (under the executor's
-// pool lock in parmf), so it must never copy the pool.
-func TestSelectMemoryAwareZeroAllocs(t *testing.T) {
-	var p Pool
-	for n := 0; n < 64; n++ {
-		p.Push(n)
-	}
-	info := TaskInfo{
-		InSubtree: func(n int) bool { return n == 3 },
-		MemCost:   func(n int) int64 { return int64(1000 - n) },
-	}
-	var k int
-	allocs := testing.AllocsPerRun(100, func() {
-		k = SelectMemoryAware(&p, info, 10, 100) // scans down to node 3
-	})
-	if allocs != 0 {
-		t.Errorf("SelectMemoryAware allocates %.1f times per call", allocs)
-	}
-	if k != 60 {
-		t.Errorf("selected depth %d, want 60 (node 3, the first subtree task)", k)
 	}
 }

@@ -6,10 +6,12 @@
 //   - the static-knowledge injection: subtree peaks and incoming-master
 //     prediction folded into the selection metric (Section 5.1),
 //   - Algorithm 2, the memory-aware task selection from the local pool
-//     (Section 5.2).
+//     (Section 5.2), in SelectTask, which also makes the depth-first
+//     choice and the wait-or-force call when nothing fits.
 //
-// The parallel simulator (internal/parsim) feeds these functions with the
-// message-derived views and applies their decisions.
+// The parallel simulator (internal/parsim) feeds these functions with its
+// message-derived views, and the shared-memory executor (internal/parmf)
+// with its workers' live memory and loads; both apply the decisions.
 package sched
 
 // View is one processor's (possibly stale) knowledge of every processor's
