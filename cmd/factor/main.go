@@ -57,13 +57,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/front"
 	"repro/internal/memory"
 	"repro/internal/metrics"
 	"repro/internal/ooc"
 	"repro/internal/parmf"
 	"repro/internal/parsim"
-	"repro/internal/seqmf"
 	"repro/internal/sparse"
 )
 
@@ -125,12 +123,12 @@ type runner struct {
 	nrhs int
 }
 
-// factorization is the outcome of one factorize + solve.
-type factorization struct {
-	stats   memory.ExecStats
-	par     *parmf.Stats   // parallel executor stats; nil for the sequential one
-	front   *front.Factors // in-memory factors; nil for a file store
-	spill   *ooc.Stats     // spill statistics after the solve; nil in-core
+// result is one factorize + solve: the closed factors, whose
+// statistics and in-memory slab stay readable, the solution, the spill
+// statistics after the solve (nil in core) and the two wall times.
+type result struct {
+	*core.Factors
+	spill   *ooc.Stats
 	x       []float64
 	factorT time.Duration
 	solveT  time.Duration
@@ -139,62 +137,35 @@ type factorization struct {
 // factorize factors with the given worker count (1 = the sequential
 // executor), into a file store when file is set, solves the run's
 // right-hand sides and releases the store.
-func (r *runner) factorize(ctx context.Context, workers int, file bool) (*factorization, error) {
-	res := &factorization{}
-	var store *ooc.FileStore
-	var solve func(b []float64, nrhs int) ([]float64, error)
-	var release func() error
-	var err error
-	t0 := time.Now()
-	if workers == 1 {
-		var sf *seqmf.Factors
-		if file {
-			sf, store, err = r.an.FactorizeOOCCtx(ctx)
-		} else {
-			sf, err = r.an.FactorizeCtx(ctx)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.stats, res.front = sf.Stats, sf.Front()
-		solve, release = sf.SolveOriginalMulti, sf.Close
-	} else {
+func (r *runner) factorize(ctx context.Context, workers int, file bool) (*result, error) {
+	plan := core.Plan{File: file}
+	if workers > 1 {
 		pcfg := r.pcfg
 		pcfg.Workers = workers
-		var pf *parmf.Factors
-		if file {
-			pf, store, err = r.an.FactorizeParallelOOCCtx(ctx, pcfg)
-		} else {
-			pf, err = r.an.FactorizeParallelCtx(ctx, pcfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.stats, res.par, res.front = pf.Stats.ExecStats, &pf.Stats, pf.Front()
-		solver := pf.Solver(0)
-		solve = func(b []float64, nrhs int) ([]float64, error) {
-			return solver.SolveOriginalMultiCtx(ctx, b, nrhs)
-		}
-		release = pf.Close
+		plan.Parallel = &pcfg
 	}
-	defer release()
-	res.factorT = time.Since(t0)
-	if store != nil && r.obs.Run != nil {
-		// /progress carries the spill-store counters from here on (the
-		// solve phase still accrues reads, and the final numbers stay
-		// visible through -listen-linger).
-		r.obs.Run.SetSpill(store.Stats)
-	}
-	t0 = time.Now()
-	x, err := solve(r.b, r.nrhs)
+	t0 := time.Now()
+	f, err := r.an.Run(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
-	res.x, res.solveT = x, time.Since(t0)
+	defer f.Close()
+	res := &result{Factors: f, factorT: time.Since(t0)}
+	if f.Store != nil && r.obs.Run != nil {
+		// /progress carries the spill-store counters from here on (the
+		// solve phase still accrues reads, and the final numbers stay
+		// visible through -listen-linger).
+		r.obs.Run.SetSpill(f.Store.Stats)
+	}
+	t0 = time.Now()
+	if res.x, err = f.Solve(ctx, r.b, r.nrhs); err != nil {
+		return nil, err
+	}
+	res.solveT = time.Since(t0)
 	// Snapshot spill stats only after the solve: DirectReads counts
 	// solve-phase fetches that outran the prefetcher.
-	if store != nil {
-		s := store.Stats()
+	if f.Store != nil {
+		s := f.Store.Stats()
 		res.spill = &s
 	}
 	return res, nil
@@ -219,8 +190,8 @@ func report(ctx context.Context, fl *flags, a *sparse.CSC, cfg core.Config, pcfg
 	if err != nil {
 		return memory.ExecStats{}, err
 	}
-	s := m.stats
-	if p := m.par; p != nil {
+	s := m.Stats
+	if p := m.Sched; p != nil {
 		fmt.Fprintf(w, "parallel:  %d workers, policy %v, kernels %s, store %s, %.3fs wall\n",
 			p.Workers, pcfg.Policy, s.Kernel, fl.Store, m.factorT.Seconds())
 		fmt.Fprintf(w, "  factors          %d entries\n", s.FactorEntries)
@@ -272,7 +243,7 @@ func report(ctx context.Context, fl *flags, a *sparse.CSC, cfg core.Config, pcfg
 			"source", "in-core total", "OOC resident", "saving %")
 		t.AddRow("simulated (max/proc)", sim.MaxTotalPeak, sim.MaxActivePeak,
 			fmt.Sprintf("%.1f", metrics.PercentDecrease(sim.MaxTotalPeak, sim.MaxActivePeak)))
-		in, out := incore.stats.ResidentPeak, s.ResidentPeak
+		in, out := incore.Stats.ResidentPeak, s.ResidentPeak
 		t.AddRow("measured (process)", in, out, fmt.Sprintf("%.1f", metrics.PercentDecrease(in, out)))
 		fmt.Fprintln(w, t.Render())
 	}
@@ -283,9 +254,9 @@ func report(ctx context.Context, fl *flags, a *sparse.CSC, cfg core.Config, pcfg
 			return memory.ExecStats{}, err
 		}
 		fmt.Fprintf(w, "sequential in-core reference: %.3fs wall, peak %d entries\n",
-			ref.factorT.Seconds(), ref.stats.PeakStack)
+			ref.factorT.Seconds(), ref.Stats.PeakStack)
 		fmt.Fprintf(w, "  speedup          %.2fx\n", ref.factorT.Seconds()/m.factorT.Seconds())
-		fmt.Fprintf(w, "  max factor diff  %.3g\n", maxDiff(ref.front.Slab(), incore.front.Slab()))
+		fmt.Fprintf(w, "  max factor diff  %.3g\n", maxDiff(ref.Front.Slab(), incore.Front.Slab()))
 		fmt.Fprintf(w, "  max x diff       %g over %d rhs\n", maxDiff(ref.x, m.x), fl.NRHS)
 	}
 	return s, nil

@@ -56,7 +56,7 @@ func TestStoresSolveBitwiseEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if file.spill == nil || file.spill.Blocks == 0 || file.front != nil {
+		if file.spill == nil || file.spill.Blocks == 0 || file.Front != nil {
 			t.Fatalf("%d workers: file store run spilled nothing: %+v", workers, file.spill)
 		}
 		for i := range mem.x {
@@ -64,8 +64,8 @@ func TestStoresSolveBitwiseEqual(t *testing.T) {
 				t.Fatalf("%d workers: x[%d] = %v in-core, %v out-of-core", workers, i, mem.x[i], file.x[i])
 			}
 		}
-		if mem.stats.FactorEntries != file.stats.FactorEntries {
-			t.Errorf("%d workers: factor entries %d in-core, %d out-of-core", workers, mem.stats.FactorEntries, file.stats.FactorEntries)
+		if mem.Stats.FactorEntries != file.Stats.FactorEntries {
+			t.Errorf("%d workers: factor entries %d in-core, %d out-of-core", workers, mem.Stats.FactorEntries, file.Stats.FactorEntries)
 		}
 	}
 }

@@ -108,16 +108,12 @@ func main() {
 		if !a.HasValues() {
 			log.Fatal("matrix has no values; cannot factorize numerically")
 		}
-		f, err := an.Factorize()
-		if err != nil {
-			log.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(1))
 		b := make([]float64, a.N)
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := f.SolveOriginal(b)
+		x, f, err := an.FactorizeAndSolve(b, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,8 +4,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -16,6 +18,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	// A 3D Poisson problem, symmetric positive definite.
 	a := sparse.Grid3D(12, 12, 12)
 	fmt.Printf("matrix: n=%d, nnz=%d (%v)\n", a.N, a.NNZ(), a.Kind)
@@ -29,57 +32,45 @@ func main() {
 	fmt.Printf("analysis: %d fronts, max front %d, %.3g flops, %d subtrees\n",
 		st.Fronts, st.MaxFront, float64(st.Flops), st.Subtrees)
 
-	// Real numeric factorization + solve.
-	f, err := an.Factorize()
+	// Real numeric factorization: the zero Plan is the sequential
+	// executor with the factors in memory.
+	f, err := an.Run(ctx, core.Plan{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer f.Close()
+
+	// Several right-hand sides solve as one blocked pass over the factors
+	// (row-major n x nrhs, original ordering). Column 0 is b = A x0, and
+	// each column carries the exact bits of a single-RHS solve.
+	const nrhs = 4
 	rng := rand.New(rand.NewSource(42))
 	x0 := make([]float64, a.N)
 	for i := range x0 {
 		x0[i] = rng.NormFloat64()
 	}
 	b := a.MulVec(x0)
-	x, err := f.SolveOriginal(b)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var maxErr float64
-	for i := range x {
-		if d := x[i] - x0[i]; d > maxErr || -d > maxErr {
-			maxErr = d
-			if maxErr < 0 {
-				maxErr = -maxErr
-			}
-		}
-	}
-	fmt.Printf("numeric: factored %d fronts, stack peak %d entries, max |x-x0| = %.2e\n",
-		f.Stats.Fronts, f.Stats.PeakStack, maxErr)
-
-	// Multi-RHS solve: several right-hand sides as one blocked pass over
-	// the factors (row-major n x nrhs). Column c of the block solves to
-	// the exact bits of a single-RHS solve of that column.
-	const nrhs = 4
 	bs := make([]float64, a.N*nrhs)
 	for i := 0; i < a.N; i++ {
 		for c := 0; c < nrhs; c++ {
 			bs[i*nrhs+c] = b[i] * float64(c+1)
 		}
 	}
-	xs, err := f.SolveOriginalMulti(bs, nrhs)
+	x, err := f.Solve(ctx, b, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var maxDev float64
-	for i := range x {
-		// Column 0 of the block is the single-RHS system solved above.
-		if d := xs[i*nrhs] - x[i]; d > maxDev || -d > maxDev {
-			maxDev = d
-			if maxDev < 0 {
-				maxDev = -maxDev
-			}
-		}
+	xs, err := f.Solve(ctx, bs, nrhs)
+	if err != nil {
+		log.Fatal(err)
 	}
+	var maxErr, maxDev float64
+	for i := range x {
+		maxErr = math.Max(maxErr, math.Abs(x[i]-x0[i]))
+		maxDev = math.Max(maxDev, math.Abs(xs[i*nrhs]-x[i]))
+	}
+	fmt.Printf("numeric: factored %d fronts, stack peak %d entries, max |x-x0| = %.2e\n",
+		f.Stats.Fronts, f.Stats.PeakStack, maxErr)
 	fmt.Printf("multi-rhs: solved %d systems in one pass, max |x_block - x| = %g (bitwise)\n",
 		nrhs, maxDev)
 

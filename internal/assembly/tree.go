@@ -59,7 +59,7 @@ func (t *Tree) Postorder() []int {
 	type frame struct {
 		n, ci int
 	}
-	var stack []frame
+	stack := make([]frame, 0, len(t.Nodes)) // deep enough for any tree: one allocation
 	for _, r := range t.Roots {
 		stack = append(stack, frame{r, 0})
 		for len(stack) > 0 {

@@ -44,21 +44,22 @@ func runChaos(t *testing.T, a *sparse.CSC, in *faults.Injector, ctx context.Cont
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, st, err := an.FactorizeParallelOOCCtx(ctx, parmf.DefaultConfig(4))
+	pcfg := parmf.DefaultConfig(4)
+	f, err := an.Run(ctx, core.Plan{Parallel: &pcfg, File: true})
 	if err != nil {
 		return chaosResult{err: err}
 	}
-	defer st.Close()
+	defer f.Close()
 	b := make([]float64, a.N)
 	rng := rand.New(rand.NewSource(3))
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, err := pf.Solver(0).SolveOriginalMultiCtx(ctx, b, 1)
+	x, err := f.Solve(ctx, b, 1)
 	if err != nil {
-		return chaosResult{stats: pf.Stats.WorkStats, err: err}
+		return chaosResult{stats: f.Sched.WorkStats, err: err}
 	}
-	return chaosResult{x: x, stats: pf.Stats.WorkStats}
+	return chaosResult{x: x, stats: f.Sched.WorkStats}
 }
 
 // assertBitwise asserts a completed chaos run reproduced the clean run's
@@ -266,12 +267,12 @@ func TestChaosRandomSchedules(t *testing.T) {
 }
 
 // TestUnarmedRunUnchanged extends the TestUntracedRunUnchanged pattern
-// to the fault layer: a nil injector plus a Background context must
-// leave the factors bitwise identical and the executor's work stats equal
-// to a build that never heard of fault tolerance — the robustness plane
-// costs nothing when unarmed. The schedule-dependent stats differ from
-// run to run (which worker claimed which task), so only their invariants
-// are asserted.
+// to the fault layer: a nil injector plus a live context that never
+// fires (so the executor runs its cancellation watcher) must leave the
+// factors bitwise identical and the executor's work stats equal to a
+// Background run — the robustness plane costs nothing when unarmed. The
+// schedule-dependent stats differ from run to run (which worker claimed
+// which task), so only their invariants are asserted.
 func TestUnarmedRunUnchanged(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	an, err := core.Analyze(a, core.DefaultConfig(order.AMF, 2))
@@ -282,18 +283,21 @@ func TestUnarmedRunUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxRun, err := an.FactorizeParallelCtx(context.Background(), parmf.DefaultConfig(2))
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pcfg := parmf.DefaultConfig(2)
+	ctxRun, err := an.Run(live, core.Plan{Parallel: &pcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plain.Stats.WorkStats.Equal(ctxRun.Stats.WorkStats) {
-		t.Errorf("Background-context run changed work stats:\n%+v\nvs\n%+v",
-			plain.Stats.WorkStats, ctxRun.Stats.WorkStats)
+	if !plain.Stats.WorkStats.Equal(ctxRun.Sched.WorkStats) {
+		t.Errorf("live-context run changed work stats:\n%+v\nvs\n%+v",
+			plain.Stats.WorkStats, ctxRun.Sched.WorkStats)
 	}
 	checkScheduleInvariants(t, plain.Stats)
-	checkScheduleInvariants(t, ctxRun.Stats)
+	checkScheduleInvariants(t, *ctxRun.Sched)
 	// The factors themselves must match bit for bit too.
-	cslab := ctxRun.Front().Slab()
+	cslab := ctxRun.Front.Slab()
 	for q, v := range plain.Front().Slab() {
 		if v != cslab[q] {
 			t.Fatalf("factor entry %d differs bitwise", q)

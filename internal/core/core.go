@@ -9,15 +9,18 @@
 //	cfg := core.DefaultConfig(order.ND, 32) // kernels: dense.KernelAuto
 //	cfg.Kernel = dense.KernelDefault  // optional: element-wise bits (front.Options, embedded)
 //	an, err := core.Analyze(a, cfg)
-//	f, err := an.Factorize()          // numeric LU/Cholesky + Solve
-//	pf, err := an.FactorizeParallel(parmf.DefaultConfig(8))
-//	of, st, err := an.FactorizeOOC()  // factors spilled to disk as produced
-//	x, pf, err := an.FactorizeParallelAndSolve(parmf.DefaultConfig(8), b, nrhs)
+//	pcfg := parmf.DefaultConfig(8)
+//	f, err := an.Run(ctx, core.Plan{Parallel: &pcfg, File: true}) // nil Parallel: sequential; File: spill to disk
+//	defer f.Close()
+//	x, err := f.Solve(ctx, b, nrhs)   // b, x: n x nrhs row-major, original ordering
 //	res, err := an.Simulate(parsim.MemoryBased())
 //
-// Every factorization entry point hands Config.Options (block rows,
-// kernel family, tracer, faults) unchanged to its executor, so one
-// analysis runs all of them with the same numerics.
+// Run is the one factorization: the executor and the store are its
+// Plan, and it hands Config.Options (block rows, kernel family, tracer,
+// faults) unchanged to the executor, so every plan of one analysis
+// computes the same factors. Factorize, FactorizeOOC, FactorizeParallel,
+// FactorizeParallelOOC and the two …AndSolve methods are Run at a fixed
+// plan that return the executor's own handle.
 package core
 
 import (
@@ -28,6 +31,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/etree"
 	"repro/internal/front"
+	"repro/internal/memory"
 	"repro/internal/ooc"
 	"repro/internal/order"
 	"repro/internal/parmf"
@@ -55,8 +59,8 @@ type Config struct {
 	MapOptions assembly.MapOptions
 	// Params is the simulated machine model (zero value = defaults).
 	Params parsim.Params
-	// OOC configures the out-of-core factor store used by FactorizeOOC
-	// and FactorizeParallelOOC (zero value = defaults: spill file in the
+	// OOC configures the out-of-core factor store of a Plan with File set
+	// (zero value = defaults: spill file in the
 	// system temp dir, resident buffer sized by oocOptions).
 	OOC ooc.Options
 	// Options are the numeric knobs of every factorization run through
@@ -161,19 +165,195 @@ func finish(tree *assembly.Tree, pa *sparse.CSC, cfg Config) (*Analysis, error) 
 	}, nil
 }
 
-// Factorize runs the sequential numeric factorization (real LU/Cholesky)
-// with Config.Options — by default through the blocked dense kernels, the
-// same numeric path the parallel executor uses and bitwise identical to
-// the element-wise kernels. The matrix must carry values.
-func (an *Analysis) Factorize() (*seqmf.Factors, error) {
-	return an.FactorizeCtx(context.Background())
+// Plan picks how Run factorizes: the executor and the factor store.
+type Plan struct {
+	// Parallel runs the shared-memory parallel executor with this
+	// configuration; nil runs the sequential executor, the oracle. A
+	// Workers below 1 uses the analysis processor count, a nil
+	// SubtreeRoots the static mapping's leaf subtrees (the single-worker
+	// tasks of the paper's layer L0), and a zero FrontSplit
+	// FrontSplitThreshold, so the fronts the mapping classifies as type 2
+	// factor through the within-front master/slave path.
+	Parallel *parmf.Config
+	// File spills every factor block to disk the moment it is produced,
+	// through an ooc.FileStore built from Config.OOC, so only the CB stack
+	// and the active fronts stay resident; the solves stream the blocks
+	// back. False keeps the factors in memory.
+	File bool
 }
 
-// FactorizeCtx is Factorize under a context: the postorder walk checks
-// ctx between fronts and a cancellation becomes a descriptive error
-// naming how far the walk got. A Background context costs nothing.
-func (an *Analysis) FactorizeCtx(ctx context.Context) (*seqmf.Factors, error) {
-	return seqmf.FactorizeCtx(ctx, an.Permuted, an.Tree, an.Config.Options, nil)
+// Factors is one factorization run through Run, whichever executor and
+// store ran it.
+type Factors struct {
+	// Stats are the executor-independent memory and work statistics.
+	Stats memory.ExecStats
+	// Sched is the parallel executor's whole statistics, schedule
+	// included; nil for the sequential executor.
+	Sched *parmf.Stats
+	// Front is the in-memory factorization, one slab in the layout's
+	// order (two in-core runs compare slab to slab); nil for a file store.
+	Front *front.Factors
+	// Store is the file store the blocks spilled to; nil in core.
+	Store *ooc.FileStore
+
+	seq   *seqmf.Factors // the sequential executor's handle, or nil
+	par   *parmf.Factors // the parallel executor's handle, or nil
+	solve func(ctx context.Context, b []float64, nrhs int) ([]float64, error)
+}
+
+// Run factorizes the analysed matrix as p asks, with Config.Options (block
+// rows, kernel family, tracer, faults) handed unchanged to the executor:
+// every plan computes the same factors bit for bit. The matrix must carry
+// values. Cancelling ctx stops the executor at its next front or task
+// boundary with an error wrapping context.Cause(ctx); a file store is
+// closed, its spill file deleted, on every error path. A Background
+// context costs nothing.
+func (an *Analysis) Run(ctx context.Context, p Plan) (*Factors, error) {
+	var fs *ooc.FileStore
+	var st front.Store // a nil interface keeps the factors in memory
+	if p.File {
+		var err error
+		if fs, err = ooc.NewFileStore(an.oocOptions()); err != nil {
+			return nil, err
+		}
+		st = fs
+	}
+	f, err := an.factorize(ctx, p.Parallel, st)
+	if err != nil {
+		if fs != nil {
+			fs.Close()
+		}
+		return nil, err
+	}
+	f.Store = fs
+	return f, nil
+}
+
+// factorize runs the executor cfg picks (nil: the sequential one) into
+// the factor store st.
+func (an *Analysis) factorize(ctx context.Context, cfg *parmf.Config, st front.Store) (*Factors, error) {
+	if cfg == nil {
+		sf, err := seqmf.Factorize(ctx, an.Permuted, an.Tree, an.Config.Options, st)
+		if err != nil {
+			return nil, err
+		}
+		solve := func(ctx context.Context, b []float64, nrhs int) ([]float64, error) {
+			if ctx.Err() != nil {
+				return nil, fmt.Errorf("core: solve cancelled: %w", context.Cause(ctx))
+			}
+			return sf.SolveOriginalMulti(b, nrhs)
+		}
+		return &Factors{Stats: sf.Stats, Front: sf.Front(), seq: sf, solve: solve}, nil
+	}
+	c := *cfg
+	if c.Workers < 1 {
+		c.Workers = an.Config.Procs
+	}
+	if c.SubtreeRoots == nil && an.Mapping != nil {
+		c.SubtreeRoots = an.Mapping.SubRoot
+	}
+	if c.FrontSplit == 0 {
+		c.FrontSplit = an.FrontSplitThreshold()
+	}
+	if st != nil {
+		c.Store = st
+	}
+	pf, err := parmf.Factorize(ctx, an.Permuted, an.Tree, c, an.Config.Options)
+	if err != nil {
+		return nil, err
+	}
+	return &Factors{Stats: pf.Stats.ExecStats, Sched: &pf.Stats, Front: pf.Front(), par: pf,
+		solve: pf.Solver(0).SolveOriginalMultiCtx}, nil
+}
+
+// Solve solves nrhs systems against the factors: b is n x nrhs row-major
+// in the original (pre-permutation) ordering, as is the returned x, and
+// is not modified. The factors stream through the store once forward and
+// once backward however many right-hand sides ride along — tree-parallel
+// with the factorization's worker count under the parallel executor,
+// bitwise identical to the sequential solve. Solve as often as needed
+// before Close.
+func (f *Factors) Solve(ctx context.Context, b []float64, nrhs int) ([]float64, error) {
+	return f.solve(ctx, b, nrhs)
+}
+
+// Close releases the factors' store: a file store's spill file is
+// deleted. The factors are unusable afterwards.
+func (f *Factors) Close() error {
+	if f.seq != nil {
+		return f.seq.Close()
+	}
+	return f.par.Close()
+}
+
+// handles returns the executor handle and file store of f, which may be
+// nil: the facade's older entry points hand them out.
+func (f *Factors) handles() (*seqmf.Factors, *parmf.Factors, *ooc.FileStore) {
+	if f == nil {
+		return nil, nil, nil
+	}
+	return f.seq, f.par, f.Store
+}
+
+// runAndSolve runs p and solves b against the factors.
+func (an *Analysis) runAndSolve(p Plan, b []float64, nrhs int) ([]float64, *Factors, error) {
+	f, err := an.Run(context.Background(), p)
+	if err != nil {
+		return nil, nil, err
+	}
+	x, err := f.Solve(context.Background(), b, nrhs)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return x, f, nil
+}
+
+// Factorize is Run with the sequential executor in memory.
+func (an *Analysis) Factorize() (*seqmf.Factors, error) {
+	f, err := an.Run(context.Background(), Plan{})
+	sf, _, _ := f.handles()
+	return sf, err
+}
+
+// FactorizeOOC is Run with the sequential executor spilling to a file
+// store; close the factors or the store to delete the spill file.
+func (an *Analysis) FactorizeOOC() (*seqmf.Factors, *ooc.FileStore, error) {
+	f, err := an.Run(context.Background(), Plan{File: true})
+	sf, _, st := f.handles()
+	return sf, st, err
+}
+
+// FactorizeParallel is Run with the parallel executor in memory.
+func (an *Analysis) FactorizeParallel(cfg parmf.Config) (*parmf.Factors, error) {
+	f, err := an.Run(context.Background(), Plan{Parallel: &cfg})
+	_, pf, _ := f.handles()
+	return pf, err
+}
+
+// FactorizeParallelOOC is Run with the parallel executor spilling to a
+// file store, which overrides cfg.Store.
+func (an *Analysis) FactorizeParallelOOC(cfg parmf.Config) (*parmf.Factors, *ooc.FileStore, error) {
+	f, err := an.Run(context.Background(), Plan{Parallel: &cfg, File: true})
+	_, pf, st := f.handles()
+	return pf, st, err
+}
+
+// FactorizeAndSolve factors sequentially in memory and solves nrhs
+// right-hand sides (see Factors.Solve), returning the factors too so the
+// caller can keep solving against them.
+func (an *Analysis) FactorizeAndSolve(b []float64, nrhs int) ([]float64, *seqmf.Factors, error) {
+	x, f, err := an.runAndSolve(Plan{}, b, nrhs)
+	sf, _, _ := f.handles()
+	return x, sf, err
+}
+
+// FactorizeParallelAndSolve is FactorizeAndSolve through the parallel
+// executor; the solve runs tree-parallel with cfg's worker count.
+func (an *Analysis) FactorizeParallelAndSolve(cfg parmf.Config, b []float64, nrhs int) ([]float64, *parmf.Factors, error) {
+	x, f, err := an.runAndSolve(Plan{Parallel: &cfg}, b, nrhs)
+	_, pf, _ := f.handles()
+	return x, pf, err
 }
 
 // FrontSplitThreshold is the within-front split threshold a zero
@@ -193,68 +373,6 @@ func (an *Analysis) FrontSplitThreshold() int {
 		}
 	}
 	return assembly.DefaultType2MinFront(maxFront)
-}
-
-// FactorizeParallel runs the shared-memory parallel numeric factorization
-// with cfg.Workers goroutines (cfg.Workers < 1 uses the analysis processor
-// count) and Config.Options. Unless overridden, the static mapping's leaf
-// subtrees become the single-worker subtree tasks of the paper's layer L0,
-// and fronts above the mapping's type-2 threshold (cfg.FrontSplit == 0,
-// see FrontSplitThreshold) factor through the within-front master/slave
-// path.
-func (an *Analysis) FactorizeParallel(cfg parmf.Config) (*parmf.Factors, error) {
-	return an.FactorizeParallelCtx(context.Background(), cfg)
-}
-
-// FactorizeParallelCtx is FactorizeParallel under a context:
-// cancellation drains the worker pool deterministically at the next
-// task boundary, reporting how many tree tasks were left unfinished. A
-// Background context costs nothing.
-func (an *Analysis) FactorizeParallelCtx(ctx context.Context, cfg parmf.Config) (*parmf.Factors, error) {
-	if cfg.Workers < 1 {
-		cfg.Workers = an.Config.Procs
-	}
-	if cfg.SubtreeRoots == nil && an.Mapping != nil {
-		cfg.SubtreeRoots = an.Mapping.SubRoot
-	}
-	if cfg.FrontSplit == 0 {
-		cfg.FrontSplit = an.FrontSplitThreshold()
-	}
-	return parmf.FactorizeCtx(ctx, an.Permuted, an.Tree, cfg, an.Config.Options)
-}
-
-// FactorizeAndSolve factors sequentially and solves nrhs right-hand
-// sides in one blocked pass: b is n x nrhs row-major in the *original*
-// (pre-permutation) ordering, as is the returned x. The factors are
-// returned too so the caller can keep solving against them (the
-// "factor once, solve many" service shape); they need no Close for the
-// in-memory store used here.
-func (an *Analysis) FactorizeAndSolve(b []float64, nrhs int) ([]float64, *seqmf.Factors, error) {
-	f, err := an.Factorize()
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err := f.SolveOriginalMulti(b, nrhs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, f, nil
-}
-
-// FactorizeParallelAndSolve is FactorizeAndSolve through the
-// shared-memory parallel executor: the factorization runs with
-// cfg.Workers goroutines and the solve runs tree-parallel with the same
-// worker count, bitwise identical to the sequential solve.
-func (an *Analysis) FactorizeParallelAndSolve(cfg parmf.Config, b []float64, nrhs int) ([]float64, *parmf.Factors, error) {
-	f, err := an.FactorizeParallel(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err := f.SolveOriginalMulti(b, nrhs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, f, nil
 }
 
 // oocOptions resolves Config.OOC, defaulting the resident-buffer budget
@@ -284,56 +402,6 @@ func (an *Analysis) oocOptions() ooc.Options {
 	return opt
 }
 
-// FactorizeOOC runs the sequential numeric factorization out-of-core:
-// every factor block is spilled to disk (through an ooc.FileStore built
-// from Config.OOC) the moment it is produced, so only the CB stack and
-// the active front stay resident. The returned factors solve by
-// streaming blocks back from disk; Close them (or the store) to delete
-// the spill file. The factors are bitwise identical to Factorize's.
-func (an *Analysis) FactorizeOOC() (*seqmf.Factors, *ooc.FileStore, error) {
-	return an.FactorizeOOCCtx(context.Background())
-}
-
-// FactorizeOOCCtx is FactorizeOOC under a context: on cancellation the
-// walk stops at the next front and the store's spill writer stops
-// promptly; the store is closed (spill file deleted) on every error
-// path. A Background context costs nothing.
-func (an *Analysis) FactorizeOOCCtx(ctx context.Context) (*seqmf.Factors, *ooc.FileStore, error) {
-	st, err := ooc.NewFileStore(an.oocOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := seqmf.FactorizeCtx(ctx, an.Permuted, an.Tree, an.Config.Options, st)
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	return f, st, nil
-}
-
-// FactorizeParallelOOC is FactorizeParallel with the factor blocks
-// spilled to disk as produced (see FactorizeOOC). cfg.Store is
-// overridden with the new file store.
-func (an *Analysis) FactorizeParallelOOC(cfg parmf.Config) (*parmf.Factors, *ooc.FileStore, error) {
-	return an.FactorizeParallelOOCCtx(context.Background(), cfg)
-}
-
-// FactorizeParallelOOCCtx is FactorizeParallelOOC under a context (see
-// FactorizeOOCCtx for the cancellation and cleanup semantics).
-func (an *Analysis) FactorizeParallelOOCCtx(ctx context.Context, cfg parmf.Config) (*parmf.Factors, *ooc.FileStore, error) {
-	st, err := ooc.NewFileStore(an.oocOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Store = st
-	f, err := an.FactorizeParallelCtx(ctx, cfg)
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	return f, st, nil
-}
-
 // Simulate runs the parallel factorization simulator under the given
 // scheduling strategy.
 func (an *Analysis) Simulate(st parsim.Strategy) (*parsim.Result, error) {
@@ -342,17 +410,6 @@ func (an *Analysis) Simulate(st parsim.Strategy) (*parsim.Result, error) {
 		Map:      an.Mapping,
 		Strategy: st,
 		Params:   an.Config.Params,
-	})
-}
-
-// SimulateTraced is Simulate with per-processor memory traces enabled.
-func (an *Analysis) SimulateTraced(st parsim.Strategy) (*parsim.Result, error) {
-	return parsim.Run(parsim.Config{
-		Tree:     an.Tree,
-		Map:      an.Mapping,
-		Strategy: st,
-		Params:   an.Config.Params,
-		Trace:    true,
 	})
 }
 

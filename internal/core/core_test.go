@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/assembly"
@@ -19,6 +24,35 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/workload"
 )
+
+// TestSurface pins the size of the facade: the exported functions and
+// methods of package core, test files aside. Deleting an entry point
+// lowers the count; adding one means retiring another.
+func TestSurface(t *testing.T) {
+	const maxExported = 16
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				names = append(names, fd.Name.Name)
+			}
+		}
+	}
+	if len(names) > maxExported {
+		t.Errorf("package core exports %d functions and methods, at most %d allowed: %v", len(names), maxExported, names)
+	}
+}
 
 func TestAnalyzeFactorizeSimulate(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
@@ -180,107 +214,6 @@ func TestStatsCounts(t *testing.T) {
 	}
 }
 
-func TestSimulateTraced(t *testing.T) {
-	a := sparse.Grid2D(10, 10)
-	an, err := Analyze(a, DefaultConfig(order.AMD, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := an.SimulateTraced(parsim.Workload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Traces) != 2 {
-		t.Errorf("%d traces", len(res.Traces))
-	}
-}
-
-func TestFactorizeOOC(t *testing.T) {
-	a := sparse.Grid3D(8, 8, 8)
-	cfg := DefaultConfig(order.ND, 4)
-	cfg.OOC.Dir = t.TempDir()
-	an, err := Analyze(a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := an.Factorize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	of, st, err := an.FactorizeOOC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer of.Close()
-	if of.Front() != nil {
-		t.Error("OOC factors expose an in-memory container")
-	}
-	if st.Stats().Blocks != an.Tree.Len() {
-		t.Errorf("spilled %d blocks, want %d", st.Stats().Blocks, an.Tree.Len())
-	}
-	if of.Stats.ResidentPeak >= sf.Stats.ResidentPeak {
-		t.Errorf("OOC resident peak %d not below in-core %d",
-			of.Stats.ResidentPeak, sf.Stats.ResidentPeak)
-	}
-	// Same factors → identical solves.
-	b := make([]float64, a.N)
-	for i := range b {
-		b[i] = float64(i%11) - 5
-	}
-	xs, err := sf.SolveOriginal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xo, err := of.SolveOriginal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if math.Float64bits(xs[i]) != math.Float64bits(xo[i]) {
-			t.Fatalf("x[%d]: %g vs %g (should be bitwise identical)", i, xs[i], xo[i])
-		}
-	}
-}
-
-func TestFactorizeParallelOOC(t *testing.T) {
-	a := sparse.Grid3D(8, 8, 8)
-	cfg := DefaultConfig(order.ND, 4)
-	cfg.OOC.Dir = t.TempDir()
-	an, err := Analyze(a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, st, err := an.FactorizeParallelOOC(parmf.DefaultConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Close()
-	if st.Stats().Blocks != an.Tree.Len() {
-		t.Errorf("spilled %d blocks, want %d", st.Stats().Blocks, an.Tree.Len())
-	}
-	sf, err := an.Factorize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, a.N)
-	for i := range b {
-		b[i] = float64(i%7) - 3
-	}
-	xs, err := sf.SolveOriginal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xp, err := pf.SolveOriginal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if math.Float64bits(xs[i]) != math.Float64bits(xp[i]) {
-			t.Fatalf("x[%d]: %g vs %g (should be bitwise identical)", i, xs[i], xp[i])
-		}
-	}
-}
-
 // TestSpillFileMatchesAcrossExecutors: the file store reserves every
 // record in postorder, so the parallel executor — whatever order its
 // workers finish fronts in, with or without within-front tasks — writes
@@ -371,38 +304,6 @@ func recordsAreSlab(raw []byte, in *front.Factors) error {
 		return fmt.Errorf("%d bytes of records, file has %d", 8*at, len(raw))
 	}
 	return nil
-}
-
-func TestFactorizeParallelMatchesSequential(t *testing.T) {
-	a := sparse.Grid3D(8, 8, 8)
-	an, err := Analyze(a, DefaultConfig(order.ND, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := an.Factorize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := an.FactorizeParallel(parmf.DefaultConfig(0)) // 0 → Procs
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.Stats.Workers != 4 {
-		t.Errorf("workers %d, want analysis procs 4", pf.Stats.Workers)
-	}
-	// Subtree tasks come from the mapping, so fewer tasks than fronts.
-	if pf.Stats.Tasks >= pf.Stats.Fronts {
-		t.Errorf("tasks %d not batched below fronts %d", pf.Stats.Tasks, pf.Stats.Fronts)
-	}
-	if pf.Stats.FactorEntries != sf.Stats.FactorEntries {
-		t.Errorf("factor entries %d vs %d", pf.Stats.FactorEntries, sf.Stats.FactorEntries)
-	}
-	pslab := pf.Front().Slab()
-	for p, v := range sf.Front().Slab() {
-		if v != pslab[p] {
-			t.Fatalf("factor entry %d differs: %g vs %g", p, v, pslab[p])
-		}
-	}
 }
 
 // TestFactorizeAndSolve covers the facade's factor-and-solve variants:

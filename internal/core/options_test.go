@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -10,51 +11,12 @@ import (
 	"repro/internal/front"
 	"repro/internal/memory"
 	"repro/internal/order"
-	"repro/internal/parmf"
 	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
-// entryPoints are the four factorization entry points of one analysis,
-// each reduced to its executor stats.
-var entryPoints = []struct {
-	name string
-	run  func(an *core.Analysis) (memory.ExecStats, error)
-}{
-	{"Factorize", func(an *core.Analysis) (memory.ExecStats, error) {
-		f, err := an.Factorize()
-		if err != nil {
-			return memory.ExecStats{}, err
-		}
-		return f.Stats, nil
-	}},
-	{"FactorizeParallel", func(an *core.Analysis) (memory.ExecStats, error) {
-		f, err := an.FactorizeParallel(parmf.DefaultConfig(2))
-		if err != nil {
-			return memory.ExecStats{}, err
-		}
-		return f.Stats.ExecStats, nil
-	}},
-	{"FactorizeOOC", func(an *core.Analysis) (memory.ExecStats, error) {
-		f, st, err := an.FactorizeOOC()
-		if err != nil {
-			return memory.ExecStats{}, err
-		}
-		defer st.Close()
-		return f.Stats, nil
-	}},
-	{"FactorizeParallelOOC", func(an *core.Analysis) (memory.ExecStats, error) {
-		f, st, err := an.FactorizeParallelOOC(parmf.DefaultConfig(2))
-		if err != nil {
-			return memory.ExecStats{}, err
-		}
-		defer st.Close()
-		return f.Stats.ExecStats, nil
-	}},
-}
-
 // TestOptionsReachEveryEntryPoint pins that the numeric options set on
-// core.Config reach the executor unchanged through every entry point:
+// core.Config reach the executor unchanged through every plan of Run:
 // the kernel family the stats name is the one the analysis resolves to
 // (an explicit parmf.Config can no longer override it), and a tracer and
 // a fault schedule set there are armed in all four.
@@ -77,12 +39,12 @@ func TestOptionsReachEveryEntryPoint(t *testing.T) {
 	}
 	for _, fam := range families {
 		_, want := fam.opt.Resolve()
-		for _, ep := range entryPoints {
+		for _, ep := range plans {
 			run := *an
 			run.Config.Options = fam.opt
 			tr := trace.New(2)
 			run.Config.Tracer = tr
-			st, err := ep.run(&run)
+			st, err := runStats(&run, ep.plan)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", fam.name, ep.name, err)
 			}
@@ -96,7 +58,7 @@ func TestOptionsReachEveryEntryPoint(t *testing.T) {
 			run.Config.Tracer = nil
 			in := faults.New(faults.Rule{Point: faults.Task, Kind: faults.KindError, Nth: 3})
 			run.Config.Faults = in
-			if _, err := ep.run(&run); !errors.Is(err, faults.ErrInjected) {
+			if _, err := runStats(&run, ep.plan); !errors.Is(err, faults.ErrInjected) {
 				t.Errorf("%s/%s: armed task fault gave err %v, want an injected fault", fam.name, ep.name, err)
 			}
 			if in.Fired() != 1 {
@@ -104,6 +66,16 @@ func TestOptionsReachEveryEntryPoint(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runStats runs plan p and returns the executor stats.
+func runStats(an *core.Analysis, p core.Plan) (memory.ExecStats, error) {
+	f, err := an.Run(context.Background(), p)
+	if err != nil {
+		return memory.ExecStats{}, err
+	}
+	defer f.Close()
+	return f.Stats, nil
 }
 
 // countSpans counts the begin events named name across the worker tracks.

@@ -13,6 +13,7 @@
 package difftest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -79,7 +80,7 @@ type row struct {
 	workers int // 0 runs seqmf, more run parmf
 	part    partition
 	store   storeKind
-	nrhs    int // 1: SolveOriginal of one column; 3: SolveMulti of a block
+	nrhs    int // 1: one column; 3: a block
 }
 
 func (r row) String() string {
@@ -293,7 +294,7 @@ func (p *problem) analyse(wp workload.Problem) {
 // its solves of the problem's right-hand sides.
 type reference struct {
 	f      *seqmf.Factors
-	x1, x3 []float64 // SolveOriginal(b1), SolveMulti(b3, 3)
+	x1, x3 []float64 // SolveOriginalMulti(b1, 1), SolveOriginalMulti(b3, 3)
 	err    error
 }
 
@@ -317,12 +318,12 @@ func (p *problem) reference(kern dense.Kernel) (*reference, error) {
 		}
 		bound = 10*Residual(p.a, oracle.x1, p.b1) + 1e-13
 	}
-	ref.f, ref.err = seqmf.Factorize(p.pa, p.tree, opt, nil)
+	ref.f, ref.err = seqmf.Factorize(context.Background(), p.pa, p.tree, opt, nil)
 	if ref.err == nil {
-		ref.x1, ref.err = ref.f.SolveOriginal(p.b1)
+		ref.x1, ref.err = ref.f.SolveOriginalMulti(p.b1, 1)
 	}
 	if ref.err == nil {
-		ref.x3, ref.err = ref.f.SolveMulti(p.b3, 3)
+		ref.x3, ref.err = ref.f.SolveOriginalMulti(p.b3, 3)
 	}
 	if ref.err == nil && ref.f.Stats.Kernel != kern.String() {
 		ref.err = fmt.Errorf("kernel stat %q, want %v", ref.f.Stats.Kernel, kern)
@@ -342,8 +343,7 @@ func (p *problem) reference(kern dense.Kernel) (*reference, error) {
 type run struct {
 	factors interface {
 		Store() front.Store
-		SolveOriginal(b []float64) ([]float64, error)
-		SolveMulti(b []float64, nrhs int) ([]float64, error)
+		SolveOriginalMulti(b []float64, nrhs int) ([]float64, error)
 	}
 	exec memory.ExecStats
 	par  *parmf.Stats // nil for seqmf
@@ -352,7 +352,7 @@ type run struct {
 func (p *problem) factor(r row, st front.Store) (run, error) {
 	opt := front.Options{Kernel: r.kernel}
 	if r.workers == 0 {
-		f, err := seqmf.Factorize(p.pa, p.tree, opt, st)
+		f, err := seqmf.Factorize(context.Background(), p.pa, p.tree, opt, st)
 		if err != nil {
 			return run{}, err
 		}
@@ -370,7 +370,7 @@ func (p *problem) factor(r row, st front.Store) (run, error) {
 	case forced:
 		cfg.FrontSplit, cfg.RootGrid = forcedSplit, 2
 	}
-	f, err := parmf.Factorize(p.pa, p.tree, cfg, opt)
+	f, err := parmf.Factorize(context.Background(), p.pa, p.tree, cfg, opt)
 	if err != nil {
 		return run{}, err
 	}
@@ -439,13 +439,11 @@ func (p *problem) check(t *testing.T, r row) {
 	if fs != nil {
 		before = fs.Stats()
 	}
-	x, want := []float64(nil), ref.x1
-	if r.nrhs == 1 {
-		x, err = f.factors.SolveOriginal(p.b1)
-	} else {
-		x, err = f.factors.SolveMulti(p.b3, 3)
-		want = ref.x3
+	b, want := p.b1, ref.x1
+	if r.nrhs == 3 {
+		b, want = p.b3, ref.x3
 	}
+	x, err := f.factors.SolveOriginalMulti(b, r.nrhs)
 	if err == nil {
 		err = SameBits("x", x, want)
 	}
@@ -496,7 +494,7 @@ func (p *problem) checkReference(t *testing.T, r row, ref *reference) {
 	}
 	n := p.a.N
 	for c := 0; c < 3; c++ {
-		x, err := ref.f.Solve(Col(p.b3, n, 3, c))
+		x, err := ref.f.SolveOriginalMulti(Col(p.b3, n, 3, c), 1)
 		if err == nil {
 			err = SameBits(fmt.Sprintf("block column %d vs single solve", c), Col(ref.x3, n, 3, c), x)
 		}
@@ -512,7 +510,7 @@ func (p *problem) checkReference(t *testing.T, r row, ref *reference) {
 func treeSolves(t *testing.T, p *problem, st front.Store, kern dense.Kernel, want []float64) {
 	t.Helper()
 	for _, workers := range []int{1, 2, 8} {
-		x, err := parmf.NewTreeSolver(st, p.tree, p.pa.Kind, workers, kern).SolveMulti(p.b3, 3)
+		x, err := parmf.NewTreeSolver(st, p.tree, p.pa.Kind, workers, kern).SolveOriginalMulti(p.b3, 3)
 		if err == nil {
 			err = SameBits(fmt.Sprintf("tree solve at %d workers", workers), x, want)
 		}

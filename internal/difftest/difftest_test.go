@@ -1,6 +1,7 @@
 package difftest_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,11 +19,11 @@ import (
 func TestComparatorsRejectNaN(t *testing.T) {
 	a := sparse.Grid2D(6, 6)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
-	fa, err := seqmf.Factorize(pa, tree, front.Options{}, nil)
+	fa, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := seqmf.Factorize(pa, tree, front.Options{}, nil)
+	fb, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func solveCheck(t *testing.T, a *sparse.CSC, m order.Method) {
 		x0[i] = float64(i%5) - 2
 	}
 	b := a.MulVec(x0)
-	x, err := solverOf(fs).SolveOriginal(b)
+	x, err := solverOf(fs).SolveOriginalMulti(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

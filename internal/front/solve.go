@@ -113,18 +113,6 @@ func (s *Solver) panel(nrhs int) []float64 {
 	return s.scratch[:need]
 }
 
-// Solve solves a single right-hand side in the permuted index space.
-func (s *Solver) Solve(b []float64) ([]float64, error) { return s.SolveMulti(b, 1) }
-
-// SolveMulti solves nrhs systems in one forward and one backward pass
-// over the factor store. b is n x nrhs row-major and is not modified.
-func (s *Solver) SolveMulti(b []float64, nrhs int) ([]float64, error) {
-	if err := CheckRHS(s.tree.N, b, nrhs); err != nil {
-		return nil, err
-	}
-	return s.solveInPlace(append([]float64(nil), b...), nrhs)
-}
-
 // solveInPlace runs both passes over the validated n x nrhs block x,
 // overwriting it with the solution.
 func (s *Solver) solveInPlace(x []float64, nrhs int) ([]float64, error) {
@@ -163,21 +151,17 @@ func (s *Solver) solveInPlace(x []float64, nrhs int) ([]float64, error) {
 	return x, nil
 }
 
-// SolveOriginal solves a single right-hand side given in the original
-// (pre-permutation) ordering.
-func (s *Solver) SolveOriginal(b []float64) ([]float64, error) {
-	return s.SolveOriginalMulti(b, 1)
-}
-
-// SolveOriginalMulti is SolveMulti for right-hand sides in the original
-// ordering, returning x in the original ordering.
+// SolveOriginalMulti solves nrhs systems in one forward and one
+// backward pass over the factor store. b is n x nrhs row-major in the
+// original (pre-permutation) ordering and is not modified; the result has
+// the same shape and ordering.
 func (s *Solver) SolveOriginalMulti(b []float64, nrhs int) ([]float64, error) {
 	if err := CheckRHS(s.tree.N, b, nrhs); err != nil {
 		return nil, err
 	}
 	perm := s.tree.Perm
 	if perm == nil {
-		return s.SolveMulti(b, nrhs)
+		return s.solveInPlace(append([]float64(nil), b...), nrhs)
 	}
 	px, err := s.solveInPlace(PermuteRHS(perm, b, nrhs), nrhs)
 	if err != nil {

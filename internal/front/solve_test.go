@@ -58,7 +58,7 @@ func TestSolveCraftedCholeskySingleFront(t *testing.T) {
 	tree := oneNodeTree(2, sparse.Symmetric)
 	fs := NewFactors(NewLayout(tree, sparse.Symmetric))
 	setNode(fs, 0, mat([][]float64{{2, 0}, {1, 1}}), nil)
-	x, err := solverOf(fs).Solve([]float64{4, 2})
+	x, err := solverOf(fs).SolveOriginalMulti([]float64{4, 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSolveCraftedLUSingleFront(t *testing.T) {
 	tree := oneNodeTree(2, sparse.Unsymmetric)
 	fs := NewFactors(NewLayout(tree, sparse.Unsymmetric))
 	setNode(fs, 0, mat([][]float64{{2, 0}, {0.5, 3}}), mat([][]float64{{2, 4}, {0, 3}}))
-	x, err := solverOf(fs).Solve([]float64{2, 4})
+	x, err := solverOf(fs).SolveOriginalMulti([]float64{2, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSolveCraftedCholeskyTwoFronts(t *testing.T) {
 	setNode(fs, 0, mat([][]float64{{2}, {0.5}, {-1}}), nil)
 	setNode(fs, 1, mat([][]float64{{3, 0}, {0.25, 1.5}}), nil)
 	b := []float64{3, -1, 4}
-	x, err := solverOf(fs).Solve(b)
+	x, err := solverOf(fs).SolveOriginalMulti(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSolveCraftedLUTwoFronts(t *testing.T) {
 	setNode(fs, 0, mat([][]float64{{2}, {0.5}, {-0.25}}), mat([][]float64{{2, 1, -1}}))
 	setNode(fs, 1, mat([][]float64{{3, 0}, {0.4, 1.25}}), mat([][]float64{{3, 0.5}, {0, 1.25}}))
 	b := []float64{1, 2, -1}
-	x, err := solverOf(fs).Solve(b)
+	x, err := solverOf(fs).SolveOriginalMulti(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +197,12 @@ func TestSolveCraftedLUTwoFronts(t *testing.T) {
 }
 
 // TestSolveOriginalCraftedPermutation checks the permutation plumbing of
-// SolveOriginal on a crafted front: with Perm = [2,0,1]
+// SolveOriginalMulti on a crafted front: with Perm = [2,0,1]
 // (new -> old), a right-hand side in original order must round-trip
-// through the permuted solve and come back in original order.
+// through the permuted solve — the solve of the tree without Perm — and
+// come back in original order.
 func TestSolveOriginalCraftedPermutation(t *testing.T) {
 	tree := oneNodeTree(3, sparse.Symmetric)
-	tree.Perm = []int{2, 0, 1}
 	L := mat([][]float64{
 		{1.5, 0, 0},
 		{0.5, 2, 0},
@@ -212,18 +212,19 @@ func TestSolveOriginalCraftedPermutation(t *testing.T) {
 	setNode(fs, 0, L, nil)
 
 	pb := []float64{2, -3, 1} // permuted-space rhs
-	px, err := solverOf(fs).Solve(pb)
+	px, err := solverOf(fs).SolveOriginalMulti(pb, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Scatter to original order and solve through SolveOriginal.
+	// Scatter to original order and solve through the permutation.
+	tree.Perm = []int{2, 0, 1}
 	b := make([]float64, 3)
 	wantX := make([]float64, 3)
 	for newI, oldI := range tree.Perm {
 		b[oldI] = pb[newI]
 		wantX[oldI] = px[newI]
 	}
-	x, err := solverOf(fs).SolveOriginal(b)
+	x, err := solverOf(fs).SolveOriginalMulti(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,13 +241,13 @@ func TestSolveStoreErrors(t *testing.T) {
 	tree := oneNodeTree(2, sparse.Symmetric)
 	fs := NewFactors(NewLayout(tree, sparse.Symmetric))
 	setNode(fs, 0, mat([][]float64{{1, 0}, {0, 1}}), nil)
-	if _, err := NewSolver(nil, tree, sparse.Symmetric, dense.KernelDefault).Solve([]float64{1, 2}); err == nil {
+	if _, err := NewSolver(nil, tree, sparse.Symmetric, dense.KernelDefault).SolveOriginalMulti([]float64{1, 2}, 1); err == nil {
 		t.Error("nil store accepted")
 	}
-	if _, err := solverOf(fs).Solve([]float64{1}); err == nil {
+	if _, err := solverOf(fs).SolveOriginalMulti([]float64{1}, 1); err == nil {
 		t.Error("short rhs accepted")
 	}
-	if _, err := solverOf(fs).SolveOriginal([]float64{1, 2, 3}); err == nil {
-		t.Error("long rhs accepted by SolveOriginal")
+	if _, err := solverOf(fs).SolveOriginalMulti([]float64{1, 2, 3}, 1); err == nil {
+		t.Error("long rhs accepted")
 	}
 }

@@ -52,7 +52,7 @@ func TestSolveMultiMatchesRepeatedSingle(t *testing.T) {
 		}
 		b[i] = rng.NormFloat64()
 	}
-	x, err := solverOf(fs).SolveMulti(b, nrhs)
+	x, err := solverOf(fs).SolveOriginalMulti(b, nrhs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSolveMultiMatchesRepeatedSingle(t *testing.T) {
 		for i := 0; i < n; i++ {
 			bc[i] = b[i*nrhs+c]
 		}
-		xc, err := solverOf(fs).Solve(bc)
+		xc, err := solverOf(fs).SolveOriginalMulti(bc, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestSolverAllocs(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
-	if _, err := s.SolveMulti(b, 2); err != nil { // warm the scratch
+	if _, err := s.SolveOriginalMulti(b, 2); err != nil { // warm the scratch
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := s.SolveMulti(b, 2); err != nil {
+		if _, err := s.SolveOriginalMulti(b, 2); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -97,9 +97,9 @@ func TestSolverAllocs(t *testing.T) {
 	}
 }
 
-// TestSolveEntryPointValidation audits every solve entry point of the
-// package: wrong-length, nil and zero-nrhs right-hand sides must come
-// back as descriptive errors from each path, never reach a gather loop.
+// TestSolveEntryPointValidation audits the package's solve entry point:
+// wrong-length, nil and zero-nrhs right-hand sides must come back as
+// descriptive errors, never reach a gather loop.
 func TestSolveEntryPointValidation(t *testing.T) {
 	tree, fs := chainFactors(4)
 	s := NewSolver(fs, tree, sparse.Symmetric, dense.KernelDefault)
@@ -108,20 +108,14 @@ func TestSolveEntryPointValidation(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"Solver.Solve short", func() error { _, err := s.Solve(good[:3]); return err }},
-		{"Solver.Solve nil", func() error { _, err := s.Solve(nil); return err }},
-		{"Solver.SolveMulti zero nrhs", func() error { _, err := s.SolveMulti(good, 0); return err }},
-		{"Solver.SolveMulti bad len", func() error { _, err := s.SolveMulti(good, 3); return err }},
-		{"Solver.SolveMulti negative nrhs", func() error { _, err := s.SolveMulti(good, -1); return err }},
-		{"Solver.SolveOriginal short", func() error { _, err := s.SolveOriginal(good[:1]); return err }},
-		{"Solver.SolveOriginal long", func() error { _, err := s.SolveOriginal(make([]float64, 9)); return err }},
-		{"Solver.SolveOriginalMulti nil", func() error { _, err := s.SolveOriginalMulti(nil, 2); return err }},
-		{"Solver.SolveOriginalMulti bad len", func() error { _, err := s.SolveOriginalMulti(good[:2], 1); return err }},
+		{"short", func() error { _, err := s.SolveOriginalMulti(good[:3], 1); return err }},
+		{"long", func() error { _, err := s.SolveOriginalMulti(make([]float64, 9), 1); return err }},
+		{"nil", func() error { _, err := s.SolveOriginalMulti(nil, 1); return err }},
+		{"nil block", func() error { _, err := s.SolveOriginalMulti(nil, 2); return err }},
+		{"zero nrhs", func() error { _, err := s.SolveOriginalMulti(good, 0); return err }},
+		{"negative nrhs", func() error { _, err := s.SolveOriginalMulti(good, -1); return err }},
+		{"bad block len", func() error { _, err := s.SolveOriginalMulti(good, 3); return err }},
 		{"nil store", func() error {
-			_, err := NewSolver(nil, tree, sparse.Symmetric, dense.KernelDefault).SolveMulti(good, 1)
-			return err
-		}},
-		{"nil store, original ordering", func() error {
 			_, err := NewSolver(nil, tree, sparse.Symmetric, dense.KernelDefault).SolveOriginalMulti(good, 1)
 			return err
 		}},

@@ -76,6 +76,8 @@ func (p *Proc) bump(t des.Time) {
 type Tracker struct {
 	Procs []Proc
 	eng   *des.Engine
+	// maxActive is the largest ActivePeak over Procs, raised with it.
+	maxActive int64
 }
 
 // NewTracker returns a tracker for p processors using the engine's clock.
@@ -96,10 +98,18 @@ func (t *Tracker) now() des.Time {
 	return t.eng.Now()
 }
 
+// bump records processor p's peaks after a mutation and carries a raised
+// active peak into the running maximum.
+func (t *Tracker) bump(p int) {
+	pr := &t.Procs[p]
+	pr.bump(t.now())
+	t.maxActive = max(t.maxActive, pr.ActivePeak)
+}
+
 // PushCB stacks a contribution block of the given size on processor p.
 func (t *Tracker) PushCB(p int, entries int64) {
 	t.Procs[p].Stack += entries
-	t.Procs[p].bump(t.now())
+	t.bump(p)
 }
 
 // PopCB removes a contribution block from processor p's stack.
@@ -109,13 +119,13 @@ func (t *Tracker) PopCB(p int, entries int64) {
 		panic(fmt.Sprintf("memory: negative stack on proc %d: popped %d entries, %d over what was stacked",
 			p, entries, -t.Procs[p].Stack))
 	}
-	t.Procs[p].bump(t.now())
+	t.bump(p)
 }
 
 // AllocFront allocates an active front (or slave row block) on p.
 func (t *Tracker) AllocFront(p int, entries int64) {
 	t.Procs[p].Fronts += entries
-	t.Procs[p].bump(t.now())
+	t.bump(p)
 }
 
 // FreeFront releases an active front on p.
@@ -125,13 +135,13 @@ func (t *Tracker) FreeFront(p int, entries int64) {
 		panic(fmt.Sprintf("memory: negative front area on proc %d: freed %d entries, %d over what was allocated",
 			p, entries, -t.Procs[p].Fronts))
 	}
-	t.Procs[p].bump(t.now())
+	t.bump(p)
 }
 
 // AddFactors accounts factor entries produced on p.
 func (t *Tracker) AddFactors(p int, entries int64) {
 	t.Procs[p].Factors += entries
-	t.Procs[p].bump(t.now())
+	t.bump(p)
 }
 
 // MaxTotalPeak returns the maximum over processors of the in-core total
@@ -150,16 +160,10 @@ func (t *Tracker) MaxTotalPeak() int64 {
 }
 
 // MaxActivePeak returns the maximum over processors of the active-memory
-// peak — the paper's "maximum stack memory peak" metric (Tables 2-5).
-func (t *Tracker) MaxActivePeak() int64 {
-	var m int64
-	for i := range t.Procs {
-		if t.Procs[i].ActivePeak > m {
-			m = t.Procs[i].ActivePeak
-		}
-	}
-	return m
-}
+// peak — the paper's "maximum stack memory peak" metric (Tables 2-5). It
+// is kept as the peaks rise, so reading it costs O(1): the memory-aware
+// scheduler reads it on every activation.
+func (t *Tracker) MaxActivePeak() int64 { return t.maxActive }
 
 // MaxStackPeak returns the maximum over processors of the CB-stack-only
 // peak.

@@ -11,8 +11,14 @@
 //	srv, _ := obs.NewServer("127.0.0.1:9090", nil)
 //	defer srv.Close()
 //	run, _ := srv.Registry().Register("GUPTA3", tracer)
-//	stats, _ := core.FactorizeParallelOOC(...)
-//	run.Complete(stats)
+//	an.Config.Tracer = tracer
+//	f, err := an.Run(ctx, core.Plan{Parallel: &pcfg, File: true})
+//	if err != nil {
+//		run.Fail(err)
+//	} else {
+//		run.SetSpill(f.Store.Stats)
+//		run.Complete(f.Stats)
+//	}
 //
 // Everything is stdlib-only (net/http, net/http/pprof).
 package obs

@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -61,10 +62,10 @@ func TestSolveReadsEachRegionOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fs.Close()
-			if _, err := seqmf.Factorize(pa, tree, front.Options{}, fs); err != nil {
+			if _, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{}, fs); err != nil {
 				t.Fatal(err)
 			}
-			in, err := seqmf.Factorize(pa, tree, front.Options{}, nil)
+			in, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,12 +73,12 @@ func TestSolveReadsEachRegionOnce(t *testing.T) {
 			for i := range b {
 				b[i] = rng.NormFloat64()
 			}
-			want, err := in.SolveMulti(b, 2)
+			want, err := in.SolveOriginalMulti(b, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m := &passMarks{FileStore: fs}
-			x, err := front.NewSolver(m, tree, a.Kind, dense.KernelDefault).SolveMulti(b, 2)
+			x, err := front.NewSolver(m, tree, a.Kind, dense.KernelDefault).SolveOriginalMulti(b, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +110,7 @@ func TestSolveReadsEachRegionOnce(t *testing.T) {
 
 			// One tree-parallel worker claims the ready front earliest in
 			// the walk, which is the walk itself: it stays on the stream.
-			x, err = parmf.NewTreeSolver(fs, tree, a.Kind, 1, dense.KernelDefault).SolveMulti(b, 2)
+			x, err = parmf.NewTreeSolver(fs, tree, a.Kind, 1, dense.KernelDefault).SolveOriginalMulti(b, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func TestCancelledRunNoGoroutineLeak(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 				cancel()
 			}()
-			pf, err := parmf.FactorizeCtx(ctx, pa, tree, parmf.DefaultConfig(workers), front.Options{Faults: slowTasks()})
+			pf, err := parmf.Factorize(ctx, pa, tree, parmf.DefaultConfig(workers), front.Options{Faults: slowTasks()})
 			cancel()
 			if err == nil {
 				// The run won the race; nothing to drain, but still no leak.
@@ -101,11 +101,11 @@ func TestCancelledOOCRunNoGoroutineLeak(t *testing.T) {
 			}()
 			opt := front.Options{Faults: slowTasks()}
 			if workers == 1 {
-				_, err = seqmf.FactorizeCtx(ctx, pa, tree, opt, store)
+				_, err = seqmf.Factorize(ctx, pa, tree, opt, store)
 			} else {
 				cfg := parmf.DefaultConfig(workers)
 				cfg.Store = store
-				_, err = parmf.FactorizeCtx(ctx, pa, tree, cfg, opt)
+				_, err = parmf.Factorize(ctx, pa, tree, cfg, opt)
 			}
 			cancel()
 			if err == nil {
@@ -127,7 +127,7 @@ func TestCancelledSolveNoGoroutineLeak(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
 	assembly.SortChildrenLiu(tree)
-	pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4), front.Options{})
+	pf, err := parmf.Factorize(context.Background(), pa, tree, parmf.DefaultConfig(4), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestCancelledSolveNoGoroutineLeak(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		cancel()
 	}()
-	_, err = ts.SolveMultiCtx(ctx, b, 1)
+	_, err = ts.SolveOriginalMultiCtx(ctx, b, 1)
 	cancel()
 	if err == nil {
 		t.Log("solve completed before cancellation")

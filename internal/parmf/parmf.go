@@ -124,7 +124,7 @@ type Config struct {
 	// (outside leaf subtrees, at more than one worker) through the
 	// within-front master/slave path (internal/nodepar): the paper's
 	// type-2 1D row blocking as real shared-memory tasks. <= 0 disables;
-	// core.FactorizeParallel derives a zero from the mapping's type-2
+	// core's Run derives a zero from the mapping's type-2
 	// classification threshold. Element-wise kernels (negative
 	// front.Options.BlockRows) disable it too. Splitting never changes the
 	// factors: the row partition is a pure function of the front and the
@@ -252,42 +252,15 @@ func (f *Factors) Solver(workers int) *TreeSolver {
 	return ts
 }
 
-// treeSolver is the lazily built default solver (factorization worker
-// count), shared by the Solve* methods so repeated solves reuse the
-// dependency graphs and walk orders.
-func (f *Factors) treeSolver() *TreeSolver {
-	f.solveOnce.Do(func() { f.solver = f.Solver(0) })
-	return f.solver
-}
-
-// Solve solves A x = b in the permuted index space. b is not modified.
-func (f *Factors) Solve(b []float64) ([]float64, error) {
-	if len(b) != f.N {
-		return nil, fmt.Errorf("parmf: rhs length %d, want %d", len(b), f.N)
-	}
-	return f.treeSolver().SolveMulti(b, 1)
-}
-
-// SolveMulti solves nrhs systems at once (b is n x nrhs row-major),
-// tree-parallel with the factorization's worker count: one forward and
-// one backward pass over the factor store however many right-hand sides
-// ride along, each column bitwise identical to a single-RHS Solve.
-func (f *Factors) SolveMulti(b []float64, nrhs int) ([]float64, error) {
-	return f.treeSolver().SolveMulti(b, nrhs)
-}
-
-// SolveOriginal solves for a right-hand side in the original ordering.
-func (f *Factors) SolveOriginal(b []float64) ([]float64, error) {
-	if len(b) != f.N {
-		return nil, fmt.Errorf("parmf: rhs length %d, want %d", len(b), f.N)
-	}
-	return f.treeSolver().SolveOriginalMulti(b, 1)
-}
-
-// SolveOriginalMulti is SolveMulti for right-hand sides in the original
-// (pre-permutation) ordering.
+// SolveOriginalMulti solves nrhs systems at once (b is n x nrhs
+// row-major in the original, pre-permutation ordering, as is the
+// result), tree-parallel with the factorization's worker count: one
+// forward and one backward pass over the factor store however many
+// right-hand sides ride along. The solver is built on the first call and
+// reused, so repeated solves share its dependency graphs and walk orders.
 func (f *Factors) SolveOriginalMulti(b []float64, nrhs int) ([]float64, error) {
-	return f.treeSolver().SolveOriginalMulti(b, nrhs)
+	f.solveOnce.Do(func() { f.solver = f.Solver(0) })
+	return f.solver.SolveOriginalMulti(b, nrhs)
 }
 
 // state is the scheduling state shared by all workers, guarded by mu.
@@ -328,19 +301,14 @@ type plan struct {
 
 // Factorize factors the permuted matrix pa over its assembly tree with a
 // pool of cfg.Workers goroutines and the numeric options opt. pa must
-// carry numerical values.
-func Factorize(pa *sparse.CSC, tree *assembly.Tree, cfg Config, opt front.Options) (*Factors, error) {
-	return FactorizeCtx(context.Background(), pa, tree, cfg, opt)
-}
-
-// FactorizeCtx is Factorize under a context. Cancellation drains the
-// pool deterministically: workers check the shared error at every
-// task-claim boundary, finish the task they are on, and exit; the
-// returned error names how many tasks were left unfinished and wraps the
-// cancellation cause. No goroutines leak — the workers, the context
-// watcher and a bound store's background goroutines all stop. A
-// Background context costs nothing (no watcher is spawned).
-func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg Config, opt front.Options) (*Factors, error) {
+// carry numerical values. Cancellation drains the pool
+// deterministically: workers check the shared error at every task-claim
+// boundary, finish the task they are on, and exit; the returned error
+// names how many tasks were left unfinished and wraps the cancellation
+// cause. No goroutines leak — the workers, the context watcher and a
+// bound store's background goroutines all stop. A Background context
+// costs nothing (no watcher is spawned).
+func Factorize(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg Config, opt front.Options) (*Factors, error) {
 	sh, err := front.NewShared(pa, tree)
 	if err != nil {
 		return nil, err // already carries the front: context
@@ -431,7 +399,10 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, cfg 
 		// live /metrics or /progress scrape reports completion and an ETA.
 		tr.SetTotals(int64(tree.Len()), assembly.TotalFlops(tree))
 	}
-	if ctx.Done() != nil {
+	if ctx.Err() != nil {
+		// Cancelled before the start: no task is claimed.
+		st.err = fmt.Errorf("parmf: cancelled: %w", context.Cause(ctx))
+	} else if ctx.Done() != nil {
 		// The watcher is the only way a cond.Wait-blocked worker can
 		// observe cancellation: it poisons the shared error and wakes
 		// everyone. It exits with the pool (stop closes below) so a

@@ -1,6 +1,7 @@
 package parmf_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,13 +22,13 @@ func TestDepthFirstPolicy(t *testing.T) {
 	a := sparse.Grid3D(8, 8, 8)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
 	assembly.SortChildrenLiu(tree)
-	sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
+	sf, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{BlockRows: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := parmf.DefaultConfig(4)
 	cfg.Policy = parmf.DepthFirst
-	pf, err := parmf.Factorize(pa, tree, cfg, front.Options{})
+	pf, err := parmf.Factorize(context.Background(), pa, tree, cfg, front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +44,13 @@ func TestSubtreeShortcut(t *testing.T) {
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.ND))
 	assembly.SortChildrenLiu(tree)
 	mp := assembly.Map(tree, assembly.DefaultMapOptions(4))
-	sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
+	sf, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{BlockRows: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := parmf.DefaultConfig(4)
 	cfg.SubtreeRoots = mp.SubRoot
-	pf, err := parmf.Factorize(pa, tree, cfg, front.Options{})
+	pf, err := parmf.Factorize(context.Background(), pa, tree, cfg, front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,11 @@ func TestSplitTree(t *testing.T) {
 		t.Skip("nothing split at this size")
 	}
 	assembly.SortChildrenLiu(nt)
-	sf, err := seqmf.Factorize(pa, nt, front.Options{BlockRows: -1}, nil)
+	sf, err := seqmf.Factorize(context.Background(), pa, nt, front.Options{BlockRows: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := parmf.Factorize(pa, nt, parmf.DefaultConfig(4), front.Options{})
+	pf, err := parmf.Factorize(context.Background(), pa, nt, parmf.DefaultConfig(4), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,22 +88,19 @@ func TestErrors(t *testing.T) {
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 	pat := pa.Clone()
 	pat.Val = nil
-	if _, err := parmf.Factorize(pat, tree, parmf.DefaultConfig(2), front.Options{}); err == nil {
+	if _, err := parmf.Factorize(context.Background(), pat, tree, parmf.DefaultConfig(2), front.Options{}); err == nil {
 		t.Error("pattern-only matrix accepted")
 	}
 	small, _ := assembly.Analyze(sparse.Grid2D(2, 2), assembly.DefaultOptions(order.AMD))
-	if _, err := parmf.Factorize(pa, small, parmf.DefaultConfig(2), front.Options{}); err == nil {
+	if _, err := parmf.Factorize(context.Background(), pa, small, parmf.DefaultConfig(2), front.Options{}); err == nil {
 		t.Error("mismatched tree accepted")
 	}
-	f, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(2), front.Options{})
+	f, err := parmf.Factorize(context.Background(), pa, tree, parmf.DefaultConfig(2), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Solve(make([]float64, 3)); err == nil {
+	if _, err := f.SolveOriginalMulti(make([]float64, 3), 1); err == nil {
 		t.Error("short rhs accepted")
-	}
-	if _, err := f.SolveOriginal(make([]float64, 3)); err == nil {
-		t.Error("short rhs accepted by SolveOriginal")
 	}
 }
 
@@ -121,22 +119,22 @@ func TestSecondBindFails(t *testing.T) {
 	defer fs.Close()
 	cfg := parmf.DefaultConfig(2)
 	cfg.Store = fs
-	f, err := parmf.Factorize(pa, tree, cfg, front.Options{})
+	f, err := parmf.Factorize(context.Background(), pa, tree, cfg, front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := difftest.RHSBlock(a.N, 1, 3)
-	want, err := f.Solve(b)
+	want, err := f.SolveOriginalMulti(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := parmf.Factorize(pa, tree, cfg, front.Options{}); err == nil || !strings.Contains(err.Error(), fs.Path()) {
+	if _, err := parmf.Factorize(context.Background(), pa, tree, cfg, front.Options{}); err == nil || !strings.Contains(err.Error(), fs.Path()) {
 		t.Errorf("second parallel factorization into one file store: %v, want an error naming %s", err, fs.Path())
 	}
-	if _, err := seqmf.Factorize(pa, tree, front.Options{}, fs); err == nil || !strings.Contains(err.Error(), fs.Path()) {
+	if _, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{}, fs); err == nil || !strings.Contains(err.Error(), fs.Path()) {
 		t.Errorf("second sequential factorization into one file store: %v, want an error naming %s", err, fs.Path())
 	}
-	x, err := f.Solve(b)
+	x, err := f.SolveOriginalMulti(b, 1)
 	if err == nil {
 		err = difftest.SameBits("x after the refused binds", x, want)
 	}
@@ -144,12 +142,12 @@ func TestSecondBindFails(t *testing.T) {
 		t.Error(err)
 	}
 
-	in, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(2), front.Options{})
+	in, err := parmf.Factorize(context.Background(), pa, tree, parmf.DefaultConfig(2), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Store = in.Front()
-	if _, err := parmf.Factorize(pa, tree, cfg, front.Options{}); err == nil || !strings.Contains(err.Error(), "in-core store") {
+	if _, err := parmf.Factorize(context.Background(), pa, tree, cfg, front.Options{}); err == nil || !strings.Contains(err.Error(), "in-core store") {
 		t.Errorf("second factorization into one in-core store: %v", err)
 	}
 }
@@ -164,7 +162,7 @@ func TestSmallPivotPropagates(t *testing.T) {
 	b.Add(1, 1, -1)
 	a := b.Build()
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.Natural))
-	if _, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4), front.Options{}); err == nil {
+	if _, err := parmf.Factorize(context.Background(), pa, tree, parmf.DefaultConfig(4), front.Options{}); err == nil {
 		t.Fatal("indefinite matrix accepted")
 	}
 }
@@ -195,11 +193,11 @@ func TestZeroOptionsSameAcrossExecutors(t *testing.T) {
 	for _, p := range problems {
 		tree, pa := assembly.Analyze(p.a, assembly.DefaultOptions(order.ND))
 		assembly.SortChildrenLiu(tree)
-		oracle, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
+		oracle, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{BlockRows: -1}, nil)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", p.name, err)
 		}
-		sf, err := seqmf.Factorize(pa, tree, front.Options{}, nil)
+		sf, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{}, nil)
 		if err != nil {
 			t.Fatalf("%s: seqmf: %v", p.name, err)
 		}
@@ -212,14 +210,14 @@ func TestZeroOptionsSameAcrossExecutors(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			cfg := parmf.DefaultConfig(workers)
 			cfg.FrontSplit = dense.DefaultBlockRows + 1 // split every front spanning two row blocks
-			zero, err := parmf.Factorize(pa, tree, cfg, front.Options{})
+			zero, err := parmf.Factorize(context.Background(), pa, tree, cfg, front.Options{})
 			if err != nil {
 				t.Fatalf("%s: parmf %d workers: %v", p.name, workers, err)
 			}
 			if err := difftest.CompareFactors(tree, oracle.Store(), zero.Store()); err != nil {
 				t.Fatalf("%s: parmf %d workers: %v", p.name, workers, err)
 			}
-			ref, err := parmf.Factorize(pa, tree, cfg, explicit)
+			ref, err := parmf.Factorize(context.Background(), pa, tree, cfg, explicit)
 			if err != nil {
 				t.Fatalf("%s: parmf %d workers, explicit block rows: %v", p.name, workers, err)
 			}

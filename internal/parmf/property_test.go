@@ -1,6 +1,7 @@
 package parmf_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -45,12 +46,12 @@ func TestPropertyPeakBoundAndSeqEquivalence(t *testing.T) {
 		tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 		peaks := assembly.SortChildrenLiu(tree)
 		bound := assembly.TreePeak(peaks, tree)
-		sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
+		sf, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{BlockRows: -1}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: seqmf: %v", seed, err)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(workers), front.Options{})
+			pf, err := parmf.Factorize(context.Background(), pa, tree, parmf.DefaultConfig(workers), front.Options{})
 			if err != nil {
 				t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
 			}
@@ -109,7 +110,7 @@ func TestPropertyDepthFirstCountersZero(t *testing.T) {
 		for _, workers := range []int{2, 4} {
 			cfg := parmf.DefaultConfig(workers)
 			cfg.Policy = parmf.DepthFirst
-			pf, err := parmf.Factorize(pa, tree, cfg, front.Options{})
+			pf, err := parmf.Factorize(context.Background(), pa, tree, cfg, front.Options{})
 			if err != nil {
 				t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
 			}

@@ -54,12 +54,13 @@ type TreeSolver struct {
 	post  []int
 	rev   []int
 	maxCB int // largest contribution block: the backward pass's scratch rows
-	// Forward-pass DAG: per-row postorder chains, deduplicated.
+	// Forward-pass DAG: per-row postorder chains, deduplicated. The
+	// successors of front ni are fwdSucc[fwdOff[ni]:fwdOff[ni+1]]. The
+	// backward pass's DAG is the tree itself: a front waits for its
+	// parent and releases its children.
 	fwdIndeg []int32
-	fwdSuccs [][]int32
-	// Backward-pass DAG: parent-first.
-	bwdIndeg []int32
-	bwdSuccs [][]int32
+	fwdOff   []int32
+	fwdSucc  []int32
 }
 
 // NewTreeSolver builds a reusable tree-parallel solve context. workers
@@ -92,78 +93,71 @@ func (s *TreeSolver) SetFaults(in *faults.Injector) {
 	s.mu.Unlock()
 }
 
-// prepare builds the walk orders and both dependency graphs once.
-// Callers hold s.mu.
+// prepare builds the walk orders and the forward dependency graph once,
+// in a fixed number of allocations whatever the front count: the row
+// chains are swept twice, first to count each front's successors, then
+// to fill them into one flat array. Callers hold s.mu.
 func (s *TreeSolver) prepare() {
 	if s.prep {
 		return
 	}
 	tree := s.tree
-	s.post = tree.Postorder()
-	s.rev = make([]int, len(s.post))
-	for i, ni := range s.post {
-		s.rev[len(s.post)-1-i] = ni
-	}
 	n := tree.Len()
+	s.post = tree.Postorder()
+	s.rev = make([]int, n)
+	for i, ni := range s.post {
+		s.rev[n-1-i] = ni
+		s.maxCB = max(s.maxCB, len(tree.Nodes[ni].Rows))
+	}
 	s.fwdIndeg = make([]int32, n)
-	s.fwdSuccs = make([][]int32, n)
-	s.bwdIndeg = make([]int32, n)
-	s.bwdSuccs = make([][]int32, n)
+	s.fwdOff = make([]int32, n+1)
 	lastIn := make([]int32, tree.N) // row -> last front in postorder touching it
+	stamp := make([]int32, n)       // dedup: stamp[p] == ni iff p->ni is recorded
+	s.rowChains(lastIn, stamp, func(p, ni int32) {
+		s.fwdOff[p+1]++
+		s.fwdIndeg[ni]++
+	})
+	for i := range n {
+		s.fwdOff[i+1] += s.fwdOff[i]
+	}
+	// Fill with fwdOff[p] as p's cursor, which leaves it at p's end: the
+	// start of p+1. Shifting by one restores the starts.
+	s.fwdSucc = make([]int32, s.fwdOff[n])
+	s.rowChains(lastIn, stamp, func(p, ni int32) {
+		s.fwdSucc[s.fwdOff[p]] = ni
+		s.fwdOff[p]++
+	})
+	copy(s.fwdOff[1:], s.fwdOff[:n])
+	s.fwdOff[0] = 0
+	s.prep = true
+}
+
+// rowChains calls edge(p, ni) once for every forward dependency, in
+// postorder of ni: p is the front before ni in postorder that last
+// touched one of ni's rows, pivot or CB.
+func (s *TreeSolver) rowChains(lastIn, stamp []int32, edge func(p, ni int32)) {
 	for i := range lastIn {
 		lastIn[i] = -1
 	}
-	edge := make([]int32, n) // dedup stamp: edge[p] == ni+1 iff p->ni exists
-	for i := range edge {
-		edge[i] = -1
+	for i := range stamp {
+		stamp[i] = -1
 	}
 	for _, ni := range s.post {
-		nd := &tree.Nodes[ni]
-		s.maxCB = max(s.maxCB, len(nd.Rows))
-		chain := func(g int) {
-			if p := lastIn[g]; p >= 0 && int(p) != ni && edge[p] != int32(ni) {
-				edge[p] = int32(ni)
-				s.fwdSuccs[p] = append(s.fwdSuccs[p], int32(ni))
-				s.fwdIndeg[ni]++
+		nd := &s.tree.Nodes[ni]
+		link := func(g int) {
+			if p := lastIn[g]; p >= 0 && int(p) != ni && stamp[p] != int32(ni) {
+				stamp[p] = int32(ni)
+				edge(p, int32(ni))
 			}
 			lastIn[g] = int32(ni)
 		}
 		for g := nd.Begin; g < nd.End; g++ {
-			chain(g)
+			link(g)
 		}
 		for _, g := range nd.Rows {
-			chain(g)
-		}
-		if nd.Parent >= 0 {
-			s.bwdIndeg[ni] = 1
-			s.bwdSuccs[nd.Parent] = append(s.bwdSuccs[nd.Parent], int32(ni))
+			link(g)
 		}
 	}
-	s.prep = true
-}
-
-// Solve solves a single right-hand side in the permuted index space.
-func (s *TreeSolver) Solve(b []float64) ([]float64, error) { return s.SolveMulti(b, 1) }
-
-// SolveMulti solves nrhs systems (b is n x nrhs row-major, not
-// modified) with one forward and one backward pass over the factor
-// store, fronts claimed tree-parallel by the solver's workers. The
-// result is bitwise identical to the sequential front.Solver whatever
-// the worker count (with dense.KernelDefault, also bitwise identical to
-// a single-RHS solve per column).
-func (s *TreeSolver) SolveMulti(b []float64, nrhs int) ([]float64, error) {
-	return s.SolveMultiCtx(context.Background(), b, nrhs)
-}
-
-// SolveMultiCtx is SolveMulti under a context: cancellation drains both
-// pass pools at the next front boundary and propagates to a bound
-// fault-tolerant store, so its prefetcher stops too. A Background
-// context costs nothing.
-func (s *TreeSolver) SolveMultiCtx(ctx context.Context, b []float64, nrhs int) ([]float64, error) {
-	if err := front.CheckRHS(s.tree.N, b, nrhs); err != nil {
-		return nil, err
-	}
-	return s.solveInPlace(ctx, append([]float64(nil), b...), nrhs)
 }
 
 // solveInPlace runs both passes over the validated n x nrhs block x,
@@ -185,7 +179,7 @@ func (s *TreeSolver) solveInPlace(ctx context.Context, x []float64, nrhs int) ([
 	defer s.st.EndSolve()
 	s.st.SetContext(ctx)
 	s.st.Prefetch(s.post, front.PartL)
-	err := s.runPass(ctx, s.post, front.PartL, 0, trace.SpanSolveFwd, s.fwdIndeg, s.fwdSuccs, func(ni int, blk, _ []float64) {
+	err := s.runPass(ctx, s.post, front.PartL, 0, trace.SpanSolveFwd, true, func(ni int, blk, _ []float64) {
 		front.ForwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, s.kern)
 	})
 	if err != nil {
@@ -193,7 +187,7 @@ func (s *TreeSolver) solveInPlace(ctx context.Context, x []float64, nrhs int) ([
 	}
 	bp := front.BackwardPart(s.kind)
 	s.st.Prefetch(s.rev, bp)
-	err = s.runPass(ctx, s.rev, bp, s.maxCB*nrhs, trace.SpanSolveBwd, s.bwdIndeg, s.bwdSuccs, func(ni int, blk, w []float64) {
+	err = s.runPass(ctx, s.rev, bp, s.maxCB*nrhs, trace.SpanSolveBwd, false, func(ni int, blk, w []float64) {
 		front.BackwardNodePanel(x, &s.tree.Nodes[ni], s.kind, blk, nrhs, w, s.kern)
 	})
 	if err != nil {
@@ -202,26 +196,28 @@ func (s *TreeSolver) solveInPlace(ctx context.Context, x []float64, nrhs int) ([
 	return x, nil
 }
 
-// SolveOriginal solves a single right-hand side given in the original
-// (pre-permutation) ordering.
-func (s *TreeSolver) SolveOriginal(b []float64) ([]float64, error) {
-	return s.SolveOriginalMulti(b, 1)
-}
-
-// SolveOriginalMulti is SolveMulti for right-hand sides in the original
-// ordering, returning x in the original ordering.
+// SolveOriginalMulti solves nrhs systems (b is n x nrhs row-major in
+// the original, pre-permutation ordering, not modified; so is the
+// result) with one forward and one backward pass over the factor store,
+// fronts claimed tree-parallel by the solver's workers. The result is
+// bitwise identical to the sequential front.Solver whatever the worker
+// count (with dense.KernelDefault, also bitwise identical to a
+// single-RHS solve per column).
 func (s *TreeSolver) SolveOriginalMulti(b []float64, nrhs int) ([]float64, error) {
 	return s.SolveOriginalMultiCtx(context.Background(), b, nrhs)
 }
 
-// SolveOriginalMultiCtx is SolveOriginalMulti under a context.
+// SolveOriginalMultiCtx is SolveOriginalMulti under a context:
+// cancellation drains both pass pools at the next front boundary and
+// propagates to a bound fault-tolerant store, so its prefetcher stops
+// too. A Background context costs nothing.
 func (s *TreeSolver) SolveOriginalMultiCtx(ctx context.Context, b []float64, nrhs int) ([]float64, error) {
 	if err := front.CheckRHS(s.tree.N, b, nrhs); err != nil {
 		return nil, err
 	}
 	perm := s.tree.Perm
 	if perm == nil {
-		return s.SolveMultiCtx(ctx, b, nrhs)
+		return s.solveInPlace(ctx, append([]float64(nil), b...), nrhs)
 	}
 	px, err := s.solveInPlace(ctx, front.PermuteRHS(perm, b, nrhs), nrhs)
 	if err != nil {
@@ -234,17 +230,21 @@ func (s *TreeSolver) SolveOriginalMultiCtx(ctx context.Context, b []float64, nrh
 // workers claim indegree-zero fronts from a shared ready set, always the
 // one earliest in the walk, run the node's panel outside the lock with a
 // per-worker scratch of scratch words, and finish under the lock,
-// releasing successors. Claiming in walk order keeps the workers' Fetches
-// on the store's prefetch stream, which reads the part's region in walk
-// order. The claim/finish mutex handoff is the happens-before edge
-// between a row's consecutive touchers.
-func (s *TreeSolver) runPass(ctx context.Context, order []int, p front.Part, scratch int, span string, indeg []int32, succs [][]int32, apply func(ni int, blk, w []float64)) error {
-	deg := append([]int32(nil), indeg...)
+// releasing successors: the forward graph's (fwd) or the front's
+// children. Claiming in walk order keeps the workers' Fetches on the
+// store's prefetch stream, which reads the part's region in walk order.
+// The claim/finish mutex handoff is the happens-before edge between a
+// row's consecutive touchers.
+func (s *TreeSolver) runPass(ctx context.Context, order []int, p front.Part, scratch int, span string, fwd bool, apply func(ni int, blk, w []float64)) error {
+	var deg []int32
+	if fwd {
+		deg = append(deg, s.fwdIndeg...)
+	}
 	pos := make([]int32, len(order)) // node -> walk position
 	ready := make(walkHeap, 0, len(order))
 	for i, ni := range order {
 		pos[ni] = int32(i)
-		if deg[ni] == 0 {
+		if fwd && deg[ni] == 0 || !fwd && s.tree.Nodes[ni].Parent < 0 {
 			ready = append(ready, int32(i)) // ascending: already a heap
 		}
 	}
@@ -323,10 +323,16 @@ func (s *TreeSolver) runPass(ctx context.Context, order []int, p front.Part, scr
 					firstErr = err
 				}
 				remaining--
-				for _, succ := range succs[ni] {
-					deg[succ]--
-					if deg[succ] == 0 {
-						ready.push(pos[succ])
+				if fwd {
+					for _, succ := range s.fwdSucc[s.fwdOff[ni]:s.fwdOff[ni+1]] {
+						deg[succ]--
+						if deg[succ] == 0 {
+							ready.push(pos[succ])
+						}
+					}
+				} else {
+					for _, c := range s.tree.Nodes[ni].Children {
+						ready.push(pos[c])
 					}
 				}
 				cond.Broadcast()

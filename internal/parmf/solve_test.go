@@ -1,6 +1,7 @@
 package parmf_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/assembly"
@@ -26,7 +27,7 @@ func TestTreeSolverBitwiseRandom(t *testing.T) {
 		a := randomProblem(seed)
 		tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 		assembly.SortChildrenLiu(tree)
-		sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
+		sf, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{BlockRows: -1}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -35,14 +36,14 @@ func TestTreeSolverBitwiseRandom(t *testing.T) {
 			// Sequential reference: one single-RHS solve per column.
 			want := make([][]float64, nrhs)
 			for c := 0; c < nrhs; c++ {
-				want[c], err = sf.Solve(difftest.Col(b, a.N, nrhs, c))
+				want[c], err = sf.SolveOriginalMulti(difftest.Col(b, a.N, nrhs, c), 1)
 				if err != nil {
 					t.Fatalf("seed %d: reference solve: %v", seed, err)
 				}
 			}
 			for _, workers := range []int{1, 2, 8} {
 				ts := parmf.NewTreeSolver(sf.Store(), tree, pa.Kind, workers, 0)
-				x, err := ts.SolveMulti(b, nrhs)
+				x, err := ts.SolveOriginalMulti(b, nrhs)
 				if err != nil {
 					t.Fatalf("seed %d, %d workers, nrhs %d: %v", seed, workers, nrhs, err)
 				}
@@ -56,19 +57,19 @@ func TestTreeSolverBitwiseRandom(t *testing.T) {
 	}
 }
 
-// TestFactorsSolveMulti covers the executor-level multi-RHS entry
-// points: parmf.Factors.SolveMulti/SolveOriginalMulti against seqmf's,
-// and both against repeated single-RHS SolveOriginal (the ordering
-// round-trip included).
+// TestFactorsSolveMulti covers the executor-level multi-RHS solve:
+// parmf.Factors.SolveOriginalMulti against seqmf's, and seqmf's block
+// against repeated single-column solves (the ordering round-trip
+// included).
 func TestFactorsSolveMulti(t *testing.T) {
 	a := randomProblem(3)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 	assembly.SortChildrenLiu(tree)
-	sf, err := seqmf.Factorize(pa, tree, front.Options{BlockRows: -1}, nil)
+	sf, err := seqmf.Factorize(context.Background(), pa, tree, front.Options{BlockRows: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(4), front.Options{})
+	pf, err := parmf.Factorize(context.Background(), pa, tree, parmf.DefaultConfig(4), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestFactorsSolveMulti(t *testing.T) {
 	b := difftest.RHSBlock(a.N, nrhs, 17)
 	want := make([][]float64, nrhs)
 	for c := 0; c < nrhs; c++ {
-		want[c], err = sf.SolveOriginal(difftest.Col(b, a.N, nrhs, c))
+		want[c], err = sf.SolveOriginalMulti(difftest.Col(b, a.N, nrhs, c), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,13 +100,14 @@ func TestFactorsSolveMulti(t *testing.T) {
 	}
 }
 
-// TestTreeSolverValidation checks every tree-parallel entry point
-// rejects malformed RHS blocks with a descriptive error.
+// TestTreeSolverValidation checks the tree-parallel solve rejects
+// malformed RHS blocks with a descriptive error, through the factors and
+// through a solver of its own.
 func TestTreeSolverValidation(t *testing.T) {
 	a := randomProblem(2)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 	assembly.SortChildrenLiu(tree)
-	pf, err := parmf.Factorize(pa, tree, parmf.DefaultConfig(2), front.Options{})
+	pf, err := parmf.Factorize(context.Background(), pa, tree, parmf.DefaultConfig(2), front.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +116,12 @@ func TestTreeSolverValidation(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"short rhs", func() error { _, err := pf.Solve(good[:a.N-1]); return err }},
-		{"nil rhs", func() error { _, err := pf.SolveMulti(nil, 1); return err }},
-		{"zero nrhs", func() error { _, err := pf.SolveMulti(good, 0); return err }},
-		{"wrong block len", func() error { _, err := pf.SolveMulti(good, 2); return err }},
-		{"original short", func() error { _, err := pf.SolveOriginal(good[:1]); return err }},
-		{"original zero nrhs", func() error { _, err := pf.SolveOriginalMulti(good, -3); return err }},
-		{"solver nil rhs", func() error { _, err := pf.Solver(2).SolveMulti(nil, 2); return err }},
+		{"short rhs", func() error { _, err := pf.SolveOriginalMulti(good[:a.N-1], 1); return err }},
+		{"nil rhs", func() error { _, err := pf.SolveOriginalMulti(nil, 1); return err }},
+		{"zero nrhs", func() error { _, err := pf.SolveOriginalMulti(good, 0); return err }},
+		{"wrong block len", func() error { _, err := pf.SolveOriginalMulti(good, 2); return err }},
+		{"negative nrhs", func() error { _, err := pf.SolveOriginalMulti(good, -3); return err }},
+		{"solver nil rhs", func() error { _, err := pf.Solver(2).SolveOriginalMulti(nil, 2); return err }},
 	} {
 		if err := tc.run(); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)

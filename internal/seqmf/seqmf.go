@@ -75,16 +75,12 @@ func (f *Factors) Close() error {
 // Factorize factors the permuted matrix pa whose assembly tree is tree
 // with the numeric options opt, handing each front's factor block to st
 // the moment it is extracted (nil keeps the factors in memory,
-// front.Factors). pa must carry numerical values.
-func Factorize(pa *sparse.CSC, tree *assembly.Tree, opt front.Options, st front.Store) (*Factors, error) {
-	return FactorizeCtx(context.Background(), pa, tree, opt, st)
-}
-
-// FactorizeCtx is Factorize under a context: the walk checks ctx between
-// fronts and returns a descriptive cancellation error naming how far it
-// got; a bound fault-tolerant store (ooc.FileStore) stops its background
-// goroutines promptly too. A Background context costs nothing.
-func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt front.Options, st front.Store) (*Factors, error) {
+// front.Factors). pa must carry numerical values. The walk checks ctx
+// between fronts and returns a descriptive cancellation error naming how
+// far it got; a bound fault-tolerant store (ooc.FileStore) stops its
+// background goroutines promptly too. A Background context costs
+// nothing.
+func Factorize(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt front.Options, st front.Store) (*Factors, error) {
 	sh, err := front.NewShared(pa, tree)
 	if err != nil {
 		return nil, err // already carries the front: context
@@ -228,42 +224,14 @@ func FactorizeCtx(ctx context.Context, pa *sparse.CSC, tree *assembly.Tree, opt 
 	return f, nil
 }
 
-// solve returns the lazily built reusable solver (cached walk orders and
-// scratch panel) running the factorization's kernel family.
-func (f *Factors) solve() *front.Solver {
-	f.solveOnce.Do(func() { f.solver = front.NewSolver(f.store, f.Tree, f.Kind, f.kern) })
-	return f.solver
-}
-
-// Solve solves A x = b for the permuted system (b and the result are in the
-// permuted index space; see SolveOriginal for the original ordering).
-// b is not modified.
-func (f *Factors) Solve(b []float64) ([]float64, error) {
-	if len(b) != f.N {
-		return nil, fmt.Errorf("seqmf: rhs length %d, want %d", len(b), f.N)
-	}
-	return f.solve().SolveMulti(b, 1)
-}
-
-// SolveMulti solves nrhs systems at once: b is n x nrhs row-major and
-// the result has the same shape. The factors stream through the store in
-// one forward and one backward pass total, however many right-hand sides
-// ride along; each column carries the exact bits of a single-RHS Solve.
-func (f *Factors) SolveMulti(b []float64, nrhs int) ([]float64, error) {
-	return f.solve().SolveMulti(b, nrhs)
-}
-
-// SolveOriginal solves for a right-hand side given in the *original*
-// (pre-permutation) ordering, returning x in the original ordering.
-func (f *Factors) SolveOriginal(b []float64) ([]float64, error) {
-	if len(b) != f.N {
-		return nil, fmt.Errorf("seqmf: rhs length %d, want %d", len(b), f.N)
-	}
-	return f.solve().SolveOriginalMulti(b, 1)
-}
-
-// SolveOriginalMulti is SolveMulti for right-hand sides given in the
-// original (pre-permutation) ordering.
+// SolveOriginalMulti solves nrhs systems at once for right-hand sides
+// given in the original (pre-permutation) ordering: b is n x nrhs
+// row-major, not modified, and the result has the same shape and
+// ordering. The factors stream through the store in one forward and one
+// backward pass total, however many right-hand sides ride along. The
+// solver (cached walk orders and scratch panel, the factorization's
+// kernel family) is built on the first call.
 func (f *Factors) SolveOriginalMulti(b []float64, nrhs int) ([]float64, error) {
-	return f.solve().SolveOriginalMulti(b, nrhs)
+	f.solveOnce.Do(func() { f.solver = front.NewSolver(f.store, f.Tree, f.Kind, f.kern) })
+	return f.solver.SolveOriginalMulti(b, nrhs)
 }

@@ -1,6 +1,7 @@
 package seqmf
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,7 +35,7 @@ func solveAndCheck(t *testing.T, a *sparse.CSC, m order.Method, tol float64) *Fa
 	t.Helper()
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(m))
 	assembly.SortChildrenLiu(tree)
-	f, err := Factorize(pa, tree, elementWise, nil)
+	f, err := Factorize(context.Background(), pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatalf("%v: %v", m, err)
 	}
@@ -43,7 +44,7 @@ func solveAndCheck(t *testing.T, a *sparse.CSC, m order.Method, tol float64) *Fa
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, err := f.SolveOriginal(b)
+	x, err := f.SolveOriginalMulti(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestMeasuredPeakMatchesModel(t *testing.T) {
 		tree, pa := assembly.Analyze(a, assembly.DefaultOptions(m))
 		peaks := assembly.SortChildrenLiu(tree)
 		want := assembly.TreePeak(peaks, tree)
-		f, err := Factorize(pa, tree, elementWise, nil)
+		f, err := Factorize(context.Background(), pa, tree, elementWise, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestMeasuredPeakMatchesModel(t *testing.T) {
 func TestFactorEntriesMatchModel(t *testing.T) {
 	a := sparse.Grid2D(9, 9)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
-	f, err := Factorize(pa, tree, elementWise, nil)
+	f, err := Factorize(context.Background(), pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +124,12 @@ func TestLiuOrderingReducesMeasuredPeak(t *testing.T) {
 	// accordingly (model and measurement move together).
 	a := sparse.Grid3D(5, 5, 5)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMF))
-	f1, err := Factorize(pa, tree, elementWise, nil)
+	f1, err := Factorize(context.Background(), pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assembly.SortChildrenLiu(tree)
-	f2, err := Factorize(pa, tree, elementWise, nil)
+	f2, err := Factorize(context.Background(), pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestLiuOrderingReducesMeasuredPeak(t *testing.T) {
 func TestSolvePermutedVsOriginal(t *testing.T) {
 	a := sparse.Grid2D(8, 8)
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
-	f, err := Factorize(pa, tree, elementWise, nil)
+	f, err := Factorize(context.Background(), pa, tree, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestSolvePermutedVsOriginal(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
-	x, err := f.SolveOriginal(b)
+	x, err := f.SolveOriginalMulti(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +164,18 @@ func TestFactorizeErrors(t *testing.T) {
 	tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
 	pat := pa.Clone()
 	pat.Val = nil
-	if _, err := Factorize(pat, tree, elementWise, nil); err == nil {
+	if _, err := Factorize(context.Background(), pat, tree, elementWise, nil); err == nil {
 		t.Error("pattern-only matrix accepted")
 	}
 	small, _ := assembly.Analyze(sparse.Grid2D(2, 2), assembly.DefaultOptions(order.AMD))
-	if _, err := Factorize(pa, small, elementWise, nil); err == nil {
+	if _, err := Factorize(context.Background(), pa, small, elementWise, nil); err == nil {
 		t.Error("mismatched tree accepted")
 	}
-	if _, err := (&Factors{N: 4}).Solve(make([]float64, 3)); err == nil {
+	f, err := Factorize(context.Background(), pa, tree, elementWise, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.SolveOriginalMulti(make([]float64, 3), 1); err == nil {
 		t.Error("short rhs accepted")
 	}
 }
@@ -184,7 +189,7 @@ func TestSolveOnSplitTree(t *testing.T) {
 	if count == 0 {
 		t.Skip("nothing split at this size")
 	}
-	f, err := Factorize(pa, nt, elementWise, nil)
+	f, err := Factorize(context.Background(), pa, nt, elementWise, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +197,7 @@ func TestSolveOnSplitTree(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	x, err := f.SolveOriginal(b)
+	x, err := f.SolveOriginalMulti(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +212,7 @@ func TestSolvePropertyRandomSPD(t *testing.T) {
 		n := 10 + rng.Intn(80)
 		a := sparse.RandomSPDPattern(n, 3, rng)
 		tree, pa := assembly.Analyze(a, assembly.DefaultOptions(order.AMD))
-		fac, err := Factorize(pa, tree, elementWise, nil)
+		fac, err := Factorize(context.Background(), pa, tree, elementWise, nil)
 		if err != nil {
 			return false
 		}
@@ -216,7 +221,7 @@ func TestSolvePropertyRandomSPD(t *testing.T) {
 			x0[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(x0)
-		x, err := fac.SolveOriginal(b)
+		x, err := fac.SolveOriginalMulti(b, 1)
 		if err != nil {
 			return false
 		}
@@ -250,7 +255,7 @@ func TestFactorizeAllocsPerFront(t *testing.T) {
 		}
 		tree, pa := assembly.Analyze(p.NumericMatrix(), assembly.DefaultOptions(order.ND))
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := Factorize(pa, tree, front.Options{}, nil); err != nil {
+			if _, err := Factorize(context.Background(), pa, tree, front.Options{}, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -40,7 +40,7 @@ func TestTracedParallelRun(t *testing.T) {
 	for i := range b {
 		b[i] = 1 + float64(i%7)
 	}
-	if _, err := pf.SolveOriginal(b); err != nil {
+	if _, err := pf.SolveOriginalMulti(b, 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,8 +24,8 @@
 //     chrome://tracing or https://ui.perfetto.dev; one track per worker,
 //     plus tracks for the OOC store and the global counters.
 //   - MemorySeries / WriteMemoryCSV / Sparkline render the sampled
-//     per-worker memory timelines (the ASCII view examples/tracing shows
-//     next to the simulator's prediction).
+//     per-worker memory timelines (the ASCII view examples/observability
+//     shows next to the simulator's prediction).
 //   - Snapshot aggregates per-phase time/count/byte counters with
 //     memory.ExecStats into a scrape-ready snapshot (Prometheus text
 //     format or JSON) — the format a long-running solve server exports.

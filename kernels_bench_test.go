@@ -386,10 +386,10 @@ func solveCases() []kernelBenchCase {
 			if store == "ooc" {
 				f = s.of
 			}
-			solve := func() ([]float64, error) { return f.SolveMulti(rhs, nrhs) }
+			solve := func() ([]float64, error) { return f.SolveOriginalMulti(rhs, nrhs) }
 			if workers > 1 {
 				ts := parmf.NewTreeSolver(f.Store(), s.an.Tree, s.an.Permuted.Kind, workers, 0)
-				solve = func() ([]float64, error) { return ts.SolveMulti(rhs, nrhs) }
+				solve = func() ([]float64, error) { return ts.SolveOriginalMulti(rhs, nrhs) }
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
