@@ -214,6 +214,97 @@ func TestStatsCounts(t *testing.T) {
 	}
 }
 
+// TestFactorizeOOC: the sequential out-of-core wrapper spills every
+// block, holds no in-memory slab, stays resident below the in-core run
+// and solves bitwise like it.
+func TestFactorizeOOC(t *testing.T) {
+	a := sparse.Grid3D(8, 8, 8)
+	cfg := DefaultConfig(order.ND, 4)
+	cfg.OOC.Dir = t.TempDir()
+	an, err := Analyze(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := an.Factorize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	of, st, err := an.FactorizeOOC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer of.Close()
+	if of.Front() != nil {
+		t.Error("OOC factors expose an in-memory container")
+	}
+	if st.Stats().Blocks != an.Tree.Len() {
+		t.Errorf("spilled %d blocks, want %d", st.Stats().Blocks, an.Tree.Len())
+	}
+	if of.Stats.ResidentPeak >= sf.Stats.ResidentPeak {
+		t.Errorf("OOC resident peak %d not below in-core %d",
+			of.Stats.ResidentPeak, sf.Stats.ResidentPeak)
+	}
+	// Same factors → identical solves.
+	b := make([]float64, a.N)
+	for i := range b {
+		b[i] = float64(i%11) - 5
+	}
+	xs, err := sf.SolveOriginalMulti(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xo, err := of.SolveOriginalMulti(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(xo[i]) {
+			t.Fatalf("x[%d]: %g vs %g (should be bitwise identical)", i, xs[i], xo[i])
+		}
+	}
+}
+
+// TestFactorizeParallelOOC: the parallel out-of-core wrapper spills
+// every block and solves bitwise like the sequential in-core oracle.
+func TestFactorizeParallelOOC(t *testing.T) {
+	a := sparse.Grid3D(8, 8, 8)
+	cfg := DefaultConfig(order.ND, 4)
+	cfg.OOC.Dir = t.TempDir()
+	an, err := Analyze(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, st, err := an.FactorizeParallelOOC(parmf.DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	if st.Stats().Blocks != an.Tree.Len() {
+		t.Errorf("spilled %d blocks, want %d", st.Stats().Blocks, an.Tree.Len())
+	}
+	sf, err := an.Factorize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, a.N)
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	xs, err := sf.SolveOriginalMulti(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xp, err := pf.SolveOriginalMulti(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(xp[i]) {
+			t.Fatalf("x[%d]: %g vs %g (should be bitwise identical)", i, xs[i], xp[i])
+		}
+	}
+}
+
 // TestSpillFileMatchesAcrossExecutors: the file store reserves every
 // record in postorder, so the parallel executor — whatever order its
 // workers finish fronts in, with or without within-front tasks — writes
@@ -304,6 +395,41 @@ func recordsAreSlab(raw []byte, in *front.Factors) error {
 		return fmt.Errorf("%d bytes of records, file has %d", 8*at, len(raw))
 	}
 	return nil
+}
+
+// TestFactorizeParallelMatchesSequential: the parallel wrapper defaults
+// its workers to the analysis procs, batches the mapping's subtrees into
+// fewer tasks than fronts, and stores the oracle's slab entry for entry.
+func TestFactorizeParallelMatchesSequential(t *testing.T) {
+	a := sparse.Grid3D(8, 8, 8)
+	an, err := Analyze(a, DefaultConfig(order.ND, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := an.Factorize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := an.FactorizeParallel(parmf.DefaultConfig(0)) // 0 → Procs
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf.Stats.Workers != 4 {
+		t.Errorf("workers %d, want analysis procs 4", pf.Stats.Workers)
+	}
+	// Subtree tasks come from the mapping, so fewer tasks than fronts.
+	if pf.Stats.Tasks >= pf.Stats.Fronts {
+		t.Errorf("tasks %d not batched below fronts %d", pf.Stats.Tasks, pf.Stats.Fronts)
+	}
+	if pf.Stats.FactorEntries != sf.Stats.FactorEntries {
+		t.Errorf("factor entries %d vs %d", pf.Stats.FactorEntries, sf.Stats.FactorEntries)
+	}
+	pslab := pf.Front().Slab()
+	for p, v := range sf.Front().Slab() {
+		if v != pslab[p] {
+			t.Fatalf("factor entry %d differs: %g vs %g", p, v, pslab[p])
+		}
+	}
 }
 
 // TestFactorizeAndSolve covers the facade's factor-and-solve variants:
